@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .core import (
     ELECTRON,
-    GammaSet,
     PhysUnits,
     PlaneState,
     TwoVector,
@@ -38,7 +37,6 @@ __all__ = [
     "ELECTRON",
     "EvolutionConfig",
     "EvolutionRecord",
-    "GammaSet",
     "PacketSpec",
     "PhysUnits",
     "PlaneState",

@@ -27,8 +27,6 @@ from .wavepacket import PacketSpec, evaluate_spacetime
 
 log = logging.getLogger("dirac_toa")
 
-COMMANDS = ("initial-state", "arrival-scan", "density", "frames", "point", "pdp")
-
 
 def _floats(value) -> list[float]:
     if isinstance(value, (list, tuple)):
@@ -123,7 +121,7 @@ def _evolution_csv(out_dir: Path, tag: str, rec, meta: dict):
     )
 
 
-def cmd_initial_state(cfg: dict, out_dir: Path) -> int:
+def cmd_initial_state(cfg: dict, out_dir: Path, workers: int) -> int:
     spec = packet_from(cfg)
     g = cfg.get("grid", {})
     ts = np.arange(float(g.get("t_lo", -1.0)), float(g.get("t_hi", 2.0)) + 1e-12,
@@ -166,7 +164,7 @@ def cmd_arrival_scan(cfg: dict, out_dir: Path, workers: int) -> int:
     return 0
 
 
-def cmd_density(cfg: dict, out_dir: Path) -> int:
+def cmd_density(cfg: dict, out_dir: Path, workers: int) -> int:
     spec = packet_from(cfg)
     det = detector_from(cfg)
     lattice = lattice_from(cfg)
@@ -189,7 +187,7 @@ def cmd_density(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
-def cmd_frames(cfg: dict, out_dir: Path) -> int:
+def cmd_frames(cfg: dict, out_dir: Path, workers: int) -> int:
     spec = packet_from(cfg)
     det = detector_from(cfg)
     lattice = lattice_from(cfg)
@@ -206,7 +204,7 @@ def cmd_frames(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
-def cmd_point(cfg: dict, out_dir: Path) -> int:
+def cmd_point(cfg: dict, out_dir: Path, workers: int) -> int:
     spec = packet_from(cfg)
     scan = cfg.get("scan", {})
     taus = np.arange(float(scan.get("tau_lo", 0.0)),
@@ -225,7 +223,8 @@ def cmd_point(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
-def cmd_pdp(cfg: dict, out_dir: Path, seed: int) -> int:
+def cmd_pdp(cfg: dict, out_dir: Path, workers: int) -> int:
+    seed = int(cfg["run"]["seed"])
     spec = packet_from(cfg)
     det = detector_from(cfg)
     lattice = lattice_from(cfg)
@@ -259,6 +258,18 @@ def cmd_pdp(cfg: dict, out_dir: Path, seed: int) -> int:
     return 0
 
 
+# Every command runs as fn(cfg, out_dir, workers) -> exit code; only the
+# arrival scan uses the worker pool.
+COMMANDS = {
+    "initial-state": cmd_initial_state,
+    "arrival-scan": cmd_arrival_scan,
+    "density": cmd_density,
+    "frames": cmd_frames,
+    "point": cmd_point,
+    "pdp": cmd_pdp,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="dirac-toa",
@@ -281,22 +292,8 @@ def main(argv=None) -> int:
     cfg = resolve_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = int(cfg["run"]["seed"])
     try:
-        if args.command == "initial-state":
-            rc = cmd_initial_state(cfg, out_dir)
-        elif args.command == "arrival-scan":
-            rc = cmd_arrival_scan(cfg, out_dir, workers=max(1, args.threads))
-        elif args.command == "density":
-            rc = cmd_density(cfg, out_dir)
-        elif args.command == "frames":
-            rc = cmd_frames(cfg, out_dir)
-        elif args.command == "point":
-            rc = cmd_point(cfg, out_dir)
-        elif args.command == "pdp":
-            rc = cmd_pdp(cfg, out_dir, seed)
-        else:  # pragma: no cover
-            raise SystemExit(f"unknown command {args.command}")
+        rc = COMMANDS[args.command](cfg, out_dir, max(1, args.threads))
     except (DomainTooSmallError, ValueError) as exc:
         log.error("run rejected: %s", exc)
         return 2

@@ -8,7 +8,7 @@ e.g. a plane wave is exp(i*chi*p*x) with p in m*c and x in Angstrom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,25 +44,6 @@ GAMMA1 = np.array(
 ALPHA = GAMMA0 @ GAMMA1
 # Upper (particle) projector: detectors couple to components 1, 2 only.
 PROJECTOR_UP = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
-
-
-@dataclass(frozen=True)
-class GammaSet:
-    gamma0: np.ndarray = field(default_factory=lambda: GAMMA0.copy())
-    gamma1: np.ndarray = field(default_factory=lambda: GAMMA1.copy())
-    projector_up: np.ndarray = field(default_factory=lambda: PROJECTOR_UP.copy())
-
-    @property
-    def alpha(self) -> np.ndarray:
-        return self.gamma0 @ self.gamma1
-
-
-def spinor4(c1=0.0, c2=0.0, c3=0.0, c4=0.0) -> np.ndarray:
-    """Build a single 4-spinor as a complex array of shape (4,)."""
-    s = np.array([c1, c2, c3, c4], dtype=complex)
-    if not np.all(np.isfinite(s)):
-        raise ValueError("spinor components must be finite")
-    return s
 
 
 @dataclass(frozen=True)

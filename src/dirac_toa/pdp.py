@@ -12,7 +12,7 @@ import numpy as np
 
 from .core import ELECTRON, PhysUnits, PlaneState, TwoVector, inner_product, minkowski_norm_sq
 from .detector import DetectorSpec, lambda_field
-from .propagator import WALL_SITES, EvolutionConfig, _free_step_values, _pointwise_half
+from .propagator import EvolutionConfig, integrate
 
 ORTHO_TOL = 1e-10
 
@@ -155,15 +155,10 @@ def ideal_measurement_run(initial: TotalState, plan, rng) -> list:
 def detector_choice_probs(
     state: PlaneState,
     channels: Sequence[DetectorChannel],
-    tau: float = 0.0,
     units: PhysUnits = ELECTRON,
 ) -> np.ndarray:
-    """p_k = <G_k Psi | G_k Psi> / sum_j <G_j Psi | G_j Psi>.
-
-    tau is accepted for interface parity with time-dependent couplings; the
-    at-rest channels used here are static in the detector frame.
-    """
-    del tau
+    """p_k = <G_k Psi | G_k Psi> / sum_j <G_j Psi | G_j Psi>; the at-rest
+    channels are static in the detector frame."""
     grid = state.grid
     weights = []
     for ch in channels:
@@ -211,8 +206,9 @@ class JumpProcess:
     integrated once; each trajectory then draws r uniform in [0, 1], inverts
     the cumulative absorbed norm 1 - S(tau) at r (linear interpolation inside
     the bracketing step), picks the detecting channel with the relative-rate
-    probabilities at that moment, and terminates.  Trajectories with
-    r > 1 - S(tau_max) end undetected.
+    probabilities at that moment, and terminates.  The absorbed norm counts
+    detector absorption only; trajectories with r > p_inf survive to tau_max
+    or are lost at the domain walls, and end undetected.
     """
 
     def __init__(
@@ -239,63 +235,21 @@ class JumpProcess:
         self.cfg = cfg
         self.preparation = preparation
         self._initial = initial.copy()
-        self._integrate(initial)
-
-    def _integrate(self, initial: PlaneState):
-        grid = initial.grid
-        cfg = self.cfg
-        rates = [lambda_field(ch.spec, grid, cfg.units) for ch in self.channels]
-        total_rate = np.sum(rates, axis=0)
-
-        n_steps = cfg.n_steps
-        tau = cfg.dtau * np.arange(n_steps + 1)
-        surv = np.empty(n_steps + 1)
-        chan_dens = np.zeros((len(rates), n_steps + 1))
-
-        vals = initial.values.copy()
-        dx = grid.dx
-        half_absorb, pot_phase, pot_mix = None, None, None
-        half_absorb = np.exp(-cfg.dtau * total_rate[0] / 4.0)
-
-        def record(m):
-            surv[m] = np.sum(np.abs(vals) ** 2) * dx
-            dens12 = np.abs(vals[0]) ** 2 + np.abs(vals[1]) ** 2
-            for c, rate in enumerate(rates):
-                chan_dens[c, m] = np.sum(rate[0] * dens12) * dx
-
-        record(0)
-        w = WALL_SITES
-        for m in range(1, n_steps + 1):
-            vals = _pointwise_half(vals, half_absorb, pot_phase, pot_mix)
-            vals = _free_step_values(vals, cfg)
-            vals = _pointwise_half(vals, half_absorb, pot_phase, pot_mix)
-            vals[:, :w] = 0.0
-            vals[:, -w:] = 0.0
-            record(m)
-
-        self.tau = tau
-        self.survival = surv
-        self.channel_density = chan_dens
-        self.detection_density = chan_dens.sum(axis=0)
-        self.absorbed = 1.0 - surv / surv[0]
+        self._rates = [lambda_field(ch.spec, initial.grid, cfg.units) for ch in self.channels]
+        rec = integrate(initial, self._rates, cfg, cfg.n_steps)
+        self.tau = rec.tau_samples
+        self.survival = rec.survival
+        self.boundary_leakage = rec.boundary_leakage
+        self.channel_density = rec.channel_density
+        self.detection_density = rec.detection_density
+        # norm lost to the walls is not a detection
+        self.absorbed = 1.0 - (rec.survival + rec.boundary_leakage) / rec.survival[0]
         self.p_inf = float(self.absorbed[-1])
 
     def state_at(self, tau_target: float) -> PlaneState:
         """Re-integrate the deterministic evolution up to tau_target."""
-        cfg = self.cfg
-        m = int(np.floor(tau_target / cfg.dtau + 1e-12))
-        grid = self._initial.grid
-        rates = [lambda_field(ch.spec, grid, cfg.units) for ch in self.channels]
-        total_rate = np.sum(rates, axis=0)
-        half_absorb = np.exp(-cfg.dtau * total_rate[0] / 4.0)
-        vals = self._initial.values.copy()
-        for _ in range(m):
-            vals = _pointwise_half(vals, half_absorb, None, None)
-            vals = _free_step_values(vals, cfg)
-            vals = _pointwise_half(vals, half_absorb, None, None)
-            vals[:, :WALL_SITES] = 0.0
-            vals[:, -WALL_SITES:] = 0.0
-        return PlaneState(self._initial.x_min, self._initial.dx, vals)
+        m = int(np.floor(tau_target / self.cfg.dtau + 1e-12))
+        return integrate(self._initial, self._rates, self.cfg, m).final_state
 
     def _invert_jump_time(self, r: float) -> Optional[float]:
         absorbed = self.absorbed
@@ -315,7 +269,7 @@ class JumpProcess:
         )
         total = dens.sum()
         if total <= 0.0:
-            # absorption happened, attribute uniformly (walls excluded upstream)
+            # every sampled channel density vanishes here: no channel is preferred
             return np.full(len(self.channels), 1.0 / len(self.channels))
         return dens / total
 

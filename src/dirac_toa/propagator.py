@@ -2,11 +2,19 @@
 rotation + absorptive detector coupling, plus a spectral free-flight oracle.
 
 The outer step keeps the light-cone alignment dx = dtau.  Its free part is a
-Strang splitting of the mass rotation against exact Fourier advection,
-subcycled n_substeps times; the splitting error is the only time-integration
-error and scales as (dtau/n_substeps)^2, small enough that arrival-time
-observables are dominated by physics, not the scheme.  The n_substeps = 1
-limit is the plain light-cone scheme (advection = exact one-site shift).
+Strang splitting of the mass rotation against exact Fourier advection
+(split-operator scheme, Feit, Fleck & Steiger, J. Comput. Phys. 47, 412
+(1982)), subcycled n_substeps times; the splitting error is the only
+time-integration error and scales as (dtau/n_substeps)^2, small enough that
+arrival-time observables are dominated by physics, not the scheme.  The
+n_substeps = 1 limit is the plain light-cone scheme (advection = exact
+one-site shift).
+
+The mass term is uniform in x, so every substep is diagonal in k: a 2x2
+matrix per mode on the component pairs (1, 4) and (2, 3).  The n_substeps
+substeps are multiplied into one cached matrix per mode, and a step costs a
+single transform pair whatever n_substeps is.  integrate() is the one
+stepping loop; evolve() and the jump sampler in pdp both run through it.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.fft as sfft
@@ -70,7 +78,8 @@ class EvolutionConfig:
 @dataclass
 class EvolutionRecord:
     """Per-step samples of one run: detection density d(tau) = <Psi|Lambda Psi>,
-    survival S(tau) = <Psi|Psi>, and cumulative wall leakage."""
+    survival S(tau) = <Psi|Psi>, and cumulative wall leakage.  channel_density
+    splits d(tau) into one row per detection channel."""
 
     tau_samples: np.ndarray
     detection_density: np.ndarray
@@ -78,6 +87,7 @@ class EvolutionRecord:
     boundary_leakage: np.ndarray
     final_state: PlaneState
     tail_ok: bool = True
+    channel_density: Optional[np.ndarray] = None
 
     @property
     def total_detection_probability(self) -> float:
@@ -85,58 +95,33 @@ class EvolutionRecord:
 
 
 @lru_cache(maxsize=16)
-def _step_tables(n: int, dx: float, dtau: float, n_substeps: int, chi: float):
+def _step_matrix(n: int, dx: float, dtau: float, n_substeps: int, chi: float) -> np.ndarray:
+    """Per-mode free-step matrix M(k) = S(k)^n_substeps, shape (2, 2, n).
+
+    S(k) is one Strang substep of length h = dtau/n_substeps -- half mass
+    phase, exact advection by h, half mass phase -- acting on the Fourier
+    amplitudes of an (upper, lower) component pair.
+    """
     k = 2 * np.pi * sfft.fftfreq(n, d=dx)
-    hs = dtau / n_substeps
-    cos_k = np.cos(k * hs)
-    sin_k = np.sin(k * hs)
-    mass_half = np.exp(-1j * chi * hs / 2)
-    return cos_k, sin_k, mass_half
-
-
-def _advect_pairs(f: np.ndarray, pairs, cos_k: np.ndarray, sin_k: np.ndarray) -> None:
-    """Exact kinetic substep in Fourier space; alpha couples (1,4) and (2,3)."""
-    for i, j in pairs:
-        fi = f[i].copy()
-        f[i] = cos_k * fi - 1j * sin_k * f[j]
-        f[j] = cos_k * f[j] - 1j * sin_k * fi
+    h = dtau / n_substeps
+    mass = np.exp(-1j * chi * h)
+    sub = np.empty((n, 2, 2), dtype=complex)
+    sub[:, 0, 0] = mass * np.cos(k * h)
+    sub[:, 0, 1] = sub[:, 1, 0] = -1j * np.sin(k * h)
+    sub[:, 1, 1] = np.conj(mass) * np.cos(k * h)
+    step = np.linalg.matrix_power(sub, n_substeps).transpose(1, 2, 0).copy()
+    step.flags.writeable = False  # cached: every caller shares this array
+    return step
 
 
 def _free_step_values(values: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
-    """Subcycled free step on the (4, n) component array, in place.
-
-    The preparation used throughout populates only components 1 and 4; when
-    rows 2 and 3 are exactly zero they stay zero (the kinetic term couples
-    them only to each other), so the transforms run on half the rows.
-    """
-    n = values.shape[1]
-    cos_k, sin_k, mh = _step_tables(n, cfg.dx, cfg.dtau, cfg.n_substeps, cfg.units.chi)
-    mf = mh * mh
-    reduced = not (values[1].any() or values[2].any())
-    if reduced:
-        v = values[[0, 3]]
-        pairs = ((0, 1),)
-        upper, lower = slice(0, 1), slice(1, 2)
-    else:
-        v = values
-        pairs = ((0, 3), (1, 2))
-        upper, lower = slice(0, 2), slice(2, 4)
-    v[upper] *= mh
-    v[lower] *= np.conj(mh)
-    for j in range(cfg.n_substeps):
-        f = sfft.fft(v, axis=1)
-        _advect_pairs(f, pairs, cos_k, sin_k)
-        v = sfft.ifft(f, axis=1, overwrite_x=True)
-        if j < cfg.n_substeps - 1:
-            v[upper] *= mf
-            v[lower] *= np.conj(mf)
-    v[upper] *= mh
-    v[lower] *= np.conj(mh)
-    if reduced:
-        values[0] = v[0]
-        values[3] = v[1]
-        return values
-    return v
+    """Free step on the (4, n) component array; alpha couples (1,4) and (2,3)."""
+    m = _step_matrix(values.shape[1], cfg.dx, cfg.dtau, cfg.n_substeps, cfg.units.chi)
+    f = sfft.fft(values, axis=1)
+    upper, lower = f[:2].copy(), f[[3, 2]]
+    f[:2] = m[0, 0] * upper + m[0, 1] * lower
+    f[[3, 2]] = m[1, 0] * upper + m[1, 1] * lower
+    return sfft.ifft(f, axis=1, overwrite_x=True)
 
 
 def free_dirac_step(state: PlaneState, cfg: EvolutionConfig) -> PlaneState:
@@ -186,18 +171,20 @@ def _pointwise_tables(cfg: EvolutionConfig, grid: UniformGrid, rate: np.ndarray 
     return half_absorb, pot_phase, pot_mix
 
 
+def _strang_values(values: np.ndarray, tables: tuple, cfg: EvolutionConfig) -> np.ndarray:
+    """Half absorption/potential, free step, half again, on the (4, n) array."""
+    values = _pointwise_half(values, *tables)
+    values = _free_step_values(values, cfg)
+    return _pointwise_half(values, *tables)
+
+
 def strang_step(state: PlaneState, rate: np.ndarray | None, cfg: EvolutionConfig) -> PlaneState:
     """One full step: half absorption/potential, free step, half again.
 
     rate is the (4, n) field from lambda_field (rows 3, 4 zero) or None.
     """
-    vals = state.values.copy()
-    grid = state.grid
-    half_absorb, pot_phase, pot_mix = _pointwise_tables(cfg, grid, rate)
-    vals = _pointwise_half(vals, half_absorb, pot_phase, pot_mix)
-    vals = _free_step_values(vals, cfg)
-    vals = _pointwise_half(vals, half_absorb, pot_phase, pot_mix)
-    return PlaneState(state.x_min, state.dx, vals)
+    tables = _pointwise_tables(cfg, state.grid, rate)
+    return PlaneState(state.x_min, state.dx, _strang_values(state.values.copy(), tables, cfg))
 
 
 def spectral_free_evolve(state: PlaneState, tau: float, units: PhysUnits = ELECTRON) -> PlaneState:
@@ -220,60 +207,49 @@ def spectral_free_evolve(state: PlaneState, tau: float, units: PhysUnits = ELECT
     return PlaneState(state.x_min, state.dx, vals)
 
 
-def evolve(
+def integrate(
     initial: PlaneState,
-    det: DetectorSpec | None,
+    rates: Sequence[np.ndarray],
     cfg: EvolutionConfig,
+    n_steps: int,
 ) -> EvolutionRecord:
-    """Integrate to tau_max recording d(tau) and S(tau) each step.
+    """The stepping loop: n_steps Strang steps against the summed absorber.
 
-    Walls absorb: a strip of WALL_SITES sites at each domain edge is zeroed
-    after every step and the removed norm is accounted as boundary leakage.
-    Rejects the run if leakage exceeds LEAKAGE_REJECT.
+    rates holds one (4, n) field from lambda_field per detection channel;
+    the record's channel_density has one row of <Psi|Lambda_c Psi> per
+    channel, and detection_density is their sum.  Walls absorb: a strip of
+    WALL_SITES sites at each domain edge is zeroed after every step and the
+    removed norm is accounted as boundary leakage.  Rejects the run if
+    leakage exceeds LEAKAGE_REJECT.
     """
-    norm = initial.norm_sq()
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError(f"initial state norm^2 = {norm}, expected 1")
-
     grid = initial.grid
-    rate = None
-    if det is not None and not (isinstance(det, WindowDetector) and det.height == 0.0):
-        rate = lambda_field(det, grid, cfg.units)
-        x = grid.positions
-        if det.position - det.width / 2 < x[WALL_SITES] or det.position + det.width / 2 > x[-WALL_SITES - 1]:
-            raise ValueError("detector support must lie inside the domain walls")
+    dx = grid.dx
+    total_rate = np.sum(rates, axis=0) if len(rates) else None
+    rows = np.array([rate[0] for rate in rates]).reshape(-1, grid.n)
+    tables = _pointwise_tables(cfg, grid, total_rate)
 
-    n_steps = cfg.n_steps
     tau = cfg.dtau * np.arange(n_steps + 1)
     surv = np.empty(n_steps + 1)
-    dens = np.zeros(n_steps + 1)
+    chan_dens = np.zeros((len(rates), n_steps + 1))
     leak = np.zeros(n_steps + 1)
 
     vals = initial.values.copy()
     w = WALL_SITES
 
-    def detect_density(v):
-        if rate is None:
-            return 0.0
-        return float(np.sum(rate[0] * (np.abs(v[0]) ** 2 + np.abs(v[1]) ** 2)) * grid.dx)
+    def record(m, dens):
+        surv[m] = np.sum(dens) * dx
+        chan_dens[:, m] = np.sum(rows * (dens[0] + dens[1]), axis=1) * dx
 
-    surv[0] = np.sum(np.abs(vals) ** 2) * grid.dx
-    dens[0] = detect_density(vals)
-
-    half_absorb, pot_phase, pot_mix = _pointwise_tables(cfg, grid, rate)
+    record(0, np.abs(vals) ** 2)
     for m in range(1, n_steps + 1):
-        vals = _pointwise_half(vals, half_absorb, pot_phase, pot_mix)
-        vals = _free_step_values(vals, cfg)
-        vals = _pointwise_half(vals, half_absorb, pot_phase, pot_mix)
-
-        lost = (np.sum(np.abs(vals[:, :w]) ** 2) + np.sum(np.abs(vals[:, -w:]) ** 2)) * grid.dx
+        vals = _strang_values(vals, tables, cfg)
+        dens = np.abs(vals) ** 2
+        lost = (np.sum(dens[:, :w]) + np.sum(dens[:, -w:])) * dx
         leak[m] = leak[m - 1] + lost
         if lost:
-            vals[:, :w] = 0.0
-            vals[:, -w:] = 0.0
-
-        surv[m] = np.sum(np.abs(vals) ** 2) * grid.dx
-        dens[m] = detect_density(vals)
+            vals[:, :w] = dens[:, :w] = 0.0
+            vals[:, -w:] = dens[:, -w:] = 0.0
+        record(m, dens)
 
         if leak[m] > LEAKAGE_REJECT:
             raise DomainTooSmallError(
@@ -283,14 +259,37 @@ def evolve(
     if leak[-1] > LEAKAGE_WARN:
         log.warning("boundary leakage %.3e exceeds %.0e", leak[-1], LEAKAGE_WARN)
 
-    tail_ok = True
-    if rate is not None and dens.max() > 0:
-        tail_ok = bool(dens[-1] < 1e-6 * dens.max())
-        if not tail_ok:
+    final = PlaneState(initial.x_min, initial.dx, vals)
+    return EvolutionRecord(tau, chan_dens.sum(axis=0), surv, leak, final,
+                           channel_density=chan_dens)
+
+
+def evolve(
+    initial: PlaneState,
+    det: DetectorSpec | None,
+    cfg: EvolutionConfig,
+) -> EvolutionRecord:
+    """Integrate to tau_max recording d(tau) and S(tau) each step (see
+    integrate for the wall treatment), then check that d(tau) has decayed."""
+    norm = initial.norm_sq()
+    if abs(norm - 1.0) > 1e-6:
+        raise ValueError(f"initial state norm^2 = {norm}, expected 1")
+
+    grid = initial.grid
+    rates = []
+    if det is not None and not (isinstance(det, WindowDetector) and det.height == 0.0):
+        rates.append(lambda_field(det, grid, cfg.units))
+        x = grid.positions
+        if det.position - det.width / 2 < x[WALL_SITES] or det.position + det.width / 2 > x[-WALL_SITES - 1]:
+            raise ValueError("detector support must lie inside the domain walls")
+
+    rec = integrate(initial, rates, cfg, cfg.n_steps)
+    dens = rec.detection_density
+    if dens.max() > 0:
+        rec.tail_ok = bool(dens[-1] < 1e-6 * dens.max())
+        if not rec.tail_ok:
             log.warning(
                 "detection density tail d(tau_max)/max d = %.2e has not decayed below 1e-6",
                 dens[-1] / dens.max(),
             )
-
-    final = PlaneState(initial.x_min, initial.dx, vals)
-    return EvolutionRecord(tau, dens, surv, leak, final, tail_ok)
+    return rec

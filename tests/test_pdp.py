@@ -16,7 +16,7 @@ from dirac_toa.pdp import (
     pdp_sample,
     validate_event_order,
 )
-from dirac_toa.propagator import EvolutionConfig
+from dirac_toa.propagator import EvolutionConfig, evolve
 from dirac_toa.studies import prepare_omega
 from dirac_toa.wavepacket import PacketSpec
 
@@ -129,6 +129,26 @@ def _pdp_setup(n_substeps=16):
     return spec, det, cfg, prep, channel, initial
 
 
+def test_jump_process_shares_evolve_loop_and_wall_accounting():
+    """One channel with an a1 potential: the sampler's deterministic record
+    is evolve's, bit for bit, and norm lost at the walls is not detected."""
+    spec = PacketSpec(p0=0.75)
+    det = WindowDetector(height=0.3, width=0.02, edge=0.008)
+    cfg = EvolutionConfig(dtau=0.004, x_lo=-3.0, x_hi=2.0, tau_max=3.5, n_substeps=4,
+                          a1=lambda x: 0.05 * np.exp(-((x + 0.5) ** 2) / 0.02))
+    prep = TwoVector(spec.t0, spec.x0)
+    initial = prepare_omega(spec, cfg, detector_position=det.position)
+    initial.values /= np.sqrt(initial.norm_sq())
+    proc = JumpProcess(initial, [DetectorChannel.at_rest(det, prep)], cfg, preparation=prep)
+    rec = evolve(initial, det, cfg)
+    np.testing.assert_array_equal(proc.survival, rec.survival)
+    np.testing.assert_array_equal(proc.detection_density, rec.detection_density)
+    np.testing.assert_array_equal(proc.boundary_leakage, rec.boundary_leakage)
+    leak = proc.boundary_leakage[-1]
+    assert leak > 1e-6
+    assert proc.p_inf + leak == pytest.approx(1.0 - proc.survival[-1], abs=1e-12)
+
+
 def test_channel_light_cone_start():
     _, det, cfg, prep, channel, initial = _pdp_setup()
     assert channel.t_start == pytest.approx(-1.0)
@@ -193,17 +213,17 @@ def test_detector_choice_probabilities():
     spec, det, cfg, prep, channel, initial = _pdp_setup()
     psi = JumpProcess(initial, [channel], cfg, preparation=prep).state_at(2.6)
 
-    probs = detector_choice_probs(psi, [channel], tau=2.6)
+    probs = detector_choice_probs(psi, [channel])
     np.testing.assert_allclose(probs, [1.0])
 
     far = DetectorChannel(WindowDetector(height=0.3, width=0.02, edge=0.008,
                                          position=1.5), t_start=channel.t_start)
-    probs2 = detector_choice_probs(psi, [channel, far], tau=2.6)
+    probs2 = detector_choice_probs(psi, [channel, far])
     assert probs2[0] > 0.999999
     # rate-scaled twin on identical support: 1/3 vs 2/3
     twin = DetectorChannel(WindowDetector(height=0.6, width=0.02, edge=0.008),
                            t_start=channel.t_start)
-    probs3 = detector_choice_probs(psi, [channel, twin], tau=2.6)
+    probs3 = detector_choice_probs(psi, [channel, twin])
     np.testing.assert_allclose(probs3, [1.0 / 3.0, 2.0 / 3.0], rtol=1e-9)
 
 

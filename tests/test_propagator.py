@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirac_toa.core import ELECTRON, PhysUnits, PlaneState, UniformGrid
 from dirac_toa.detector import WindowDetector
@@ -21,6 +23,51 @@ def _chiral_right_mover(grid: UniformGrid, site: int) -> PlaneState:
     vals[0, site] = 1 / np.sqrt(2)
     vals[3, site] = 1 / np.sqrt(2)
     return PlaneState(grid.x_min, grid.dx, vals)
+
+
+def _substep_reference(values: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
+    """The free step as n_substeps literal Strang substeps: half mass phase,
+    exact Fourier advection by h on the pairs (1,4), (2,3), half mass phase."""
+    h = cfg.dtau / cfg.n_substeps
+    k = 2 * np.pi * np.fft.fftfreq(values.shape[1], d=cfg.dx)
+    cos_k, sin_k = np.cos(k * h), np.sin(k * h)
+    mh = np.exp(-1j * cfg.units.chi * h / 2)
+    half_mass = np.array([mh, mh, np.conj(mh), np.conj(mh)])[:, None]
+    v = values.copy()
+    for _ in range(cfg.n_substeps):
+        f = np.fft.fft(v * half_mass, axis=1)
+        for i, j in ((0, 3), (1, 2)):
+            f[i], f[j] = cos_k * f[i] - 1j * sin_k * f[j], cos_k * f[j] - 1j * sin_k * f[i]
+        v = np.fft.ifft(f, axis=1) * half_mass
+    return v
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_substeps=st.integers(1, 64), n=st.integers(8, 200), seed=st.integers(0, 2**32 - 1))
+def test_fused_free_step_matches_substep_loop(n_substeps, n, seed):
+    rng = np.random.default_rng(seed)
+    vals = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
+    dx = 0.002
+    cfg = EvolutionConfig(dtau=dx, x_lo=0, x_hi=n * dx, tau_max=1, n_substeps=n_substeps)
+    out = free_dirac_step(PlaneState(0.0, dx, vals), cfg)
+    ref = _substep_reference(vals, cfg)
+    assert np.abs(out.values - ref).max() < 1e-12 * np.abs(vals).max()
+
+
+@settings(max_examples=15, deadline=None)
+@given(n_substeps=st.integers(1, 64), p=st.floats(-1.0, 1.0), width=st.floats(0.03, 0.1),
+       seed=st.integers(0, 2**32 - 1))
+def test_survival_flat_without_detector(n_substeps, p, width, seed):
+    """W = 0: the shared loop keeps the norm of any smooth packet at 1."""
+    rng = np.random.default_rng(seed)
+    cfg = EvolutionConfig(dtau=0.004, x_lo=-2.0, x_hi=2.0, tau_max=0.2, n_substeps=n_substeps)
+    grid = cfg.grid()
+    spinor = rng.normal(size=4) + 1j * rng.normal(size=4)
+    envelope = np.exp(-(grid.positions**2) / (4 * width**2) + 1j * ELECTRON.chi * p * grid.positions)
+    st0 = PlaneState(grid.x_min, grid.dx, spinor[:, None] * envelope[None, :])
+    st0.values /= np.sqrt(st0.norm_sq())
+    rec = evolve(st0, WindowDetector(height=0.0), cfg)
+    assert np.abs(rec.survival - 1.0).max() < 1e-9
 
 
 def test_config_validation():

@@ -128,8 +128,8 @@ def cmd_initial_state(cfg: dict, out_dir: Path, workers: int) -> int:
                    float(g.get("t_step", 0.05)))
     xs = np.arange(float(g.get("x_lo", -3.0)), float(g.get("x_hi", 1.0)) + 1e-12,
                    float(g.get("x_step", 0.02)))
+    psi = evaluate_spacetime(spec, ts[:, None], xs[None, :])
     tt, xx = np.meshgrid(ts, xs, indexing="ij")
-    psi = evaluate_spacetime(spec, tt, xx)
     meta = {"p0": spec.p0, "eta": spec.eta, "x0": spec.x0, "t0": spec.t0}
     for comp, name in ((0, "component1"), (3, "component4")):
         dens = np.abs(psi[comp]) ** 2
@@ -172,18 +172,19 @@ def cmd_density(cfg: dict, out_dir: Path, workers: int) -> int:
         s = replace(spec, p0=p0)
         run = arrival_run(s, det, config_from_lattice(lattice, p0, spec=s, detector_position=det.position))
         tag = f"p{p0:g}"
+        tail = {"tail_ok": int(run.record.tail_ok), "tail_ratio": run.record.tail_ratio}
         write_csv(
             out_dir / f"density_{tag}.csv",
             {"t": run.lab.t, "p": run.lab.p},
             metadata={"p0": p0, "T": run.T, "P_inf": run.P_inf,
-                      "neg_mass": run.neg_mass},
+                      "neg_mass": run.neg_mass} | tail,
         )
         write_csv(
             out_dir / f"proper_time_density_{tag}.csv",
             {"tau": run.density.tau, "P": run.density.P},
             metadata={"p0": p0, "P_inf": run.P_inf},
         )
-        _evolution_csv(out_dir, tag, run.record, {"p0": p0})
+        _evolution_csv(out_dir, tag, run.record, {"p0": p0} | tail)
     return 0
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .arrival import ArrivalDensity
 from .core import ELECTRON, PhysUnits
-from .wavepacket import PacketSpec, _tables, energy
+from .wavepacket import PacketSpec, _momentum_sum, _tables, energy, spectral_coefficients
 
 log = logging.getLogger(__name__)
 
@@ -130,26 +130,19 @@ def transmitted_amplitude(
     Omega_1(tau, 0): momentum quadrature of the branch weights times the
     per-momentum transmission, with proper-time phases e^{-+ i chi E tau}."""
     tau_in = np.asarray(tau, dtype=float)
-    scalar = tau_in.ndim == 0
-    tau = np.atleast_1d(tau_in)
-    p_a, w_a, fa, p_b, w_b, fb, _ = _tables(spec, units, n_nodes)
-    chi = units.chi
-
-    e_a = np.sqrt(p_a**2 + 1.0)
-    t_a, _ = _solve_particle(p_a, kappa)
-    # detector-frame weights carry the light-cone phase e^{-i chi E x0}
-    ga = fa * t_a * np.exp(-1j * chi * e_a * spec.x0)
-    amp = (w_a * ga) @ np.exp(-1j * chi * np.outer(e_a, tau))
-
-    e_b = np.sqrt(p_b**2 + 1.0)
-    a_b = p_b / (e_b + 1.0)
-    t_b, _ = _solve_anti(p_b, kappa)
-    gb = fb * t_b * a_b * np.exp(1j * chi * e_b * spec.x0)
-    amp = amp + (w_b * gb) @ np.exp(1j * chi * np.outer(e_b, tau))
-
-    if not np.all(np.isfinite(amp)):
-        raise FloatingPointError("transmitted-amplitude quadrature non-finite")
-    return complex(amp[0]) if scalar else amp
+    p, w, sign, _, _ = _tables(spec, units, n_nodes)
+    coeffs = spectral_coefficients(spec, p, units, n_nodes)
+    plus, minus = sign > 0, sign < 0
+    # A nodes carry a_plus t_particle, B nodes b_plus t_anti times the
+    # component-1 entry p/(E+1) of w+; each family is solved on its own nodes
+    g = np.empty(p.size, dtype=complex)
+    g[plus] = coeffs.a_plus[plus] * _solve_particle(p[plus], kappa)[0]
+    e = energy(p)
+    g[minus] = coeffs.b_plus[minus] * _solve_anti(p[minus], kappa)[0] * (p / (e + 1.0))[minus]
+    # phases e^{-+ i chi E tau} at the detector site x = 0
+    amp = _momentum_sum(sign * p, sign * e, (w * g)[None], np.atleast_1d(tau_in), 0.0,
+                        units.chi)[0]
+    return complex(amp[0]) if tau_in.ndim == 0 else amp
 
 
 def arrival_density_point(

@@ -34,6 +34,7 @@ log = logging.getLogger(__name__)
 
 LEAKAGE_WARN = 1e-6
 LEAKAGE_REJECT = 1e-3
+TAIL_MAX = 1e-6  # contract on d(tau_max) / max d
 WALL_SITES = 4
 
 
@@ -88,6 +89,12 @@ class EvolutionRecord:
     final_state: PlaneState
     tail_ok: bool = True
     channel_density: Optional[np.ndarray] = None
+
+    @property
+    def tail_ratio(self) -> float:
+        """d(tau_max) / max d: how far the detection density has decayed."""
+        peak = self.detection_density.max()
+        return float(self.detection_density[-1] / peak) if peak > 0 else 0.0
 
     @property
     def total_detection_probability(self) -> float:
@@ -284,12 +291,10 @@ def evolve(
             raise ValueError("detector support must lie inside the domain walls")
 
     rec = integrate(initial, rates, cfg, cfg.n_steps)
-    dens = rec.detection_density
-    if dens.max() > 0:
-        rec.tail_ok = bool(dens[-1] < 1e-6 * dens.max())
-        if not rec.tail_ok:
-            log.warning(
-                "detection density tail d(tau_max)/max d = %.2e has not decayed below 1e-6",
-                dens[-1] / dens.max(),
-            )
+    rec.tail_ok = rec.tail_ratio < TAIL_MAX
+    if not rec.tail_ok:
+        log.warning(
+            "detection density tail d(tau_max)/max d = %.2e has not decayed below %.0e",
+            rec.tail_ratio, TAIL_MAX,
+        )
     return rec

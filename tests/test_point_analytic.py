@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirac_toa.arrival import expected_time
@@ -11,7 +11,8 @@ from dirac_toa.point_analytic import (
     scatter_coefficients,
     transmitted_amplitude,
 )
-from dirac_toa.wavepacket import PacketSpec, energy, evaluate_spacetime
+from dirac_toa.core import ELECTRON
+from dirac_toa.wavepacket import PacketSpec, _tables, energy, evaluate_spacetime, spectral_coefficients
 
 
 def test_transparent_at_zero_strength():
@@ -150,3 +151,30 @@ def test_point_expected_time_decreases_with_kappa_at_high_momentum(run_p2):
     assert t1 < t0
     # and the transparent limit agrees with the lattice wide-detector run
     assert t0 == pytest.approx(run_p2.T, rel=2e-3)
+
+
+def dense_amplitude(spec, kappa, tau, n=2048):
+    """Reference Omega_1(tau, 0): one exponential per (node, tau)."""
+    p, w, _, _, _ = _tables(spec, ELECTRON, n)
+    c = spectral_coefficients(spec, p)
+    e = energy(p)
+    a = p / (e + 1.0)
+    g_a = w[:n] * c.a_plus[:n] * 2 * a[:n] / (2 * a[:n] + kappa / 2)
+    g_b = w[n:] * c.b_plus[n:] * a[n:] * 2 / (2 + kappa * a[n:] / 2)
+    chi = ELECTRON.chi
+    return g_a @ np.exp(-1j * chi * np.outer(e[:n], tau)) + g_b @ np.exp(1j * chi * np.outer(e[n:], tau))
+
+
+@given(p0=st.floats(0.2, 2.5), kappa=st.floats(0.0, 3.0), tau_lo=st.floats(0.0, 4.0),
+       dtau=st.floats(1e-4, 0.01), n=st.integers(1, 300), jitter=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(p0=0.75, kappa=1.0, tau_lo=0.0, dtau=0.002, n=2501, jitter=False, seed=0)
+@example(p0=2.0, kappa=0.0, tau_lo=1.0, dtau=0.002, n=300, jitter=True, seed=1)
+@settings(max_examples=40, deadline=None)
+def test_transmitted_amplitude_matches_dense_sum(p0, kappa, tau_lo, dtau, n, jitter, seed):
+    spec = PacketSpec(p0=p0)
+    tau = tau_lo + dtau * np.arange(n)
+    if jitter:
+        tau += np.random.default_rng(seed).uniform(-0.3, 0.3, n) * dtau
+    amp = transmitted_amplitude(spec, kappa, tau)
+    np.testing.assert_allclose(amp, dense_amplitude(spec, kappa, tau), rtol=0, atol=1e-12)

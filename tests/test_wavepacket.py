@@ -1,11 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import roots_legendre
 
 from dirac_toa.core import ELECTRON, TwoVector, UniformGrid, inner_product
+from dirac_toa.point_analytic import arrival_density_point
 from dirac_toa.wavepacket import (
     PacketSpec,
+    _gauss_nodes,
+    _tables,
     energy,
     evaluate_spacetime,
     group_velocity,
@@ -211,3 +218,111 @@ def test_sample_packet_matches_evaluate():
     st = sample_packet(spec, grid, 0.3)
     direct = evaluate_spacetime(spec, 0.3, grid.positions)
     np.testing.assert_allclose(st.values, direct)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 32, 33, 1024, 2048])
+def test_gauss_nodes_match_scipy_and_integrate_polynomials(n):
+    x, w = _gauss_nodes(n)
+    np.testing.assert_allclose(x, roots_legendre(n)[0], rtol=0, atol=1e-15)
+    # exact for every even monomial up to degree 2n - 2 (odd ones by symmetry)
+    k = np.arange(0, 2 * n, 2)[:100]
+    np.testing.assert_allclose((x[:, None] ** k).T @ w, 2.0 / (k + 1), rtol=0, atol=1e-14)
+    assert np.all(w > 0) and np.all(np.diff(x) > 0)
+
+
+def dense_spacetime(spec, t, x, branch="both", n_nodes=2048):
+    """Reference: the momentum sum with one exponential per (node, point)."""
+    p, w, sign, f, _ = _tables(spec, ELECTRON, n_nodes)
+    t, x = np.broadcast_arrays(np.asarray(t, dtype=float) - spec.t0, np.asarray(x, dtype=float))
+    keep = {"both": sign != 0, "plus": sign > 0, "minus": sign < 0}[branch]
+    e = energy(p)
+    a = p / (e + 1.0)
+    phase = np.exp(1j * CHI * sign[:, None] * (np.outer(p, x) - np.outer(e, t)))
+    c1, c4 = (keep * w * f * np.where(sign > 0, u, v) for u, v in ((1.0, a), (a, 1.0)))
+    zero = np.zeros(t.size)
+    return np.array([c1 @ phase, zero, zero, c4 @ phase]).reshape((4,) + t.shape)
+
+
+momenta = st.floats(0.2, 2.5)
+branches = st.sampled_from(["both", "plus", "minus"])
+times = st.floats(-2.0, 3.0)
+positions = st.floats(-4.0, 2.0)
+
+
+@given(p0=momenta, branch=branches, t=st.lists(times, min_size=1, max_size=6),
+       x=st.lists(positions, min_size=1, max_size=30))
+@settings(max_examples=25, deadline=None)
+def test_open_grid_matches_dense_sum(p0, branch, t, x):
+    spec = PacketSpec(p0=p0)
+    t, x = np.array(t)[:, None], np.array(x)[None, :]
+    psi = evaluate_spacetime(spec, t, x, branch=branch)
+    assert psi.shape == (4, t.size, x.size)
+    np.testing.assert_allclose(psi, dense_spacetime(spec, t, x, branch), rtol=0, atol=1e-12)
+
+
+@given(p0=momenta, branch=branches, t=times, x_lo=positions, dx=st.floats(1e-4, 0.015),
+       n=st.one_of(st.sampled_from([1, 2, 17]), st.integers(3, 400)))
+@example(p0=0.75, branch="both", t=-1.0, x_lo=-4.0, dx=0.002, n=1)
+@example(p0=0.75, branch="plus", t=-1.0, x_lo=-4.0, dx=0.002, n=2)
+@example(p0=2.0, branch="minus", t=0.5, x_lo=-2.0, dx=0.01, n=17)
+@settings(max_examples=25, deadline=None)
+def test_uniform_axis_matches_dense_sum(p0, branch, t, x_lo, dx, n):
+    spec = PacketSpec(p0=p0)
+    x = x_lo + dx * np.arange(n)
+    psi = evaluate_spacetime(spec, t, x, branch=branch)
+    assert psi.shape == (4, n)
+    np.testing.assert_allclose(psi, dense_spacetime(spec, t, x, branch), rtol=0, atol=1e-12)
+
+
+@given(p0=momenta, branch=branches, pts=st.lists(st.tuples(times, positions), min_size=1, max_size=60))
+@settings(max_examples=25, deadline=None)
+def test_scattered_points_match_dense_sum(p0, branch, pts):
+    spec = PacketSpec(p0=p0)
+    t, x = np.array(pts).T
+    psi = evaluate_spacetime(spec, t, x, branch=branch)
+    np.testing.assert_allclose(psi, dense_spacetime(spec, t, x, branch), rtol=0, atol=1e-12)
+
+
+def test_meshgrid_matches_open_axes():
+    spec = PacketSpec()
+    t, x = np.linspace(-1.0, 2.0, 7), np.linspace(-3.0, 1.0, 41)
+    tt, xx = np.meshgrid(t, x, indexing="ij")
+    open_axes = evaluate_spacetime(spec, t[:, None], x[None, :])
+    np.testing.assert_allclose(evaluate_spacetime(spec, tt, xx), open_axes, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(open_axes, dense_spacetime(spec, tt, xx), rtol=0, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_input_raises():
+    with pytest.raises(FloatingPointError):
+        evaluate_spacetime(PacketSpec(), 0.0, np.array([0.0, np.nan, 0.1]))
+    with pytest.raises(FloatingPointError):
+        evaluate_spacetime(PacketSpec(), np.array([0.0, np.inf])[:, None], np.zeros((1, 3)))
+
+
+def _peak_traced_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+_SPEC = PacketSpec()
+_TS = np.arange(-1.0, 2.0 + 1e-12, 0.05)  # the CLI default initial-state grid
+_XS = np.arange(-3.0, 1.0 + 1e-12, 0.02)
+_DESK = UniformGrid.from_domain(-4.0, 2.0, 0.002)
+_FIG5_TAUS = np.arange(0.0, 5.0 + 1e-12, 0.002)
+
+
+@pytest.mark.parametrize("case", [
+    lambda: evaluate_spacetime(_SPEC, _TS[:, None], _XS[None, :]),
+    lambda: evaluate_spacetime(_SPEC, *np.meshgrid(_TS, _XS, indexing="ij")),
+    lambda: sample_packet(_SPEC, _DESK, -1.0),
+    lambda: arrival_density_point(_SPEC, 1.0, _FIG5_TAUS),
+], ids=["initial-state-open", "initial-state-meshgrid", "desk-lattice", "fig5-point"])
+def test_quadrature_peak_memory(case):
+    assert (_TS.size, _XS.size, _DESK.n, _FIG5_TAUS.size) == (61, 201, 3000, 2501)
+    evaluate_spacetime(_SPEC, 0.0, 0.0)  # fill the node caches outside the measurement
+    assert _peak_traced_mb(case) < 64.0

@@ -238,11 +238,11 @@ def cmd_pdp(cfg: dict, out_dir: Path, workers: int) -> int:
         out_dir / "pdp_trajectories.csv",
         {
             "index": np.arange(len(recs)),
-            "detected": np.array([int(r.detected) for r in recs]),
-            "tau": np.array([r.tau_detect for r in recs]),
-            "t": np.array([r.point.t if r.detected else np.nan for r in recs]),
-            "x": np.array([r.point.x if r.detected else np.nan for r in recs]),
-            "channel": np.array([r.detector_index for r in recs]),
+            "detected": recs.detected.astype(int),
+            "tau": recs.tau_detect,
+            "t": recs.t,
+            "x": recs.x,
+            "channel": recs.detector_index,
         },
         metadata={"p0": spec.p0, "n": n, "seed": seed},
     )

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import configparser
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -18,11 +18,26 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _cells(a: np.ndarray) -> Iterator[str]:
+    """A column's cells, each as _fmt formats that element."""
+    if a.dtype.kind == "f" and a.dtype.itemsize <= 8:
+        return map(repr, a.tolist())
+    if a.dtype.kind in "biu":
+        return map(str, a.tolist())
+    return map(_fmt, a)
+
+
+_BLOCK_ROWS = 2048  # rows formatted and written at a time
+
+
 def write_csv(
     path: Path,
     columns: Mapping[str, np.ndarray],
     metadata: Mapping[str, object] | None = None,
 ) -> Path:
+    """Write '# key = value' metadata lines, a header and one row per index;
+    rows are formatted and written a block at a time, so memory stays bounded
+    however long the columns are."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     names = list(columns)
@@ -30,13 +45,13 @@ def write_csv(
     n_rows = len(arrays[0])
     if any(len(a) != n_rows for a in arrays):
         raise ValueError("all columns must have equal length")
-    lines = []
-    for key, val in (metadata or {}).items():
-        lines.append(f"# {key} = {_fmt(val)}")
-    lines.append(",".join(names))
-    for i in range(n_rows):
-        lines.append(",".join(_fmt(a[i]) for a in arrays))
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as fh:
+        for key, val in (metadata or {}).items():
+            fh.write(f"# {key} = {_fmt(val)}\n")
+        fh.write(",".join(names) + "\n")
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            cells = [_cells(a[start:start + _BLOCK_ROWS]) for a in arrays]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
     return path
 
 

@@ -5,8 +5,9 @@ event-ordering validator."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -78,7 +79,31 @@ class DetectionRecord:
     detector_index: int
     tau_detect: float
     point: Optional[TwoVector]
-    trajectory_survival: np.ndarray
+
+
+@dataclass(eq=False)
+class DetectionRecords(Sequence):
+    """Sampled trajectories as columns, one entry per trajectory; undetected
+    trajectories have detector_index -1, tau_detect = tau_max and NaN t, x.
+    Indexing builds the DetectionRecord of one trajectory."""
+
+    detected: np.ndarray
+    tau_detect: np.ndarray
+    detector_index: np.ndarray
+    t: np.ndarray
+    x: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.detected)
+
+    def __getitem__(self, i: int) -> DetectionRecord:
+        tau = float(self.tau_detect[i])
+        if not self.detected[i]:
+            return DetectionRecord(detected=False, detector_index=-1, tau_detect=tau, point=None)
+        return DetectionRecord(
+            detected=True, detector_index=int(self.detector_index[i]), tau_detect=tau,
+            point=TwoVector(t=float(self.t[i]), x=float(self.x[i])),
+        )
 
 
 @dataclass(frozen=True)
@@ -199,16 +224,56 @@ def _trajectory_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+# Philox4x64-10 multipliers and key increments (Salmon et al., SC'11)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+
+
+def _mulhilo(m: int, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high words of the 128-bit products m * a, from 32-bit halves."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    a_lo, a_hi = a & _LO32, a >> _S32
+    ll, lh, hl = m_lo * a_lo, m_lo * a_hi, m_hi * a_lo
+    mid = (ll >> _S32) + (lh & _LO32) + (hl & _LO32)
+    return np.uint64(m) * a, m_hi * a_hi + (lh >> _S32) + (hl >> _S32) + (mid >> _S32)
+
+
+def _first_doubles(seed: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first two doubles that _trajectory_rng(seed, i) yields, for each i
+    in the uint64 array index.
+
+    Philox is counter based: a stream's first four words are one Philox4x64-10
+    block of the key (seed, i) at counter (1, 0, 0, 0), a pure function that
+    is computed for every stream at once.  A double is (word >> 11) * 2**-53.
+    """
+    c0, c1 = np.ones(len(index), dtype=np.uint64), np.zeros(len(index), dtype=np.uint64)
+    c2, c3 = c1, c1
+    for r in range(10):
+        k0 = np.uint64((int(seed) + r * _PHILOX_W[0]) % 2**64)
+        k1 = index + np.uint64(r * _PHILOX_W[1] % 2**64)
+        lo0, hi0 = _mulhilo(_PHILOX_M[0], c0)
+        lo1, hi1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return (c0 >> np.uint64(11)) * 2.0**-53, (c1 >> np.uint64(11)) * 2.0**-53
+
+
 class JumpProcess:
     """Continuous-detection sampler.
 
     The non-Hermitian evolution is the same for every trajectory, so it is
-    integrated once; each trajectory then draws r uniform in [0, 1], inverts
+    integrated once; each trajectory then draws r uniform in [0, 1), inverts
     the cumulative absorbed norm 1 - S(tau) at r (linear interpolation inside
     the bracketing step), picks the detecting channel with the relative-rate
     probabilities at that moment, and terminates.  The absorbed norm counts
     detector absorption only; trajectories with r > p_inf survive to tau_max
     or are lost at the domain walls, and end undetected.
+
+    Trajectory i of sample_many(n, seed) draws from its own Philox stream
+    _trajectory_rng(seed, i), so it does not depend on n or on the other
+    trajectories; sample_many computes every stream's draws and outcomes at
+    once and returns them as columns (DetectionRecords).
     """
 
     def __init__(
@@ -251,49 +316,57 @@ class JumpProcess:
         m = int(np.floor(tau_target / self.cfg.dtau + 1e-12))
         return integrate(self._initial, self._rates, self.cfg, m).final_state
 
-    def _invert_jump_time(self, r: float) -> Optional[float]:
-        absorbed = self.absorbed
-        if r > absorbed[-1]:
-            return None
-        m = int(np.searchsorted(absorbed, r))
-        if m == 0:
-            return float(self.tau[0])
-        a0, a1 = absorbed[m - 1], absorbed[m]
-        frac = 0.0 if a1 == a0 else (r - a0) / (a1 - a0)
-        return float(self.tau[m - 1] + frac * self.cfg.dtau)
+    def _outcomes(self, r: np.ndarray, u: np.ndarray) -> DetectionRecords:
+        """Trajectories for uniform draws r (jump time) and u (channel).
 
-    def _channel_probs_at(self, tau_jump: float) -> np.ndarray:
-        dens = np.array(
-            [np.interp(tau_jump, self.tau, self.channel_density[c])
-             for c in range(len(self.channels))]
+        r at or below p_inf is detected: the jump time inverts the absorbed
+        norm at r, linearly inside the bracketing step.  The channel is the
+        one that u selects from the relative channel densities at that time,
+        as Generator.choice selects with those probabilities; u of an
+        undetected trajectory is not read.
+        """
+        absorbed = self.absorbed
+        detected = r <= absorbed[-1]
+        m = np.searchsorted(absorbed, r)
+        hi = np.clip(m, 1, len(absorbed) - 1)
+        a0, gap = absorbed[hi - 1], absorbed[hi] - absorbed[hi - 1]
+        frac = np.divide(r - a0, gap, out=np.zeros(len(r)), where=gap != 0.0)
+        tau = np.where(m == 0, self.tau[0], self.tau[hi - 1] + frac * self.cfg.dtau)
+        tau = np.where(detected, tau, float(self.cfg.tau_max))
+
+        dens = np.array([np.interp(tau, self.tau, d) for d in self.channel_density])
+        total = dens.sum(axis=0)
+        # where every channel density vanishes, no channel is preferred
+        probs = np.where(total > 0.0, dens / np.where(total > 0.0, total, 1.0),
+                         1.0 / len(self.channels))
+        cdf = np.cumsum(probs, axis=0)
+        cdf /= cdf[-1]
+        k = np.where(detected, np.count_nonzero(cdf <= u, axis=0), -1)
+        t_start = np.array([ch.t_start for ch in self.channels])
+        position = np.array([ch.spec.position for ch in self.channels])
+        return DetectionRecords(
+            detected=detected, tau_detect=tau, detector_index=k,
+            t=np.where(detected, tau + t_start[k], np.nan),
+            x=np.where(detected, position[k], np.nan),
         )
-        total = dens.sum()
-        if total <= 0.0:
-            # every sampled channel density vanishes here: no channel is preferred
-            return np.full(len(self.channels), 1.0 / len(self.channels))
-        return dens / total
 
     def sample(self, rng: np.random.Generator) -> DetectionRecord:
-        r = float(rng.uniform())
-        tau_jump = self._invert_jump_time(r)
-        if tau_jump is None:
-            return DetectionRecord(
-                detected=False, detector_index=-1,
-                tau_detect=float(self.cfg.tau_max), point=None,
-                trajectory_survival=self.survival,
-            )
-        probs = self._channel_probs_at(tau_jump)
-        k = int(rng.choice(len(probs), p=probs))
-        return DetectionRecord(
-            detected=True, detector_index=k, tau_detect=tau_jump,
-            point=self.channels[k].point_at(tau_jump),
-            trajectory_survival=self.survival,
-        )
+        """One trajectory from rng: one uniform double for the jump time and,
+        only if it is detected, one more for the channel."""
+        r = rng.uniform()
+        u = rng.random() if r <= self.p_inf else 0.0
+        return self._outcomes(np.array([r]), np.array([u]))[0]
 
-    def sample_many(self, n: int, seed: int) -> list[DetectionRecord]:
-        """n independent trajectories with per-trajectory counter-based
-        streams; the result is independent of evaluation order."""
-        return [self.sample(_trajectory_rng(seed, i)) for i in range(n)]
+    def sample_many(self, n: int, seed: int) -> DetectionRecords:
+        """n independent trajectories; trajectory i is sample(_trajectory_rng(
+        seed, i)), field for field, whatever n is.  The draws of all n
+        counter-based streams are computed at once, and the result is
+        columnar: DetectionRecords holds one array per field."""
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+        if n < 0:
+            raise ValueError(f"number of trajectories must be >= 0, got {n}")
+        return self._outcomes(*_first_doubles(seed, np.arange(n, dtype=np.uint64)))
 
     def events_for(self, record: DetectionRecord) -> list[EventRecord]:
         ev = [EventRecord(tau=0.0, point=self.preparation, label=0)]

@@ -7,7 +7,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from . import arrival, pdp
 from .core import ELECTRON, PhysUnits, TwoVector
@@ -151,8 +150,22 @@ class PdpStudyResult:
     detected: int
     p_inf: float
     ks_statistic: float
-    records: list
+    records: pdp.DetectionRecords
     process: pdp.JumpProcess
+
+
+def _ks_statistic(samples: np.ndarray, cdf) -> float:
+    """Two-sided one-sample Kolmogorov-Smirnov statistic max |F_n - cdf|,
+    with the arithmetic of scipy.stats.kstest (bit-identical); NaN for no
+    samples."""
+    x = np.sort(samples)
+    n = x.size
+    if n == 0:
+        return float("nan")
+    cdfvals = cdf(x)
+    d_plus = (np.arange(1.0, n + 1) / n - cdfvals).max()
+    d_minus = (cdfvals - np.arange(0.0, n) / n).max()
+    return float(d_plus if d_plus > d_minus else d_minus)
 
 
 def pdp_study(
@@ -170,15 +183,11 @@ def pdp_study(
     process = pdp.JumpProcess(initial, [channel], cfg, preparation=prep)
     records = process.sample_many(n_trajectories, seed)
 
-    taus = np.array([r.tau_detect for r in records if r.detected])
+    taus = records.tau_detect[records.detected]
     dens = process.detection_density
     cum = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2 * cfg.dtau)])
     cum /= cum[-1]
-
-    def model_cdf(x):
-        return np.interp(x, process.tau, cum)
-
-    ks = float(stats.kstest(taus, model_cdf).statistic) if taus.size else float("nan")
+    ks = _ks_statistic(taus, lambda x: np.interp(x, process.tau, cum))
     return PdpStudyResult(
         n_trajectories=n_trajectories,
         detected=int(taus.size),

@@ -1,8 +1,12 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dirac_toa.cli import main
-from dirac_toa.csvio import read_csv, write_manifest
+from dirac_toa.csvio import read_csv, read_manifest, write_manifest
 
 
 def _tiny_scan_config(tmp_path):
@@ -158,3 +162,32 @@ def test_unknown_preset_and_wrong_command(tmp_path):
     cfg = _tiny_scan_config(tmp_path)
     with pytest.raises(SystemExit):
         main(["density", "--config", str(cfg), "--out", str(tmp_path / "x")])
+
+
+def test_pdp_rejects_seed_and_count_out_of_range(tmp_path):
+    cfg = tmp_path / "pdp.cfg"
+    write_manifest(cfg, {
+        "run": {"command": "pdp"},
+        "detector": {"height": 0.3, "width": 0.02, "edge": 0.008},
+        "lattice": {"dtau": 0.004, "x_lo": -4.0, "x_hi": 2.0, "n_substeps": 8,
+                    "tau_max": 1.0},
+        "scan": {"n_trajectories": 10},
+    })
+    for seed in ("-1", str(2**64)):
+        out = tmp_path / f"seed{seed}"
+        assert main(["pdp", "--config", str(cfg), "--out", str(out), "--seed", seed]) == 2
+        assert not (out / "manifest.cfg").exists()
+    negative = tmp_path / "negative.cfg"
+    write_manifest(negative, read_manifest(cfg) | {"scan": {"n_trajectories": -1}})
+    assert main(["pdp", "--config", str(negative), "--out", str(tmp_path / "n"),
+                 "--seed", "7"]) == 2
+    assert main(["pdp", "--config", str(cfg), "--out", str(tmp_path / "max"),
+                 "--seed", str(2**64 - 1)]) == 0
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(Path(__import__("dirac_toa").__file__).parents[1])
+    code = "import sys, dirac_toa.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "False"

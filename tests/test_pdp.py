@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dirac_toa.core import PlaneState, TwoVector, UniformGrid
 from dirac_toa.detector import WindowDetector
 from dirac_toa.pdp import (
+    DetectionRecord,
     DetectorChannel,
     EventRecord,
     JumpProcess,
     Observable,
     TotalState,
+    _first_doubles,
     _trajectory_rng,
     collapse_onto_channel,
     detector_choice_probs,
@@ -17,7 +21,7 @@ from dirac_toa.pdp import (
     validate_event_order,
 )
 from dirac_toa.propagator import EvolutionConfig, evolve
-from dirac_toa.studies import prepare_omega
+from dirac_toa.studies import _ks_statistic, prepare_omega
 from dirac_toa.wavepacket import PacketSpec
 
 
@@ -254,3 +258,99 @@ def test_pdp_sample_single_shot():
     if rec.detected:
         assert rec.point is not None
         assert rec.point.t == pytest.approx(rec.tau_detect + channel.t_start)
+
+
+U64_MAX = 2**64 - 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, U64_MAX),
+       index=st.lists(st.integers(0, U64_MAX), min_size=1, max_size=20))
+@example(seed=0, index=[0, U64_MAX])
+@example(seed=U64_MAX, index=[U64_MAX, 0, 1])
+def test_vectorized_philox_matches_numpy_streams(seed, index):
+    r, u = _first_doubles(seed, np.array(index, dtype=np.uint64))
+    for j, i in enumerate(index):
+        key = np.array([seed, i], dtype=np.uint64)
+        words = np.random.Philox(key=key).random_raw(2)
+        assert r[j] == (words[0] >> np.uint64(11)) * 2.0**-53
+        assert u[j] == (words[1] >> np.uint64(11)) * 2.0**-53
+        rng = _trajectory_rng(seed, i)
+        assert (r[j], u[j]) == (rng.uniform(), rng.random())
+
+
+def _reference_sample(proc, rng):
+    """Per-trajectory sampler: scalar inversion of the absorbed norm and
+    rng.choice over the relative channel densities."""
+    absorbed = proc.absorbed
+    r = float(rng.uniform())
+    if r > absorbed[-1]:
+        return DetectionRecord(False, -1, float(proc.cfg.tau_max), None)
+    m = int(np.searchsorted(absorbed, r))
+    if m == 0:
+        tau = float(proc.tau[0])
+    else:
+        a0, a1 = absorbed[m - 1], absorbed[m]
+        frac = 0.0 if a1 == a0 else (r - a0) / (a1 - a0)
+        tau = float(proc.tau[m - 1] + frac * proc.cfg.dtau)
+    dens = np.array([np.interp(tau, proc.tau, d) for d in proc.channel_density])
+    probs = dens / dens.sum() if dens.sum() > 0.0 else np.full(len(dens), 1.0 / len(dens))
+    k = int(rng.choice(len(probs), p=probs))
+    return DetectionRecord(True, k, tau, proc.channels[k].point_at(tau))
+
+
+@pytest.mark.parametrize("heights", [(0.3,), (0.3, 0.3), (0.1, 0.3)],
+                         ids=["one", "colocated", "twin-1:3"])
+def test_sample_many_is_per_trajectory_sample(heights):
+    """Trajectory i of the columnar batch is sample() on stream i, field for
+    field, and the per-trajectory reference draws the same outcome from the
+    same number of draws."""
+    spec, _, cfg, prep, _, initial = _pdp_setup(n_substeps=4)
+    channels = [DetectorChannel.at_rest(WindowDetector(height=h, width=0.02, edge=0.008), prep)
+                for h in heights]
+    proc = JumpProcess(initial, channels, cfg, preparation=prep)
+    n, seed = 1500, 2024
+    batch = proc.sample_many(n, seed)
+    assert len(batch) == n
+    for i in range(n):
+        rng, ref_rng = _trajectory_rng(seed, i), _trajectory_rng(seed, i)
+        rec = proc.sample(rng)
+        assert batch[i] == rec == _reference_sample(proc, ref_rng)
+        assert rng.random() == ref_rng.random()
+    assert 0 < batch.detected.sum() < n
+    assert set(batch.detector_index[batch.detected]) == set(range(len(channels)))
+    assert batch[-1] == batch[n - 1]
+    with pytest.raises(IndexError):
+        batch[n]
+
+
+def test_sample_many_empty_and_rejects_bad_streams():
+    _, _, cfg, prep, channel, initial = _pdp_setup(n_substeps=4)
+    proc = JumpProcess(initial, [channel], cfg, preparation=prep)
+    empty = proc.sample_many(0, seed=5)
+    assert len(empty) == 0 and list(empty) == []
+    for col in (empty.detected, empty.tau_detect, empty.detector_index, empty.t, empty.x):
+        assert col.shape == (0,)
+    for n, seed in ((3, -1), (3, 2**64), (-1, 5)):
+        with pytest.raises(ValueError):
+            proc.sample_many(n, seed)
+    assert len(proc.sample_many(2, U64_MAX)) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.25, 2.0, 4.0]),
+                          st.floats(-1.0, 5.0)), min_size=1, max_size=50))
+@example([1.0])
+@example([2.0, 2.0, 2.0])
+def test_ks_statistic_matches_scipy(samples):
+    from scipy import stats
+
+    tau = np.linspace(0.0, 4.0, 41)
+    cum = np.sin(tau / 4.0 * np.pi / 2) ** 2
+
+    def cdf(x):
+        return np.interp(x, tau, cum)
+
+    x = np.array(samples)
+    assert _ks_statistic(x, cdf) == stats.kstest(x, cdf).statistic
+    assert np.isnan(_ks_statistic(np.array([]), cdf))

@@ -259,6 +259,15 @@ def _first_doubles(seed: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return (c0 >> np.uint64(11)) * 2.0**-53, (c1 >> np.uint64(11)) * 2.0**-53
 
 
+def check_sampling_request(n: int, seed: int) -> None:
+    """Reject what sample_many(n, seed) cannot draw: a seed outside the
+    uint64 key range [0, 2**64) or a negative trajectory count."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    if n < 0:
+        raise ValueError(f"number of trajectories must be >= 0, got {n}")
+
+
 class JumpProcess:
     """Continuous-detection sampler.
 
@@ -362,10 +371,7 @@ class JumpProcess:
         seed, i)), field for field, whatever n is.  The draws of all n
         counter-based streams are computed at once, and the result is
         columnar: DetectionRecords holds one array per field."""
-        if not 0 <= seed < 2**64:
-            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-        if n < 0:
-            raise ValueError(f"number of trajectories must be >= 0, got {n}")
+        check_sampling_request(n, seed)
         return self._outcomes(*_first_doubles(seed, np.arange(n, dtype=np.uint64)))
 
     def events_for(self, record: DetectionRecord) -> list[EventRecord]:

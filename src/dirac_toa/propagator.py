@@ -12,9 +12,14 @@ one-site shift).
 
 The mass term is uniform in x, so every substep is diagonal in k: a 2x2
 matrix per mode on the component pairs (1, 4) and (2, 3).  The n_substeps
-substeps are multiplied into one cached matrix per mode, and a step costs a
-single transform pair whatever n_substeps is.  integrate() is the one
-stepping loop; evolve() and the jump sampler in pdp both run through it.
+substeps are multiplied into one cached matrix per mode.  No factor of the
+step mixes the two pairs (the absorber damps components 1 and 2, the upper
+entries; a0 is a phase; a1 mixes within a pair), so the state is stepped as
+a (pairs, 2, n) stack and a pair without norm is left out: a step costs one
+transform pair per pair that carries norm, whatever n_substeps is.  Packets
+prepared by wavepacket have components 2 and 3 zero, so they cost one.
+integrate() is the one stepping loop; evolve() and the jump sampler in pdp
+both run through it.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ LEAKAGE_WARN = 1e-6
 LEAKAGE_REJECT = 1e-3
 TAIL_MAX = 1e-6  # contract on d(tau_max) / max d
 WALL_SITES = 4
+PAIRS = ((0, 3), (1, 2))  # the (upper, lower) component pairs that alpha couples
 
 
 class DomainTooSmallError(RuntimeError):
@@ -121,14 +127,71 @@ def _step_matrix(n: int, dx: float, dtau: float, n_substeps: int, chi: float) ->
     return step
 
 
-def _free_step_values(values: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
-    """Free step on the (4, n) component array; alpha couples (1,4) and (2,3)."""
-    m = _step_matrix(values.shape[1], cfg.dx, cfg.dtau, cfg.n_substeps, cfg.units.chi)
-    f = sfft.fft(values, axis=1)
-    upper, lower = f[:2].copy(), f[[3, 2]]
-    f[:2] = m[0, 0] * upper + m[0, 1] * lower
-    f[[3, 2]] = m[1, 0] * upper + m[1, 1] * lower
-    return sfft.ifft(f, axis=1, overwrite_x=True)
+def _to_pairs(values: np.ndarray, pairs: Sequence[tuple[int, int]] = PAIRS) -> np.ndarray:
+    """The (P, 2, n) stack of the given (upper, lower) component pairs (a copy)."""
+    return values[np.array(pairs, dtype=int).reshape(-1, 2)]
+
+
+def _from_pairs(stack: np.ndarray, pairs: Sequence[tuple[int, int]] = PAIRS) -> np.ndarray:
+    """The (4, n) component array of a pair stack; absent pairs are zero."""
+    values = np.zeros((4, stack.shape[-1]), dtype=complex)
+    values[np.array(pairs, dtype=int).reshape(-1, 2)] = stack
+    return values
+
+
+def _free_step(stack: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
+    """Free step on a (P, 2, n) pair stack: one transform pair over the
+    stack, then the per-mode step matrix on every (upper, lower) pair."""
+    m = _step_matrix(stack.shape[-1], cfg.dx, cfg.dtau, cfg.n_substeps, cfg.units.chi)
+    f = sfft.fft(stack, axis=-1)
+    upper, lower = f[:, 0].copy(), f[:, 1]
+    f[:, 0] = m[0, 0] * upper + m[0, 1] * lower
+    f[:, 1] = m[1, 0] * upper + m[1, 1] * lower
+    return sfft.ifft(f, axis=-1, overwrite_x=True)
+
+
+def _pointwise_stage(stack: np.ndarray, tables: tuple) -> np.ndarray:
+    """Half absorber, a0 phase and a1 mixing, in place on a pair stack.  The
+    absorber damps the upper entries (components 1 and 2) on its window."""
+    absorb, pot_phase, pot_mix = tables
+    if absorb is not None:
+        window, half_absorb = absorb
+        stack[:, 0, window] *= half_absorb
+    if pot_phase is not None:
+        stack *= pot_phase
+    if pot_mix is not None:
+        cos_a, i_sin_a = pot_mix
+        upper = stack[:, 0].copy()
+        stack[:, 0] = cos_a * upper + i_sin_a * stack[:, 1]
+        stack[:, 1] = cos_a * stack[:, 1] + i_sin_a * upper
+    return stack
+
+
+def _pointwise_tables(cfg: EvolutionConfig, grid: UniformGrid, rate: np.ndarray | None):
+    absorb = None
+    if rate is not None:
+        # state norm decays at rate Lambda: amplitude factor exp(-Lambda dtau/4)
+        # per half stage; off the rate's support the factor is exactly 1.0
+        half_absorb = np.exp(-cfg.dtau * rate[0] / 4.0)
+        support = np.flatnonzero(half_absorb != 1.0)
+        if support.size:
+            window = slice(support[0], support[-1] + 1)
+            absorb = (window, half_absorb[window])
+    pot_phase = None
+    pot_mix = None
+    x = grid.positions
+    if cfg.a0 is not None:
+        pot_phase = np.exp(-1j * cfg.dtau / 2 * cfg.units.chi * np.asarray(cfg.a0(x)))
+    if cfg.a1 is not None:
+        ang = cfg.dtau / 2 * cfg.units.chi * np.asarray(cfg.a1(x))
+        pot_mix = (np.cos(ang), 1j * np.sin(ang))
+    return absorb, pot_phase, pot_mix
+
+
+def _strang(stack: np.ndarray, tables: tuple, cfg: EvolutionConfig) -> np.ndarray:
+    """Half absorption/potential, free step, half again, on a pair stack."""
+    stack = _pointwise_stage(stack, tables)
+    return _pointwise_stage(_free_step(stack, cfg), tables)
 
 
 def free_dirac_step(state: PlaneState, cfg: EvolutionConfig) -> PlaneState:
@@ -139,50 +202,8 @@ def free_dirac_step(state: PlaneState, cfg: EvolutionConfig) -> PlaneState:
     """
     if abs(state.dx - cfg.dx) > 1e-15:
         raise ValueError("state grid spacing does not match cfg (dx must equal dtau)")
-    vals = _free_step_values(state.values.copy(), cfg)
+    vals = _from_pairs(_free_step(_to_pairs(state.values), cfg))
     return PlaneState(state.x_min, state.dx, vals)
-
-
-def _pointwise_half(values: np.ndarray, half_absorb: np.ndarray | None,
-                    pot_phase: np.ndarray | None, pot_mix: tuple | None):
-    if half_absorb is not None:
-        values[0] *= half_absorb
-        values[1] *= half_absorb
-    if pot_phase is not None:
-        values *= pot_phase
-    if pot_mix is not None:
-        cos_a, sin_a = pot_mix
-        v0 = values[0].copy()
-        values[0] = cos_a * v0 + 1j * sin_a * values[3]
-        values[3] = cos_a * values[3] + 1j * sin_a * v0
-        v1 = values[1].copy()
-        values[1] = cos_a * v1 + 1j * sin_a * values[2]
-        values[2] = cos_a * values[2] + 1j * sin_a * v1
-    return values
-
-
-def _pointwise_tables(cfg: EvolutionConfig, grid: UniformGrid, rate: np.ndarray | None):
-    half_absorb = None
-    if rate is not None:
-        # state norm decays at rate Lambda: amplitude factor exp(-Lambda dtau/4)
-        # per half stage
-        half_absorb = np.exp(-cfg.dtau * rate[0] / 4.0)
-    pot_phase = None
-    pot_mix = None
-    x = grid.positions
-    if cfg.a0 is not None:
-        pot_phase = np.exp(-1j * cfg.dtau / 2 * cfg.units.chi * np.asarray(cfg.a0(x)))
-    if cfg.a1 is not None:
-        ang = cfg.dtau / 2 * cfg.units.chi * np.asarray(cfg.a1(x))
-        pot_mix = (np.cos(ang), np.sin(ang))
-    return half_absorb, pot_phase, pot_mix
-
-
-def _strang_values(values: np.ndarray, tables: tuple, cfg: EvolutionConfig) -> np.ndarray:
-    """Half absorption/potential, free step, half again, on the (4, n) array."""
-    values = _pointwise_half(values, *tables)
-    values = _free_step_values(values, cfg)
-    return _pointwise_half(values, *tables)
 
 
 def strang_step(state: PlaneState, rate: np.ndarray | None, cfg: EvolutionConfig) -> PlaneState:
@@ -191,7 +212,8 @@ def strang_step(state: PlaneState, rate: np.ndarray | None, cfg: EvolutionConfig
     rate is the (4, n) field from lambda_field (rows 3, 4 zero) or None.
     """
     tables = _pointwise_tables(cfg, state.grid, rate)
-    return PlaneState(state.x_min, state.dx, _strang_values(state.values.copy(), tables, cfg))
+    vals = _from_pairs(_strang(_to_pairs(state.values), tables, cfg))
+    return PlaneState(state.x_min, state.dx, vals)
 
 
 def spectral_free_evolve(state: PlaneState, tau: float, units: PhysUnits = ELECTRON) -> PlaneState:
@@ -228,6 +250,11 @@ def integrate(
     WALL_SITES sites at each domain edge is zeroed after every step and the
     removed norm is accounted as boundary leakage.  Rejects the run if
     leakage exceeds LEAKAGE_REJECT.
+
+    The state is stepped as a stack of the PAIRS that carry norm at the
+    start.  Every factor of the step maps a pair into itself, so a pair that
+    starts at zero stays exactly zero; it is skipped, and written back as
+    zeros in final_state.
     """
     grid = initial.grid
     dx = grid.dx
@@ -240,22 +267,23 @@ def integrate(
     chan_dens = np.zeros((len(rates), n_steps + 1))
     leak = np.zeros(n_steps + 1)
 
-    vals = initial.values.copy()
+    live = [pair for pair in PAIRS if np.any(initial.values[list(pair)])]
+    stack = _to_pairs(initial.values, live)
     w = WALL_SITES
 
     def record(m, dens):
         surv[m] = np.sum(dens) * dx
-        chan_dens[:, m] = np.sum(rows * (dens[0] + dens[1]), axis=1) * dx
+        chan_dens[:, m] = np.sum(rows * dens[:, 0].sum(axis=0), axis=1) * dx
 
-    record(0, np.abs(vals) ** 2)
+    record(0, np.abs(stack) ** 2)
     for m in range(1, n_steps + 1):
-        vals = _strang_values(vals, tables, cfg)
-        dens = np.abs(vals) ** 2
-        lost = (np.sum(dens[:, :w]) + np.sum(dens[:, -w:])) * dx
+        stack = _strang(stack, tables, cfg)
+        dens = np.abs(stack) ** 2
+        lost = (np.sum(dens[..., :w]) + np.sum(dens[..., -w:])) * dx
         leak[m] = leak[m - 1] + lost
         if lost:
-            vals[:, :w] = dens[:, :w] = 0.0
-            vals[:, -w:] = dens[:, -w:] = 0.0
+            stack[..., :w] = dens[..., :w] = 0.0
+            stack[..., -w:] = dens[..., -w:] = 0.0
         record(m, dens)
 
         if leak[m] > LEAKAGE_REJECT:
@@ -266,7 +294,7 @@ def integrate(
     if leak[-1] > LEAKAGE_WARN:
         log.warning("boundary leakage %.3e exceeds %.0e", leak[-1], LEAKAGE_WARN)
 
-    final = PlaneState(initial.x_min, initial.dx, vals)
+    final = PlaneState(initial.x_min, initial.dx, _from_pairs(stack, live))
     return EvolutionRecord(tau, chan_dens.sum(axis=0), surv, leak, final,
                            channel_density=chan_dens)
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dirac_toa import pdp
 from dirac_toa.core import PlaneState, TwoVector, UniformGrid
 from dirac_toa.detector import WindowDetector
 from dirac_toa.pdp import (
@@ -21,7 +22,7 @@ from dirac_toa.pdp import (
     validate_event_order,
 )
 from dirac_toa.propagator import EvolutionConfig, evolve
-from dirac_toa.studies import _ks_statistic, prepare_omega
+from dirac_toa.studies import _ks_statistic, pdp_study, prepare_omega
 from dirac_toa.wavepacket import PacketSpec
 
 
@@ -335,6 +336,17 @@ def test_sample_many_empty_and_rejects_bad_streams():
         with pytest.raises(ValueError):
             proc.sample_many(n, seed)
     assert len(proc.sample_many(2, U64_MAX)) == 2
+
+
+def test_pdp_study_rejects_bad_request_before_integrating(monkeypatch):
+    def integrate(*args, **kwargs):
+        raise AssertionError("the deterministic integration ran before the request was checked")
+
+    monkeypatch.setattr(pdp, "integrate", integrate)
+    spec, det, cfg, _, _, _ = _pdp_setup(n_substeps=1)
+    for n, seed in ((3, -1), (3, 2**64), (-1, 5)):
+        with pytest.raises(ValueError):
+            pdp_study(spec, det, cfg, n, seed)
 
 
 @settings(max_examples=60, deadline=None)

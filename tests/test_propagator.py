@@ -6,10 +6,14 @@ from hypothesis import strategies as st
 from dirac_toa.core import ELECTRON, PhysUnits, PlaneState, UniformGrid
 from dirac_toa.detector import WindowDetector
 from dirac_toa.propagator import (
+    PAIRS,
+    WALL_SITES,
     DomainTooSmallError,
     EvolutionConfig,
+    _step_matrix,
     evolve,
     free_dirac_step,
+    integrate,
     spectral_free_evolve,
     strang_step,
 )
@@ -52,6 +56,84 @@ def test_fused_free_step_matches_substep_loop(n_substeps, n, seed):
     out = free_dirac_step(PlaneState(0.0, dx, vals), cfg)
     ref = _substep_reference(vals, cfg)
     assert np.abs(out.values - ref).max() < 1e-12 * np.abs(vals).max()
+
+
+def _four_row_reference(initial: PlaneState, rates, cfg: EvolutionConfig, n_steps: int):
+    """integrate() as a loop over all four component rows: Strang step
+    against the summed absorber with a0/a1, wall strip, per-channel record."""
+    v, dx, w = initial.values.copy(), cfg.dx, WALL_SITES
+    m = _step_matrix(v.shape[1], dx, cfg.dtau, cfg.n_substeps, cfg.units.chi)
+    x = initial.grid.positions
+    half_absorb = np.exp(-cfg.dtau * np.sum(rates, axis=0)[0] / 4.0)
+    phase = np.exp(-1j * cfg.dtau / 2 * cfg.units.chi * cfg.a0(x))
+    ang = cfg.dtau / 2 * cfg.units.chi * cfg.a1(x)
+    c, s = np.cos(ang), 1j * np.sin(ang)
+
+    def pointwise(v):
+        v[:2] *= half_absorb
+        v *= phase
+        return np.array([c * v[0] + s * v[3], c * v[1] + s * v[2],
+                         c * v[2] + s * v[1], c * v[3] + s * v[0]])
+
+    def record(v):
+        dens = np.abs(v) ** 2
+        surv.append(dens.sum() * dx)
+        chan.append([np.sum(r[0] * (dens[0] + dens[1])) * dx for r in rates])
+
+    surv, chan, leak = [], [], [0.0]
+    record(v)
+    for _ in range(n_steps):
+        f = np.fft.fft(pointwise(v), axis=1)
+        upper, lower = f[:2].copy(), f[[3, 2]]
+        f[:2] = m[0, 0] * upper + m[0, 1] * lower
+        f[[3, 2]] = m[1, 0] * upper + m[1, 1] * lower
+        v = pointwise(np.fft.ifft(f, axis=1))
+        dens = np.abs(v) ** 2
+        leak.append(leak[-1] + (dens[:, :w].sum() + dens[:, -w:].sum()) * dx)
+        v[:, :w] = v[:, -w:] = 0.0
+        record(v)
+    return np.array(surv), np.array(chan).T, np.array(leak), v
+
+
+@settings(max_examples=40, deadline=None)
+@given(populated=st.sampled_from([(0, 1, 2, 3), PAIRS[0], PAIRS[1]]),
+       n_substeps=st.integers(1, 16), n=st.integers(96, 160), n_steps=st.integers(1, 30),
+       seed=st.integers(0, 2**32 - 1))
+def test_pair_stack_matches_four_row_loop(populated, n_substeps, n, n_steps, seed):
+    """integrate() steps only the pairs that carry norm; survival, channel
+    densities, leakage and the final state match the four-row loop, and a
+    pair that starts at zero ends exactly zero."""
+    rng = np.random.default_rng(seed)
+    dx = 0.01
+    grid = UniformGrid(-n * dx / 2, dx, n)
+    x = grid.positions
+    k0, k1 = rng.uniform(-3.0, 3.0, size=2)
+    a0, a1 = rng.uniform(-0.3, 0.3, size=2)  # keeps the momentum kick well inside the band
+    cfg = EvolutionConfig(dtau=dx, x_lo=x[0], x_hi=x[-1], tau_max=1.0, n_substeps=n_substeps,
+                          a0=lambda x: a0 * np.cos(k0 * x), a1=lambda x: a1 * np.sin(k1 * x))
+    vals = np.zeros((4, n), dtype=complex)
+    rows = len(populated)
+    amp = rng.normal(size=(rows, 1)) + 1j * rng.normal(size=(rows, 1))
+    q = rng.uniform(-50.0, 50.0, size=(rows, 1))
+    vals[list(populated)] = amp * np.exp(1j * q * x - (x / (n * dx / 6)) ** 2)
+    vals /= np.sqrt(np.sum(np.abs(vals) ** 2) * dx)
+    rates = []
+    for center in rng.uniform(-0.3, 0.3, size=2):
+        rate = np.zeros((4, n))
+        rate[0] = rate[1] = rng.uniform(0.0, 40.0) * np.exp(-((x - center) / 0.05) ** 2)
+        rates.append(rate)
+
+    rec = integrate(PlaneState(grid.x_min, dx, vals), rates, cfg, n_steps)
+    surv, chan, leak, final = _four_row_reference(PlaneState(grid.x_min, dx, vals), rates, cfg,
+                                                  n_steps)
+    assert np.abs(rec.survival - surv).max() < 1e-12
+    assert np.abs(rec.channel_density - chan).max() < 1e-12
+    assert np.abs(rec.boundary_leakage - leak).max() < 1e-12
+    assert leak[-1] > 0.0
+    assert np.abs(rec.final_state.values - final).max() < 1e-12
+    for pair in PAIRS:
+        if not set(pair) & set(populated):
+            assert np.all(rec.final_state.values[list(pair)] == 0.0)
 
 
 @settings(max_examples=15, deadline=None)

@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import argparse
 import logging
+import re
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,23 +17,11 @@ from .csvio import read_manifest, write_csv, write_manifest
 from .detector import WindowDetector
 from .point_analytic import arrival_density_point
 from .presets import PRESETS
-from .propagator import DomainTooSmallError
-from .studies import (
-    arrival_run,
-    config_from_lattice,
-    momentum_scan,
-    pdp_study,
-)
+from .propagator import DomainTooSmallError, EvolutionConfig
+from .studies import arrival_run, check_keys, config_from_lattice, momentum_scan, pdp_study
 from .wavepacket import PacketSpec, evaluate_spacetime
 
 log = logging.getLogger("dirac_toa")
-
-
-def _floats(value) -> list[float]:
-    if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
-    return [float(tok) for tok in str(value).replace(",", " ").replace("[", " ")
-            .replace("]", " ").split()]
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -68,66 +57,76 @@ def resolve_config(args) -> dict:
     return cfg
 
 
-def packet_from(cfg: dict) -> PacketSpec:
-    sec = cfg.get("packet", {})
-    return PacketSpec(
-        p0=float(sec.get("p0", 0.75)),
-        eta=float(sec.get("eta", 0.1)),
-        x0=float(sec.get("x0", -1.0)),
-        t0=float(sec.get("t0", 0.0)),
-    )
+# Each command's [grid] or [scan] section with its defaults; a value is
+# converted as its default is typed.  The lattice commands also read
+# [detector] and [lattice], and run at the [packet] momentum when p0_values
+# is empty.
+PARAMS = {
+    "initial-state": ("grid", {"t_lo": -1.0, "t_hi": 2.0, "t_step": 0.05,
+                               "x_lo": -3.0, "x_hi": 1.0, "x_step": 0.02}),
+    "arrival-scan": ("scan", {"p0_values": [], "richardson_lambda": 1.5}),
+    "density": ("scan", {"p0_values": []}),
+    "frames": ("scan", {"v_values": [0.0, 0.5, 0.9]}),
+    "point": ("scan", {"p0_values": [0.75, 2.0], "kappa_values": [0.0, 1.0],
+                       "tau_lo": 0.0, "tau_hi": 5.0, "tau_step": 0.002}),
+    "pdp": ("scan", {"n_trajectories": 10000}),
+}
+LATTICE_COMMANDS = ("arrival-scan", "density", "frames", "pdp")
 
 
-def detector_from(cfg: dict) -> WindowDetector:
-    sec = cfg.get("detector", {})
-    return WindowDetector(
-        height=float(sec.get("height", 1e-5)),
-        width=float(sec.get("width", 0.01)),
-        edge=float(sec.get("edge", 0.002)),
-        position=float(sec.get("position", 0.0)),
-    )
+@dataclass
+class Inputs:
+    """A command's inputs, built once from its resolved config."""
+
+    seed: int
+    packet: PacketSpec
+    params: dict  # the [grid] or [scan] values, defaults filled in
+    detector: WindowDetector | None
+    runs: list[tuple[PacketSpec, EvolutionConfig]]  # one lattice run per momentum
 
 
-def lattice_from(cfg: dict) -> dict:
-    sec = dict(cfg.get("lattice", {}))
-    out = {
-        "x_lo": float(sec.get("x_lo", -6.0)),
-        "x_hi": float(sec.get("x_hi", 4.0)),
-        "n_substeps": int(sec.get("n_substeps", 64)),
-    }
-    if "tau_max" in sec:
-        out["tau_max"] = float(sec["tau_max"])
-    if "dtau" in sec:
-        out["dtau"] = float(sec["dtau"])
-    return out
+def _build(cls, cfg: dict, name: str):
+    """cls from the float fields given in section [name]."""
+    sec = cfg.get(name, {})
+    check_keys(f"[{name}] key", sec, [f.name for f in fields(cls)])
+    return cls(**{k: float(v) for k, v in sec.items()})
 
 
-def _emit_manifest(out_dir: Path, cfg: dict) -> None:
-    sections = dict(cfg)
-    sections = {"meta": {"version": __version__}} | sections
-    write_manifest(out_dir / "manifest.cfg", sections)
+def _convert(default, value):
+    """value typed as default; a list is given as one or as a string such as
+    "0.5 0.75", "0.5, 0.75" or "[0.5, 0.75]"."""
+    if isinstance(default, list):
+        items = value if isinstance(value, (list, tuple)) else re.split(r"[\s,\[\]]+", str(value))
+        return [float(v) for v in items if v != ""]
+    return int(float(value)) if isinstance(default, int) else float(value)
 
 
-def _evolution_csv(out_dir: Path, tag: str, rec, meta: dict):
-    write_csv(
-        out_dir / f"evolution_{tag}.csv",
-        {
-            "tau": rec.tau_samples,
-            "d": rec.detection_density,
-            "S": rec.survival,
-            "leakage": rec.boundary_leakage,
-        },
-        metadata=meta,
-    )
+def parse_inputs(cfg: dict) -> Inputs:
+    """Check every section and key of a resolved config and build the
+    command's inputs; the lattice commands get one (packet, EvolutionConfig)
+    pair per momentum."""
+    command = cfg["run"]["command"]
+    name, defaults = PARAMS[command]
+    lattice = command in LATTICE_COMMANDS
+    check_keys("section", cfg, ["run", "packet", name] + (["detector", "lattice"] if lattice else []))
+    check_keys("[run] key", cfg["run"], ("command", "seed"))
+    sec = cfg.get(name, {})
+    check_keys(f"[{name}] key", sec, defaults)
+    params = {k: _convert(d, sec.get(k, d)) for k, d in defaults.items()}
+    packet = _build(PacketSpec, cfg, "packet")
+    det, runs = None, []
+    if lattice:
+        det = _build(WindowDetector, cfg, "detector")
+        for p0 in params.get("p0_values") or [packet.p0]:
+            spec = replace(packet, p0=p0)
+            runs.append((spec, config_from_lattice(cfg.get("lattice", {}), p0, spec, det.position)))
+    return Inputs(int(cfg["run"]["seed"]), packet, params, det, runs)
 
 
-def cmd_initial_state(cfg: dict, out_dir: Path, workers: int) -> int:
-    spec = packet_from(cfg)
-    g = cfg.get("grid", {})
-    ts = np.arange(float(g.get("t_lo", -1.0)), float(g.get("t_hi", 2.0)) + 1e-12,
-                   float(g.get("t_step", 0.05)))
-    xs = np.arange(float(g.get("x_lo", -3.0)), float(g.get("x_hi", 1.0)) + 1e-12,
-                   float(g.get("x_step", 0.02)))
+def cmd_initial_state(inputs: Inputs, out_dir: Path, workers: int) -> int:
+    spec, g = inputs.packet, inputs.params
+    ts = np.arange(g["t_lo"], g["t_hi"] + 1e-12, g["t_step"])
+    xs = np.arange(g["x_lo"], g["x_hi"] + 1e-12, g["x_step"])
     psi = evaluate_spacetime(spec, ts[:, None], xs[None, :])
     tt, xx = np.meshgrid(ts, xs, indexing="ij")
     meta = {"p0": spec.p0, "eta": spec.eta, "x0": spec.x0, "t0": spec.t0}
@@ -145,15 +144,9 @@ def cmd_initial_state(cfg: dict, out_dir: Path, workers: int) -> int:
     return 0
 
 
-def cmd_arrival_scan(cfg: dict, out_dir: Path, workers: int) -> int:
-    spec = packet_from(cfg)
-    det = detector_from(cfg)
-    lattice = lattice_from(cfg)
-    scan = cfg.get("scan", {})
-    p0_values = _floats(scan.get("p0_values", "0.75"))
-    lam = float(scan.get("richardson_lambda", 1.5))
-    rows = momentum_scan(p0_values, det, spec, lattice, richardson_lambda=lam,
-                         workers=workers)
+def cmd_arrival_scan(inputs: Inputs, out_dir: Path, workers: int) -> int:
+    det, lam = inputs.detector, inputs.params["richardson_lambda"]
+    rows = momentum_scan(det, inputs.runs, richardson_lambda=lam, workers=workers)
     write_csv(
         out_dir / "arrival_scan.csv",
         {key: np.array([r[key] for r in rows]) for key in
@@ -164,15 +157,12 @@ def cmd_arrival_scan(cfg: dict, out_dir: Path, workers: int) -> int:
     return 0
 
 
-def cmd_density(cfg: dict, out_dir: Path, workers: int) -> int:
-    spec = packet_from(cfg)
-    det = detector_from(cfg)
-    lattice = lattice_from(cfg)
-    for p0 in _floats(cfg.get("scan", {}).get("p0_values", "0.75")):
-        s = replace(spec, p0=p0)
-        run = arrival_run(s, det, config_from_lattice(lattice, p0, spec=s, detector_position=det.position))
+def cmd_density(inputs: Inputs, out_dir: Path, workers: int) -> int:
+    for spec, run_cfg in inputs.runs:
+        run = arrival_run(spec, inputs.detector, run_cfg)
+        rec, p0 = run.record, spec.p0
         tag = f"p{p0:g}"
-        tail = {"tail_ok": int(run.record.tail_ok), "tail_ratio": run.record.tail_ratio}
+        tail = {"tail_ok": int(rec.tail_ok), "tail_ratio": rec.tail_ratio}
         write_csv(
             out_dir / f"density_{tag}.csv",
             {"t": run.lab.t, "p": run.lab.p},
@@ -184,17 +174,20 @@ def cmd_density(cfg: dict, out_dir: Path, workers: int) -> int:
             {"tau": run.density.tau, "P": run.density.P},
             metadata={"p0": p0, "P_inf": run.P_inf},
         )
-        _evolution_csv(out_dir, tag, run.record, {"p0": p0} | tail)
+        write_csv(
+            out_dir / f"evolution_{tag}.csv",
+            {"tau": rec.tau_samples, "d": rec.detection_density, "S": rec.survival,
+             "leakage": rec.boundary_leakage},
+            metadata={"p0": p0} | tail,
+        )
     return 0
 
 
-def cmd_frames(cfg: dict, out_dir: Path, workers: int) -> int:
-    spec = packet_from(cfg)
-    det = detector_from(cfg)
-    lattice = lattice_from(cfg)
-    run = arrival_run(spec, det, config_from_lattice(lattice, spec.p0, spec=spec, detector_position=det.position))
+def cmd_frames(inputs: Inputs, out_dir: Path, workers: int) -> int:
+    (spec, run_cfg), = inputs.runs
+    run = arrival_run(spec, inputs.detector, run_cfg)
     t_lab = arrival.expected_time(run.density)
-    for v in _floats(cfg.get("scan", {}).get("v_values", "0.0 0.5 0.9")):
+    for v in inputs.params["v_values"]:
         boosted = arrival.boost_density(run.lab, v)
         write_csv(
             out_dir / f"frames_v{v:g}.csv",
@@ -205,15 +198,12 @@ def cmd_frames(cfg: dict, out_dir: Path, workers: int) -> int:
     return 0
 
 
-def cmd_point(cfg: dict, out_dir: Path, workers: int) -> int:
-    spec = packet_from(cfg)
-    scan = cfg.get("scan", {})
-    taus = np.arange(float(scan.get("tau_lo", 0.0)),
-                     float(scan.get("tau_hi", 5.0)) + 1e-12,
-                     float(scan.get("tau_step", 0.002)))
-    for p0 in _floats(scan.get("p0_values", "0.75 2.0")):
-        for kappa in _floats(scan.get("kappa_values", "0.0 1.0")):
-            s = replace(spec, p0=p0)
+def cmd_point(inputs: Inputs, out_dir: Path, workers: int) -> int:
+    scan = inputs.params
+    taus = np.arange(scan["tau_lo"], scan["tau_hi"] + 1e-12, scan["tau_step"])
+    for p0 in scan["p0_values"]:
+        for kappa in scan["kappa_values"]:
+            s = replace(inputs.packet, p0=p0)
             dens = arrival_density_point(s, kappa, taus)
             write_csv(
                 out_dir / f"point_p{p0:g}_kappa{kappa:g}.csv",
@@ -224,14 +214,10 @@ def cmd_point(cfg: dict, out_dir: Path, workers: int) -> int:
     return 0
 
 
-def cmd_pdp(cfg: dict, out_dir: Path, workers: int) -> int:
-    seed = int(cfg["run"]["seed"])
-    spec = packet_from(cfg)
-    det = detector_from(cfg)
-    lattice = lattice_from(cfg)
-    n = int(float(cfg.get("scan", {}).get("n_trajectories", 10000)))
-    run_cfg = config_from_lattice(lattice, spec.p0, spec=spec, detector_position=det.position)
-    result = pdp_study(spec, det, run_cfg, n, seed)
+def cmd_pdp(inputs: Inputs, out_dir: Path, workers: int) -> int:
+    (spec, run_cfg), = inputs.runs
+    seed, n = inputs.seed, inputs.params["n_trajectories"]
+    result = pdp_study(spec, inputs.detector, run_cfg, n, seed)
 
     recs = result.records
     write_csv(
@@ -259,7 +245,7 @@ def cmd_pdp(cfg: dict, out_dir: Path, workers: int) -> int:
     return 0
 
 
-# Every command runs as fn(cfg, out_dir, workers) -> exit code; only the
+# Every command runs as fn(inputs, out_dir, workers) -> exit code; only the
 # arrival scan uses the worker pool.
 COMMANDS = {
     "initial-state": cmd_initial_state,
@@ -294,11 +280,11 @@ def main(argv=None) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        rc = COMMANDS[args.command](cfg, out_dir, max(1, args.threads))
+        rc = COMMANDS[args.command](parse_inputs(cfg), out_dir, max(1, args.threads))
     except (DomainTooSmallError, ValueError) as exc:
         log.error("run rejected: %s", exc)
         return 2
-    _emit_manifest(out_dir, cfg)
+    write_manifest(out_dir / "manifest.cfg", {"meta": {"version": __version__}} | cfg)
     return rc
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import ELECTRON, PhysUnits, PlaneState, TwoVector, inner_product, minkowski_norm_sq
 from .detector import DetectorSpec, lambda_field
-from .propagator import EvolutionConfig, integrate
+from .propagator import EvolutionConfig, check_run_inputs, integrate
 
 ORTHO_TOL = 1e-10
 
@@ -302,14 +302,12 @@ class JumpProcess:
                     "channel trajectory must start on the backward light cone "
                     "of the preparation event"
                 )
-        norm = initial.norm_sq()
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"initial norm^2 = {norm}, expected 1")
         self.channels = list(channels)
         self.cfg = cfg
         self.preparation = preparation
         self._initial = initial.copy()
         self._rates = [lambda_field(ch.spec, initial.grid, cfg.units) for ch in self.channels]
+        check_run_inputs(initial, [ch.spec for ch in self.channels])
         rec = integrate(initial, self._rates, cfg, cfg.n_steps)
         self.tau = rec.tau_samples
         self.survival = rec.survival

@@ -93,7 +93,6 @@ class EvolutionRecord:
     survival: np.ndarray
     boundary_leakage: np.ndarray
     final_state: PlaneState
-    tail_ok: bool = True
     channel_density: Optional[np.ndarray] = None
 
     @property
@@ -101,6 +100,11 @@ class EvolutionRecord:
         """d(tau_max) / max d: how far the detection density has decayed."""
         peak = self.detection_density.max()
         return float(self.detection_density[-1] / peak) if peak > 0 else 0.0
+
+    @property
+    def tail_ok(self) -> bool:
+        """Whether the detection density has decayed below TAIL_MAX of its peak."""
+        return self.tail_ratio < TAIL_MAX
 
     @property
     def total_detection_probability(self) -> float:
@@ -249,7 +253,8 @@ def integrate(
     channel, and detection_density is their sum.  Walls absorb: a strip of
     WALL_SITES sites at each domain edge is zeroed after every step and the
     removed norm is accounted as boundary leakage.  Rejects the run if
-    leakage exceeds LEAKAGE_REJECT.
+    leakage exceeds LEAKAGE_REJECT, and an a0 whose force could push the
+    packet out of the lattice's momentum band |k| < pi/dx within the run.
 
     The state is stepped as a stack of the PAIRS that carry norm at the
     start.  Every factor of the step maps a pair into itself, so a pair that
@@ -258,6 +263,14 @@ def integrate(
     """
     grid = initial.grid
     dx = grid.dx
+    if cfg.a0 is not None:
+        a0 = np.broadcast_to(cfg.a0(grid.positions), grid.positions.shape)
+        kick = cfg.units.chi * np.abs(np.diff(a0)).max(initial=0.0) / dx * n_steps * cfg.dtau
+        if kick >= np.pi / dx:
+            raise ValueError(
+                f"a0 can shift the momentum by {kick:.3g}/A in {n_steps} steps, past the "
+                f"lattice band |k| < pi/dx = {np.pi / dx:.3g}/A"
+            )
     total_rate = np.sum(rates, axis=0) if len(rates) else None
     rows = np.array([rate[0] for rate in rates]).reshape(-1, grid.n)
     tables = _pointwise_tables(cfg, grid, total_rate)
@@ -299,6 +312,18 @@ def integrate(
                            channel_density=chan_dens)
 
 
+def check_run_inputs(initial: PlaneState, detectors: Sequence[WindowDetector]) -> None:
+    """Reject a run integrate cannot account for: an initial state whose
+    norm^2 is not 1, or a window detector whose support reaches a wall strip."""
+    norm = initial.norm_sq()
+    if abs(norm - 1.0) > 1e-6:
+        raise ValueError(f"initial state norm^2 = {norm}, expected 1")
+    x = initial.grid.positions
+    for det in detectors:
+        if det.position - det.width / 2 < x[WALL_SITES] or det.position + det.width / 2 > x[-WALL_SITES - 1]:
+            raise ValueError("detector support must lie inside the domain walls")
+
+
 def evolve(
     initial: PlaneState,
     det: DetectorSpec | None,
@@ -306,20 +331,13 @@ def evolve(
 ) -> EvolutionRecord:
     """Integrate to tau_max recording d(tau) and S(tau) each step (see
     integrate for the wall treatment), then check that d(tau) has decayed."""
-    norm = initial.norm_sq()
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError(f"initial state norm^2 = {norm}, expected 1")
-
-    grid = initial.grid
-    rates = []
+    detectors = []
     if det is not None and not (isinstance(det, WindowDetector) and det.height == 0.0):
-        rates.append(lambda_field(det, grid, cfg.units))
-        x = grid.positions
-        if det.position - det.width / 2 < x[WALL_SITES] or det.position + det.width / 2 > x[-WALL_SITES - 1]:
-            raise ValueError("detector support must lie inside the domain walls")
+        detectors.append(det)
+    rates = [lambda_field(d, initial.grid, cfg.units) for d in detectors]
+    check_run_inputs(initial, detectors)
 
     rec = integrate(initial, rates, cfg, cfg.n_steps)
-    rec.tail_ok = rec.tail_ratio < TAIL_MAX
     if not rec.tail_ok:
         log.warning(
             "detection density tail d(tau_max)/max d = %.2e has not decayed below %.0e",

@@ -4,12 +4,12 @@ acceptance suite."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import arrival, pdp
-from .core import ELECTRON, PhysUnits, TwoVector
+from .core import TwoVector
 from .detector import WindowDetector
 from .presets import steps_for_momentum
 from .propagator import EvolutionConfig, EvolutionRecord, evolve
@@ -33,23 +33,17 @@ def detector_frame_offset(spec: PacketSpec, detector_position: float = 0.0) -> f
     return spec.t0 - abs(detector_position - spec.x0)
 
 
-def prepare_omega(spec: PacketSpec, cfg: EvolutionConfig, units: PhysUnits = ELECTRON,
-                  detector_position: float = 0.0):
+def prepare_omega(spec: PacketSpec, cfg: EvolutionConfig, detector_position: float = 0.0):
     """Initial lattice field in the detector frame: the free wave function
     evaluated at the trajectory start time."""
     t_start = detector_frame_offset(spec, detector_position)
-    return sample_packet(spec, cfg.grid(), t_start, units=units)
+    return sample_packet(spec, cfg.grid(), t_start, units=cfg.units)
 
 
-def arrival_run(
-    spec: PacketSpec,
-    det: WindowDetector,
-    cfg: EvolutionConfig,
-    units: PhysUnits = ELECTRON,
-) -> ArrivalRunResult:
+def arrival_run(spec: PacketSpec, det: WindowDetector, cfg: EvolutionConfig) -> ArrivalRunResult:
     """Evolve the prepared packet against one window detector and reduce the
     detection record to arrival-time observables."""
-    initial = prepare_omega(spec, cfg, units, det.position)
+    initial = prepare_omega(spec, cfg, det.position)
     rec = evolve(initial, det, cfg)
     shift = detector_frame_offset(spec, det.position)
     dens = arrival.normalize_density(rec, shift)
@@ -65,8 +59,11 @@ def arrival_run(
     )
 
 
-def auto_tau_max(spec: PacketSpec, detector_position: float = 0.0, margin: float = 0.75) -> float:
-    """Run length: light-cone delay + classical flight time + tail margin.
+TAIL_MARGIN = 0.75  # proper time run past the classical arrival (A/c)
+
+
+def auto_tau_max(spec: PacketSpec, detector_position: float = 0.0) -> float:
+    """Run length: light-cone delay + classical flight time + TAIL_MARGIN.
 
     The margin trades the decay of the detection-density tail against the
     backward-moving negative-energy branch reaching the left wall on small
@@ -79,7 +76,7 @@ def auto_tau_max(spec: PacketSpec, detector_position: float = 0.0, margin: float
     1e-10 for p0 >= 2 (8e-12 at 2).  Below p0 = 0.5 it is not measured.
     """
     dist = abs(detector_position - spec.x0)
-    return dist + arrival.mechanics_time(spec.p0, dist) + margin
+    return dist + arrival.mechanics_time(spec.p0, dist) + TAIL_MARGIN
 
 
 def _scan_one(args):
@@ -107,19 +104,13 @@ def _scan_one(args):
 
 
 def momentum_scan(
-    p0_values: Sequence[float],
     det: WindowDetector,
-    base_spec: PacketSpec,
-    lattice: dict,
+    runs: Sequence[tuple[PacketSpec, EvolutionConfig]],
     richardson_lambda: float = 1.5,
     workers: int = 1,
 ) -> list[dict]:
-    """One fine + one Richardson-companion run per momentum."""
-    jobs = []
-    for p0 in p0_values:
-        spec = replace(base_spec, p0=p0)
-        cfg = config_from_lattice(lattice, p0, spec=spec, detector_position=det.position)
-        jobs.append((spec, det, cfg, richardson_lambda))
+    """One fine + one Richardson-companion run per (packet, config) pair."""
+    jobs = [(spec, det, cfg, richardson_lambda) for spec, cfg in runs]
     if workers > 1:
         import concurrent.futures as cf
 
@@ -128,25 +119,30 @@ def momentum_scan(
     return [_scan_one(j) for j in jobs]
 
 
+def check_keys(where: str, given: Iterable[str], known: Collection[str]) -> None:
+    """Reject the names in given that are not in known; where says what they
+    are ("[lattice] key", "section", ...)."""
+    unknown = [k for k in given if k not in known]
+    if unknown:
+        raise ValueError(f"unknown {where} {', '.join(unknown)}; known: {', '.join(known)}")
+
+
 def config_from_lattice(
-    lattice: dict,
+    lattice: Mapping[str, object],
     p0: float,
-    spec: PacketSpec | None = None,
+    spec: PacketSpec,
     detector_position: float = 0.0,
 ) -> EvolutionConfig:
-    """Build an EvolutionConfig; tau_max falls back to the per-momentum
-    automatic run length when not given explicitly."""
-    dtau = lattice.get("dtau") or steps_for_momentum(p0)
-    tau_max = lattice.get("tau_max")
-    if tau_max is None:
-        tau_max = auto_tau_max(spec or PacketSpec(p0=p0), detector_position)
-    return EvolutionConfig(
-        dtau=dtau,
-        x_lo=lattice["x_lo"],
-        x_hi=lattice["x_hi"],
-        tau_max=float(tau_max),
-        n_substeps=int(lattice.get("n_substeps", 64)),
-    )
+    """The EvolutionConfig of a [lattice] section, given as numbers or as
+    manifest strings.  The domain defaults to [-6, 4] A, dtau to the published
+    step for p0, tau_max to auto_tau_max and n_substeps to EvolutionConfig's."""
+    check_keys("[lattice] key", lattice, ("dtau", "x_lo", "x_hi", "tau_max", "n_substeps"))
+    kw = {"x_lo": -6.0, "x_hi": 4.0} | {
+        k: int(v) if k == "n_substeps" else float(v) for k, v in lattice.items()}
+    kw.setdefault("dtau", steps_for_momentum(p0))
+    if "tau_max" not in kw:
+        kw["tau_max"] = auto_tau_max(spec, detector_position)
+    return EvolutionConfig(**kw)
 
 
 @dataclass
@@ -186,7 +182,7 @@ def pdp_study(
     pdp.check_sampling_request(n_trajectories, seed)
     prep = TwoVector(spec.t0, spec.x0)
     channel = pdp.DetectorChannel.at_rest(det, prep)
-    initial = prepare_omega(spec, cfg, detector_position=det.position)
+    initial = prepare_omega(spec, cfg, det.position)
     process = pdp.JumpProcess(initial, [channel], cfg, preparation=prep)
     records = process.sample_many(n_trajectories, seed)
 

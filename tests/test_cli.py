@@ -5,8 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dirac_toa.cli import main
+from dirac_toa.cli import build_parser, main, parse_inputs, resolve_config
 from dirac_toa.csvio import read_csv, read_manifest, write_manifest
+from dirac_toa.detector import WindowDetector
+from dirac_toa.presets import PRESETS
+from dirac_toa.studies import config_from_lattice
+from dirac_toa.wavepacket import PacketSpec
 
 
 def _tiny_scan_config(tmp_path):
@@ -191,3 +195,71 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={"PYTHONPATH": src}, check=True)
     assert out.stdout.strip() == "False"
+
+
+def _resolved(argv):
+    return resolve_config(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_inputs_survive_their_manifest(name, tmp_path):
+    """A preset and the manifest written from it build the same packet,
+    detector and per-momentum lattice configs as the preset dict does."""
+    preset = PRESETS[name]
+    command = preset["command"]
+    cfg = _resolved([command, "--preset", name])
+    write_manifest(tmp_path / "manifest.cfg", cfg)
+    reread = parse_inputs(_resolved([command, "--config", str(tmp_path / "manifest.cfg")]))
+    inputs = parse_inputs(cfg)
+    assert reread == inputs
+
+    packet = PacketSpec(**preset["packet"])
+    assert inputs.packet == packet
+    if "detector" not in preset:
+        assert inputs.detector is None and inputs.runs == []
+        return
+    det = WindowDetector(**preset["detector"])
+    assert inputs.detector == det
+    momenta = preset["scan"].get("p0_values", [packet.p0])
+    assert [spec.p0 for spec, _ in inputs.runs] == momenta
+    for p0, (spec, run_cfg) in zip(momenta, inputs.runs):
+        spec_p0 = PacketSpec(**(preset["packet"] | {"p0": p0}))
+        assert spec == spec_p0
+        assert run_cfg == config_from_lattice(preset["lattice"], p0, spec_p0, det.position)
+
+
+def test_scan_momenta_default_to_the_packet_momentum():
+    cfg = _resolved(["density", "--seed", "1"]) | {"packet": {"p0": "2.0"}}
+    (spec, run_cfg), = parse_inputs(cfg).runs
+    assert spec.p0 == 2.0
+    assert run_cfg.n_substeps == 64 and (run_cfg.x_lo, run_cfg.x_hi) == (-6.0, 4.0)
+
+
+@pytest.mark.parametrize("command, section, key, named", [
+    ("initial-state", "packet", "p_0", "p_0"),
+    ("initial-state", "grid", "t_high", "t_high"),
+    ("density", "run", "sede", "sede"),
+    ("density", "detector", "hieght", "hieght"),
+    ("density", "lattice", "n_substep", "n_substep"),
+    ("density", "scan", "p0_value", "p0_value"),
+    ("density", "latice", "dtau", "latice"),  # unknown section
+    ("point", "lattice", "dtau", "lattice"),  # a section point does not read
+])
+def test_unknown_key_or_section_is_rejected(command, section, key, named, tmp_path, caplog):
+    cfg = tmp_path / "typo.cfg"
+    sections = {"run": {"command": command}}
+    sections.setdefault(section, {})[key] = "2.0"
+    write_manifest(cfg, sections)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"unknown {'section' if named == section else f'[{section}] key'} {named}" in caplog.text
+    assert not (out / "manifest.cfg").exists()
+
+
+def test_pdp_rejects_detector_on_the_wall_strip(tmp_path, caplog):
+    cfg = tmp_path / "wall.cfg"
+    write_manifest(cfg, {"run": {"command": "pdp"}, "detector": {"position": 1.997}})
+    out = tmp_path / "out"
+    assert main(["pdp", "--preset", "pdp-desk", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "walls" in caplog.text
+    assert not (out / "manifest.cfg").exists()

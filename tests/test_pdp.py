@@ -366,3 +366,17 @@ def test_ks_statistic_matches_scipy(samples):
     x = np.array(samples)
     assert _ks_statistic(x, cdf) == stats.kstest(x, cdf).statistic
     assert np.isnan(_ks_statistic(np.array([]), cdf))
+
+
+def test_jump_process_rejects_detector_on_the_wall_strip():
+    """The pdp-desk lattice [-4, 2] with the window at 1.997: its support
+    reaches the wall strip, which evolve rejects and the sampler must too."""
+    spec = PacketSpec(p0=0.75)
+    det = WindowDetector(height=0.2, width=0.01, edge=0.004, position=1.997)
+    cfg = EvolutionConfig(dtau=0.002, x_lo=-4.0, x_hi=2.0, tau_max=1.0, n_substeps=8)
+    prep = TwoVector(spec.t0, spec.x0)
+    initial = prepare_omega(spec, cfg, detector_position=det.position)
+    with pytest.raises(ValueError, match="walls"):
+        evolve(initial, det, cfg)
+    with pytest.raises(ValueError, match="walls"):
+        JumpProcess(initial, [DetectorChannel.at_rest(det, prep)], cfg, preparation=prep)

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirac_toa.core import ELECTRON, PhysUnits, PlaneState, UniformGrid
-from dirac_toa.detector import WindowDetector
+from dirac_toa.detector import WindowDetector, lambda_field
 from dirac_toa.propagator import (
     PAIRS,
+    TAIL_MAX,
     WALL_SITES,
     DomainTooSmallError,
     EvolutionConfig,
@@ -344,3 +345,32 @@ def test_evolve_detection_peak_at_classical_arrival(run_p075):
     # the desk domain trades tail decay against the left wall; the residual
     # tail must still be tiny
     assert rec.detection_density[-1] < 5e-4 * rec.detection_density.max()
+
+
+def test_tail_ok_reads_the_record_it_belongs_to():
+    """A record straight from integrate, cut off while the density is still
+    rising, reports an undecayed tail; run past the arrival, it reports a
+    decayed one."""
+    det = WindowDetector(height=1e-4, width=0.02, edge=0.008)
+    cfg = EvolutionConfig(dtau=0.004, x_lo=-5.0, x_hi=2.0, tau_max=1.2, n_substeps=8)
+    st = initial_packet(PacketSpec(), cfg.grid())
+    rec = integrate(st, [lambda_field(det, st.grid)], cfg, cfg.n_steps)
+    assert rec.detection_density[-1] == rec.detection_density.max() > 0.0
+    assert not rec.tail_ok
+    full = integrate(st, [lambda_field(det, st.grid)], cfg, int(round(3.0 / cfg.dtau)))
+    assert full.tail_ratio < TAIL_MAX
+    assert full.tail_ok
+
+
+def test_integrate_rejects_a0_that_leaves_the_momentum_band():
+    """a0 = 3x on dx = 0.01 kicks the momentum by chi * 3 per A/c; past
+    tau = pi / (dx chi 3) = 0.40 the packet would wrap past pi/dx."""
+    dx, n = 0.01, 400
+    grid = UniformGrid(-n * dx / 2, dx, n)
+    x = grid.positions
+    vals = np.zeros((4, n), dtype=complex)
+    vals[0] = np.exp(-(x / 0.2) ** 2)
+    vals /= np.sqrt(np.sum(np.abs(vals) ** 2) * dx)
+    cfg = EvolutionConfig(dtau=dx, x_lo=x[0], x_hi=x[-1], tau_max=1.0, a0=lambda x: 3.0 * x)
+    with pytest.raises(ValueError, match="band"):
+        integrate(PlaneState(grid.x_min, dx, vals), [], cfg, cfg.n_steps)

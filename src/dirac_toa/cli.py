@@ -36,19 +36,17 @@ def resolve_config(args) -> dict:
     cfg: dict = {"run": {"command": args.command}}
     if args.preset:
         if args.preset not in PRESETS:
-            raise SystemExit(f"unknown preset {args.preset!r}; choose from {sorted(PRESETS)}")
+            raise ValueError(f"unknown preset {args.preset!r}; choose from {sorted(PRESETS)}")
         preset = PRESETS[args.preset]
         if preset["command"] != args.command:
-            raise SystemExit(
-                f"preset {args.preset!r} belongs to command {preset['command']!r}"
-            )
+            raise ValueError(f"preset {args.preset!r} belongs to command {preset['command']!r}")
         cfg = _merge(cfg, {k: v for k, v in preset.items() if isinstance(v, dict)})
     if args.config:
         file_cfg = read_manifest(args.config)
         file_cfg.pop("meta", None)
         cmd = file_cfg.get("run", {}).get("command")
         if cmd and cmd != args.command:
-            raise SystemExit(f"config file is for command {cmd!r}, not {args.command!r}")
+            raise ValueError(f"config file is for command {cmd!r}, not {args.command!r}")
         cfg = _merge(cfg, file_cfg)
     cfg["run"]["command"] = args.command
     if args.seed is not None:
@@ -60,7 +58,7 @@ def resolve_config(args) -> dict:
 # Each command's [grid] or [scan] section with its defaults; a value is
 # converted as its default is typed.  The lattice commands also read
 # [detector] and [lattice], and run at the [packet] momentum when p0_values
-# is empty.
+# is empty; point always runs its p0_values.
 PARAMS = {
     "initial-state": ("grid", {"t_lo": -1.0, "t_hi": 2.0, "t_step": 0.05,
                                "x_lo": -3.0, "x_hi": 1.0, "x_step": 0.02}),
@@ -113,6 +111,8 @@ def parse_inputs(cfg: dict) -> Inputs:
     sec = cfg.get(name, {})
     check_keys(f"[{name}] key", sec, defaults)
     params = {k: _convert(d, sec.get(k, d)) for k, d in defaults.items()}
+    if "p0" in cfg.get("packet", {}) and (params.get("p0_values") or command == "point"):
+        raise ValueError(f"[packet] p0 is ignored: {command} runs the [{name}] p0_values list")
     packet = _build(PacketSpec, cfg, "packet")
     det, runs = None, []
     if lattice:
@@ -276,10 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
-    cfg = resolve_config(args)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
+        cfg = resolve_config(args)
+        out_dir.mkdir(parents=True, exist_ok=True)
         rc = COMMANDS[args.command](parse_inputs(cfg), out_dir, max(1, args.threads))
     except (DomainTooSmallError, ValueError) as exc:
         log.error("run rejected: %s", exc)

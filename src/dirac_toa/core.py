@@ -59,6 +59,21 @@ def minkowski_norm_sq(d: TwoVector) -> float:
     return d.t * d.t - d.x * d.x
 
 
+def fft_size(n: int) -> int:
+    """Smallest 11-smooth integer >= n (n itself when n <= 1): pocketfft's
+    good_size for complex transforms, the lengths numpy.fft runs fastest."""
+    m = n
+    while m > 1:
+        r = m
+        for p in (2, 3, 5, 7, 11):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            break
+        m += 1
+    return m
+
+
 @dataclass(frozen=True)
 class UniformGrid:
     """Uniform 1D lattice; site i sits at x_min + i*dx (cell midpoints)."""
@@ -78,16 +93,14 @@ class UniformGrid:
         """Grid of cell midpoints covering [x_lo, x_hi].
 
         With fft_friendly the site count is rounded up to the next
-        5-smooth integer (the domain is extended to the right by at most
-        a few dx); transform lengths with large prime factors are slow.
+        11-smooth integer (fft_size; the domain is extended to the right by
+        at most a few dx); transform lengths with large prime factors are slow.
         """
         if x_hi <= x_lo:
             raise ValueError("empty domain")
         n = int(round((x_hi - x_lo) / dx))
         if fft_friendly:
-            from scipy.fft import next_fast_len
-
-            n = next_fast_len(n, real=False)
+            n = fft_size(n)
         return cls(x_min=x_lo + dx / 2, dx=dx, n=n)
 
     @property

@@ -10,9 +10,10 @@ arrival-time observables are dominated by physics, not the scheme.  The
 n_substeps = 1 limit is the plain light-cone scheme (advection = exact
 one-site shift).
 
-The mass term is uniform in x, so every substep is diagonal in k: a 2x2
-matrix per mode on the component pairs (1, 4) and (2, 3).  The n_substeps
-substeps are multiplied into one cached matrix per mode.  No factor of the
+The transforms are numpy.fft's (pocketfft).  The mass term is uniform in
+x, so every substep is diagonal in k: a 2x2 matrix per mode on the
+component pairs (1, 4) and (2, 3).  The n_substeps substeps are
+multiplied into one cached matrix per mode.  No factor of the
 step mixes the two pairs (the absorber damps components 1 and 2, the upper
 entries; a0 is a phase; a1 mixes within a pair), so the state is stepped as
 a (pairs, 2, n) stack and a pair without norm is left out: a step costs one
@@ -30,7 +31,6 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.fft as sfft
 
 from .core import ALPHA, ELECTRON, GAMMA0, PhysUnits, PlaneState, UniformGrid
 from .detector import DetectorSpec, WindowDetector, lambda_field
@@ -119,7 +119,7 @@ def _step_matrix(n: int, dx: float, dtau: float, n_substeps: int, chi: float) ->
     phase, exact advection by h, half mass phase -- acting on the Fourier
     amplitudes of an (upper, lower) component pair.
     """
-    k = 2 * np.pi * sfft.fftfreq(n, d=dx)
+    k = 2 * np.pi * np.fft.fftfreq(n, d=dx)
     h = dtau / n_substeps
     mass = np.exp(-1j * chi * h)
     sub = np.empty((n, 2, 2), dtype=complex)
@@ -147,11 +147,11 @@ def _free_step(stack: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
     """Free step on a (P, 2, n) pair stack: one transform pair over the
     stack, then the per-mode step matrix on every (upper, lower) pair."""
     m = _step_matrix(stack.shape[-1], cfg.dx, cfg.dtau, cfg.n_substeps, cfg.units.chi)
-    f = sfft.fft(stack, axis=-1)
+    f = np.fft.fft(stack, axis=-1)
     upper, lower = f[:, 0].copy(), f[:, 1]
     f[:, 0] = m[0, 0] * upper + m[0, 1] * lower
     f[:, 1] = m[1, 0] * upper + m[1, 1] * lower
-    return sfft.ifft(f, axis=-1, overwrite_x=True)
+    return np.fft.ifft(f, axis=-1)
 
 
 def _pointwise_stage(stack: np.ndarray, tables: tuple) -> np.ndarray:
@@ -227,16 +227,16 @@ def spectral_free_evolve(state: PlaneState, tau: float, units: PhysUnits = ELECT
     Assumes periodic embedding of the domain; unitary to roundoff.
     """
     n = state.values.shape[1]
-    k = 2 * np.pi * sfft.fftfreq(n, d=state.dx)
+    k = 2 * np.pi * np.fft.fftfreq(n, d=state.dx)
     p = k / units.chi
     ham = p[:, None, None] * ALPHA[None, :, :] + GAMMA0[None, :, :]
     eigval, eigvec = np.linalg.eigh(ham)
     phase = np.exp(-1j * units.chi * tau * eigval)
 
-    modes = sfft.fft(state.values, axis=1).T  # (n, 4)
+    modes = np.fft.fft(state.values, axis=1).T  # (n, 4)
     coeff = np.einsum("nji,nj->ni", eigvec.conj(), modes)
     modes_out = np.einsum("nij,nj->ni", eigvec, phase * coeff)
-    vals = sfft.ifft(modes_out.T, axis=1, overwrite_x=True)
+    vals = np.fft.ifft(modes_out.T, axis=1)
     return PlaneState(state.x_min, state.dx, vals)
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 from dirac_toa.cli import build_parser, main, parse_inputs, resolve_config
 from dirac_toa.csvio import read_csv, read_manifest, write_manifest
@@ -158,14 +159,31 @@ def test_rejected_run_exits_nonzero(tmp_path):
     assert main(["density", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
 
 
-def test_unknown_preset_and_wrong_command(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["density", "--preset", "nope", "--out", str(tmp_path)])
-    with pytest.raises(SystemExit):
-        main(["density", "--preset", "fig2-desk", "--out", str(tmp_path)])
+def test_unknown_preset_and_wrong_command(tmp_path, caplog):
     cfg = _tiny_scan_config(tmp_path)
-    with pytest.raises(SystemExit):
-        main(["density", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    for args, message in [
+        (["--preset", "nope"], "unknown preset 'nope'"),
+        (["--preset", "fig2-desk"], "belongs to command 'arrival-scan'"),
+        (["--config", str(cfg)], "config file is for command 'arrival-scan'"),
+    ]:
+        out = tmp_path / "out"
+        assert main(["density", *args, "--out", str(out)]) == 2
+        assert message in caplog.text
+        assert not (out / "manifest.cfg").exists()
+
+
+@pytest.mark.parametrize("command, scan", [
+    ("point", {}),
+    ("density", {"p0_values": "0.75"}),
+])
+def test_packet_momentum_with_a_momentum_list_is_rejected(command, scan, tmp_path, caplog):
+    cfg = tmp_path / "both.cfg"
+    write_manifest(cfg, {"run": {"command": command}, "packet": {"p0": 1.5}, "scan": scan})
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "[packet] p0" in caplog.text and "p0_values" in caplog.text
+    assert not (out / "manifest.cfg").exists()
+    assert not list(out.glob("*.csv"))
 
 
 def test_pdp_rejects_seed_and_count_out_of_range(tmp_path):
@@ -189,12 +207,39 @@ def test_pdp_rejects_seed_and_count_out_of_range(tmp_path):
                  "--seed", str(2**64 - 1)]) == 0
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
+def test_cli_runs_without_loading_scipy(tmp_path):
+    """The runtime needs only NumPy: importing the CLI, and running a density
+    and a point study through main, loads no scipy module."""
+    density, point = tmp_path / "density.cfg", tmp_path / "point.cfg"
+    write_manifest(density, {
+        "run": {"command": "density"},
+        "detector": {"height": 1e-4, "width": 0.02, "edge": 0.008},
+        "lattice": {"dtau": 0.004, "x_lo": -3.0, "x_hi": 2.0, "n_substeps": 8},
+        "scan": {"p0_values": "0.75"},
+    })
+    write_manifest(point, {
+        "run": {"command": "point"},
+        "scan": {"p0_values": "0.75", "kappa_values": "0 1", "tau_hi": 3.0, "tau_step": 0.01},
+    })
+    code = """
+import sys
+import dirac_toa.cli as cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+print(loaded())
+for command, cfg in (("density", sys.argv[1]), ("point", sys.argv[2])):
+    assert cli.main([command, "--config", cfg, "--out", sys.argv[3] + "/" + command]) == 0
+print(loaded())
+"""
     src = str(Path(__import__("dirac_toa").__file__).parents[1])
-    code = "import sys, dirac_toa.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={"PYTHONPATH": src}, check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code, str(density), str(point), str(tmp_path)],
+                         capture_output=True, text=True, env={"PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["[]", "[]"]
+    assert (tmp_path / "density" / "density_p0.75.csv").is_file()
+    assert (tmp_path / "point" / "point_p0.75_kappa1.csv").is_file()
 
 
 def _resolved(argv):
@@ -226,6 +271,14 @@ def test_preset_inputs_survive_their_manifest(name, tmp_path):
         spec_p0 = PacketSpec(**(preset["packet"] | {"p0": p0}))
         assert spec == spec_p0
         assert run_cfg == config_from_lattice(preset["lattice"], p0, spec_p0, det.position)
+
+
+@pytest.mark.parametrize("name", sorted(n for n, p in PRESETS.items() if "lattice" in p))
+def test_preset_lattice_sizes_are_next_fast_len(name):
+    """Every preset lattice has the site count scipy.fft.next_fast_len gave it."""
+    for _, run_cfg in parse_inputs(_resolved([PRESETS[name]["command"], "--preset", name])).runs:
+        n = int(round((run_cfg.x_hi - run_cfg.x_lo) / run_cfg.dx))
+        assert run_cfg.grid().n == next_fast_len(n, real=False)
 
 
 def test_scan_momenta_default_to_the_packet_momentum():

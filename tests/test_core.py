@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 
 from dirac_toa.core import (
     ALPHA,
@@ -15,6 +16,7 @@ from dirac_toa.core import (
     TwoVector,
     UniformGrid,
     boost_matrix,
+    fft_size,
     inner_product,
     minkowski_norm_sq,
     spinor_boost,
@@ -148,7 +150,13 @@ def test_plane_state_validation():
 
 def test_grid_fft_friendly_extension():
     g = UniformGrid.from_domain(-3.0, 2.0, 0.003)
-    # 1667 is prime; the constructor may extend the domain to a 5-smooth n
+    # 1667 is prime; the constructor may extend the domain to an 11-smooth n
     assert g.n >= 1667
     assert g.x_lo == pytest.approx(-3.0)
     assert g.x_hi >= 2.0 - 1e-9
+
+
+def test_fft_size_is_scipy_next_fast_len():
+    sizes = [fft_size(n) for n in range(1, 20001)]
+    assert sizes == [next_fast_len(n, real=False) for n in range(1, 20001)]
+    assert fft_size(0) == 0

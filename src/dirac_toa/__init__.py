@@ -5,8 +5,7 @@ detector, and a quantum-jump Monte Carlo sampler."""
 __version__ = "0.1.0"
 
 from .core import (
-    ELECTRON,
-    PhysUnits,
+    CHI,
     PlaneState,
     TwoVector,
     UniformGrid,
@@ -15,7 +14,7 @@ from .core import (
     minkowski_norm_sq,
     spinor_boost,
 )
-from .detector import PointDetector, WindowDetector, lambda_field, window_envelope
+from .detector import WindowDetector, lambda_field, window_envelope
 from .propagator import (
     EvolutionConfig,
     EvolutionRecord,
@@ -34,13 +33,11 @@ from .wavepacket import (
 )
 
 __all__ = [
-    "ELECTRON",
+    "CHI",
     "EvolutionConfig",
     "EvolutionRecord",
     "PacketSpec",
-    "PhysUnits",
     "PlaneState",
-    "PointDetector",
     "TwoVector",
     "UniformGrid",
     "WindowDetector",

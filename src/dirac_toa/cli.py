@@ -4,6 +4,7 @@ CSV outputs and reproducible run manifests."""
 from __future__ import annotations
 
 import argparse
+import configparser
 import logging
 import re
 import sys
@@ -42,7 +43,10 @@ def resolve_config(args) -> dict:
             raise ValueError(f"preset {args.preset!r} belongs to command {preset['command']!r}")
         cfg = _merge(cfg, {k: v for k, v in preset.items() if isinstance(v, dict)})
     if args.config:
-        file_cfg = read_manifest(args.config)
+        try:
+            file_cfg = read_manifest(args.config)
+        except (OSError, configparser.Error) as exc:
+            raise ValueError(f"cannot read config file {args.config}: {exc}") from exc
         file_cfg.pop("meta", None)
         cmd = file_cfg.get("run", {}).get("command")
         if cmd and cmd != args.command:
@@ -58,7 +62,8 @@ def resolve_config(args) -> dict:
 # Each command's [grid] or [scan] section with its defaults; a value is
 # converted as its default is typed.  The lattice commands also read
 # [detector] and [lattice], and run at the [packet] momentum when p0_values
-# is empty; point always runs its p0_values.
+# is empty.  A list with a non-empty default is one the command loops over,
+# and may not be empty.
 PARAMS = {
     "initial-state": ("grid", {"t_lo": -1.0, "t_hi": 2.0, "t_step": 0.05,
                                "x_lo": -3.0, "x_hi": 1.0, "x_step": 0.02}),
@@ -70,6 +75,16 @@ PARAMS = {
     "pdp": ("scan", {"n_trajectories": 10000}),
 }
 LATTICE_COMMANDS = ("arrival-scan", "density", "frames", "pdp")
+# What a [grid] or [scan] value (each entry of a list) must satisfy; a *_hi
+# may not lie below its *_lo either.
+BOUNDS = {
+    "t_step": ("> 0", lambda v: v > 0),
+    "x_step": ("> 0", lambda v: v > 0),
+    "tau_step": ("> 0", lambda v: v > 0),
+    "kappa_values": (">= 0", lambda v: v >= 0),
+    "v_values": ("in (-1, 1)", lambda v: abs(v) < 1),
+    "richardson_lambda": ("> 1", lambda v: v > 1),
+}
 
 
 @dataclass
@@ -99,6 +114,25 @@ def _convert(default, value):
     return int(float(value)) if isinstance(default, int) else float(value)
 
 
+def _check_params(command: str, params: dict) -> None:
+    """Reject [grid] or [scan] values that select nothing or that a run would
+    fail on, before anything runs."""
+    name, defaults = PARAMS[command]
+    for key, value in params.items():
+        where = f"[{name}] {key}"
+        entries = value if isinstance(value, list) else [value]
+        if not entries and defaults[key]:
+            raise ValueError(f"{where} is empty: {command} runs once per entry")
+        if key in BOUNDS:
+            need, ok = BOUNDS[key]
+            bad = [v for v in entries if not ok(v)]
+            if bad:
+                raise ValueError(f"{where} must be {need}, got {bad[0]:g}")
+        lo = key[:-2] + "lo"
+        if key.endswith("_hi") and not value >= params[lo]:
+            raise ValueError(f"{where} = {value:g} lies below {lo} = {params[lo]:g}")
+
+
 def parse_inputs(cfg: dict) -> Inputs:
     """Check every section and key of a resolved config and build the
     command's inputs; the lattice commands get one (packet, EvolutionConfig)
@@ -111,6 +145,7 @@ def parse_inputs(cfg: dict) -> Inputs:
     sec = cfg.get(name, {})
     check_keys(f"[{name}] key", sec, defaults)
     params = {k: _convert(d, sec.get(k, d)) for k, d in defaults.items()}
+    _check_params(command, params)
     if "p0" in cfg.get("packet", {}) and (params.get("p0_values") or command == "point"):
         raise ValueError(f"[packet] p0 is ignored: {command} runs the [{name}] p0_values list")
     packet = _build(PacketSpec, cfg, "packet")
@@ -279,8 +314,9 @@ def main(argv=None) -> int:
     out_dir = Path(args.out)
     try:
         cfg = resolve_config(args)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        rc = COMMANDS[args.command](parse_inputs(cfg), out_dir, max(1, args.threads))
+        inputs = parse_inputs(cfg)
+        # the first file written creates out_dir, so a rejected config leaves none
+        rc = COMMANDS[args.command](inputs, out_dir, max(1, args.threads))
     except (DomainTooSmallError, ValueError) as exc:
         log.error("run rejected: %s", exc)
         return 2

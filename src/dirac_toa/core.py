@@ -14,20 +14,8 @@ import numpy as np
 
 # CODATA reduced Compton wavelength of the electron, in Angstrom.
 ELECTRON_REDUCED_COMPTON_A = 3.8615926796e-3
-
-
-@dataclass(frozen=True)
-class PhysUnits:
-    """Dimensionless mass phase chi = m*c*(1 A)/hbar."""
-
-    chi: float = 1.0 / ELECTRON_REDUCED_COMPTON_A
-
-    def __post_init__(self):
-        if not (self.chi > 0.0 and np.isfinite(self.chi)):
-            raise ValueError(f"chi must be positive and finite, got {self.chi}")
-
-
-ELECTRON = PhysUnits()
+# The electron's mass phase chi = m*c*(1 A)/hbar.
+CHI = 1.0 / ELECTRON_REDUCED_COMPTON_A
 
 # Dirac representation, 1+1D subset.
 GAMMA0 = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
@@ -89,18 +77,16 @@ class UniformGrid:
             raise ValueError("grid needs at least one site")
 
     @classmethod
-    def from_domain(cls, x_lo: float, x_hi: float, dx: float, fft_friendly: bool = True) -> "UniformGrid":
+    def from_domain(cls, x_lo: float, x_hi: float, dx: float) -> "UniformGrid":
         """Grid of cell midpoints covering [x_lo, x_hi].
 
-        With fft_friendly the site count is rounded up to the next
-        11-smooth integer (fft_size; the domain is extended to the right by
-        at most a few dx); transform lengths with large prime factors are slow.
+        The site count is rounded up to the next 11-smooth integer (fft_size;
+        the domain is extended to the right by at most a few dx); transform
+        lengths with large prime factors are slow.
         """
         if x_hi <= x_lo:
             raise ValueError("empty domain")
-        n = int(round((x_hi - x_lo) / dx))
-        if fft_friendly:
-            n = fft_size(n)
+        n = fft_size(int(round((x_hi - x_lo) / dx)))
         return cls(x_min=x_lo + dx / 2, dx=dx, n=n)
 
     @property

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from .core import ELECTRON, PhysUnits, UniformGrid
+from .core import CHI, UniformGrid
 
 
 @dataclass(frozen=True)
@@ -25,21 +24,6 @@ class WindowDetector:
             raise ValueError("detector height must be >= 0")
         if not (0.0 < 2 * self.edge < self.width):
             raise ValueError("need 0 < 2*edge < width")
-
-
-@dataclass(frozen=True)
-class PointDetector:
-    """Delta-function detector of strength kappa (units of c) at x_d."""
-
-    kappa: float = 1.0
-    position: float = 0.0
-
-    def __post_init__(self):
-        if self.kappa < 0:
-            raise ValueError("kappa must be >= 0")
-
-
-DetectorSpec = Union[WindowDetector, PointDetector]
 
 
 def window_envelope(spec: WindowDetector, x) -> np.ndarray:
@@ -66,26 +50,16 @@ def window_envelope(spec: WindowDetector, x) -> np.ndarray:
     return env
 
 
-def lambda_field(
-    spec: DetectorSpec, grid: UniformGrid, units: PhysUnits = ELECTRON
-) -> np.ndarray:
+def lambda_field(spec: WindowDetector, grid: UniformGrid) -> np.ndarray:
     """Per-site absorption rate Lambda(x) = 2 W chi envelope(x)^2 in 1/(A/c),
-    shape (4, n); the rate acts on components 1, 2 only (particle projector),
-    rows 3, 4 are zero.
-
-    Only window detectors are supported here; the point detector has a
-    closed-form treatment in point_analytic.
+    shape (n,).  The rate acts on components 1 and 2 only (the particle
+    projector); the stepping kernel and pdp apply it there.  The point
+    detector has a closed-form treatment in point_analytic instead.
     """
-    if isinstance(spec, PointDetector):
-        raise ValueError("point detectors are handled analytically, not on the lattice")
     if grid.dx > spec.edge / 2 + 1e-15:
         raise ValueError(
             f"grid spacing {grid.dx} under-resolves the detector edge "
             f"(need dx <= edge/2 = {spec.edge / 2})"
         )
     env = window_envelope(spec, grid.positions)
-    rate = 2.0 * spec.height * units.chi * env**2
-    out = np.zeros((4, grid.n))
-    out[0] = rate
-    out[1] = rate
-    return out
+    return 2.0 * spec.height * CHI * env**2

@@ -11,8 +11,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ELECTRON, PhysUnits, PlaneState, TwoVector, inner_product, minkowski_norm_sq
-from .detector import DetectorSpec, lambda_field
+from .core import PlaneState, TwoVector, inner_product, minkowski_norm_sq
+from .detector import WindowDetector, lambda_field
 from .propagator import EvolutionConfig, check_run_inputs, integrate
 
 ORTHO_TOL = 1e-10
@@ -112,11 +112,11 @@ class DetectorChannel:
     z(tau) = (tau + t_start, x) that starts on the backward light cone of
     the preparation event."""
 
-    spec: DetectorSpec
+    spec: WindowDetector
     t_start: float
 
     @classmethod
-    def at_rest(cls, spec: DetectorSpec, preparation: TwoVector) -> "DetectorChannel":
+    def at_rest(cls, spec: WindowDetector, preparation: TwoVector) -> "DetectorChannel":
         t_start = preparation.t - abs(spec.position - preparation.x)
         return cls(spec=spec, t_start=t_start)
 
@@ -177,18 +177,14 @@ def ideal_measurement_run(initial: TotalState, plan, rng) -> list:
     return results
 
 
-def detector_choice_probs(
-    state: PlaneState,
-    channels: Sequence[DetectorChannel],
-    units: PhysUnits = ELECTRON,
-) -> np.ndarray:
+def detector_choice_probs(state: PlaneState, channels: Sequence[DetectorChannel]) -> np.ndarray:
     """p_k = <G_k Psi | G_k Psi> / sum_j <G_j Psi | G_j Psi>; the at-rest
     channels are static in the detector frame."""
     grid = state.grid
     weights = []
     for ch in channels:
-        rate = lambda_field(ch.spec, grid, units)
-        w = np.sum(rate[0] * (np.abs(state.values[0]) ** 2 + np.abs(state.values[1]) ** 2)) * grid.dx
+        rate = lambda_field(ch.spec, grid)
+        w = np.sum(rate * (np.abs(state.values[0]) ** 2 + np.abs(state.values[1]) ** 2)) * grid.dx
         weights.append(w)
     weights = np.asarray(weights)
     total = weights.sum()
@@ -197,14 +193,12 @@ def detector_choice_probs(
     return weights / total
 
 
-def collapse_onto_channel(
-    state: PlaneState, channel: DetectorChannel, units: PhysUnits = ELECTRON
-) -> PlaneState:
+def collapse_onto_channel(state: PlaneState, channel: DetectorChannel) -> PlaneState:
     """Psi -> G_k Psi / ||G_k Psi|| (G_k = sqrt(Lambda_k) on components 1, 2)."""
     grid = state.grid
-    rate = lambda_field(channel.spec, grid, units)
+    rate = lambda_field(channel.spec, grid)
     vals = state.values.copy()
-    g = np.sqrt(rate[0])
+    g = np.sqrt(rate)
     vals[0] *= g
     vals[1] *= g
     vals[2] = 0.0
@@ -306,7 +300,7 @@ class JumpProcess:
         self.cfg = cfg
         self.preparation = preparation
         self._initial = initial.copy()
-        self._rates = [lambda_field(ch.spec, initial.grid, cfg.units) for ch in self.channels]
+        self._rates = [lambda_field(ch.spec, initial.grid) for ch in self.channels]
         check_run_inputs(initial, [ch.spec for ch in self.channels])
         rec = integrate(initial, self._rates, cfg, cfg.n_steps)
         self.tau = rec.tau_samples

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrival import ArrivalDensity
-from .core import ELECTRON, PhysUnits
+from .core import CHI
 from .wavepacket import PacketSpec, _momentum_sum, _tables, energy, spectral_coefficients
 
 log = logging.getLogger(__name__)
@@ -123,15 +123,14 @@ def transmitted_amplitude(
     spec: PacketSpec,
     kappa: float,
     tau,
-    units: PhysUnits = ELECTRON,
     n_nodes: int = 2048,
 ) -> np.ndarray:
     """First component of the transmitted field at the detector site,
     Omega_1(tau, 0): momentum quadrature of the branch weights times the
     per-momentum transmission, with proper-time phases e^{-+ i chi E tau}."""
     tau_in = np.asarray(tau, dtype=float)
-    p, w, sign, _, _ = _tables(spec, units, n_nodes)
-    coeffs = spectral_coefficients(spec, p, units, n_nodes)
+    p, w, sign, _, _ = _tables(spec, n_nodes)
+    coeffs = spectral_coefficients(spec, p, n_nodes)
     plus, minus = sign > 0, sign < 0
     # A nodes carry a_plus t_particle, B nodes b_plus t_anti times the
     # component-1 entry p/(E+1) of w+; each family is solved on its own nodes
@@ -140,8 +139,7 @@ def transmitted_amplitude(
     e = energy(p)
     g[minus] = coeffs.b_plus[minus] * _solve_anti(p[minus], kappa)[0] * (p / (e + 1.0))[minus]
     # phases e^{-+ i chi E tau} at the detector site x = 0
-    amp = _momentum_sum(sign * p, sign * e, (w * g)[None], np.atleast_1d(tau_in), 0.0,
-                        units.chi)[0]
+    amp = _momentum_sum(sign * p, sign * e, (w * g)[None], np.atleast_1d(tau_in), 0.0, CHI)[0]
     return complex(amp[0]) if tau_in.ndim == 0 else amp
 
 
@@ -149,7 +147,6 @@ def arrival_density_point(
     spec: PacketSpec,
     kappa: float,
     tau_grid: np.ndarray,
-    units: PhysUnits = ELECTRON,
     n_nodes: int = 2048,
 ) -> ArrivalDensity:
     """P(tau) proportional to |Omega_1(tau, 0)|^2, normalized over the grid.
@@ -157,7 +154,7 @@ def arrival_density_point(
     The kappa factor cancels in the normalization, so the kappa -> 0 limit
     stays finite (kappa = 0 gives the undisturbed transit density)."""
     tau_grid = np.asarray(tau_grid, dtype=float)
-    amp = transmitted_amplitude(spec, kappa, tau_grid, units=units, n_nodes=n_nodes)
+    amp = transmitted_amplitude(spec, kappa, tau_grid, n_nodes=n_nodes)
     raw = np.abs(amp) ** 2
     total = np.trapezoid(raw, tau_grid)
     if total <= 0.0:

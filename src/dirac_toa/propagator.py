@@ -32,8 +32,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import ALPHA, ELECTRON, GAMMA0, PhysUnits, PlaneState, UniformGrid
-from .detector import DetectorSpec, WindowDetector, lambda_field
+from .core import ALPHA, CHI, GAMMA0, PlaneState, UniformGrid
+from .detector import WindowDetector, lambda_field
 
 log = logging.getLogger(__name__)
 
@@ -58,13 +58,14 @@ class EvolutionConfig:
     x_hi: float
     tau_max: float
     n_substeps: int = 64
-    units: PhysUnits = ELECTRON
     a0: Optional[Callable[[np.ndarray], np.ndarray]] = None
     a1: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.dtau <= 0:
             raise ValueError("dtau must be positive")
+        if not self.x_hi > self.x_lo:
+            raise ValueError(f"x_hi = {self.x_hi} must exceed x_lo = {self.x_lo}")
         if self.tau_max <= 0:
             raise ValueError("tau_max must be positive")
         if self.n_substeps < 1:
@@ -146,7 +147,7 @@ def _from_pairs(stack: np.ndarray, pairs: Sequence[tuple[int, int]] = PAIRS) -> 
 def _free_step(stack: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
     """Free step on a (P, 2, n) pair stack: one transform pair over the
     stack, then the per-mode step matrix on every (upper, lower) pair."""
-    m = _step_matrix(stack.shape[-1], cfg.dx, cfg.dtau, cfg.n_substeps, cfg.units.chi)
+    m = _step_matrix(stack.shape[-1], cfg.dx, cfg.dtau, cfg.n_substeps, CHI)
     f = np.fft.fft(stack, axis=-1)
     upper, lower = f[:, 0].copy(), f[:, 1]
     f[:, 0] = m[0, 0] * upper + m[0, 1] * lower
@@ -176,7 +177,7 @@ def _pointwise_tables(cfg: EvolutionConfig, grid: UniformGrid, rate: np.ndarray 
     if rate is not None:
         # state norm decays at rate Lambda: amplitude factor exp(-Lambda dtau/4)
         # per half stage; off the rate's support the factor is exactly 1.0
-        half_absorb = np.exp(-cfg.dtau * rate[0] / 4.0)
+        half_absorb = np.exp(-cfg.dtau * rate / 4.0)
         support = np.flatnonzero(half_absorb != 1.0)
         if support.size:
             window = slice(support[0], support[-1] + 1)
@@ -185,9 +186,9 @@ def _pointwise_tables(cfg: EvolutionConfig, grid: UniformGrid, rate: np.ndarray 
     pot_mix = None
     x = grid.positions
     if cfg.a0 is not None:
-        pot_phase = np.exp(-1j * cfg.dtau / 2 * cfg.units.chi * np.asarray(cfg.a0(x)))
+        pot_phase = np.exp(-1j * cfg.dtau / 2 * CHI * np.asarray(cfg.a0(x)))
     if cfg.a1 is not None:
-        ang = cfg.dtau / 2 * cfg.units.chi * np.asarray(cfg.a1(x))
+        ang = cfg.dtau / 2 * CHI * np.asarray(cfg.a1(x))
         pot_mix = (np.cos(ang), 1j * np.sin(ang))
     return absorb, pot_phase, pot_mix
 
@@ -213,14 +214,15 @@ def free_dirac_step(state: PlaneState, cfg: EvolutionConfig) -> PlaneState:
 def strang_step(state: PlaneState, rate: np.ndarray | None, cfg: EvolutionConfig) -> PlaneState:
     """One full step: half absorption/potential, free step, half again.
 
-    rate is the (4, n) field from lambda_field (rows 3, 4 zero) or None.
+    rate is the (n,) field from lambda_field, acting on components 1 and 2,
+    or None.
     """
     tables = _pointwise_tables(cfg, state.grid, rate)
     vals = _from_pairs(_strang(_to_pairs(state.values), tables, cfg))
     return PlaneState(state.x_min, state.dx, vals)
 
 
-def spectral_free_evolve(state: PlaneState, tau: float, units: PhysUnits = ELECTRON) -> PlaneState:
+def spectral_free_evolve(state: PlaneState, tau: float) -> PlaneState:
     """Free evolution oracle: DFT, exact per-mode propagator of the Dirac
     Hamiltonian p*alpha + gamma0 via eigendecomposition, inverse DFT.
 
@@ -228,10 +230,10 @@ def spectral_free_evolve(state: PlaneState, tau: float, units: PhysUnits = ELECT
     """
     n = state.values.shape[1]
     k = 2 * np.pi * np.fft.fftfreq(n, d=state.dx)
-    p = k / units.chi
+    p = k / CHI
     ham = p[:, None, None] * ALPHA[None, :, :] + GAMMA0[None, :, :]
     eigval, eigvec = np.linalg.eigh(ham)
-    phase = np.exp(-1j * units.chi * tau * eigval)
+    phase = np.exp(-1j * CHI * tau * eigval)
 
     modes = np.fft.fft(state.values, axis=1).T  # (n, 4)
     coeff = np.einsum("nji,nj->ni", eigvec.conj(), modes)
@@ -248,7 +250,7 @@ def integrate(
 ) -> EvolutionRecord:
     """The stepping loop: n_steps Strang steps against the summed absorber.
 
-    rates holds one (4, n) field from lambda_field per detection channel;
+    rates holds one (n,) field from lambda_field per detection channel;
     the record's channel_density has one row of <Psi|Lambda_c Psi> per
     channel, and detection_density is their sum.  Walls absorb: a strip of
     WALL_SITES sites at each domain edge is zeroed after every step and the
@@ -265,14 +267,14 @@ def integrate(
     dx = grid.dx
     if cfg.a0 is not None:
         a0 = np.broadcast_to(cfg.a0(grid.positions), grid.positions.shape)
-        kick = cfg.units.chi * np.abs(np.diff(a0)).max(initial=0.0) / dx * n_steps * cfg.dtau
+        kick = CHI * np.abs(np.diff(a0)).max(initial=0.0) / dx * n_steps * cfg.dtau
         if kick >= np.pi / dx:
             raise ValueError(
                 f"a0 can shift the momentum by {kick:.3g}/A in {n_steps} steps, past the "
                 f"lattice band |k| < pi/dx = {np.pi / dx:.3g}/A"
             )
     total_rate = np.sum(rates, axis=0) if len(rates) else None
-    rows = np.array([rate[0] for rate in rates]).reshape(-1, grid.n)
+    rows = np.reshape(rates, (-1, grid.n))
     tables = _pointwise_tables(cfg, grid, total_rate)
 
     tau = cfg.dtau * np.arange(n_steps + 1)
@@ -326,15 +328,16 @@ def check_run_inputs(initial: PlaneState, detectors: Sequence[WindowDetector]) -
 
 def evolve(
     initial: PlaneState,
-    det: DetectorSpec | None,
+    det: WindowDetector | None,
     cfg: EvolutionConfig,
 ) -> EvolutionRecord:
     """Integrate to tau_max recording d(tau) and S(tau) each step (see
-    integrate for the wall treatment), then check that d(tau) has decayed."""
+    integrate for the wall treatment), then check that d(tau) has decayed.
+    det None or of zero height is a free run."""
     detectors = []
-    if det is not None and not (isinstance(det, WindowDetector) and det.height == 0.0):
+    if det is not None and det.height != 0.0:
         detectors.append(det)
-    rates = [lambda_field(d, initial.grid, cfg.units) for d in detectors]
+    rates = [lambda_field(d, initial.grid) for d in detectors]
     check_run_inputs(initial, detectors)
 
     rec = integrate(initial, rates, cfg, cfg.n_steps)

@@ -37,7 +37,7 @@ def prepare_omega(spec: PacketSpec, cfg: EvolutionConfig, detector_position: flo
     """Initial lattice field in the detector frame: the free wave function
     evaluated at the trajectory start time."""
     t_start = detector_frame_offset(spec, detector_position)
-    return sample_packet(spec, cfg.grid(), t_start, units=cfg.units)
+    return sample_packet(spec, cfg.grid(), t_start)
 
 
 def arrival_run(spec: PacketSpec, det: WindowDetector, cfg: EvolutionConfig) -> ArrivalRunResult:

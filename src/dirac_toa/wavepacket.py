@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import ELECTRON, PhysUnits, PlaneState, TwoVector, UniformGrid
+from .core import CHI, PlaneState, TwoVector, UniformGrid
 
 # Table entries (points x momentum nodes) per block of the momentum sum;
 # 2**18 complex entries are 4 MB.
@@ -65,9 +65,9 @@ class PacketSpec:
         if not (self.eta > 0.0):
             raise ValueError("eta must be positive")
 
-    def sigma_p(self, units: PhysUnits = ELECTRON) -> float:
+    def sigma_p(self) -> float:
         """Momentum-space standard deviation of |A|^2, in mc."""
-        return 1.0 / (2.0 * self.eta * units.chi)
+        return 1.0 / (2.0 * self.eta * CHI)
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def group_velocity(p):
     return float(out) if out.ndim == 0 else out
 
 
-def initial_packet(spec: PacketSpec, grid: UniformGrid, units: PhysUnits = ELECTRON) -> PlaneState:
+def initial_packet(spec: PacketSpec, grid: UniformGrid) -> PlaneState:
     """Prepared state on the grid at t = t0: component 1 is the normalized
     Gaussian with carrier exp(i chi p0 (x - x0)); components 2-4 are zero."""
     x = grid.positions
@@ -104,7 +104,7 @@ def initial_packet(spec: PacketSpec, grid: UniformGrid, units: PhysUnits = ELECT
         )
     u = x - spec.x0
     g = (2 * np.pi) ** (-0.25) * spec.eta ** (-0.5) * np.exp(
-        -(u**2) / (4 * spec.eta**2) + 1j * units.chi * spec.p0 * u
+        -(u**2) / (4 * spec.eta**2) + 1j * CHI * spec.p0 * u
     )
     values = np.zeros((4, grid.n), dtype=complex)
     values[0] = g
@@ -185,13 +185,11 @@ def _branch_tables(p0: float, eta: float, x0: float, chi: float, n_nodes: int, h
     return p, w, sign, f, norm_const
 
 
-def _tables(spec: PacketSpec, units: PhysUnits, n_nodes: int):
-    return _branch_tables(spec.p0, spec.eta, spec.x0, units.chi, n_nodes, 10)
+def _tables(spec: PacketSpec, n_nodes: int):
+    return _branch_tables(spec.p0, spec.eta, spec.x0, CHI, n_nodes, 10)
 
 
-def spectral_coefficients(
-    spec: PacketSpec, p, units: PhysUnits = ELECTRON, n_nodes: int = 2048
-) -> SpectralCoeffs:
+def spectral_coefficients(spec: PacketSpec, p, n_nodes: int = 2048) -> SpectralCoeffs:
     """Branch weights A+(p), B+(p) in the detector frame (proper-time phases
     e^{-+ i chi E tau}); the extra e^{-+ i chi E x0} factor relative to the lab
     expansion comes from the light-cone offset of the detector trajectory.
@@ -200,8 +198,8 @@ def spectral_coefficients(
     state has unit norm.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    *_, norm_const = _tables(spec, units, n_nodes)
-    packet = (spec.p0, spec.eta, spec.x0, units.chi)
+    *_, norm_const = _tables(spec, n_nodes)
+    packet = (spec.p0, spec.eta, spec.x0, CHI)
     return SpectralCoeffs(
         p=p,
         a_plus=norm_const * _branch_weights(p, 1.0, *packet, delay=spec.x0),
@@ -284,7 +282,6 @@ def evaluate_spacetime(
     spec: PacketSpec,
     t,
     x,
-    units: PhysUnits = ELECTRON,
     branch: str = "both",
     n_nodes: int = 2048,
 ) -> np.ndarray:
@@ -301,32 +298,26 @@ def evaluate_spacetime(
     if branch not in nodes:
         raise ValueError(f"unknown branch {branch!r}")
     sel = nodes[branch]
-    p, w, sign, f, _ = _tables(spec, units, n_nodes)
+    p, w, sign, f, _ = _tables(spec, n_nodes)
     p, w, sign, f = p[sel], w[sel], sign[sel], f[sel]
     e = np.sqrt(p * p + 1.0)
     a = p / (e + 1.0)
     # components 1 and 4 of u+ = (1, 0, 0, a) on A and w+ = (a, 0, 0, 1) on B
     spinor = np.where(sign > 0, [np.ones_like(a), a], [a, np.ones_like(a)])
     psi14 = _momentum_sum(sign * p, sign * e, w * f * spinor,
-                          np.asarray(t, dtype=float) - spec.t0, x, units.chi)
+                          np.asarray(t, dtype=float) - spec.t0, x, CHI)
     out = np.zeros((4,) + psi14.shape[1:], dtype=complex)
     out[0], out[3] = psi14
     return out
 
 
-def sample_packet(
-    spec: PacketSpec,
-    grid: UniformGrid,
-    t: float,
-    units: PhysUnits = ELECTRON,
-    branch: str = "both",
-) -> PlaneState:
+def sample_packet(spec: PacketSpec, grid: UniformGrid, t: float, branch: str = "both") -> PlaneState:
     """Free wave function sampled on a lattice at fixed time t."""
-    vals = evaluate_spacetime(spec, t, grid.positions, units=units, branch=branch)
+    vals = evaluate_spacetime(spec, t, grid.positions, branch=branch)
     return PlaneState(grid.x_min, grid.dx, vals)
 
 
-def _plane_window(a: PacketSpec, b: PacketSpec, y: TwoVector, alpha: float, units: PhysUnits):
+def _plane_window(a: PacketSpec, b: PacketSpec, y: TwoVector, alpha: float):
     """Integration window along the tilted plane containing every branch
     crossing of both packets, with tails truncated below 1e-30."""
     centers = []
@@ -339,7 +330,7 @@ def _plane_window(a: PacketSpec, b: PacketSpec, y: TwoVector, alpha: float, unit
             dt_local = abs(y.t + alpha * c - spec.t0)
             # dispersion-broadened width, then projected onto the plane
             spread = spec.eta * np.sqrt(
-                1.0 + (dt_local / (2 * spec.eta**2 * units.chi * e0**3)) ** 2
+                1.0 + (dt_local / (2 * spec.eta**2 * CHI * e0**3)) ** 2
             )
             centers.append(c)
             widths.append(spread / max(1.0 - alpha * v, 1.0 - abs(alpha)))
@@ -347,26 +338,17 @@ def _plane_window(a: PacketSpec, b: PacketSpec, y: TwoVector, alpha: float, unit
     return min(centers) - pad, max(centers) + pad
 
 
-def tilted_inner(
-    a: PacketSpec,
-    b: PacketSpec,
-    y: TwoVector,
-    alpha: float,
-    units: PhysUnits = ELECTRON,
-    n_plane_nodes: int = 4096,
-    n_momentum_nodes: int = 1024,
-) -> complex:
+def tilted_inner(a: PacketSpec, b: PacketSpec, y: TwoVector, alpha: float) -> complex:
     """Scalar product over the tilted plane {(y0 + alpha*s, y1 + s)} with the
     metric factor [1 - gamma0 gamma1 alpha]; independent of y and alpha for
-    free solutions."""
+    free solutions.  The plane integral is composite Gauss-Legendre (128
+    panels of 32 points), the fields are summed over 1024 momentum nodes."""
     if not abs(alpha) < 1.0:
         raise ValueError(f"|alpha| must be < 1, got {alpha}")
-    lo, hi = _plane_window(a, b, y, alpha, units)
+    lo, hi = _plane_window(a, b, y, alpha)
 
-    # composite Gauss-Legendre, 32-point panels
     xn, wn = _gauss_nodes(32)
-    n_panels = max(8, int(np.ceil(n_plane_nodes / 32)))
-    edges = np.linspace(lo, hi, n_panels + 1)
+    edges = np.linspace(lo, hi, 128 + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     s = (mid[:, None] + half[:, None] * xn[None, :]).reshape(-1)
@@ -374,8 +356,8 @@ def tilted_inner(
 
     ts = y.t + alpha * s
     xs = y.x + s
-    psi_a = evaluate_spacetime(a, ts, xs, units=units, n_nodes=n_momentum_nodes)
-    psi_b = psi_a if (a == b) else evaluate_spacetime(b, ts, xs, units=units, n_nodes=n_momentum_nodes)
+    psi_a = evaluate_spacetime(a, ts, xs, n_nodes=1024)
+    psi_b = psi_a if (a == b) else evaluate_spacetime(b, ts, xs, n_nodes=1024)
 
     ca = np.conj(psi_a)
     integrand = np.sum(ca * psi_b, axis=0) - alpha * (

@@ -182,8 +182,7 @@ def test_packet_momentum_with_a_momentum_list_is_rejected(command, scan, tmp_pat
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert "[packet] p0" in caplog.text and "p0_values" in caplog.text
-    assert not (out / "manifest.cfg").exists()
-    assert not list(out.glob("*.csv"))
+    assert not out.exists()
 
 
 def test_pdp_rejects_seed_and_count_out_of_range(tmp_path):
@@ -306,7 +305,49 @@ def test_unknown_key_or_section_is_rejected(command, section, key, named, tmp_pa
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert f"unknown {'section' if named == section else f'[{section}] key'} {named}" in caplog.text
-    assert not (out / "manifest.cfg").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, section, values, key", [
+    # lists the command loops over, left empty
+    ("point", "scan", {"p0_values": ""}, "p0_values"),
+    ("point", "scan", {"kappa_values": ""}, "kappa_values"),
+    ("frames", "scan", {"v_values": ""}, "v_values"),
+    # grid steps and ranges that select nothing
+    ("initial-state", "grid", {"x_step": 0}, "x_step"),
+    ("initial-state", "grid", {"t_step": -0.05}, "t_step"),
+    ("point", "scan", {"tau_step": 0}, "tau_step"),
+    ("initial-state", "grid", {"t_hi": -2.0}, "t_hi"),
+    ("initial-state", "grid", {"x_lo": 2.0}, "x_hi"),
+    ("point", "scan", {"tau_hi": -1.0}, "tau_hi"),
+    ("density", "lattice", {"x_hi": -7.0}, "x_hi"),
+    # values a later entry of a list, or the second run, would fail on
+    ("point", "scan", {"kappa_values": "1 -0.5"}, "kappa_values"),
+    ("frames", "scan", {"v_values": "0 1.2"}, "v_values"),
+    ("frames", "scan", {"v_values": "-1"}, "v_values"),
+    ("arrival-scan", "scan", {"richardson_lambda": 1}, "richardson_lambda"),
+    ("arrival-scan", "scan", {"richardson_lambda": 0.8}, "richardson_lambda"),
+])
+def test_values_no_run_can_use_are_rejected_before_anything_runs(command, section, values, key,
+                                                                 tmp_path, caplog):
+    cfg = tmp_path / "bad.cfg"
+    write_manifest(cfg, {"run": {"command": command}, section: values})
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert key in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [None, "p0 = 0.75\n"])
+def test_unreadable_config_file_is_rejected(text, tmp_path, caplog):
+    """A missing file and a file without a section header exit 2, naming it."""
+    cfg = tmp_path / "broken.cfg"
+    if text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["density", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"cannot read config file {cfg}" in caplog.text
+    assert not out.exists()
 
 
 def test_pdp_rejects_detector_on_the_wall_strip(tmp_path, caplog):

@@ -6,12 +6,11 @@ from scipy.fft import next_fast_len
 
 from dirac_toa.core import (
     ALPHA,
-    ELECTRON,
+    CHI,
     ELECTRON_REDUCED_COMPTON_A,
     GAMMA0,
     GAMMA1,
     PROJECTOR_UP,
-    PhysUnits,
     PlaneState,
     TwoVector,
     UniformGrid,
@@ -33,12 +32,8 @@ def test_gamma_algebra():
 
 
 def test_electron_units_from_constants():
-    assert ELECTRON.chi == pytest.approx(1.0 / ELECTRON_REDUCED_COMPTON_A)
-    assert ELECTRON.chi == pytest.approx(258.96, abs=5e-3)
-    with pytest.raises(ValueError):
-        PhysUnits(chi=0.0)
-    with pytest.raises(ValueError):
-        PhysUnits(chi=-1.0)
+    assert CHI == pytest.approx(1.0 / ELECTRON_REDUCED_COMPTON_A)
+    assert CHI == pytest.approx(258.96, abs=5e-3)
 
 
 def test_minkowski_examples():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirac_toa.core import ELECTRON, UniformGrid
-from dirac_toa.detector import PointDetector, WindowDetector, lambda_field, window_envelope
+from dirac_toa.core import CHI, UniformGrid
+from dirac_toa.detector import WindowDetector, lambda_field, window_envelope
 
 DEFAULT = WindowDetector()
 
@@ -23,8 +23,6 @@ def test_spec_validation():
         WindowDetector(edge=0.006, width=0.01)  # 2*edge >= width
     with pytest.raises(ValueError):
         WindowDetector(height=-1.0)
-    with pytest.raises(ValueError):
-        PointDetector(kappa=-0.5)
 
 
 def test_envelope_plateau_and_zeros():
@@ -67,12 +65,10 @@ def test_envelope_continuity():
 def test_lambda_field_plateau_value():
     grid = UniformGrid.from_domain(-0.05, 0.05, 0.0005)
     lam = lambda_field(DEFAULT, grid)
-    expected = 2.0 * DEFAULT.height * ELECTRON.chi
+    expected = 2.0 * DEFAULT.height * CHI
     assert expected == pytest.approx(5.17920e-3, rel=2e-5)
-    assert lam[0].max() == pytest.approx(expected)
-    # particle components only
-    assert np.all(lam[2] == 0) and np.all(lam[3] == 0)
-    assert np.array_equal(lam[0], lam[1])
+    assert lam.shape == (grid.n,)
+    assert lam.max() == pytest.approx(expected)
 
 
 def test_lambda_field_zero_height_and_linearity():
@@ -88,8 +84,3 @@ def test_lambda_field_under_resolved_edge():
     with pytest.raises(ValueError):
         lambda_field(DEFAULT, grid)
 
-
-def test_lambda_field_rejects_point_detector():
-    grid = UniformGrid.from_domain(-0.05, 0.05, 0.0005)
-    with pytest.raises(ValueError):
-        lambda_field(PointDetector(kappa=1.0), grid)

@@ -11,7 +11,7 @@ from dirac_toa.point_analytic import (
     scatter_coefficients,
     transmitted_amplitude,
 )
-from dirac_toa.core import ELECTRON
+from dirac_toa.core import CHI
 from dirac_toa.wavepacket import PacketSpec, _tables, energy, evaluate_spacetime, spectral_coefficients
 
 
@@ -155,13 +155,13 @@ def test_point_expected_time_decreases_with_kappa_at_high_momentum(run_p2):
 
 def dense_amplitude(spec, kappa, tau, n=2048):
     """Reference Omega_1(tau, 0): one exponential per (node, tau)."""
-    p, w, _, _, _ = _tables(spec, ELECTRON, n)
+    p, w, _, _, _ = _tables(spec, n)
     c = spectral_coefficients(spec, p)
     e = energy(p)
     a = p / (e + 1.0)
     g_a = w[:n] * c.a_plus[:n] * 2 * a[:n] / (2 * a[:n] + kappa / 2)
     g_b = w[n:] * c.b_plus[n:] * a[n:] * 2 / (2 + kappa * a[n:] / 2)
-    chi = ELECTRON.chi
+    chi = CHI
     return g_a @ np.exp(-1j * chi * np.outer(e[:n], tau)) + g_b @ np.exp(1j * chi * np.outer(e[n:], tau))
 
 

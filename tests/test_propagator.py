@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirac_toa.core import ELECTRON, PhysUnits, PlaneState, UniformGrid
+from dirac_toa import propagator
+from dirac_toa.core import CHI, PlaneState, UniformGrid
 from dirac_toa.detector import WindowDetector, lambda_field
 from dirac_toa.propagator import (
     PAIRS,
@@ -20,7 +21,7 @@ from dirac_toa.propagator import (
 )
 from dirac_toa.wavepacket import PacketSpec, group_velocity, initial_packet
 
-MASSLESS = PhysUnits(chi=1e-12)  # stand-in for m = 0 (chi > 0 is enforced)
+MASSLESS_CHI = 1e-12  # stand-in for m = 0
 
 
 def _chiral_right_mover(grid: UniformGrid, site: int) -> PlaneState:
@@ -36,7 +37,7 @@ def _substep_reference(values: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
     h = cfg.dtau / cfg.n_substeps
     k = 2 * np.pi * np.fft.fftfreq(values.shape[1], d=cfg.dx)
     cos_k, sin_k = np.cos(k * h), np.sin(k * h)
-    mh = np.exp(-1j * cfg.units.chi * h / 2)
+    mh = np.exp(-1j * CHI * h / 2)
     half_mass = np.array([mh, mh, np.conj(mh), np.conj(mh)])[:, None]
     v = values.copy()
     for _ in range(cfg.n_substeps):
@@ -63,11 +64,11 @@ def _four_row_reference(initial: PlaneState, rates, cfg: EvolutionConfig, n_step
     """integrate() as a loop over all four component rows: Strang step
     against the summed absorber with a0/a1, wall strip, per-channel record."""
     v, dx, w = initial.values.copy(), cfg.dx, WALL_SITES
-    m = _step_matrix(v.shape[1], dx, cfg.dtau, cfg.n_substeps, cfg.units.chi)
+    m = _step_matrix(v.shape[1], dx, cfg.dtau, cfg.n_substeps, CHI)
     x = initial.grid.positions
-    half_absorb = np.exp(-cfg.dtau * np.sum(rates, axis=0)[0] / 4.0)
-    phase = np.exp(-1j * cfg.dtau / 2 * cfg.units.chi * cfg.a0(x))
-    ang = cfg.dtau / 2 * cfg.units.chi * cfg.a1(x)
+    half_absorb = np.exp(-cfg.dtau * np.sum(rates, axis=0) / 4.0)
+    phase = np.exp(-1j * cfg.dtau / 2 * CHI * cfg.a0(x))
+    ang = cfg.dtau / 2 * CHI * cfg.a1(x)
     c, s = np.cos(ang), 1j * np.sin(ang)
 
     def pointwise(v):
@@ -79,7 +80,7 @@ def _four_row_reference(initial: PlaneState, rates, cfg: EvolutionConfig, n_step
     def record(v):
         dens = np.abs(v) ** 2
         surv.append(dens.sum() * dx)
-        chan.append([np.sum(r[0] * (dens[0] + dens[1])) * dx for r in rates])
+        chan.append([np.sum(r * (dens[0] + dens[1])) * dx for r in rates])
 
     surv, chan, leak = [], [], [0.0]
     record(v)
@@ -122,9 +123,7 @@ def test_pair_stack_matches_four_row_loop(populated, n_substeps, n, n_steps, see
     vals /= np.sqrt(np.sum(np.abs(vals) ** 2) * dx)
     rates = []
     for center in rng.uniform(-0.3, 0.3, size=2):
-        rate = np.zeros((4, n))
-        rate[0] = rate[1] = rng.uniform(0.0, 40.0) * np.exp(-((x - center) / 0.05) ** 2)
-        rates.append(rate)
+        rates.append(rng.uniform(0.0, 40.0) * np.exp(-((x - center) / 0.05) ** 2))
 
     rec = integrate(PlaneState(grid.x_min, dx, vals), rates, cfg, n_steps)
     surv, chan, leak, final = _four_row_reference(PlaneState(grid.x_min, dx, vals), rates, cfg,
@@ -148,7 +147,7 @@ def test_survival_flat_without_detector(n_substeps, p, width, seed):
     cfg = EvolutionConfig(dtau=0.004, x_lo=-2.0, x_hi=2.0, tau_max=0.2, n_substeps=n_substeps)
     grid = cfg.grid()
     spinor = rng.normal(size=4) + 1j * rng.normal(size=4)
-    envelope = np.exp(-(grid.positions**2) / (4 * width**2) + 1j * ELECTRON.chi * p * grid.positions)
+    envelope = np.exp(-(grid.positions**2) / (4 * width**2) + 1j * CHI * p * grid.positions)
     st0 = PlaneState(grid.x_min, grid.dx, spinor[:, None] * envelope[None, :])
     st0.values /= np.sqrt(st0.norm_sq())
     rec = evolve(st0, WindowDetector(height=0.0), cfg)
@@ -164,9 +163,10 @@ def test_config_validation():
     assert cfg.dx == cfg.dtau
 
 
-def test_massless_step_is_exact_shift():
+def test_massless_step_is_exact_shift(monkeypatch):
+    monkeypatch.setattr(propagator, "CHI", MASSLESS_CHI)
     grid = UniformGrid(0.0, 0.01, 64)
-    cfg = EvolutionConfig(dtau=0.01, x_lo=0, x_hi=0.64, tau_max=1, units=MASSLESS)
+    cfg = EvolutionConfig(dtau=0.01, x_lo=0, x_hi=0.64, tau_max=1)
     st = _chiral_right_mover(grid, 10)
     out = free_dirac_step(st, cfg)
     expect = np.zeros_like(st.values)
@@ -193,7 +193,7 @@ def test_plane_wave_dispersion():
     """One outer step multiplies a plane-wave eigenmode by the composed
     substep phase; the deviation from exp(-i chi E dtau) is bounded by the
     splitting-error estimate a^2 b^2/(6 Phi) per substep."""
-    chi = ELECTRON.chi
+    chi = CHI
     n, dx, n_sub = 512, 0.001, 64
     grid = UniformGrid(0.0, dx, n)
     cfg = EvolutionConfig(dtau=dx, x_lo=0, x_hi=n * dx, tau_max=1, n_substeps=n_sub)
@@ -234,18 +234,17 @@ def test_free_evolution_matches_oracle_second_order():
     assert errs[0.002] / errs[0.001] == pytest.approx(4.0, abs=0.5)
 
 
-def test_strang_step_uniform_absorber_decay():
+def test_strang_step_uniform_absorber_decay(monkeypatch):
     """Spatially uniform component-1 field with a uniform rate: the free
     step is the identity and the norm decays by exactly exp(-r dtau)."""
+    monkeypatch.setattr(propagator, "CHI", MASSLESS_CHI)
     grid = UniformGrid(0.0, 0.01, 50)
-    cfg = EvolutionConfig(dtau=0.01, x_lo=0, x_hi=0.5, tau_max=1, units=MASSLESS)
+    cfg = EvolutionConfig(dtau=0.01, x_lo=0, x_hi=0.5, tau_max=1)
     vals = np.zeros((4, grid.n), dtype=complex)
     vals[0] = 1.0
     st = PlaneState(grid.x_min, grid.dx, vals)
     r = 3.0
-    rate = np.zeros((4, grid.n))
-    rate[0] = r
-    rate[1] = r
+    rate = np.full(grid.n, r)
     out = strang_step(st, rate, cfg)
     assert out.norm_sq() / st.norm_sq() == pytest.approx(np.exp(-r * cfg.dtau), rel=1e-12)
 
@@ -268,7 +267,7 @@ def test_static_scalar_potential_phase():
     st = _chiral_right_mover(grid, 30)
     out = strang_step(st, None, cfg)
     ref = strang_step(st, None, cfg_free)
-    expected_phase = np.exp(-1j * cfg.dtau * ELECTRON.chi * a0)
+    expected_phase = np.exp(-1j * cfg.dtau * CHI * a0)
     np.testing.assert_allclose(out.values, expected_phase * ref.values, atol=1e-12)
 
 

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_legendre
 
-from dirac_toa.core import ELECTRON, TwoVector, UniformGrid, inner_product
+from dirac_toa.core import CHI, TwoVector, UniformGrid, inner_product
 from dirac_toa.point_analytic import arrival_density_point
 from dirac_toa.wavepacket import (
     PacketSpec,
@@ -22,7 +22,6 @@ from dirac_toa.wavepacket import (
     tilted_inner,
 )
 
-CHI = ELECTRON.chi
 
 
 def test_energy_examples():
@@ -232,7 +231,7 @@ def test_gauss_nodes_match_scipy_and_integrate_polynomials(n):
 
 def dense_spacetime(spec, t, x, branch="both", n_nodes=2048):
     """Reference: the momentum sum with one exponential per (node, point)."""
-    p, w, sign, f, _ = _tables(spec, ELECTRON, n_nodes)
+    p, w, sign, f, _ = _tables(spec, n_nodes)
     t, x = np.broadcast_arrays(np.asarray(t, dtype=float) - spec.t0, np.asarray(x, dtype=float))
     keep = {"both": sign != 0, "plus": sign > 0, "minus": sign < 0}[branch]
     e = energy(p)

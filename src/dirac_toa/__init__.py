@@ -15,14 +15,7 @@ from .core import (
     spinor_boost,
 )
 from .detector import WindowDetector, lambda_field, window_envelope
-from .propagator import (
-    EvolutionConfig,
-    EvolutionRecord,
-    evolve,
-    free_dirac_step,
-    spectral_free_evolve,
-    strang_step,
-)
+from .propagator import EvolutionConfig, EvolutionRecord, evolve, spectral_free_evolve
 from .wavepacket import (
     PacketSpec,
     energy,
@@ -45,7 +38,6 @@ __all__ = [
     "energy",
     "evaluate_spacetime",
     "evolve",
-    "free_dirac_step",
     "initial_packet",
     "inner_product",
     "lambda_field",
@@ -53,7 +45,6 @@ __all__ = [
     "spectral_coefficients",
     "spectral_free_evolve",
     "spinor_boost",
-    "strang_step",
     "tilted_inner",
     "window_envelope",
 ]

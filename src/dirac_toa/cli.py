@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__, arrival
 from .csvio import read_manifest, write_csv, write_manifest
-from .detector import WindowDetector
+from .detector import WindowDetector, check_resolution
 from .point_analytic import arrival_density_point
 from .presets import PRESETS
 from .propagator import DomainTooSmallError, EvolutionConfig
@@ -136,7 +136,7 @@ def _check_params(command: str, params: dict) -> None:
 def parse_inputs(cfg: dict) -> Inputs:
     """Check every section and key of a resolved config and build the
     command's inputs; the lattice commands get one (packet, EvolutionConfig)
-    pair per momentum."""
+    pair per momentum, each with a step that resolves the detector edge."""
     command = cfg["run"]["command"]
     name, defaults = PARAMS[command]
     lattice = command in LATTICE_COMMANDS
@@ -154,7 +154,9 @@ def parse_inputs(cfg: dict) -> Inputs:
         det = _build(WindowDetector, cfg, "detector")
         for p0 in params.get("p0_values") or [packet.p0]:
             spec = replace(packet, p0=p0)
-            runs.append((spec, config_from_lattice(cfg.get("lattice", {}), p0, spec, det.position)))
+            run_cfg = config_from_lattice(cfg.get("lattice", {}), p0, spec, det.position)
+            check_resolution(det, run_cfg.dx)
+            runs.append((spec, run_cfg))
     return Inputs(int(cfg["run"]["seed"]), packet, params, det, runs)
 
 

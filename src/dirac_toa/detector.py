@@ -50,16 +50,22 @@ def window_envelope(spec: WindowDetector, x) -> np.ndarray:
     return env
 
 
+def check_resolution(spec: WindowDetector, dx: float) -> None:
+    """Reject a lattice spacing that under-resolves the detector's edge
+    ramps: dx must be at most edge/2."""
+    if dx > spec.edge / 2 + 1e-15:
+        raise ValueError(
+            f"grid spacing {dx} under-resolves the detector edge "
+            f"(need dx <= edge/2 = {spec.edge / 2})"
+        )
+
+
 def lambda_field(spec: WindowDetector, grid: UniformGrid) -> np.ndarray:
     """Per-site absorption rate Lambda(x) = 2 W chi envelope(x)^2 in 1/(A/c),
     shape (n,).  The rate acts on components 1 and 2 only (the particle
     projector); the stepping kernel and pdp apply it there.  The point
     detector has a closed-form treatment in point_analytic instead.
     """
-    if grid.dx > spec.edge / 2 + 1e-15:
-        raise ValueError(
-            f"grid spacing {grid.dx} under-resolves the detector edge "
-            f"(need dx <= edge/2 = {spec.edge / 2})"
-        )
+    check_resolution(spec, grid.dx)
     env = window_envelope(spec, grid.positions)
     return 2.0 * spec.height * CHI * env**2

@@ -351,18 +351,10 @@ class JumpProcess:
             x=np.where(detected, position[k], np.nan),
         )
 
-    def sample(self, rng: np.random.Generator) -> DetectionRecord:
-        """One trajectory from rng: one uniform double for the jump time and,
-        only if it is detected, one more for the channel."""
-        r = rng.uniform()
-        u = rng.random() if r <= self.p_inf else 0.0
-        return self._outcomes(np.array([r]), np.array([u]))[0]
-
     def sample_many(self, n: int, seed: int) -> DetectionRecords:
-        """n independent trajectories; trajectory i is sample(_trajectory_rng(
-        seed, i)), field for field, whatever n is.  The draws of all n
-        counter-based streams are computed at once, and the result is
-        columnar: DetectionRecords holds one array per field."""
+        """n trajectories as columns: trajectory i takes the first two
+        doubles of _trajectory_rng(seed, i), for its jump time and its
+        channel, computed for all n streams at once."""
         check_sampling_request(n, seed)
         return self._outcomes(*_first_doubles(seed, np.arange(n, dtype=np.uint64)))
 
@@ -373,13 +365,3 @@ class JumpProcess:
                                   label=record.detector_index + 1))
         return ev
 
-
-def pdp_sample(
-    initial: PlaneState,
-    channels: Sequence[DetectorChannel],
-    cfg: EvolutionConfig,
-    rng: np.random.Generator,
-    preparation: TwoVector = TwoVector(0.0, -1.0),
-) -> DetectionRecord:
-    """Single-trajectory convenience wrapper around JumpProcess."""
-    return JumpProcess(initial, channels, cfg, preparation).sample(rng)

@@ -12,6 +12,7 @@ import numpy as np
 
 from .arrival import ArrivalDensity
 from .core import CHI
+from .propagator import TAIL_MAX
 from .wavepacket import PacketSpec, _momentum_sum, _tables, energy, spectral_coefficients
 
 log = logging.getLogger(__name__)
@@ -159,7 +160,7 @@ def arrival_density_point(
     total = np.trapezoid(raw, tau_grid)
     if total <= 0.0:
         raise ValueError("transit density vanishes on this tau grid")
-    if raw[-1] > 1e-6 * raw.max():
+    if raw[-1] > TAIL_MAX * raw.max():
         log.warning("point-detector density tail has not decayed at the grid end")
     p_inf = min(1.0, kappa * float(total))
     return ArrivalDensity(tau=tau_grid, P=raw / total, P_inf=p_inf, x0=spec.x0)

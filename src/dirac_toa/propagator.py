@@ -15,12 +15,11 @@ x, so every substep is diagonal in k: a 2x2 matrix per mode on the
 component pairs (1, 4) and (2, 3).  The n_substeps substeps are
 multiplied into one cached matrix per mode.  No factor of the
 step mixes the two pairs (the absorber damps components 1 and 2, the upper
-entries; a0 is a phase; a1 mixes within a pair), so the state is stepped as
-a (pairs, 2, n) stack and a pair without norm is left out: a step costs one
-transform pair per pair that carries norm, whatever n_substeps is.  Packets
-prepared by wavepacket have components 2 and 3 zero, so they cost one.
-integrate() is the one stepping loop; evolve() and the jump sampler in pdp
-both run through it.
+entries), so the state is stepped as a (pairs, 2, n) stack and a pair
+without norm is left out: a step costs one transform pair per pair that
+carries norm, whatever n_substeps is.  Packets prepared by wavepacket have
+components 2 and 3 zero, so they cost one.  integrate() is the one stepping
+loop; evolve() and the jump sampler in pdp both run through it.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -50,16 +49,13 @@ class DomainTooSmallError(RuntimeError):
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Lattice and run parameters.  dx must equal dtau (light-cone lattice);
-    static potentials a0(x), a1(x) are optional and default to off."""
+    """Lattice and run parameters.  dx must equal dtau (light-cone lattice)."""
 
     dtau: float
     x_lo: float
     x_hi: float
     tau_max: float
     n_substeps: int = 64
-    a0: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    a1: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.dtau <= 0:
@@ -132,12 +128,12 @@ def _step_matrix(n: int, dx: float, dtau: float, n_substeps: int, chi: float) ->
     return step
 
 
-def _to_pairs(values: np.ndarray, pairs: Sequence[tuple[int, int]] = PAIRS) -> np.ndarray:
+def _to_pairs(values: np.ndarray, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
     """The (P, 2, n) stack of the given (upper, lower) component pairs (a copy)."""
     return values[np.array(pairs, dtype=int).reshape(-1, 2)]
 
 
-def _from_pairs(stack: np.ndarray, pairs: Sequence[tuple[int, int]] = PAIRS) -> np.ndarray:
+def _from_pairs(stack: np.ndarray, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
     """The (4, n) component array of a pair stack; absent pairs are zero."""
     values = np.zeros((4, stack.shape[-1]), dtype=complex)
     values[np.array(pairs, dtype=int).reshape(-1, 2)] = stack
@@ -155,71 +151,26 @@ def _free_step(stack: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
     return np.fft.ifft(f, axis=-1)
 
 
-def _pointwise_stage(stack: np.ndarray, tables: tuple) -> np.ndarray:
-    """Half absorber, a0 phase and a1 mixing, in place on a pair stack.  The
-    absorber damps the upper entries (components 1 and 2) on its window."""
-    absorb, pot_phase, pot_mix = tables
-    if absorb is not None:
-        window, half_absorb = absorb
+def _half_absorber(dtau: float, rate: np.ndarray):
+    """(window, factors) of the absorber half-stage for an (n,) rate, or None
+    if nothing is absorbed.  The state norm decays at rate Lambda, so the
+    amplitude factor is exp(-Lambda dtau/4) per half stage; off the rate's
+    support it is exactly 1.0 and the window leaves it out."""
+    half_absorb = np.exp(-dtau * rate / 4.0)
+    support = np.flatnonzero(half_absorb != 1.0)
+    if not support.size:
+        return None
+    window = slice(support[0], support[-1] + 1)
+    return window, half_absorb[window]
+
+
+def _absorb(stack: np.ndarray, absorber) -> np.ndarray:
+    """The absorber half-stage, in place on a pair stack: it damps the upper
+    entries (components 1 and 2) on its window."""
+    if absorber is not None:
+        window, half_absorb = absorber
         stack[:, 0, window] *= half_absorb
-    if pot_phase is not None:
-        stack *= pot_phase
-    if pot_mix is not None:
-        cos_a, i_sin_a = pot_mix
-        upper = stack[:, 0].copy()
-        stack[:, 0] = cos_a * upper + i_sin_a * stack[:, 1]
-        stack[:, 1] = cos_a * stack[:, 1] + i_sin_a * upper
     return stack
-
-
-def _pointwise_tables(cfg: EvolutionConfig, grid: UniformGrid, rate: np.ndarray | None):
-    absorb = None
-    if rate is not None:
-        # state norm decays at rate Lambda: amplitude factor exp(-Lambda dtau/4)
-        # per half stage; off the rate's support the factor is exactly 1.0
-        half_absorb = np.exp(-cfg.dtau * rate / 4.0)
-        support = np.flatnonzero(half_absorb != 1.0)
-        if support.size:
-            window = slice(support[0], support[-1] + 1)
-            absorb = (window, half_absorb[window])
-    pot_phase = None
-    pot_mix = None
-    x = grid.positions
-    if cfg.a0 is not None:
-        pot_phase = np.exp(-1j * cfg.dtau / 2 * CHI * np.asarray(cfg.a0(x)))
-    if cfg.a1 is not None:
-        ang = cfg.dtau / 2 * CHI * np.asarray(cfg.a1(x))
-        pot_mix = (np.cos(ang), 1j * np.sin(ang))
-    return absorb, pot_phase, pot_mix
-
-
-def _strang(stack: np.ndarray, tables: tuple, cfg: EvolutionConfig) -> np.ndarray:
-    """Half absorption/potential, free step, half again, on a pair stack."""
-    stack = _pointwise_stage(stack, tables)
-    return _pointwise_stage(_free_step(stack, cfg), tables)
-
-
-def free_dirac_step(state: PlaneState, cfg: EvolutionConfig) -> PlaneState:
-    """One free step of length dtau: transport + mass rotation, no detector.
-
-    Massless fields advect by exactly one site per step (periodic wrap);
-    with mass the step is second-order accurate in dtau per substep.
-    """
-    if abs(state.dx - cfg.dx) > 1e-15:
-        raise ValueError("state grid spacing does not match cfg (dx must equal dtau)")
-    vals = _from_pairs(_free_step(_to_pairs(state.values), cfg))
-    return PlaneState(state.x_min, state.dx, vals)
-
-
-def strang_step(state: PlaneState, rate: np.ndarray | None, cfg: EvolutionConfig) -> PlaneState:
-    """One full step: half absorption/potential, free step, half again.
-
-    rate is the (n,) field from lambda_field, acting on components 1 and 2,
-    or None.
-    """
-    tables = _pointwise_tables(cfg, state.grid, rate)
-    vals = _from_pairs(_strang(_to_pairs(state.values), tables, cfg))
-    return PlaneState(state.x_min, state.dx, vals)
 
 
 def spectral_free_evolve(state: PlaneState, tau: float) -> PlaneState:
@@ -255,27 +206,18 @@ def integrate(
     channel, and detection_density is their sum.  Walls absorb: a strip of
     WALL_SITES sites at each domain edge is zeroed after every step and the
     removed norm is accounted as boundary leakage.  Rejects the run if
-    leakage exceeds LEAKAGE_REJECT, and an a0 whose force could push the
-    packet out of the lattice's momentum band |k| < pi/dx within the run.
+    leakage exceeds LEAKAGE_REJECT.
 
-    The state is stepped as a stack of the PAIRS that carry norm at the
-    start.  Every factor of the step maps a pair into itself, so a pair that
-    starts at zero stays exactly zero; it is skipped, and written back as
-    zeros in final_state.
+    A step is absorber half-stage, free step, absorber half-stage.  The
+    state is stepped as a stack of the PAIRS that carry norm at the start.
+    Every factor of the step maps a pair into itself, so a pair that starts
+    at zero stays exactly zero; it is skipped, and written back as zeros in
+    final_state.
     """
     grid = initial.grid
     dx = grid.dx
-    if cfg.a0 is not None:
-        a0 = np.broadcast_to(cfg.a0(grid.positions), grid.positions.shape)
-        kick = CHI * np.abs(np.diff(a0)).max(initial=0.0) / dx * n_steps * cfg.dtau
-        if kick >= np.pi / dx:
-            raise ValueError(
-                f"a0 can shift the momentum by {kick:.3g}/A in {n_steps} steps, past the "
-                f"lattice band |k| < pi/dx = {np.pi / dx:.3g}/A"
-            )
-    total_rate = np.sum(rates, axis=0) if len(rates) else None
     rows = np.reshape(rates, (-1, grid.n))
-    tables = _pointwise_tables(cfg, grid, total_rate)
+    absorber = _half_absorber(cfg.dtau, rows.sum(axis=0))
 
     tau = cfg.dtau * np.arange(n_steps + 1)
     surv = np.empty(n_steps + 1)
@@ -292,7 +234,7 @@ def integrate(
 
     record(0, np.abs(stack) ** 2)
     for m in range(1, n_steps + 1):
-        stack = _strang(stack, tables, cfg)
+        stack = _absorb(_free_step(_absorb(stack, absorber), cfg), absorber)
         dens = np.abs(stack) ** 2
         lost = (np.sum(dens[..., :w]) + np.sum(dens[..., -w:])) * dx
         leak[m] = leak[m - 1] + lost

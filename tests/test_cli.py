@@ -159,6 +159,23 @@ def test_rejected_run_exits_nonzero(tmp_path):
     assert main(["density", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
 
 
+def test_edge_resolution_is_checked_for_every_run_before_anything_runs(tmp_path, caplog):
+    """dtau = dx follows the momentum: p0 = 2 runs at 0.000375, which
+    resolves edge = 0.001, but p0 = 0.25 runs at 0.001, which does not.  The
+    config is rejected before the first run writes anything."""
+    cfg = tmp_path / "edge.cfg"
+    write_manifest(cfg, {
+        "run": {"command": "density"},
+        "detector": {"width": 0.01, "edge": 0.001},
+        "lattice": {"x_lo": -4.0, "x_hi": 2.0, "tau_max": 0.1, "n_substeps": 2},
+        "scan": {"p0_values": "2 0.25"},
+    })
+    out = tmp_path / "out"
+    assert main(["density", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "under-resolves the detector edge" in caplog.text
+    assert not out.exists()
+
+
 def test_unknown_preset_and_wrong_command(tmp_path, caplog):
     cfg = _tiny_scan_config(tmp_path)
     for args, message in [

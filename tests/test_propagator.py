@@ -12,12 +12,15 @@ from dirac_toa.propagator import (
     WALL_SITES,
     DomainTooSmallError,
     EvolutionConfig,
+    _absorb,
+    _free_step,
+    _from_pairs,
+    _half_absorber,
     _step_matrix,
+    _to_pairs,
     evolve,
-    free_dirac_step,
     integrate,
     spectral_free_evolve,
-    strang_step,
 )
 from dirac_toa.wavepacket import PacketSpec, group_velocity, initial_packet
 
@@ -29,6 +32,14 @@ def _chiral_right_mover(grid: UniformGrid, site: int) -> PlaneState:
     vals[0, site] = 1 / np.sqrt(2)
     vals[3, site] = 1 / np.sqrt(2)
     return PlaneState(grid.x_min, grid.dx, vals)
+
+
+def _periodic_step(state: PlaneState, cfg: EvolutionConfig, rate=0.0) -> PlaneState:
+    """One step of integrate's kernel on all four rows, with no wall strip:
+    absorber half-stage at a uniform or (n,) rate, free step, half-stage."""
+    half = _half_absorber(cfg.dtau, np.broadcast_to(rate, (state.grid.n,)))
+    stack = _absorb(_free_step(_absorb(_to_pairs(state.values, PAIRS), half), cfg), half)
+    return PlaneState(state.x_min, state.dx, _from_pairs(stack, PAIRS))
 
 
 def _substep_reference(values: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
@@ -55,27 +66,21 @@ def test_fused_free_step_matches_substep_loop(n_substeps, n, seed):
     vals = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
     dx = 0.002
     cfg = EvolutionConfig(dtau=dx, x_lo=0, x_hi=n * dx, tau_max=1, n_substeps=n_substeps)
-    out = free_dirac_step(PlaneState(0.0, dx, vals), cfg)
+    out = _periodic_step(PlaneState(0.0, dx, vals), cfg)
     ref = _substep_reference(vals, cfg)
     assert np.abs(out.values - ref).max() < 1e-12 * np.abs(vals).max()
 
 
 def _four_row_reference(initial: PlaneState, rates, cfg: EvolutionConfig, n_steps: int):
     """integrate() as a loop over all four component rows: Strang step
-    against the summed absorber with a0/a1, wall strip, per-channel record."""
+    against the summed absorber, wall strip, per-channel record."""
     v, dx, w = initial.values.copy(), cfg.dx, WALL_SITES
     m = _step_matrix(v.shape[1], dx, cfg.dtau, cfg.n_substeps, CHI)
-    x = initial.grid.positions
     half_absorb = np.exp(-cfg.dtau * np.sum(rates, axis=0) / 4.0)
-    phase = np.exp(-1j * cfg.dtau / 2 * CHI * cfg.a0(x))
-    ang = cfg.dtau / 2 * CHI * cfg.a1(x)
-    c, s = np.cos(ang), 1j * np.sin(ang)
 
     def pointwise(v):
         v[:2] *= half_absorb
-        v *= phase
-        return np.array([c * v[0] + s * v[3], c * v[1] + s * v[2],
-                         c * v[2] + s * v[1], c * v[3] + s * v[0]])
+        return v
 
     def record(v):
         dens = np.abs(v) ** 2
@@ -109,10 +114,7 @@ def test_pair_stack_matches_four_row_loop(populated, n_substeps, n, n_steps, see
     dx = 0.01
     grid = UniformGrid(-n * dx / 2, dx, n)
     x = grid.positions
-    k0, k1 = rng.uniform(-3.0, 3.0, size=2)
-    a0, a1 = rng.uniform(-0.3, 0.3, size=2)  # keeps the momentum kick well inside the band
-    cfg = EvolutionConfig(dtau=dx, x_lo=x[0], x_hi=x[-1], tau_max=1.0, n_substeps=n_substeps,
-                          a0=lambda x: a0 * np.cos(k0 * x), a1=lambda x: a1 * np.sin(k1 * x))
+    cfg = EvolutionConfig(dtau=dx, x_lo=x[0], x_hi=x[-1], tau_max=1.0, n_substeps=n_substeps)
     vals = np.zeros((4, n), dtype=complex)
     rows = len(populated)
     amp = rng.normal(size=(rows, 1)) + 1j * rng.normal(size=(rows, 1))
@@ -168,13 +170,13 @@ def test_massless_step_is_exact_shift(monkeypatch):
     grid = UniformGrid(0.0, 0.01, 64)
     cfg = EvolutionConfig(dtau=0.01, x_lo=0, x_hi=0.64, tau_max=1)
     st = _chiral_right_mover(grid, 10)
-    out = free_dirac_step(st, cfg)
+    out = integrate(st, [], cfg, 1).final_state
     expect = np.zeros_like(st.values)
     expect[0, 11] = 1 / np.sqrt(2)
     expect[3, 11] = 1 / np.sqrt(2)
     assert np.abs(out.values - expect).max() < 1e-12
     # two steps shift two sites, norm exact
-    out2 = free_dirac_step(out, cfg)
+    out2 = integrate(st, [], cfg, 2).final_state
     assert np.abs(out2.values[0, 12]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
     assert out2.norm_sq() == pytest.approx(st.norm_sq(), abs=1e-12)
 
@@ -185,7 +187,7 @@ def test_single_site_norm_with_mass_only():
     vals = np.zeros((4, grid.n), dtype=complex)
     vals[0, 16] = 1.0
     st = PlaneState(grid.x_min, grid.dx, vals)
-    out = free_dirac_step(st, cfg)
+    out = _periodic_step(st, cfg)
     assert out.norm_sq() == pytest.approx(st.norm_sq(), abs=1e-12)
 
 
@@ -204,7 +206,7 @@ def test_plane_wave_dispersion():
     spinor /= np.linalg.norm(spinor)
     vals = spinor[:, None] * np.exp(1j * k * grid.positions)[None, :] / np.sqrt(n * dx)
     st = PlaneState(grid.x_min, grid.dx, vals)
-    out = free_dirac_step(st, cfg)
+    out = _periodic_step(st, cfg)
 
     overlap = np.sum(np.conj(st.values) * out.values) * dx
     phase = -np.angle(overlap)
@@ -225,9 +227,7 @@ def test_free_evolution_matches_oracle_second_order():
         grid = UniformGrid.from_domain(-2.2, 0.0, dx)
         cfg = EvolutionConfig(dtau=dx, x_lo=-2.2, x_hi=0.0, tau_max=0.2, n_substeps=64)
         st = initial_packet(spec, grid)
-        lat = st
-        for _ in range(cfg.n_steps):
-            lat = free_dirac_step(lat, cfg)
+        lat = integrate(st, [], cfg, cfg.n_steps).final_state
         oracle = spectral_free_evolve(st, 0.2)
         errs[dx] = np.sqrt(np.sum(np.abs(lat.values - oracle.values) ** 2) * dx)
     assert errs[0.001] < 1e-3
@@ -244,8 +244,7 @@ def test_strang_step_uniform_absorber_decay(monkeypatch):
     vals[0] = 1.0
     st = PlaneState(grid.x_min, grid.dx, vals)
     r = 3.0
-    rate = np.full(grid.n, r)
-    out = strang_step(st, rate, cfg)
+    out = _periodic_step(st, cfg, r)
     assert out.norm_sq() / st.norm_sq() == pytest.approx(np.exp(-r * cfg.dtau), rel=1e-12)
 
 
@@ -253,22 +252,8 @@ def test_strang_step_zero_rate_is_unitary():
     grid = UniformGrid(0.0, 0.01, 64)
     cfg = EvolutionConfig(dtau=0.01, x_lo=0, x_hi=0.64, tau_max=1)
     st = _chiral_right_mover(grid, 20)
-    out = strang_step(st, None, cfg)
+    out = _periodic_step(st, cfg)
     assert out.norm_sq() == pytest.approx(st.norm_sq(), abs=1e-12)
-
-
-def test_static_scalar_potential_phase():
-    """Constant A0 multiplies the state by a pure global phase per step."""
-    grid = UniformGrid(0.0, 0.01, 64)
-    a0 = 0.37
-    cfg = EvolutionConfig(dtau=0.01, x_lo=0, x_hi=0.64, tau_max=1,
-                          a0=lambda x: np.full_like(x, a0))
-    cfg_free = EvolutionConfig(dtau=0.01, x_lo=0, x_hi=0.64, tau_max=1)
-    st = _chiral_right_mover(grid, 30)
-    out = strang_step(st, None, cfg)
-    ref = strang_step(st, None, cfg_free)
-    expected_phase = np.exp(-1j * cfg.dtau * CHI * a0)
-    np.testing.assert_allclose(out.values, expected_phase * ref.values, atol=1e-12)
 
 
 def test_spectral_oracle_properties():
@@ -360,16 +345,3 @@ def test_tail_ok_reads_the_record_it_belongs_to():
     assert full.tail_ratio < TAIL_MAX
     assert full.tail_ok
 
-
-def test_integrate_rejects_a0_that_leaves_the_momentum_band():
-    """a0 = 3x on dx = 0.01 kicks the momentum by chi * 3 per A/c; past
-    tau = pi / (dx chi 3) = 0.40 the packet would wrap past pi/dx."""
-    dx, n = 0.01, 400
-    grid = UniformGrid(-n * dx / 2, dx, n)
-    x = grid.positions
-    vals = np.zeros((4, n), dtype=complex)
-    vals[0] = np.exp(-(x / 0.2) ** 2)
-    vals /= np.sqrt(np.sum(np.abs(vals) ** 2) * dx)
-    cfg = EvolutionConfig(dtau=dx, x_lo=x[0], x_hi=x[-1], tau_max=1.0, a0=lambda x: 3.0 * x)
-    with pytest.raises(ValueError, match="band"):
-        integrate(PlaneState(grid.x_min, dx, vals), [], cfg, cfg.n_steps)

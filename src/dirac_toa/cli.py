@@ -152,6 +152,8 @@ def parse_inputs(cfg: dict) -> Inputs:
     det, runs = None, []
     if lattice:
         det = _build(WindowDetector, cfg, "detector")
+        if det.height == 0.0:
+            raise ValueError(f"[detector] height = 0 detects nothing: {command} needs height > 0")
         for p0 in params.get("p0_values") or [packet.p0]:
             spec = replace(packet, p0=p0)
             run_cfg = config_from_lattice(cfg.get("lattice", {}), p0, spec, det.position)

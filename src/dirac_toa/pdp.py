@@ -313,9 +313,12 @@ class JumpProcess:
         self.p_inf = float(self.absorbed[-1])
 
     def state_at(self, tau_target: float) -> PlaneState:
-        """Re-integrate the deterministic evolution up to tau_target."""
-        m = int(np.floor(tau_target / self.cfg.dtau + 1e-12))
-        return integrate(self._initial, self._rates, self.cfg, m).final_state
+        """The state at the last record sample at or before tau_target (a
+        target within roundoff of a sample reaches it), re-integrated from
+        the prepared state."""
+        m = np.searchsorted(self.tau, tau_target * (1.0 + 1e-12), side="right") - 1
+        n_steps = int(round(self.tau[m] / self.cfg.dtau))
+        return integrate(self._initial, self._rates, self.cfg, n_steps).final_state
 
     def _outcomes(self, r: np.ndarray, u: np.ndarray) -> DetectionRecords:
         """Trajectories for uniform draws r (jump time) and u (channel).
@@ -332,7 +335,8 @@ class JumpProcess:
         hi = np.clip(m, 1, len(absorbed) - 1)
         a0, gap = absorbed[hi - 1], absorbed[hi] - absorbed[hi - 1]
         frac = np.divide(r - a0, gap, out=np.zeros(len(r)), where=gap != 0.0)
-        tau = np.where(m == 0, self.tau[0], self.tau[hi - 1] + frac * self.cfg.dtau)
+        tau = np.where(m == 0, self.tau[0],
+                       self.tau[hi - 1] + frac * (self.tau[hi] - self.tau[hi - 1]))
         tau = np.where(detected, tau, float(self.cfg.tau_max))
 
         dens = np.array([np.interp(tau, self.tau, d) for d in self.channel_density])

@@ -1,14 +1,18 @@
 """Lattice integration of the proper-time evolution: Dirac transport + mass
 rotation + absorptive detector coupling, plus a spectral free-flight oracle.
 
-The outer step keeps the light-cone alignment dx = dtau.  Its free part is a
+The lattice is light-cone locked: dx = dtau.  A site step's free part is a
 Strang splitting of the mass rotation against exact Fourier advection
 (split-operator scheme, Feit, Fleck & Steiger, J. Comput. Phys. 47, 412
 (1982)), subcycled n_substeps times; the splitting error is the only
 time-integration error and scales as (dtau/n_substeps)^2, small enough that
 arrival-time observables are dominated by physics, not the scheme.  The
 n_substeps = 1 limit is the plain light-cone scheme (advection = exact
-one-site shift).
+one-site shift).  Advection is exact in Fourier space for any step length,
+so against a weak absorber integrate() takes outer steps of STRIDE site
+steps: the free part of one outer step is STRIDE site steps' worth of the
+same substeps, and the absorber, wall strip and record run once per outer
+step.
 
 The transforms are numpy.fft's (pocketfft).  The mass term is uniform in
 x, so every substep is diagonal in k: a 2x2 matrix per mode on the
@@ -16,10 +20,11 @@ component pairs (1, 4) and (2, 3).  The n_substeps substeps are
 multiplied into one cached matrix per mode.  No factor of the
 step mixes the two pairs (the absorber damps components 1 and 2, the upper
 entries), so the state is stepped as a (pairs, 2, n) stack and a pair
-without norm is left out: a step costs one transform pair per pair that
-carries norm, whatever n_substeps is.  Packets prepared by wavepacket have
-components 2 and 3 zero, so they cost one.  integrate() is the one stepping
-loop; evolve() and the jump sampler in pdp both run through it.
+without norm is left out: an outer step costs one transform pair per pair
+that carries norm, whatever n_substeps and the stride are.  Packets
+prepared by wavepacket have components 2 and 3 zero, so they cost one.
+integrate() is the one stepping loop; evolve() and the jump sampler in pdp
+both run through it.
 """
 
 from __future__ import annotations
@@ -40,6 +45,11 @@ LEAKAGE_WARN = 1e-6
 LEAKAGE_REJECT = 1e-3
 TAIL_MAX = 1e-6  # contract on d(tau_max) / max d
 WALL_SITES = 4
+STRIDE = 2  # site steps per outer step against a weak absorber
+WEAK_ABSORBER = 1e-3  # max(summed rate) * STRIDE * dtau at or below which a run strides
+# The strip is zeroed once per outer step, in which light crosses STRIDE sites;
+# a strip narrower than that would let norm cross the periodic seam unzeroed.
+assert STRIDE <= WALL_SITES
 PAIRS = ((0, 3), (1, 2))  # the (upper, lower) component pairs that alpha couples
 
 
@@ -49,7 +59,9 @@ class DomainTooSmallError(RuntimeError):
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Lattice and run parameters.  dx must equal dtau (light-cone lattice)."""
+    """Lattice and run parameters.  dx equals dtau (light-cone lattice); a run
+    of n_steps site steps takes outer steps of 1 or STRIDE site steps, as
+    integrate chooses from the absorber."""
 
     dtau: float
     x_lo: float
@@ -81,9 +93,10 @@ class EvolutionConfig:
 
 @dataclass
 class EvolutionRecord:
-    """Per-step samples of one run: detection density d(tau) = <Psi|Lambda Psi>,
-    survival S(tau) = <Psi|Psi>, and cumulative wall leakage.  channel_density
-    splits d(tau) into one row per detection channel."""
+    """Samples of one run at every outer step: detection density
+    d(tau) = <Psi|Lambda Psi>, survival S(tau) = <Psi|Psi>, and cumulative
+    wall leakage.  channel_density splits d(tau) into one row per detection
+    channel."""
 
     tau_samples: np.ndarray
     detection_density: np.ndarray
@@ -140,10 +153,10 @@ def _from_pairs(stack: np.ndarray, pairs: Sequence[tuple[int, int]]) -> np.ndarr
     return values
 
 
-def _free_step(stack: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
+def _free_step(stack: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Free step on a (P, 2, n) pair stack: one transform pair over the
-    stack, then the per-mode step matrix on every (upper, lower) pair."""
-    m = _step_matrix(stack.shape[-1], cfg.dx, cfg.dtau, cfg.n_substeps, CHI)
+    stack, then the per-mode step matrix m from _step_matrix on every
+    (upper, lower) pair."""
     f = np.fft.fft(stack, axis=-1)
     upper, lower = f[:, 0].copy(), f[:, 1]
     f[:, 0] = m[0, 0] * upper + m[0, 1] * lower
@@ -152,16 +165,15 @@ def _free_step(stack: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
 
 
 def _half_absorber(dtau: float, rate: np.ndarray):
-    """(window, factors) of the absorber half-stage for an (n,) rate, or None
-    if nothing is absorbed.  The state norm decays at rate Lambda, so the
-    amplitude factor is exp(-Lambda dtau/4) per half stage; off the rate's
-    support it is exactly 1.0 and the window leaves it out."""
-    half_absorb = np.exp(-dtau * rate / 4.0)
-    support = np.flatnonzero(half_absorb != 1.0)
+    """(window, factors) of the absorber half-stage of a step of length dtau
+    for an (n,) rate, or None if the rate is zero everywhere.  The state norm
+    decays at rate Lambda, so the amplitude factor is exp(-Lambda dtau/4) per
+    half stage; the window spans the rate's support."""
+    support = np.flatnonzero(rate)
     if not support.size:
         return None
     window = slice(support[0], support[-1] + 1)
-    return window, half_absorb[window]
+    return window, np.exp(-dtau * rate[window] / 4.0)
 
 
 def _absorb(stack: np.ndarray, absorber) -> np.ndarray:
@@ -199,49 +211,59 @@ def integrate(
     cfg: EvolutionConfig,
     n_steps: int,
 ) -> EvolutionRecord:
-    """The stepping loop: n_steps Strang steps against the summed absorber.
+    """The stepping loop: at least n_steps site steps of Strang splitting
+    against the summed absorber, recorded once per outer step.
 
     rates holds one (n,) field from lambda_field per detection channel;
     the record's channel_density has one row of <Psi|Lambda_c Psi> per
     channel, and detection_density is their sum.  Walls absorb: a strip of
-    WALL_SITES sites at each domain edge is zeroed after every step and the
-    removed norm is accounted as boundary leakage.  Rejects the run if
+    WALL_SITES sites at each domain edge is zeroed after every outer step and
+    the removed norm is accounted as boundary leakage.  Rejects the run if
     leakage exceeds LEAKAGE_REJECT.
 
-    A step is absorber half-stage, free step, absorber half-stage.  The
-    state is stepped as a stack of the PAIRS that carry norm at the start.
-    Every factor of the step maps a pair into itself, so a pair that starts
-    at zero stays exactly zero; it is skipped, and written back as zeros in
-    final_state.
+    An outer step is s site steps, s = STRIDE for a weak absorber
+    (max(summed rate) * STRIDE * dtau <= WEAK_ABSORBER) and 1 otherwise:
+    absorber half-stage, free step of length s*dtau, absorber half-stage.
+    n_steps is rounded up to a whole number of outer steps, and tau_samples
+    holds the times actually reached.  The state is stepped as a stack of
+    the PAIRS that carry norm at the start.  Every factor of the step maps a
+    pair into itself, so a pair that starts at zero stays exactly zero; it
+    is skipped, and written back as zeros in final_state.
     """
     grid = initial.grid
     dx = grid.dx
     rows = np.reshape(rates, (-1, grid.n))
-    absorber = _half_absorber(cfg.dtau, rows.sum(axis=0))
+    rate = rows.sum(axis=0)
+    s = STRIDE if rate.max(initial=0.0) * STRIDE * cfg.dtau <= WEAK_ABSORBER else 1
+    free = _step_matrix(grid.n, dx, s * cfg.dtau, s * cfg.n_substeps, CHI)
+    absorber = _half_absorber(s * cfg.dtau, rate)
+    window = absorber[0] if absorber else slice(0, 0)
+    window_rows = rows[:, window]
+    strips = np.r_[:WALL_SITES, grid.n - WALL_SITES:grid.n]
 
-    tau = cfg.dtau * np.arange(n_steps + 1)
-    surv = np.empty(n_steps + 1)
-    chan_dens = np.zeros((len(rates), n_steps + 1))
-    leak = np.zeros(n_steps + 1)
+    n_outer = -(-n_steps // s)
+    tau = s * cfg.dtau * np.arange(n_outer + 1)
+    surv = np.empty(n_outer + 1)
+    chan_dens = np.zeros((len(rates), n_outer + 1))
+    leak = np.zeros(n_outer + 1)
 
     live = [pair for pair in PAIRS if np.any(initial.values[list(pair)])]
     stack = _to_pairs(initial.values, live)
-    w = WALL_SITES
 
-    def record(m, dens):
-        surv[m] = np.sum(dens) * dx
-        chan_dens[:, m] = np.sum(rows * dens[:, 0].sum(axis=0), axis=1) * dx
+    def record(m):
+        # the detectors see only the upper entries, on the absorber window
+        upper = stack[:, 0, window]
+        surv[m] = np.vdot(stack, stack).real * dx
+        chan_dens[:, m] = window_rows @ np.sum(upper.real**2 + upper.imag**2, axis=0) * dx
 
-    record(0, np.abs(stack) ** 2)
-    for m in range(1, n_steps + 1):
-        stack = _absorb(_free_step(_absorb(stack, absorber), cfg), absorber)
-        dens = np.abs(stack) ** 2
-        lost = (np.sum(dens[..., :w]) + np.sum(dens[..., -w:])) * dx
+    record(0)
+    for m in range(1, n_outer + 1):
+        stack = _absorb(_free_step(_absorb(stack, absorber), free), absorber)
+        lost = np.sum(np.abs(stack[..., strips]) ** 2) * dx
         leak[m] = leak[m - 1] + lost
         if lost:
-            stack[..., :w] = dens[..., :w] = 0.0
-            stack[..., -w:] = dens[..., -w:] = 0.0
-        record(m, dens)
+            stack[..., strips] = 0.0
+        record(m)
 
         if leak[m] > LEAKAGE_REJECT:
             raise DomainTooSmallError(
@@ -273,8 +295,9 @@ def evolve(
     det: WindowDetector | None,
     cfg: EvolutionConfig,
 ) -> EvolutionRecord:
-    """Integrate to tau_max recording d(tau) and S(tau) each step (see
-    integrate for the wall treatment), then check that d(tau) has decayed.
+    """Integrate to tau_max recording d(tau) and S(tau) each outer step (see
+    integrate for the stride and the wall treatment), then check that d(tau)
+    has decayed.
     det None or of zero height is a free run."""
     detectors = []
     if det is not None and det.height != 0.0:

@@ -86,7 +86,9 @@ def _scan_one(args):
     The companion runs at dtau/lambda rather than lambda*dtau: coarsening
     would also coarsen dx (the lattice is light-cone locked) past the
     detector-edge resolution contract.  The estimator uses the same
-    two-resolution difference either way.
+    two-resolution difference either way.  Refining dtau refines dx, which
+    carries the error; both runs choose their outer step by integrate's rule,
+    so against a weak detector each steps 2 dtau at a time on its own lattice.
     """
     spec, det, cfg, richardson_lambda = args
     base = arrival_run(spec, det, cfg)
@@ -188,7 +190,7 @@ def pdp_study(
 
     taus = records.tau_detect[records.detected]
     dens = process.detection_density
-    cum = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2 * cfg.dtau)])
+    cum = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2 * np.diff(process.tau))])
     cum /= cum[-1]
     ks = _ks_statistic(taus, lambda x: np.interp(x, process.tau, cum))
     return PdpStudyResult(

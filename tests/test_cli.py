@@ -176,6 +176,22 @@ def test_edge_resolution_is_checked_for_every_run_before_anything_runs(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, preset", [
+    ("density", "fig4-desk"), ("pdp", "pdp-desk"), ("arrival-scan", "fig2-desk"),
+    ("frames", "fig10-desk"),
+])
+def test_zero_height_detector_is_rejected_before_anything_runs(command, preset, tmp_path,
+                                                               caplog):
+    """A detector of height 0 detects nothing: a run would have no density to
+    normalize (density, arrival-scan, frames) or a KS reference of 0/0 (pdp)."""
+    cfg = tmp_path / "zero.cfg"
+    write_manifest(cfg, {"run": {"command": command}, "detector": {"height": 0}})
+    out = tmp_path / "out"
+    assert main([command, "--preset", preset, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "[detector] height = 0" in caplog.text
+    assert not out.exists()
+
+
 def test_unknown_preset_and_wrong_command(tmp_path, caplog):
     cfg = _tiny_scan_config(tmp_path)
     for args, message in [

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from dirac_toa import pdp
 from dirac_toa.core import PlaneState, TwoVector, UniformGrid
-from dirac_toa.detector import WindowDetector
+from dirac_toa.detector import WindowDetector, lambda_field
 from dirac_toa.pdp import (
     DetectionRecord,
     DetectorChannel,
@@ -20,7 +20,7 @@ from dirac_toa.pdp import (
     ideal_measurement_run,
     validate_event_order,
 )
-from dirac_toa.propagator import EvolutionConfig, evolve
+from dirac_toa.propagator import STRIDE, EvolutionConfig, evolve, integrate
 from dirac_toa.studies import _ks_statistic, pdp_study, prepare_omega
 from dirac_toa.wavepacket import PacketSpec
 
@@ -185,10 +185,40 @@ def test_conditional_arrival_times_match_density():
     recs = proc.sample_many(4000, seed=99)
     taus = np.array([r.tau_detect for r in recs if r.detected])
     d = proc.detection_density
-    cum = np.concatenate([[0.0], np.cumsum((d[1:] + d[:-1]) / 2 * cfg.dtau)])
+    cum = np.concatenate([[0.0], np.cumsum((d[1:] + d[:-1]) / 2 * np.diff(proc.tau))])
     cum /= cum[-1]
     ks = stats.kstest(taus, lambda x: np.interp(x, proc.tau, cum)).statistic
     assert ks < 0.03
+
+
+def test_weak_detector_run_strides_and_the_sampler_reads_its_record():
+    """A detector weak enough to stride (max rate * 2 dtau = 8.3e-4): the
+    record steps 2 dtau, each jump time inverts the absorbed norm inside its
+    outer step, the jump times follow the density (KS), and state_at gives
+    the state at the last record sample at or before the target."""
+    spec = PacketSpec(p0=0.75)
+    det = WindowDetector(height=2e-4, width=1.0, edge=0.05)
+    cfg = EvolutionConfig(dtau=0.004, x_lo=-4.0, x_hi=2.0, tau_max=4.0, n_substeps=4)
+    n, seed = 20000, 5
+    result = pdp_study(spec, det, cfg, n, seed)
+    proc, recs = result.process, result.records
+    step = STRIDE * cfg.dtau
+    np.testing.assert_allclose(np.diff(proc.tau), step, rtol=1e-9)
+
+    r, _ = _first_doubles(seed, np.arange(n, dtype=np.uint64))
+    hit = recs.detected
+    inverted = np.interp(recs.tau_detect[hit], proc.tau, proc.absorbed)
+    assert np.abs(inverted - r[hit]).max() < 1e-12
+    assert result.detected > 1000
+    assert result.ks_statistic < 1.95 / np.sqrt(result.detected)  # 99.9 % level
+
+    k = int(np.argmax(proc.detection_density))
+    psi = proc.state_at(proc.tau[k] + 0.75 * step)
+    initial = prepare_omega(spec, cfg, detector_position=det.position)
+    ref = integrate(initial, [lambda_field(det, initial.grid)], cfg, k * STRIDE).final_state
+    np.testing.assert_array_equal(psi.values, ref.values)
+    assert psi.norm_sq() == pytest.approx(proc.survival[k], abs=1e-12)
+    np.testing.assert_array_equal(proc.state_at(proc.tau[k]).values, ref.values)
 
 
 def test_post_jump_state_unit_norm():
@@ -283,7 +313,7 @@ def _reference_sample(proc, rng):
     else:
         a0, a1 = absorbed[m - 1], absorbed[m]
         frac = 0.0 if a1 == a0 else (r - a0) / (a1 - a0)
-        tau = float(proc.tau[m - 1] + frac * proc.cfg.dtau)
+        tau = float(proc.tau[m - 1] + frac * (proc.tau[m] - proc.tau[m - 1]))
     dens = np.array([np.interp(tau, proc.tau, d) for d in proc.channel_density])
     probs = dens / dens.sum() if dens.sum() > 0.0 else np.full(len(dens), 1.0 / len(dens))
     k = int(rng.choice(len(probs), p=probs))

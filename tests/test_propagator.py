@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from dirac_toa.core import CHI, PlaneState, UniformGrid
 from dirac_toa.detector import WindowDetector, lambda_field
 from dirac_toa.propagator import (
     PAIRS,
+    STRIDE,
     TAIL_MAX,
     WALL_SITES,
     DomainTooSmallError,
@@ -22,6 +25,7 @@ from dirac_toa.propagator import (
     integrate,
     spectral_free_evolve,
 )
+from dirac_toa.studies import arrival_run, config_from_lattice
 from dirac_toa.wavepacket import PacketSpec, group_velocity, initial_packet
 
 MASSLESS_CHI = 1e-12  # stand-in for m = 0
@@ -37,8 +41,10 @@ def _chiral_right_mover(grid: UniformGrid, site: int) -> PlaneState:
 def _periodic_step(state: PlaneState, cfg: EvolutionConfig, rate=0.0) -> PlaneState:
     """One step of integrate's kernel on all four rows, with no wall strip:
     absorber half-stage at a uniform or (n,) rate, free step, half-stage."""
-    half = _half_absorber(cfg.dtau, np.broadcast_to(rate, (state.grid.n,)))
-    stack = _absorb(_free_step(_absorb(_to_pairs(state.values, PAIRS), half), cfg), half)
+    n = state.grid.n
+    half = _half_absorber(cfg.dtau, np.broadcast_to(rate, (n,)))
+    free = _step_matrix(n, cfg.dx, cfg.dtau, cfg.n_substeps, CHI)
+    stack = _absorb(_free_step(_absorb(_to_pairs(state.values, PAIRS), half), free), half)
     return PlaneState(state.x_min, state.dx, _from_pairs(stack, PAIRS))
 
 
@@ -71,12 +77,15 @@ def test_fused_free_step_matches_substep_loop(n_substeps, n, seed):
     assert np.abs(out.values - ref).max() < 1e-12 * np.abs(vals).max()
 
 
-def _four_row_reference(initial: PlaneState, rates, cfg: EvolutionConfig, n_steps: int):
-    """integrate() as a loop over all four component rows: Strang step
-    against the summed absorber, wall strip, per-channel record."""
+def _four_row_reference(initial: PlaneState, rates, cfg: EvolutionConfig, n_steps: int,
+                        stride: int):
+    """integrate() as a loop over all four component rows with an outer step
+    of stride site steps: Strang step against the summed absorber, wall
+    strip, per-channel record over the whole lattice."""
     v, dx, w = initial.values.copy(), cfg.dx, WALL_SITES
-    m = _step_matrix(v.shape[1], dx, cfg.dtau, cfg.n_substeps, CHI)
-    half_absorb = np.exp(-cfg.dtau * np.sum(rates, axis=0) / 4.0)
+    step = stride * cfg.dtau
+    m = _step_matrix(v.shape[1], dx, step, stride * cfg.n_substeps, CHI)
+    half_absorb = np.exp(-step * np.sum(rates, axis=0) / 4.0)
 
     def pointwise(v):
         v[:2] *= half_absorb
@@ -89,7 +98,7 @@ def _four_row_reference(initial: PlaneState, rates, cfg: EvolutionConfig, n_step
 
     surv, chan, leak = [], [], [0.0]
     record(v)
-    for _ in range(n_steps):
+    for _ in range(-(-n_steps // stride)):
         f = np.fft.fft(pointwise(v), axis=1)
         upper, lower = f[:2].copy(), f[[3, 2]]
         f[:2] = m[0, 0] * upper + m[0, 1] * lower
@@ -105,11 +114,12 @@ def _four_row_reference(initial: PlaneState, rates, cfg: EvolutionConfig, n_step
 @settings(max_examples=40, deadline=None)
 @given(populated=st.sampled_from([(0, 1, 2, 3), PAIRS[0], PAIRS[1]]),
        n_substeps=st.integers(1, 16), n=st.integers(96, 160), n_steps=st.integers(1, 30),
-       seed=st.integers(0, 2**32 - 1))
-def test_pair_stack_matches_four_row_loop(populated, n_substeps, n, n_steps, seed):
-    """integrate() steps only the pairs that carry norm; survival, channel
-    densities, leakage and the final state match the four-row loop, and a
-    pair that starts at zero ends exactly zero."""
+       weak=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_pair_stack_matches_four_row_loop(populated, n_substeps, n, n_steps, weak, seed):
+    """integrate() steps only the pairs that carry norm, STRIDE site steps at
+    a time against a weak absorber; survival, channel densities, leakage,
+    sample times and the final state match the four-row loop at that outer
+    step, and a pair that starts at zero ends exactly zero."""
     rng = np.random.default_rng(seed)
     dx = 0.01
     grid = UniformGrid(-n * dx / 2, dx, n)
@@ -123,13 +133,20 @@ def test_pair_stack_matches_four_row_loop(populated, n_substeps, n, n_steps, see
     # about 5e-9), while the tails and the FFT round-off still reach the walls
     vals[list(populated)] = amp * np.exp(1j * q * x - (x / (n * dx / 16)) ** 2)
     vals /= np.sqrt(np.sum(np.abs(vals) ** 2) * dx)
+    # two channels, each of peak rate below 0.02 (weak: max summed rate * 2 dtau
+    # stays below 8e-4, so the run strides) or of 1 to 40 (the product exceeds
+    # 0.019, so it does not)
+    lo, hi = (0.0, 0.02) if weak else (1.0, 40.0)
     rates = []
     for center in rng.uniform(-0.3, 0.3, size=2):
-        rates.append(rng.uniform(0.0, 40.0) * np.exp(-((x - center) / 0.05) ** 2))
+        rates.append(rng.uniform(lo, hi) * np.exp(-((x - center) / 0.05) ** 2))
+    stride = STRIDE if weak else 1
 
     rec = integrate(PlaneState(grid.x_min, dx, vals), rates, cfg, n_steps)
     surv, chan, leak, final = _four_row_reference(PlaneState(grid.x_min, dx, vals), rates, cfg,
-                                                  n_steps)
+                                                  n_steps, stride)
+    n_outer = -(-n_steps // stride)
+    np.testing.assert_array_equal(rec.tau_samples, stride * dx * np.arange(n_outer + 1))
     assert np.abs(rec.survival - surv).max() < 1e-12
     assert np.abs(rec.channel_density - chan).max() < 1e-12
     assert np.abs(rec.boundary_leakage - leak).max() < 1e-12
@@ -166,19 +183,47 @@ def test_config_validation():
 
 
 def test_massless_step_is_exact_shift(monkeypatch):
+    """Without mass or detector a run strides: one outer step is STRIDE site
+    steps and shifts the chiral mover STRIDE sites exactly, and the norm
+    stays exact."""
     monkeypatch.setattr(propagator, "CHI", MASSLESS_CHI)
     grid = UniformGrid(0.0, 0.01, 64)
     cfg = EvolutionConfig(dtau=0.01, x_lo=0, x_hi=0.64, tau_max=1)
     st = _chiral_right_mover(grid, 10)
-    out = integrate(st, [], cfg, 1).final_state
+    rec = integrate(st, [], cfg, STRIDE)
+    np.testing.assert_array_equal(rec.tau_samples, [0.0, STRIDE * cfg.dtau])
+    out = rec.final_state
     expect = np.zeros_like(st.values)
-    expect[0, 11] = 1 / np.sqrt(2)
-    expect[3, 11] = 1 / np.sqrt(2)
+    expect[0, 10 + STRIDE] = 1 / np.sqrt(2)
+    expect[3, 10 + STRIDE] = 1 / np.sqrt(2)
     assert np.abs(out.values - expect).max() < 1e-12
-    # two steps shift two sites, norm exact
-    out2 = integrate(st, [], cfg, 2).final_state
-    assert np.abs(out2.values[0, 12]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+    # one site step asked for is rounded up to a whole outer step
+    assert np.abs(integrate(st, [], cfg, 1).final_state.values - expect).max() < 1e-12
+    # two outer steps shift 2 STRIDE sites, norm exact
+    out2 = integrate(st, [], cfg, 2 * STRIDE).final_state
+    assert np.abs(out2.values[0, 10 + 2 * STRIDE]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
     assert out2.norm_sq() == pytest.approx(st.norm_sq(), abs=1e-12)
+
+
+@pytest.mark.parametrize("p0", [0.75, 2.0])
+def test_strided_run_matches_site_step_run(p0, monkeypatch):
+    """The benchmark's lattice-density lattice (fig4-desk at 8 substeps,
+    W = 1e-5) strides.  At an even step count, T, P_inf and neg_mass stay
+    within 1e-5, 1e-6 and 2e-3 relative of the run stepped one site at a
+    time; the lattice's own dx error in T is about 1e-4."""
+    spec = PacketSpec(p0=p0)
+    det = WindowDetector(height=1e-5, width=0.01, edge=0.004)
+    lattice = {"dtau": 0.002, "x_lo": -4.0, "x_hi": 2.0, "n_substeps": 8}
+    cfg = config_from_lattice(lattice, p0, spec)
+    cfg = replace(cfg, tau_max=(cfg.n_steps + cfg.n_steps % 2) * cfg.dtau)
+    strided = arrival_run(spec, det, cfg)
+    monkeypatch.setattr(propagator, "STRIDE", 1)
+    single = arrival_run(spec, det, cfg)
+    assert len(strided.record.tau_samples) == cfg.n_steps // 2 + 1
+    assert len(single.record.tau_samples) == cfg.n_steps + 1
+    assert abs(strided.T - single.T) / single.T <= 1e-5
+    assert abs(strided.P_inf - single.P_inf) / single.P_inf <= 1e-6
+    assert abs(strided.neg_mass - single.neg_mass) / single.neg_mass <= 2e-3
 
 
 def test_single_site_norm_with_mass_only():

@@ -91,9 +91,9 @@ def test_criterion_03_unitarity_and_probability_budget(run_p075):
     assert unit_dev < 1e-9
 
     rec = run_p075.record
-    dtau = rec.tau_samples[1] - rec.tau_samples[0]
     cum = np.concatenate(
-        [[0.0], np.cumsum((rec.detection_density[1:] + rec.detection_density[:-1]) / 2 * dtau)]
+        [[0.0], np.cumsum((rec.detection_density[1:] + rec.detection_density[:-1]) / 2
+                             * np.diff(rec.tau_samples))]
     )
     budget = np.abs((1.0 - rec.survival) - cum - rec.boundary_leakage).max()
     assert budget < 1e-6

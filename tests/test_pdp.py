@@ -192,18 +192,21 @@ def test_conditional_arrival_times_match_density():
 
 
 def test_weak_detector_run_strides_and_the_sampler_reads_its_record():
-    """A detector weak enough to stride (max rate * 2 dtau = 8.3e-4): the
-    record steps 2 dtau, each jump time inverts the absorbed norm inside its
-    outer step, the jump times follow the density (KS), and state_at gives
-    the state at the last record sample at or before the target."""
+    """A detector weak enough to stride (max rate * 2 dtau = 4.6e-5) on an odd
+    step count: the record steps 2 dtau and ends with one dtau, each jump
+    time inverts the absorbed norm inside its outer step, the jump times
+    follow the density (KS), and state_at gives the state at the last record
+    sample at or before the target."""
     spec = PacketSpec(p0=0.75)
-    det = WindowDetector(height=2e-4, width=1.0, edge=0.05)
-    cfg = EvolutionConfig(dtau=0.004, x_lo=-4.0, x_hi=2.0, tau_max=4.0, n_substeps=4)
-    n, seed = 20000, 5
+    det = WindowDetector(height=1.1e-5, width=1.0, edge=0.05)
+    cfg = EvolutionConfig(dtau=0.004, x_lo=-4.0, x_hi=2.0, tau_max=4.004, n_substeps=4)
+    n, seed = 200000, 5
     result = pdp_study(spec, det, cfg, n, seed)
     proc, recs = result.process, result.records
     step = STRIDE * cfg.dtau
-    np.testing.assert_allclose(np.diff(proc.tau), step, rtol=1e-9)
+    assert cfg.n_steps % 2 == 1
+    np.testing.assert_allclose(np.diff(proc.tau), [step] * (cfg.n_steps // 2) + [cfg.dtau],
+                               rtol=1e-9)
 
     r, _ = _first_doubles(seed, np.arange(n, dtype=np.uint64))
     hit = recs.detected

@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Production-resolution studies (per-momentum published step sizes, walls at
--6/+4 A).  The full momentum scan takes hours single-threaded; use --threads.
+-6/+4 A).  All of them take about a minute single-threaded on a 2-vCPU host,
+the fig2 momentum scan 32-35 s of it; --threads runs the scan's momenta in
+parallel.
 """
 
 import argparse

@@ -1,6 +1,7 @@
 """Arrival-time observables: proper-time density P(tau), lab-frame density
-and expectation, boosted-frame transforms, mechanics reference, Richardson
-error estimate."""
+and expectation, boosted-frame transforms and the mechanics reference.  A
+lattice record and the free-packet oracle (studies.free_arrival) are both
+reduced here, so their T differ only through their densities."""
 
 from __future__ import annotations
 
@@ -102,13 +103,6 @@ def mechanics_time(p0: float, distance: float = 1.0) -> float:
     if p0 <= 0:
         raise ValueError("p0 must be positive")
     return distance * np.sqrt(1.0 + 1.0 / (p0 * p0))
-
-
-def richardson_error(t_coarse: float, t_fine: float, lam: float = 1.5) -> float:
-    """Step-halving error estimate |T(lam dtau) - T(dtau)| / |lam - 1|."""
-    if lam == 1.0:
-        raise ValueError("lam must differ from 1")
-    return abs(t_coarse - t_fine) / abs(lam - 1.0)
 
 
 def negative_time_mass(lab: LabDensity) -> float:

@@ -67,7 +67,7 @@ def resolve_config(args) -> dict:
 PARAMS = {
     "initial-state": ("grid", {"t_lo": -1.0, "t_hi": 2.0, "t_step": 0.05,
                                "x_lo": -3.0, "x_hi": 1.0, "x_step": 0.02}),
-    "arrival-scan": ("scan", {"p0_values": [], "richardson_lambda": 1.5}),
+    "arrival-scan": ("scan", {"p0_values": []}),
     "density": ("scan", {"p0_values": []}),
     "frames": ("scan", {"v_values": [0.0, 0.5, 0.9]}),
     "point": ("scan", {"p0_values": [0.75, 2.0], "kappa_values": [0.0, 1.0],
@@ -83,7 +83,6 @@ BOUNDS = {
     "tau_step": ("> 0", lambda v: v > 0),
     "kappa_values": (">= 0", lambda v: v >= 0),
     "v_values": ("in (-1, 1)", lambda v: abs(v) < 1),
-    "richardson_lambda": ("> 1", lambda v: v > 1),
 }
 
 
@@ -184,14 +183,12 @@ def cmd_initial_state(inputs: Inputs, out_dir: Path, workers: int) -> int:
 
 
 def cmd_arrival_scan(inputs: Inputs, out_dir: Path, workers: int) -> int:
-    det, lam = inputs.detector, inputs.params["richardson_lambda"]
-    rows = momentum_scan(det, inputs.runs, richardson_lambda=lam, workers=workers)
+    det = inputs.detector
+    rows = momentum_scan(det, inputs.runs, workers=workers)
     write_csv(
         out_dir / "arrival_scan.csv",
-        {key: np.array([r[key] for r in rows]) for key in
-         ("p0", "T", "error", "t_rm", "P_inf", "neg_mass")},
-        metadata={"detector_height": det.height, "detector_width": det.width,
-                  "richardson_lambda": lam},
+        {key: np.array([r[key] for r in rows]) for key in rows[0]},
+        metadata={"detector_height": det.height, "detector_width": det.width},
     )
     return 0
 

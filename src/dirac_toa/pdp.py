@@ -84,7 +84,8 @@ class DetectionRecord:
 @dataclass(eq=False)
 class DetectionRecords(Sequence):
     """Sampled trajectories as columns, one entry per trajectory; undetected
-    trajectories have detector_index -1, tau_detect = tau_max and NaN t, x.
+    trajectories have detector_index -1, tau_detect = the record's last time
+    and NaN t, x.
     Indexing builds the DetectionRecord of one trajectory."""
 
     detected: np.ndarray
@@ -177,40 +178,6 @@ def ideal_measurement_run(initial: TotalState, plan, rng) -> list:
     return results
 
 
-def detector_choice_probs(state: PlaneState, channels: Sequence[DetectorChannel]) -> np.ndarray:
-    """p_k = <G_k Psi | G_k Psi> / sum_j <G_j Psi | G_j Psi>; the at-rest
-    channels are static in the detector frame."""
-    grid = state.grid
-    weights = []
-    for ch in channels:
-        rate = lambda_field(ch.spec, grid)
-        w = np.sum(rate * (np.abs(state.values[0]) ** 2 + np.abs(state.values[1]) ** 2)) * grid.dx
-        weights.append(w)
-    weights = np.asarray(weights)
-    total = weights.sum()
-    if total <= 0.0:
-        raise ValueError("no channel couples to the state at this time")
-    return weights / total
-
-
-def collapse_onto_channel(state: PlaneState, channel: DetectorChannel) -> PlaneState:
-    """Psi -> G_k Psi / ||G_k Psi|| (G_k = sqrt(Lambda_k) on components 1, 2)."""
-    grid = state.grid
-    rate = lambda_field(channel.spec, grid)
-    vals = state.values.copy()
-    g = np.sqrt(rate)
-    vals[0] *= g
-    vals[1] *= g
-    vals[2] = 0.0
-    vals[3] = 0.0
-    out = PlaneState(state.x_min, state.dx, vals)
-    nrm = np.sqrt(out.norm_sq())
-    if nrm == 0.0:
-        raise ValueError("collapse onto a channel with zero overlap")
-    out.values /= nrm
-    return out
-
-
 def _trajectory_rng(seed: int, index: int) -> np.random.Generator:
     """Counter-based stream: reproducible and order-independent across
     trajectories."""
@@ -270,8 +237,8 @@ class JumpProcess:
     the cumulative absorbed norm 1 - S(tau) at r (linear interpolation inside
     the bracketing step), picks the detecting channel with the relative-rate
     probabilities at that moment, and terminates.  The absorbed norm counts
-    detector absorption only; trajectories with r > p_inf survive to tau_max
-    or are lost at the domain walls, and end undetected.
+    detector absorption only; trajectories with r > p_inf survive to the end
+    of the record or are lost at the domain walls, and end undetected there.
 
     Trajectory i of sample_many(n, seed) draws from its own Philox stream
     _trajectory_rng(seed, i), so it does not depend on n or on the other
@@ -297,12 +264,10 @@ class JumpProcess:
                     "of the preparation event"
                 )
         self.channels = list(channels)
-        self.cfg = cfg
         self.preparation = preparation
-        self._initial = initial.copy()
-        self._rates = [lambda_field(ch.spec, initial.grid) for ch in self.channels]
+        rates = [lambda_field(ch.spec, initial.grid) for ch in self.channels]
         check_run_inputs(initial, [ch.spec for ch in self.channels])
-        rec = integrate(initial, self._rates, cfg, cfg.n_steps)
+        rec = integrate(initial, rates, cfg, cfg.n_steps)
         self.tau = rec.tau_samples
         self.survival = rec.survival
         self.boundary_leakage = rec.boundary_leakage
@@ -311,14 +276,6 @@ class JumpProcess:
         # norm lost to the walls is not a detection
         self.absorbed = 1.0 - (rec.survival + rec.boundary_leakage) / rec.survival[0]
         self.p_inf = float(self.absorbed[-1])
-
-    def state_at(self, tau_target: float) -> PlaneState:
-        """The state at the last record sample at or before tau_target (a
-        target within roundoff of a sample reaches it), re-integrated from
-        the prepared state."""
-        m = np.searchsorted(self.tau, tau_target * (1.0 + 1e-12), side="right") - 1
-        n_steps = int(round(self.tau[m] / self.cfg.dtau))
-        return integrate(self._initial, self._rates, self.cfg, n_steps).final_state
 
     def _outcomes(self, r: np.ndarray, u: np.ndarray) -> DetectionRecords:
         """Trajectories for uniform draws r (jump time) and u (channel).
@@ -337,7 +294,7 @@ class JumpProcess:
         frac = np.divide(r - a0, gap, out=np.zeros(len(r)), where=gap != 0.0)
         tau = np.where(m == 0, self.tau[0],
                        self.tau[hi - 1] + frac * (self.tau[hi] - self.tau[hi - 1]))
-        tau = np.where(detected, tau, float(self.cfg.tau_max))
+        tau = np.where(detected, tau, self.tau[-1])
 
         dens = np.array([np.interp(tau, self.tau, d) for d in self.channel_density])
         total = dens.sum(axis=0)

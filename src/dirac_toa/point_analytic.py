@@ -31,14 +31,6 @@ class ScatterCoeffs:
     t_anti: float
     r_anti: float
 
-    @property
-    def absorbed_particle(self) -> float:
-        return 1.0 - self.t_particle**2 - self.r_particle**2
-
-    @property
-    def absorbed_anti(self) -> float:
-        return 1.0 - self.t_anti**2 - self.r_anti**2
-
 
 def jump_residual(state_left, state_right, at_origin, kappa: float) -> np.ndarray:
     """Residuals of the four matching conditions at the detector site:

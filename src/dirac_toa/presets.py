@@ -41,15 +41,14 @@ PRESETS: dict[str, dict] = {
         "packet": {},
         "detector": {"height": 1e-5, "width": 0.01, "edge": 0.002},
         "lattice": {"x_lo": -6.0, "x_hi": 4.0, "n_substeps": 32},
-        "scan": {"p0_values": [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0],
-                 "richardson_lambda": 1.5},
+        "scan": {"p0_values": [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]},
     },
     "fig2-desk": {
         "command": "arrival-scan",
         "packet": {},
         "detector": {"height": 1e-5, "width": 0.01, "edge": 0.004},
         "lattice": {"dtau": 0.002, "x_lo": -3.0, "x_hi": 2.0, "n_substeps": 32},
-        "scan": {"p0_values": [0.5, 0.75, 1.0], "richardson_lambda": 1.5},
+        "scan": {"p0_values": [0.5, 0.75, 1.0]},
     },
     # lab-frame arrival densities for several momenta
     "fig4": {

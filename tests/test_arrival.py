@@ -15,7 +15,6 @@ from dirac_toa.arrival import (
     mechanics_time,
     negative_time_mass,
     normalize_density,
-    richardson_error,
 )
 from dirac_toa.propagator import EvolutionRecord
 
@@ -154,14 +153,6 @@ def test_mechanics_time_examples():
 def test_mechanics_time_monotone(p1, p2):
     if p1 < p2:
         assert mechanics_time(p1) >= mechanics_time(p2)
-
-
-def test_richardson_error_examples():
-    assert richardson_error(1.70, 1.68, 1.5) == pytest.approx(0.04)
-    assert richardson_error(1.5, 1.5, 1.5) == 0.0
-    assert richardson_error(2.0, 1.0, 2.0) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        richardson_error(1.0, 2.0, 1.0)
 
 
 def test_negative_time_mass_cases():

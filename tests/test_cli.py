@@ -21,7 +21,7 @@ def _tiny_scan_config(tmp_path):
         "packet": {},
         "detector": {"height": 1e-4, "width": 0.02, "edge": 0.008},
         "lattice": {"dtau": 0.004, "x_lo": -3.0, "x_hi": 2.0, "n_substeps": 8},
-        "scan": {"p0_values": "0.75", "richardson_lambda": 1.5},
+        "scan": {"p0_values": "0.75"},
     })
     return cfg
 
@@ -50,7 +50,7 @@ def test_arrival_scan_and_manifest_reproducibility(tmp_path):
     out1 = tmp_path / "run1"
     assert main(["arrival-scan", "--config", str(cfg), "--out", str(out1)]) == 0
     meta, cols = read_csv(out1 / "arrival_scan.csv")
-    assert set(cols) == {"p0", "T", "error", "t_rm", "P_inf", "neg_mass"}
+    assert set(cols) == {"p0", "T", "error", "T0", "t_rm", "P_inf", "P_inf0", "neg_mass"}
     assert np.all(cols["error"] >= 0.0)
     assert cols["T"][0] == pytest.approx(cols["t_rm"][0], rel=0.05)
 
@@ -137,7 +137,7 @@ def test_scan_worker_pool_matches_serial(tmp_path):
         "run": {"command": "arrival-scan"},
         "detector": {"height": 1e-4, "width": 0.02, "edge": 0.008},
         "lattice": {"dtau": 0.004, "x_lo": -3.0, "x_hi": 2.0, "n_substeps": 8},
-        "scan": {"p0_values": "0.5 0.75", "richardson_lambda": 1.5},
+        "scan": {"p0_values": "0.5 0.75"},
     })
     out1, out2 = tmp_path / "serial", tmp_path / "pool"
     assert main(["arrival-scan", "--config", str(cfg), "--out", str(out1)]) == 0
@@ -329,6 +329,7 @@ def test_scan_momenta_default_to_the_packet_momentum():
     ("density", "scan", "p0_value", "p0_value"),
     ("density", "latice", "dtau", "latice"),  # unknown section
     ("point", "lattice", "dtau", "lattice"),  # a section point does not read
+    ("arrival-scan", "scan", "richardson_lambda", "richardson_lambda"),  # a deleted knob
 ])
 def test_unknown_key_or_section_is_rejected(command, section, key, named, tmp_path, caplog):
     cfg = tmp_path / "typo.cfg"
@@ -358,8 +359,6 @@ def test_unknown_key_or_section_is_rejected(command, section, key, named, tmp_pa
     ("point", "scan", {"kappa_values": "1 -0.5"}, "kappa_values"),
     ("frames", "scan", {"v_values": "0 1.2"}, "v_values"),
     ("frames", "scan", {"v_values": "-1"}, "v_values"),
-    ("arrival-scan", "scan", {"richardson_lambda": 1}, "richardson_lambda"),
-    ("arrival-scan", "scan", {"richardson_lambda": 0.8}, "richardson_lambda"),
 ])
 def test_values_no_run_can_use_are_rejected_before_anything_runs(command, section, values, key,
                                                                  tmp_path, caplog):

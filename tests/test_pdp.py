@@ -15,8 +15,6 @@ from dirac_toa.pdp import (
     TotalState,
     _first_doubles,
     _trajectory_rng,
-    collapse_onto_channel,
-    detector_choice_probs,
     ideal_measurement_run,
     validate_event_order,
 )
@@ -170,11 +168,11 @@ def test_detected_fraction_matches_total_probability():
     frac = sum(r.detected for r in recs) / n
     sigma = np.sqrt(proc.p_inf * (1 - proc.p_inf) / n)
     assert abs(frac - proc.p_inf) < 3 * sigma
-    # undetected records terminate at tau_max
+    # undetected records terminate where the record ends
     undet = [r for r in recs if not r.detected]
-    assert all(r.tau_detect == cfg.tau_max for r in undet)
+    assert all(r.tau_detect == proc.tau[-1] for r in undet)
     det = [r for r in recs if r.detected]
-    assert all(0.0 <= r.tau_detect <= cfg.tau_max for r in det)
+    assert all(0.0 <= r.tau_detect <= proc.tau[-1] for r in det)
 
 
 def test_conditional_arrival_times_match_density():
@@ -195,8 +193,8 @@ def test_weak_detector_run_strides_and_the_sampler_reads_its_record():
     """A detector weak enough to stride (max rate * 2 dtau = 4.6e-5) on an odd
     step count: the record steps 2 dtau and ends with one dtau, each jump
     time inverts the absorbed norm inside its outer step, the jump times
-    follow the density (KS), and state_at gives the state at the last record
-    sample at or before the target."""
+    follow the density (KS), and record sample k holds the norm of the state
+    integrate reaches in k outer steps."""
     spec = PacketSpec(p0=0.75)
     det = WindowDetector(height=1.1e-5, width=1.0, edge=0.05)
     cfg = EvolutionConfig(dtau=0.004, x_lo=-4.0, x_hi=2.0, tau_max=4.004, n_substeps=4)
@@ -216,22 +214,11 @@ def test_weak_detector_run_strides_and_the_sampler_reads_its_record():
     assert result.ks_statistic < 1.95 / np.sqrt(result.detected)  # 99.9 % level
 
     k = int(np.argmax(proc.detection_density))
-    psi = proc.state_at(proc.tau[k] + 0.75 * step)
     initial = prepare_omega(spec, cfg, detector_position=det.position)
-    ref = integrate(initial, [lambda_field(det, initial.grid)], cfg, k * STRIDE).final_state
-    np.testing.assert_array_equal(psi.values, ref.values)
-    assert psi.norm_sq() == pytest.approx(proc.survival[k], abs=1e-12)
-    np.testing.assert_array_equal(proc.state_at(proc.tau[k]).values, ref.values)
-
-
-def test_post_jump_state_unit_norm():
-    _, _, cfg, prep, channel, initial = _pdp_setup()
-    proc = JumpProcess(initial, [channel], cfg, preparation=prep)
-    psi = proc.state_at(2.6)
-    collapsed = collapse_onto_channel(psi, channel)
-    assert collapsed.norm_sq() == pytest.approx(1.0, abs=1e-10)
-    # collapsed state lives on the detector support, components 1-2 only
-    assert np.all(collapsed.values[2:] == 0)
+    ref = integrate(initial, [lambda_field(det, initial.grid)], cfg, k * STRIDE)
+    assert ref.tau_samples[-1] == pytest.approx(proc.tau[k], rel=1e-12)
+    assert ref.final_state.norm_sq() == pytest.approx(proc.survival[k], abs=1e-12)
+    np.testing.assert_array_equal(ref.survival, proc.survival[:k + 1])
 
 
 def test_colocated_channels_split_evenly():
@@ -246,21 +233,25 @@ def test_colocated_channels_split_evenly():
 
 
 def test_detector_choice_probabilities():
+    """_outcomes picks the channel by the relative channel densities at the
+    jump time: a channel the packet never reaches is never chosen, and a
+    twin of twice the rate on the same support takes the draws u > 1/3."""
     spec, det, cfg, prep, channel, initial = _pdp_setup()
-    psi = JumpProcess(initial, [channel], cfg, preparation=prep).state_at(2.6)
+    n = 300
+    u = (np.arange(n) + 0.5) / n  # no draw lies on 1/3
 
-    probs = detector_choice_probs(psi, [channel])
-    np.testing.assert_allclose(probs, [1.0])
+    far = DetectorChannel.at_rest(WindowDetector(height=0.3, width=0.02, edge=0.008,
+                                                 position=1.5), prep)
+    proc = JumpProcess(initial, [channel, far], cfg, preparation=prep)
+    assert proc.channel_density[1].max() < 1e-6 * proc.channel_density[0].max()
+    recs = proc._outcomes(proc.p_inf * u, u[::-1])
+    assert recs.detected.all()
+    np.testing.assert_array_equal(recs.detector_index, 0)
 
-    far = DetectorChannel(WindowDetector(height=0.3, width=0.02, edge=0.008,
-                                         position=1.5), t_start=channel.t_start)
-    probs2 = detector_choice_probs(psi, [channel, far])
-    assert probs2[0] > 0.999999
-    # rate-scaled twin on identical support: 1/3 vs 2/3
-    twin = DetectorChannel(WindowDetector(height=0.6, width=0.02, edge=0.008),
-                           t_start=channel.t_start)
-    probs3 = detector_choice_probs(psi, [channel, twin])
-    np.testing.assert_allclose(probs3, [1.0 / 3.0, 2.0 / 3.0], rtol=1e-9)
+    twin = DetectorChannel.at_rest(WindowDetector(height=0.6, width=0.02, edge=0.008), prep)
+    proc = JumpProcess(initial, [channel, twin], cfg, preparation=prep)
+    recs = proc._outcomes(proc.p_inf * u, u)
+    np.testing.assert_array_equal(recs.detector_index, (u > 1.0 / 3.0).astype(int))
 
 
 def test_trajectory_streams_are_reproducible():
@@ -309,7 +300,7 @@ def _reference_sample(proc, rng):
     absorbed = proc.absorbed
     r = float(rng.uniform())
     if r > absorbed[-1]:
-        return DetectionRecord(False, -1, float(proc.cfg.tau_max), None)
+        return DetectionRecord(False, -1, float(proc.tau[-1]), None)
     m = int(np.searchsorted(absorbed, r))
     if m == 0:
         tau = float(proc.tau[0])

@@ -50,8 +50,8 @@ def test_scatter_rejects_degenerate():
 @settings(max_examples=200)
 def test_scatter_absorption_deficit_bounded(p, kappa):
     c = scatter_coefficients(p, kappa)
-    assert -1e-12 <= c.absorbed_particle <= 1.0
-    assert -1e-12 <= c.absorbed_anti <= 1.0
+    assert -1e-12 <= 1.0 - c.t_particle**2 - c.r_particle**2 <= 1.0
+    assert -1e-12 <= 1.0 - c.t_anti**2 - c.r_anti**2 <= 1.0
 
 
 @given(p=st.floats(min_value=0.05, max_value=4.0))

@@ -11,8 +11,12 @@ n_substeps = 1 limit is the plain light-cone scheme (advection = exact
 one-site shift).  Advection is exact in Fourier space for any step length,
 so against a weak absorber integrate() takes outer steps of STRIDE site
 steps: the free part of one outer step is STRIDE site steps' worth of the
-same substeps, and the absorber, wall strip and record run once per outer
-step.
+same substeps, and the absorber and wall strip run once per outer step.  The
+record still has one row per site step: between transforms, the detection
+density at site step j is read straight from the outer step's Fourier
+amplitudes, as the upper entries of M^j applied to them (M the one-site
+free-step matrix of each mode) transformed back on the absorber window's
+few sites only.
 
 The transforms are numpy.fft's (pocketfft).  The mass term is uniform in
 x, so every substep is diagonal in k: a 2x2 matrix per mode on the
@@ -30,6 +34,7 @@ both run through it.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -44,14 +49,15 @@ log = logging.getLogger(__name__)
 LEAKAGE_WARN = 1e-6
 LEAKAGE_REJECT = 1e-3
 TAIL_MAX = 1e-6  # contract on d(tau_max) / max d
-WALL_SITES = 4
-STRIDE = 2  # site steps per outer step against a weak absorber
+WALL_SITES = 8
+STRIDE = 8  # site steps per outer step against a weak absorber
 # max(summed rate) * STRIDE * dtau at or below which a run strides.  Measured on
 # the fig4-desk lattice at 8 substeps against the one-site step, at 0.95 of
-# this value: T moves <= 5.5e-6, P_inf <= 4.1e-6 and neg_mass <= 5.8e-4
-# relative (p0 = 0.5 to 2, worst at p0 = 2).  The P_inf shift grows linearly
-# with the rate: at 1e-3 it is 1.3e-4 at p0 = 2.
-WEAK_ABSORBER = 5e-5
+# this value: T moves <= 2.0e-7, P_inf <= 1.4e-7 and neg_mass <= 7.9e-6
+# relative (p0 = 0.5 to 2; T and P_inf worst at p0 = 2).  The shifts are the
+# absorber splitting and grow linearly with the rate: at 8.3e-3, T moves 1.7e-6
+# and P_inf 3.4e-6 at p0 = 2.
+WEAK_ABSORBER = 1e-3
 # The strip is zeroed once per outer step, in which light crosses STRIDE sites;
 # a strip narrower than that would let norm cross the periodic seam unzeroed.
 assert STRIDE <= WALL_SITES
@@ -98,10 +104,18 @@ class EvolutionConfig:
 
 @dataclass
 class EvolutionRecord:
-    """Samples of one run at every outer step: detection density
-    d(tau) = <Psi|Lambda Psi>, survival S(tau) = <Psi|Psi>, and cumulative
-    wall leakage.  channel_density splits d(tau) into one row per detection
-    channel."""
+    """Samples of one run at every site step, tau_samples = dtau * arange(
+    n_steps + 1): detection density d(tau) = <Psi|Lambda Psi>, survival
+    S(tau) = <Psi|Psi>, and cumulative wall leakage.  channel_density splits
+    d(tau) into one row per detection channel.
+
+    A strided run (see integrate) computes S and the leakage at the ends of
+    its outer steps only; at the site steps between, both are the straight
+    line between those ends.  The absorbed norm 1 - S - leakage is then the
+    piecewise-linear curve that JumpProcess._outcomes inverts, and its
+    increments over an outer step match the trapezoid of d(tau) over the
+    same step to the absorber's order.  d(tau) between the ends is the
+    density of M^j A psi (integrate)."""
 
     tau_samples: np.ndarray
     detection_density: np.ndarray
@@ -158,15 +172,48 @@ def _from_pairs(stack: np.ndarray, pairs: Sequence[tuple[int, int]]) -> np.ndarr
     return values
 
 
-def _free_step(stack: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Free step on a (P, 2, n) pair stack: one transform pair over the
-    stack, then the per-mode step matrix m from _step_matrix on every
-    (upper, lower) pair."""
-    f = np.fft.fft(stack, axis=-1)
+def _upper_powers(m: np.ndarray, upper: np.ndarray, lower: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """Upper entries of M^j (upper, lower) for j = 1 .. len(out), into out
+    ((J, n)), for a one-site free-step matrix M from _step_matrix and the
+    Fourier amplitudes (upper, lower) of a pair.  M is a product of substeps
+    of unit determinant, so M^(j+1) = tr(M) M^j - M^(j-1) (Cayley-Hamilton):
+    each row follows from the two before it, starting from upper itself."""
+    np.multiply(m[0, 0], upper, out=out[0])
+    out[0] += m[0, 1] * lower
+    trace = m[0, 0] + m[1, 1]
+    for j in range(1, len(out)):
+        np.multiply(trace, out[j - 1], out=out[j])
+        out[j] -= out[j - 2] if j > 1 else upper
+    return out
+
+
+def _window_phases(n: int, window: slice):
+    """The inverse DFT on the window sites, in two stages: (inner, outer)
+    with inner (q, w) and outer (p, w) for n = p * q, p the largest divisor
+    of n up to sqrt(n).  With k = k2 + q k1, the inverse transform (as
+    numpy.fft.ifft) of amplitudes g at window site s is
+
+        sum_k1 outer[k1, s] sum_k2 g[k2 + q k1] inner[k2, s],
+
+    inner[k2, s] = e^{2 pi i k2 s / n} / n and outer[k1, s] = e^{2 pi i k1 s / p}:
+    one product of g reshaped to (p, q) with inner, and w (p + q) phases
+    instead of the w n of the direct sum."""
+    p = next(d for d in range(math.isqrt(n), 0, -1) if n % d == 0)
+    q = n // p
+    sites = np.arange(window.start, window.stop)
+    inner = np.exp((2j * np.pi / n) * (np.arange(q)[:, None] * sites % n)) / n
+    outer = np.exp((2j * np.pi / p) * (np.arange(p)[:, None] * sites % p))
+    return inner, outer
+
+
+def _mix(f: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The per-mode step matrix m from _step_matrix, in place on the Fourier
+    amplitudes of a (P, 2, n) pair stack."""
     upper, lower = f[:, 0].copy(), f[:, 1]
     f[:, 0] = m[0, 0] * upper + m[0, 1] * lower
     f[:, 1] = m[1, 0] * upper + m[1, 1] * lower
-    return np.fft.ifft(f, axis=-1)
+    return f
 
 
 def _half_absorber(dtau: float, rate: np.ndarray):
@@ -216,8 +263,8 @@ def integrate(
     cfg: EvolutionConfig,
     n_steps: int,
 ) -> EvolutionRecord:
-    """The stepping loop: at least n_steps site steps of Strang splitting
-    against the summed absorber, recorded once per outer step.
+    """The stepping loop: n_steps site steps of Strang splitting against the
+    summed absorber, recorded at every site step.
 
     rates holds one (n,) field from lambda_field per detection channel;
     the record's channel_density has one row of <Psi|Lambda_c Psi> per
@@ -228,20 +275,23 @@ def integrate(
 
     An outer step is s site steps, s = STRIDE for a weak absorber
     (max(summed rate) * STRIDE * dtau <= WEAK_ABSORBER) and 1 otherwise:
-    absorber half-stage, free step of length s*dtau, absorber half-stage.
+    absorber half-stage A, free step of length s*dtau, absorber half-stage.
     When s does not divide n_steps the run ends with one shorter outer step,
-    so it ends at n_steps*dtau; tau_samples holds the times reached.  The
-    state is stepped as a stack of the PAIRS that carry norm at the start.
-    Every factor of the step maps a pair into itself, so a pair that starts
-    at zero stays exactly zero; it is skipped, and written back as zeros in
-    final_state.
+    so it ends at n_steps*dtau.  Inside an outer step the detection density
+    at site step j is read from the Fourier amplitudes of A psi: the upper
+    entries of M^j A psi on the absorber window, where M^j is the j-site free
+    step, without a transform (see EvolutionRecord for S and the leakage
+    there).  The state is stepped as a stack of the PAIRS that carry norm at
+    the start.  Every factor of the step maps a pair into itself, so a pair
+    that starts at zero stays exactly zero; it is skipped, and written back
+    as zeros in final_state.
     """
     grid = initial.grid
     dx = grid.dx
     rows = np.reshape(rates, (-1, grid.n))
     rate = rows.sum(axis=0)
     s = STRIDE if rate.max(initial=0.0) * STRIDE * cfg.dtau <= WEAK_ABSORBER else 1
-    sites = np.r_[0:n_steps:s, n_steps]  # site steps reached at each record sample
+    sites = np.r_[0:n_steps:s, n_steps]  # site steps reached at each outer step
     lengths = np.diff(sites)
     # free-step matrix and absorber half-stage per outer-step length
     stages = {k: (_step_matrix(grid.n, dx, k * cfg.dtau, k * cfg.n_substeps, CHI),
@@ -250,11 +300,16 @@ def integrate(
     window = slice(support[0], support[-1] + 1) if support.size else slice(0, 0)
     window_rows = rows[:, window]
     strips = np.r_[:WALL_SITES, grid.n - WALL_SITES:grid.n]
+    # site steps read inside an outer step; a run without a detector reads none
+    between = lengths.max(initial=1) - 1 if support.size else 0
+    if between:
+        one_site = _step_matrix(grid.n, dx, cfg.dtau, cfg.n_substeps, CHI)
+        inner, outer = _window_phases(grid.n, window)
+        powers = np.empty((between, grid.n), dtype=complex)
 
-    tau = cfg.dtau * sites
     surv = np.empty(len(sites))
-    chan_dens = np.zeros((len(rates), len(sites)))
     leak = np.zeros(len(sites))
+    chan_dens = np.zeros((len(rates), n_steps + 1))
 
     live = [pair for pair in PAIRS if np.any(initial.values[list(pair)])]
     stack = _to_pairs(initial.values, live)
@@ -263,12 +318,25 @@ def integrate(
         # the detectors see only the upper entries, on the absorber window
         upper = stack[:, 0, window]
         surv[m] = np.vdot(stack, stack).real * dx
-        chan_dens[:, m] = window_rows @ np.sum(upper.real**2 + upper.imag**2, axis=0) * dx
+        chan_dens[:, sites[m]] = window_rows @ np.sum(upper.real**2 + upper.imag**2, axis=0) * dx
+
+    def read_between(f, m, k):
+        # site steps sites[m] + 1 .. sites[m] + k - 1, from the amplitudes f of A psi
+        dens = np.zeros((k - 1, window_rows.shape[1]))
+        for upper, lower in f:
+            moved = _upper_powers(one_site, upper, lower, powers[:k - 1])
+            u = (moved.reshape(-1, inner.shape[0]) @ inner).reshape(k - 1, *outer.shape)
+            u = np.sum(u * outer, axis=1)  # (k - 1, w): the inverse DFT on the window
+            dens += u.real**2 + u.imag**2
+        chan_dens[:, sites[m] + 1:sites[m + 1]] = window_rows @ dens.T * dx
 
     record(0)
     for m, k in enumerate(lengths.tolist(), start=1):
         free, absorber = stages[k]
-        stack = _absorb(_free_step(_absorb(stack, absorber), free), absorber)
+        f = np.fft.fft(_absorb(stack, absorber), axis=-1)
+        if between and k > 1:
+            read_between(f, m - 1, k)
+        stack = _absorb(np.fft.ifft(_mix(f, free), axis=-1), absorber)
         lost = np.sum(np.abs(stack[..., strips]) ** 2) * dx
         leak[m] = leak[m - 1] + lost
         if lost:
@@ -277,15 +345,18 @@ def integrate(
 
         if leak[m] > LEAKAGE_REJECT:
             raise DomainTooSmallError(
-                f"boundary leakage {leak[m]:.3e} at tau={tau[m]:.3f} exceeds {LEAKAGE_REJECT}"
+                f"boundary leakage {leak[m]:.3e} at tau={cfg.dtau * sites[m]:.3f} "
+                f"exceeds {LEAKAGE_REJECT}"
             )
 
     if leak[-1] > LEAKAGE_WARN:
         log.warning("boundary leakage %.3e exceeds %.0e", leak[-1], LEAKAGE_WARN)
 
+    every = np.arange(n_steps + 1)
     final = PlaneState(initial.x_min, initial.dx, _from_pairs(stack, live))
-    return EvolutionRecord(tau, chan_dens.sum(axis=0), surv, leak, final,
-                           channel_density=chan_dens)
+    return EvolutionRecord(cfg.dtau * every, chan_dens.sum(axis=0),
+                           np.interp(every, sites, surv), np.interp(every, sites, leak),
+                           final, channel_density=chan_dens)
 
 
 def check_run_inputs(initial: PlaneState, detectors: Sequence[WindowDetector]) -> None:

@@ -79,18 +79,25 @@ def auto_tau_max(spec: PacketSpec, detector_position: float = 0.0) -> float:
     return dist + arrival.mechanics_time(spec.p0, dist) + TAIL_MARGIN
 
 
+ORACLE_ROWS = 1024  # record times per field evaluation in free_arrival
+
+
 def free_arrival(spec: PacketSpec, det: WindowDetector, cfg: EvolutionConfig,
                  tau: np.ndarray) -> tuple[float, float]:
     """(T0, P_inf0): the free packet's arrival time and detection probability
     to first order in W, on the record times tau.  The density is
     d0(tau) = sum_window Lambda(x) (|psi_1|^2 + |psi_2|^2)(tau + t_start, x) dx
-    with the exact free field, reduced as arrival_run reduces d(tau)."""
+    with the exact free field, reduced as arrival_run reduces d(tau).  The
+    field is evaluated ORACLE_ROWS record times at a time."""
     grid = cfg.grid()
     rate = lambda_field(det, grid)
     window = np.flatnonzero(rate)
     t_start = detector_frame_offset(spec, det.position)
-    psi = evaluate_spacetime(spec, (tau + t_start)[:, None], grid.positions[window][None, :])
-    d0 = (np.abs(psi[0]) ** 2 + np.abs(psi[1]) ** 2) @ rate[window] * grid.dx
+    d0 = np.empty(len(tau))
+    for lo in range(0, len(tau), ORACLE_ROWS):
+        rows = slice(lo, lo + ORACLE_ROWS)
+        psi = evaluate_spacetime(spec, (tau[rows] + t_start)[:, None], grid.positions[window][None, :])
+        d0[rows] = (np.abs(psi[0]) ** 2 + np.abs(psi[1]) ** 2) @ rate[window] * grid.dx
     p_inf0 = float(np.trapezoid(d0, tau))
     density = arrival.ArrivalDensity(tau, d0 / p_inf0, p_inf0, x0=t_start)
     return arrival.expected_time(density), p_inf0

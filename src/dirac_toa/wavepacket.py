@@ -24,7 +24,7 @@ from the input:
   points, b = {0}, the same product with a one-column b table.
 
 The product walks both sets in blocks of at most ``_BLOCK_ENTRIES`` table
-entries, so no input builds a phase matrix larger than a few MB.  A block of
+entries, so no input builds a phase matrix larger than 2 MB.  A block of
 uniformly spaced points (every set of the first two splits, as a rule) has
 its table built as powers of the phase of one step, by repeated doubling:
 one exponential per node instead of one per entry.  The result differs from
@@ -48,8 +48,8 @@ import numpy as np
 from .core import CHI, PlaneState, TwoVector, UniformGrid
 
 # Table entries (points x momentum nodes) per block of the momentum sum;
-# 2**18 complex entries are 4 MB.
-_BLOCK_ENTRIES = 2**18
+# 2**17 complex entries are 2 MB.
+_BLOCK_ENTRIES = 2**17
 # A point sequence is a uniform axis when every point lies within this many
 # ulp (of the largest coordinate) of the line through its end points.
 _UNIFORM_ULPS = 4

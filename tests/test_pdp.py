@@ -190,21 +190,23 @@ def test_conditional_arrival_times_match_density():
 
 
 def test_weak_detector_run_strides_and_the_sampler_reads_its_record():
-    """A detector weak enough to stride (max rate * 2 dtau = 4.6e-5) on an odd
-    step count: the record steps 2 dtau and ends with one dtau, each jump
-    time inverts the absorbed norm inside its outer step, the jump times
-    follow the density (KS), and record sample k holds the norm of the state
-    integrate reaches in k outer steps."""
+    """A detector weak enough to stride (max rate * 8 dtau = 1.8e-4) on a
+    step count STRIDE does not divide: the record has a row per site step
+    and ends at n_steps dtau, S is the straight line between the ends of the
+    outer steps, each jump time inverts the absorbed norm, the jump times
+    follow the density (KS), and the record row at the end of outer step k
+    holds the norm of the state integrate reaches in k outer steps."""
     spec = PacketSpec(p0=0.75)
     det = WindowDetector(height=1.1e-5, width=1.0, edge=0.05)
     cfg = EvolutionConfig(dtau=0.004, x_lo=-4.0, x_hi=2.0, tau_max=4.004, n_substeps=4)
     n, seed = 200000, 5
     result = pdp_study(spec, det, cfg, n, seed)
     proc, recs = result.process, result.records
-    step = STRIDE * cfg.dtau
-    assert cfg.n_steps % 2 == 1
-    np.testing.assert_allclose(np.diff(proc.tau), [step] * (cfg.n_steps // 2) + [cfg.dtau],
-                               rtol=1e-9)
+    assert cfg.n_steps % STRIDE != 0
+    np.testing.assert_array_equal(proc.tau, cfg.dtau * np.arange(cfg.n_steps + 1))
+    ends = np.r_[0:cfg.n_steps:STRIDE, cfg.n_steps]
+    between = np.interp(np.arange(cfg.n_steps + 1), ends, proc.survival[ends])
+    assert np.abs(proc.survival - between).max() < 1e-15
 
     r, _ = _first_doubles(seed, np.arange(n, dtype=np.uint64))
     hit = recs.detected
@@ -213,12 +215,12 @@ def test_weak_detector_run_strides_and_the_sampler_reads_its_record():
     assert result.detected > 1000
     assert result.ks_statistic < 1.95 / np.sqrt(result.detected)  # 99.9 % level
 
-    k = int(np.argmax(proc.detection_density))
+    k = int(np.argmax(proc.detection_density)) // STRIDE
     initial = prepare_omega(spec, cfg, detector_position=det.position)
     ref = integrate(initial, [lambda_field(det, initial.grid)], cfg, k * STRIDE)
-    assert ref.tau_samples[-1] == pytest.approx(proc.tau[k], rel=1e-12)
-    assert ref.final_state.norm_sq() == pytest.approx(proc.survival[k], abs=1e-12)
-    np.testing.assert_array_equal(ref.survival, proc.survival[:k + 1])
+    assert ref.tau_samples[-1] == pytest.approx(proc.tau[k * STRIDE], rel=1e-12)
+    assert ref.final_state.norm_sq() == pytest.approx(proc.survival[k * STRIDE], abs=1e-12)
+    np.testing.assert_array_equal(ref.survival, proc.survival[:k * STRIDE + 1])
 
 
 def test_colocated_channels_split_evenly():

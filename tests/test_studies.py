@@ -45,23 +45,16 @@ def test_scan_error_measures_the_lattice_error_richardson_did(p0):
     assert 0.8 <= abs(base.T - t0) / richardson <= 1.1
 
 
-@pytest.mark.parametrize("p0, record_bound", [(0.5, 1e-7), (0.75, 1e-8), (1.0, 1e-7), (2.0, 1e-5)])
-def test_free_arrival_matches_the_weak_detector_run(p0, record_bound):
-    """fig2-desk at W = 1e-5: the oracle's detection probability is the
-    lattice's to 1e-4 relative, and its T0 on the strided (2 dtau) record
-    and on the one-site record agree to record_bound relative.  That bound is
-    the trapezoid's aliasing of the positive/negative-energy beat, period
-    pi/(chi E), which the 2 dtau record samples about twice per period; it
-    grows with the negative-energy share (measured 5.1e-8, 2.1e-9, 4.2e-8
-    and 5.6e-6)."""
+@pytest.mark.parametrize("p0", [0.5, 0.75, 1.0, 2.0])
+def test_free_arrival_matches_the_weak_detector_run(p0):
+    """fig2-desk at W = 1e-5: the run strides, yet its record has a row per
+    site step, so the oracle reads the same times as a one-site run's record;
+    its detection probability is the lattice's to 1e-4 relative."""
     spec, cfg = PacketSpec(p0=p0), _desk_config(p0)
     run = desk_run(p0)
-    t0, p_inf0 = free_arrival(spec, DESK_DETECTOR, cfg, run.record.tau_samples)
+    np.testing.assert_array_equal(run.record.tau_samples, cfg.dtau * np.arange(cfg.n_steps + 1))
+    _, p_inf0 = free_arrival(spec, DESK_DETECTOR, cfg, run.record.tau_samples)
     assert abs(run.P_inf - p_inf0) / p_inf0 <= 1e-4
-    one_site = cfg.dtau * np.arange(cfg.n_steps + 1)
-    assert len(one_site) > len(run.record.tau_samples)
-    t0_one_site, _ = free_arrival(spec, DESK_DETECTOR, cfg, one_site)
-    assert abs(t0 - t0_one_site) / t0_one_site <= record_bound
 
 
 def test_momentum_scan_runs_one_lattice_per_momentum(monkeypatch):

@@ -233,12 +233,17 @@ class JumpProcess:
     """Continuous-detection sampler.
 
     The non-Hermitian evolution is the same for every trajectory, so it is
-    integrated once; each trajectory then draws r uniform in [0, 1), inverts
-    the cumulative absorbed norm 1 - S(tau) at r (linear interpolation inside
-    the bracketing step), picks the detecting channel with the relative-rate
-    probabilities at that moment, and terminates.  The absorbed norm counts
-    detector absorption only; trajectories with r > p_inf survive to the end
-    of the record or are lost at the domain walls, and end undetected there.
+    integrated once, by propagator.integrate, with a record row at every
+    site step; each trajectory then draws r uniform in [0, 1), inverts the
+    cumulative absorbed norm 1 - S(tau) at r (linear interpolation inside
+    the bracketing site step), picks the detecting channel with the
+    relative-rate probabilities at that moment, and terminates.  The absorbed
+    norm counts detector absorption only; trajectories with r > p_inf survive
+    to the end of the record or are lost at the domain walls, and end
+    undetected there.  A strong detector on a window of a few sites strides
+    like a weak one, with its absorber applied at every site step, so S is
+    exact at every row and the absorbed norm is the one-site run's but for
+    the wall strip's cadence (EvolutionRecord).
 
     Trajectory i of sample_many(n, seed) draws from its own Philox stream
     _trajectory_rng(seed, i), so it does not depend on n or on the other

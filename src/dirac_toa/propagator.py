@@ -9,14 +9,18 @@ time-integration error and scales as (dtau/n_substeps)^2, small enough that
 arrival-time observables are dominated by physics, not the scheme.  The
 n_substeps = 1 limit is the plain light-cone scheme (advection = exact
 one-site shift).  Advection is exact in Fourier space for any step length,
-so against a weak absorber integrate() takes outer steps of STRIDE site
-steps: the free part of one outer step is STRIDE site steps' worth of the
-same substeps, and the absorber and wall strip run once per outer step.  The
-record still has one row per site step: between transforms, the detection
-density at site step j is read straight from the outer step's Fourier
-amplitudes, as the upper entries of M^j applied to them (M the one-site
-free-step matrix of each mode) transformed back on the absorber window's
-few sites only.
+so integrate() takes outer steps of STRIDE site steps, one transform pair
+each, against any absorber but a strong one on a wide window: the free
+part of one outer step is STRIDE site steps' worth of the same substeps.
+A weak absorber acts once per outer step.  A strong one still acts at
+every site step, exactly as in the one-site run: between transforms it
+touches only the few sites of its window, so its effect there is a small
+linear system and, on the amplitudes, one correction from those sites.
+The wall strip runs once per outer step.  The record has one row per site
+step: between transforms, the state on the absorber window at site step j
+is read straight from the outer step's Fourier amplitudes, as the upper
+entries of M^j applied to them (M the one-site free-step matrix of each
+mode) transformed back on the window's sites only.
 
 The transforms are numpy.fft's (pocketfft).  The mass term is uniform in
 x, so every substep is diagonal in k: a 2x2 matrix per mode on the
@@ -50,14 +54,26 @@ LEAKAGE_WARN = 1e-6
 LEAKAGE_REJECT = 1e-3
 TAIL_MAX = 1e-6  # contract on d(tau_max) / max d
 WALL_SITES = 8
-STRIDE = 8  # site steps per outer step against a weak absorber
-# max(summed rate) * STRIDE * dtau at or below which a run strides.  Measured on
-# the fig4-desk lattice at 8 substeps against the one-site step, at 0.95 of
-# this value: T moves <= 2.0e-7, P_inf <= 1.4e-7 and neg_mass <= 7.9e-6
-# relative (p0 = 0.5 to 2; T and P_inf worst at p0 = 2).  The shifts are the
-# absorber splitting and grow linearly with the rate: at 8.3e-3, T moves 1.7e-6
-# and P_inf 3.4e-6 at p0 = 2.
+STRIDE = 8  # site steps per outer step, unless the absorber is strong and wide
+# max(summed rate) * STRIDE * dtau at or below which an absorber is weak and
+# acts once per outer step, as a half-stage of STRIDE * dtau at each end.
+# Measured on the fig4-desk lattice at 8 substeps against the one-site step,
+# at 0.95 of this value: T moves <= 2.0e-7, P_inf <= 1.4e-7 and neg_mass <=
+# 7.9e-6 relative (p0 = 0.5 to 2; T and P_inf worst at p0 = 2).  The shifts
+# are the absorber splitting and grow linearly with the rate: at 8.3e-3, T
+# moves 1.7e-6 and P_inf 3.4e-6 at p0 = 2.  A stronger absorber acts at every
+# site step, and strides exactly (integrate) on a window of at most
+# NARROW_WINDOW sites.
 WEAK_ABSORBER = 1e-3
+# The widest absorber window (sites) on which a strong run strides.  Its cost
+# per outer step grows as J w n + (J w)^2 (J = STRIDE - 1 site steps read,
+# w window sites, n lattice sites) against STRIDE transform pairs of the
+# one-site run.  Measured per 200 site steps at rate 20, 32 substeps, one
+# BLAS thread on a 2-vCPU host (median of 9 interleaved runs; one-site /
+# strided ms): n = 3000: w = 5 67.4 / 28.6, w = 32 64.9 / 48.2, w = 40
+# 62.5 / 59.0, w = 48 58.4 / 73.7; n = 12000: w = 5 236 / 96, w = 32
+# 218 / 135, w = 48 231 / 188, w = 64 226 / 244.
+NARROW_WINDOW = 32
 # The strip is zeroed once per outer step, in which light crosses STRIDE sites;
 # a strip narrower than that would let norm cross the periodic seam unzeroed.
 assert STRIDE <= WALL_SITES
@@ -71,8 +87,8 @@ class DomainTooSmallError(RuntimeError):
 @dataclass(frozen=True)
 class EvolutionConfig:
     """Lattice and run parameters.  dx equals dtau (light-cone lattice); a run
-    of n_steps site steps takes outer steps of 1 or STRIDE site steps, as
-    integrate chooses from the absorber."""
+    of n_steps site steps takes outer steps of STRIDE site steps, or of 1
+    against a strong absorber on a wide window (integrate)."""
 
     dtau: float
     x_lo: float
@@ -109,13 +125,17 @@ class EvolutionRecord:
     S(tau) = <Psi|Psi>, and cumulative wall leakage.  channel_density splits
     d(tau) into one row per detection channel.
 
-    A strided run (see integrate) computes S and the leakage at the ends of
-    its outer steps only; at the site steps between, both are the straight
-    line between those ends.  The absorbed norm 1 - S - leakage is then the
-    piecewise-linear curve that JumpProcess._outcomes inverts, and its
-    increments over an outer step match the trapezoid of d(tau) over the
-    same step to the absorber's order.  d(tau) between the ends is the
-    density of M^j A psi (integrate)."""
+    Against a weak absorber a strided run (see integrate) computes S and
+    the leakage at the ends of its outer steps only; at the site steps
+    between, both are the straight line between those ends.  The absorbed
+    norm 1 - S - leakage is then the piecewise-linear curve that
+    JumpProcess._outcomes inverts, and its increments over an outer step
+    match the trapezoid of d(tau) over the same step to the absorber's
+    order.  d(tau) between the ends is the density of M^j A psi.  Against a
+    strong absorber S is exact at every row (the one-site run's, but for the
+    wall strip), and the leakage between the ends of an outer step is that
+    of the strip zeroed at the last end, so 1 - S - leakage is the norm the
+    detectors have absorbed at each row."""
 
     tau_samples: np.ndarray
     detection_density: np.ndarray
@@ -207,6 +227,38 @@ def _window_phases(n: int, window: slice):
     return inner, outer
 
 
+def _feedback(m: np.ndarray, window: slice, c: np.ndarray, n_inner: int):
+    """(columns, K) for outer steps of up to n_inner + 1 site steps against
+    the one-site absorber on a window of w sites, for the one-site free-step
+    matrix M = m.
+
+    columns ((2, n_inner, n)) holds the first column of M^j per mode,
+    (M^j)_00 and (M^j)_10 for j = 1 .. n_inner: M has unit determinant, so
+    M^j = alpha_j M - alpha_(j-1) I with alpha_0 = 0, alpha_1 = 1 and
+    alpha_(j+1) = tr(M) alpha_j - alpha_(j-1).  Between site steps the
+    absorber multiplies the upper entries u_j on the window by 1 + c, so
+    u_j = u0_j + sum_(i<j) G_(j-i) (c u_i), with u0_j the free read and
+    G_j[s, t] = ifft((M^j)_00)[(s - t) mod n] the j-site free step from
+    window site t to window site s.  K = (I - L)^-1 for the block
+    lower-triangular L of those terms ((n_inner w, n_inner w)) maps the
+    stacked free reads to u; its leading j w rows and columns serve an
+    outer step of j + 1 site steps."""
+    n, w = m.shape[-1], c.size
+    alpha = np.zeros((n_inner + 1, n), dtype=complex)
+    alpha[1] = 1.0
+    trace = m[0, 0] + m[1, 1]
+    for j in range(2, n_inner + 1):
+        alpha[j] = trace * alpha[j - 1] - alpha[j - 2]
+    columns = np.stack([alpha[1:] * m[0, 0] - alpha[:-1], alpha[1:] * m[1, 0]])
+    sites = np.arange(window.start, window.stop)
+    kernels = np.fft.ifft(columns[0], axis=-1)[:, (sites[:, None] - sites[None, :]) % n]
+    lower = np.zeros((n_inner, w, n_inner, w), dtype=complex)
+    for j in range(1, n_inner):
+        for i in range(j):
+            lower[j, :, i] = kernels[j - i - 1] * c
+    return columns, np.linalg.inv(np.eye(n_inner * w) - lower.reshape(n_inner * w, -1))
+
+
 def _mix(f: np.ndarray, m: np.ndarray) -> np.ndarray:
     """The per-mode step matrix m from _step_matrix, in place on the Fourier
     amplitudes of a (P, 2, n) pair stack."""
@@ -273,31 +325,49 @@ def integrate(
     the removed norm is accounted as boundary leakage.  Rejects the run if
     leakage exceeds LEAKAGE_REJECT.
 
-    An outer step is s site steps, s = STRIDE for a weak absorber
-    (max(summed rate) * STRIDE * dtau <= WEAK_ABSORBER) and 1 otherwise:
-    absorber half-stage A, free step of length s*dtau, absorber half-stage.
-    When s does not divide n_steps the run ends with one shorter outer step,
-    so it ends at n_steps*dtau.  Inside an outer step the detection density
-    at site step j is read from the Fourier amplitudes of A psi: the upper
-    entries of M^j A psi on the absorber window, where M^j is the j-site free
-    step, without a transform (see EvolutionRecord for S and the leakage
-    there).  The state is stepped as a stack of the PAIRS that carry norm at
-    the start.  Every factor of the step maps a pair into itself, so a pair
-    that starts at zero stays exactly zero; it is skipped, and written back
-    as zeros in final_state.
+    An outer step is s site steps with one transform pair: absorber
+    half-stage A, free step of length s*dtau in Fourier space, absorber
+    half-stage.  When s does not divide n_steps the run ends with one
+    shorter outer step, so it ends at n_steps*dtau.  Inside an outer step
+    the upper entries of the state on the absorber window at site step j are
+    read from the Fourier amplitudes f of A psi, as the upper entries of
+    M^j f (M^j the j-site free step) transformed back on the window only.
+    s is STRIDE in two cases, and 1 otherwise:
+
+    - a weak absorber (max(summed rate) * STRIDE * dtau <= WEAK_ABSORBER)
+      acts once per outer step, as half-stages of length s*dtau; the reads
+      give the record rows inside the outer step (see EvolutionRecord for S
+      and the leakage there);
+    - a strong absorber on a window of at most NARROW_WINDOW sites acts at
+      every site step, as the one-site run does, with half-stages of length
+      dtau.  Between transforms it multiplies the window's upper entries
+      u_j by A^2 = 1 + c at each site step j < s and touches nothing else,
+      so the reads fed back through _feedback's K are the one-site run's
+      u_j, which give its rows and its S exactly, and the free step's
+      amplitudes M^s f gain sum_j M^(s-j) (c u_j) transformed from the
+      window.
+
+    The state is stepped as a stack of the PAIRS that carry norm at the
+    start.  Every factor of the step maps a pair into itself, so a pair that
+    starts at zero stays exactly zero; it is skipped, and written back as
+    zeros in final_state.
     """
     grid = initial.grid
     dx = grid.dx
     rows = np.reshape(rates, (-1, grid.n))
     rate = rows.sum(axis=0)
-    s = STRIDE if rate.max(initial=0.0) * STRIDE * cfg.dtau <= WEAK_ABSORBER else 1
-    sites = np.r_[0:n_steps:s, n_steps]  # site steps reached at each outer step
-    lengths = np.diff(sites)
-    # free-step matrix and absorber half-stage per outer-step length
-    stages = {k: (_step_matrix(grid.n, dx, k * cfg.dtau, k * cfg.n_substeps, CHI),
-                  _half_absorber(k * cfg.dtau, rate)) for k in set(lengths.tolist())}
     support = np.flatnonzero(rate)
     window = slice(support[0], support[-1] + 1) if support.size else slice(0, 0)
+    w = window.stop - window.start
+    weak = rate.max(initial=0.0) * STRIDE * cfg.dtau <= WEAK_ABSORBER
+    s = STRIDE if weak or w <= NARROW_WINDOW else 1
+    sites = np.r_[0:n_steps:s, n_steps]  # site steps reached at each outer step
+    lengths = np.diff(sites)
+    # free-step matrix and absorber half-stage per outer-step length; a strong
+    # absorber takes the one-site half-stage at every site step
+    stages = {k: (_step_matrix(grid.n, dx, k * cfg.dtau, k * cfg.n_substeps, CHI),
+                  _half_absorber((k if weak else 1) * cfg.dtau, rate))
+              for k in set(lengths.tolist())}
     window_rows = rows[:, window]
     strips = np.r_[:WALL_SITES, grid.n - WALL_SITES:grid.n]
     # site steps read inside an outer step; a run without a detector reads none
@@ -306,46 +376,74 @@ def integrate(
         one_site = _step_matrix(grid.n, dx, cfg.dtau, cfg.n_substeps, CHI)
         inner, outer = _window_phases(grid.n, window)
         powers = np.empty((between, grid.n), dtype=complex)
+        if not weak:
+            damp = _half_absorber(cfg.dtau, rate)[1] ** 2  # A^2 on the window
+            columns, feedback = _feedback(one_site, window, damp - 1.0, between)
+            # the forward DFT from the window sites, split as _window_phases'
+            to_outer, to_inner = outer.conj(), grid.n * inner.conj().T
 
-    surv = np.empty(len(sites))
-    leak = np.zeros(len(sites))
+    surv = np.empty(n_steps + 1)
+    leak = np.zeros(n_steps + 1)
     chan_dens = np.zeros((len(rates), n_steps + 1))
+    seen = np.zeros(w)  # upper-entry density on the window at the last record
 
     live = [pair for pair in PAIRS if np.any(initial.values[list(pair)])]
     stack = _to_pairs(initial.values, live)
 
-    def record(m):
+    def record(r):
         # the detectors see only the upper entries, on the absorber window
         upper = stack[:, 0, window]
-        surv[m] = np.vdot(stack, stack).real * dx
-        chan_dens[:, sites[m]] = window_rows @ np.sum(upper.real**2 + upper.imag**2, axis=0) * dx
+        seen[:] = np.sum(upper.real**2 + upper.imag**2, axis=0)
+        surv[r] = np.vdot(stack, stack).real * dx
+        chan_dens[:, r] = window_rows @ seen * dx
 
-    def read_between(f, m, k):
-        # site steps sites[m] + 1 .. sites[m] + k - 1, from the amplitudes f of A psi
-        dens = np.zeros((k - 1, window_rows.shape[1]))
-        for upper, lower in f:
+    def read_between(f, r, k):
+        # rows r + 1 .. r + k - 1 from the amplitudes f of A psi; for a strong
+        # absorber, returns what it adds to the amplitudes after the free step
+        inside = slice(r + 1, r + k)
+        u = np.empty((len(f), k - 1, w), dtype=complex)  # window upper entries of M^j f
+        for i, (upper, lower) in enumerate(f):
             moved = _upper_powers(one_site, upper, lower, powers[:k - 1])
-            u = (moved.reshape(-1, inner.shape[0]) @ inner).reshape(k - 1, *outer.shape)
-            u = np.sum(u * outer, axis=1)  # (k - 1, w): the inverse DFT on the window
-            dens += u.real**2 + u.imag**2
-        chan_dens[:, sites[m] + 1:sites[m + 1]] = window_rows @ dens.T * dx
+            v = (moved.reshape(-1, inner.shape[0]) @ inner).reshape(k - 1, *outer.shape)
+            u[i] = np.sum(v * outer, axis=1)  # the inverse DFT on the window
+        if not weak:
+            n_in = (k - 1) * w
+            u = (u.reshape(len(f), n_in) @ feedback[:n_in, :n_in].T).reshape(u.shape)
+        arriving = np.sum(u.real**2 + u.imag**2, axis=0)
+        dens = arriving if weak else damp * arriving
+        chan_dens[:, inside] = window_rows @ dens.T * dx
+        if weak:
+            return None
+        # S falls by (1 - A^2) times the window density at both half-stages
+        taken = np.concatenate([seen[None], dens[:-1]]) + arriving
+        surv[inside] = surv[r] - dx * np.cumsum(taken @ (1.0 - damp))
+        leak[inside] = leak[r]
+        # sum_j M^(k-j) (e_j, 0), e_j the DFT of (A^2 - 1) u_j from the window
+        e = (((damp - 1.0) * u)[..., None, :] * to_outer).reshape(-1, w) @ to_inner
+        e = e.reshape(len(f), 1, k - 1, grid.n)
+        fed = columns[:, k - 2] * e[:, :, 0]
+        for j in range(1, k - 1):
+            fed += columns[:, k - 2 - j] * e[:, :, j]
+        return fed
 
     record(0)
     for m, k in enumerate(lengths.tolist(), start=1):
         free, absorber = stages[k]
         f = np.fft.fft(_absorb(stack, absorber), axis=-1)
-        if between and k > 1:
-            read_between(f, m - 1, k)
-        stack = _absorb(np.fft.ifft(_mix(f, free), axis=-1), absorber)
+        fed = read_between(f, sites[m - 1], k) if between and k > 1 else None
+        f = _mix(f, free)
+        if fed is not None:
+            f += fed
+        stack = _absorb(np.fft.ifft(f, axis=-1), absorber)
         lost = np.sum(np.abs(stack[..., strips]) ** 2) * dx
-        leak[m] = leak[m - 1] + lost
+        leak[sites[m]] = leak[sites[m - 1]] + lost
         if lost:
             stack[..., strips] = 0.0
-        record(m)
+        record(sites[m])
 
-        if leak[m] > LEAKAGE_REJECT:
+        if leak[sites[m]] > LEAKAGE_REJECT:
             raise DomainTooSmallError(
-                f"boundary leakage {leak[m]:.3e} at tau={cfg.dtau * sites[m]:.3f} "
+                f"boundary leakage {leak[sites[m]]:.3e} at tau={cfg.dtau * sites[m]:.3f} "
                 f"exceeds {LEAKAGE_REJECT}"
             )
 
@@ -353,9 +451,11 @@ def integrate(
         log.warning("boundary leakage %.3e exceeds %.0e", leak[-1], LEAKAGE_WARN)
 
     every = np.arange(n_steps + 1)
+    if weak:  # S and the leakage inside an outer step: straight lines between its ends
+        surv = np.interp(every, sites, surv[sites])
+        leak = np.interp(every, sites, leak[sites])
     final = PlaneState(initial.x_min, initial.dx, _from_pairs(stack, live))
-    return EvolutionRecord(cfg.dtau * every, chan_dens.sum(axis=0),
-                           np.interp(every, sites, surv), np.interp(every, sites, leak),
+    return EvolutionRecord(cfg.dtau * every, chan_dens.sum(axis=0), surv, leak,
                            final, channel_density=chan_dens)
 
 
@@ -376,9 +476,9 @@ def evolve(
     det: WindowDetector | None,
     cfg: EvolutionConfig,
 ) -> EvolutionRecord:
-    """Integrate to tau_max recording d(tau) and S(tau) each outer step (see
-    integrate for the stride and the wall treatment), then check that d(tau)
-    has decayed.
+    """Integrate to tau_max recording d(tau) and S(tau) at every site step
+    (see integrate for the stride and the wall treatment), then check that
+    d(tau) has decayed.
     det None or of zero height is a free run."""
     detectors = []
     if det is not None and det.height != 0.0:

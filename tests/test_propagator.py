@@ -82,7 +82,7 @@ def test_fused_free_step_matches_substep_loop(n_substeps, n, seed):
 
 
 def _four_row_reference(initial: PlaneState, rates, cfg: EvolutionConfig, n_steps: int,
-                        stride: int):
+                        stride: int, per_site: bool = False):
     """integrate() as a loop over all four component rows with outer steps
     of stride site steps, the last one shorter when stride does not divide
     n_steps: Strang step against the summed absorber, wall strip,
@@ -90,7 +90,12 @@ def _four_row_reference(initial: PlaneState, rates, cfg: EvolutionConfig, n_step
     site steps, the record row of site step j < k is the density of the
     j-site free step (its own _step_matrix, a transform pair over all four
     rows) of the state after the first half-stage; S and the leakage there
-    are the straight line between the outer step's ends."""
+    are the straight line between the outer step's ends.
+
+    per_site: the one-site run instead, a Strang step and a record row with
+    its own S at every site step, with the wall strips zeroed only at the
+    ends of the outer steps; the leakage between is that of the last
+    zeroing."""
     v, dx, w = initial.values.copy(), cfg.dx, WALL_SITES
 
     def pointwise(v, half_absorb):
@@ -114,31 +119,44 @@ def _four_row_reference(initial: PlaneState, rates, cfg: EvolutionConfig, n_step
     record(v)
     lengths = [stride] * (n_steps // stride) + [n_steps % stride] * (n_steps % stride > 0)
     for k in lengths:
-        half_absorb = np.exp(-k * cfg.dtau * np.sum(rates, axis=0) / 4.0)
-        f = np.fft.fft(pointwise(v, half_absorb), axis=1)
-        for j in range(1, k):
-            dens = np.abs(free(f, j)) ** 2
-            chan.append([np.sum(r * (dens[0] + dens[1])) * dx for r in rates])
-        v = pointwise(free(f, k), half_absorb)
+        if per_site:
+            half_absorb = np.exp(-cfg.dtau * np.sum(rates, axis=0) / 4.0)
+            for _ in range(k - 1):
+                v = pointwise(free(np.fft.fft(pointwise(v, half_absorb), axis=1), 1), half_absorb)
+                record(v)
+                leak.append(leak[-1])
+            f = np.fft.fft(pointwise(v, half_absorb), axis=1)
+            v = pointwise(free(f, 1), half_absorb)
+        else:
+            half_absorb = np.exp(-k * cfg.dtau * np.sum(rates, axis=0) / 4.0)
+            f = np.fft.fft(pointwise(v, half_absorb), axis=1)
+            for j in range(1, k):
+                dens = np.abs(free(f, j)) ** 2
+                chan.append([np.sum(r * (dens[0] + dens[1])) * dx for r in rates])
+            v = pointwise(free(f, k), half_absorb)
         dens = np.abs(v) ** 2
         leak.append(leak[-1] + (dens[:, :w].sum() + dens[:, -w:].sum()) * dx)
         v[:, :w] = v[:, -w:] = 0.0
         record(v)
+    if per_site:
+        return np.array(surv), np.array(chan).T, np.array(leak), v
     ends = np.cumsum([0] + lengths)
     every = np.arange(n_steps + 1)
     return (np.interp(every, ends, surv), np.array(chan).T, np.interp(every, ends, leak), v)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(populated=st.sampled_from([(0, 1, 2, 3), PAIRS[0], PAIRS[1]]),
        n_substeps=st.integers(1, 16), n=st.integers(96, 160), n_steps=st.integers(1, 30),
-       weak=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_pair_stack_matches_four_row_loop(populated, n_substeps, n, n_steps, weak, seed):
+       absorber=st.sampled_from(["weak", "strong", "narrow"]), seed=st.integers(0, 2**32 - 1))
+def test_pair_stack_matches_four_row_loop(populated, n_substeps, n, n_steps, absorber, seed):
     """integrate() steps only the pairs that carry norm, STRIDE site steps at
-    a time against a weak absorber and ending at n_steps site steps, and
-    records every site step; survival, channel densities, leakage, sample
-    times and the final state match the four-row loop at that stride, and a
-    pair that starts at zero ends exactly zero."""
+    a time against a weak absorber or a strong one on a narrow window, and
+    ending at n_steps site steps, and records every site step; survival,
+    channel densities, leakage, sample times and the final state match the
+    four-row loop at that stride (the one-site run with the strips zeroed
+    every STRIDE site steps for the narrow window), and a pair that starts
+    at zero ends exactly zero."""
     rng = np.random.default_rng(seed)
     dx = 0.01
     grid = UniformGrid(-n * dx / 2, dx, n)
@@ -154,17 +172,24 @@ def test_pair_stack_matches_four_row_loop(populated, n_substeps, n, n_steps, wea
     vals /= np.sqrt(np.sum(np.abs(vals) ** 2) * dx)
     # two channels, each of peak rate below WEAK_ABSORBER / (2 STRIDE dx) (weak:
     # max summed rate * STRIDE dtau stays below WEAK_ABSORBER, so the run
-    # strides) or of 1 to 40 (the product exceeds 1 * STRIDE * dx = 0.08, so it
-    # does not)
-    lo, hi = (0.0, propagator.WEAK_ABSORBER / (2 * STRIDE * dx)) if weak else (1.0, 40.0)
+    # strides) or of 1 to 40 (the product exceeds 1 * STRIDE * dx = 0.08): on
+    # the whole grid (strong, one-site steps) or cut to a window of at most
+    # NARROW_WINDOW sites (narrow, strides)
+    lo, hi = (0.0, propagator.WEAK_ABSORBER / (2 * STRIDE * dx)) if absorber == "weak" else (1.0, 40.0)
+    reach = propagator.NARROW_WINDOW * dx / 8 if absorber == "narrow" else 0.3
     rates = []
-    for center in rng.uniform(-0.3, 0.3, size=2):
-        rates.append(rng.uniform(lo, hi) * np.exp(-((x - center) / 0.05) ** 2))
-    stride = STRIDE if weak else 1
+    for center in rng.uniform(-reach, reach, size=2):
+        rate = rng.uniform(lo, hi) * np.exp(-((x - center) / 0.05) ** 2)
+        if absorber == "narrow":  # both cut within 3 reach of 0: 3/4 NARROW_WINDOW sites
+            rate[np.abs(x - center) > 2 * reach] = 0.0
+        rates.append(rate)
+    support = np.flatnonzero(np.sum(rates, axis=0))
+    assert (support[-1] - support[0] < propagator.NARROW_WINDOW) == (absorber == "narrow")
+    stride = 1 if absorber == "strong" else STRIDE
 
     rec = integrate(PlaneState(grid.x_min, dx, vals), rates, cfg, n_steps)
     surv, chan, leak, final = _four_row_reference(PlaneState(grid.x_min, dx, vals), rates, cfg,
-                                                  n_steps, stride)
+                                                  n_steps, stride, per_site=absorber == "narrow")
     np.testing.assert_array_equal(rec.tau_samples, dx * np.arange(n_steps + 1))
     assert np.abs(rec.survival - surv).max() < 1e-12
     assert np.abs(rec.channel_density - chan).max() < 1e-12
@@ -174,6 +199,10 @@ def test_pair_stack_matches_four_row_loop(populated, n_substeps, n, n_steps, wea
     for pair in PAIRS:
         if not set(pair) & set(populated):
             assert np.all(rec.final_state.values[list(pair)] == 0.0)
+    if absorber == "narrow":  # the strips are zeroed at the ends of outer steps only
+        every = np.arange(n_steps + 1)
+        last = np.where(every == n_steps, every, every // STRIDE * STRIDE)
+        np.testing.assert_array_equal(rec.boundary_leakage, rec.boundary_leakage[last])
 
 
 @settings(max_examples=15, deadline=None)
@@ -231,26 +260,31 @@ def test_massless_step_is_exact_shift(monkeypatch):
 
 
 # (T, P_inf, neg_mass) bounds, relative to the run stepped one site at a time
-STRIDE_BOUNDS = {"desk": (1e-7, 1e-7, 1e-5), "threshold": (3e-7, 3e-7, 2e-5)}
+STRIDE_BOUNDS = {"desk": (1e-7, 1e-7, 1e-5), "threshold": (3e-7, 3e-7, 2e-5),
+                 "strong": (1e-10, 1e-10, 1e-10)}
 
 
 @pytest.mark.parametrize("p0", [0.75, 2.0])
-@pytest.mark.parametrize("detector", ["desk", "threshold"])
+@pytest.mark.parametrize("detector", ["desk", "threshold", "strong"])
 def test_strided_run_matches_site_step_run(p0, detector, monkeypatch):
     """The benchmark's lattice-density lattice (fig4-desk at 8 substeps)
-    strides, at the desk detector W = 1e-5 (max rate * 8 dtau = 8.3e-5) and
-    at a detector just inside the stride rule (0.95 WEAK_ABSORBER).  Both
-    runs record every site step, and the strided run's T, P_inf and neg_mass
-    stay within STRIDE_BOUNDS of the run stepped one site at a time (measured
-    at p0 = 0.75 / 2: T 1.6e-12 / 1.7e-8, P_inf 2.2e-10 / 9.0e-9, neg_mass
+    strides, at the desk detector W = 1e-5 (max rate * 8 dtau = 8.3e-5), at
+    a detector just inside the stride rule (0.95 WEAK_ABSORBER) and at the
+    pdp detector W = 0.2 (a window of 4 sites).  All runs record every site
+    step, and the strided run's T, P_inf and neg_mass stay within
+    STRIDE_BOUNDS of the run stepped one site at a time (measured at
+    p0 = 0.75 / 2: T 1.6e-12 / 1.7e-8, P_inf 2.2e-10 / 9.0e-9, neg_mass
     6.9e-7 / 4.1e-7 at the desk detector; T 2.7e-11 / 2.0e-7, P_inf
     2.8e-8 / 1.3e-7, neg_mass 7.9e-6 / 4.7e-6 at the threshold).  What is
-    left is the absorber splitting, first order in the rate."""
+    left there is the absorber splitting, first order in the rate.  The
+    strong detector acts at every site step in both runs, so only the wall
+    strip's cadence is left (measured T 1.6e-14 / 3.7e-13, P_inf
+    1.9e-12 / 1.2e-11, neg_mass 4.7e-13 / 1.2e-11)."""
     spec = PacketSpec(p0=p0)
     lattice = {"dtau": 0.002, "x_lo": -4.0, "x_hi": 2.0, "n_substeps": 8}
     cfg = config_from_lattice(lattice, p0, spec)
     shape = dict(width=0.01, edge=0.004)
-    height = 1e-5
+    height = 0.2 if detector == "strong" else 1e-5
     if detector == "threshold":
         peak = lambda_field(WindowDetector(height=1.0, **shape), cfg.grid()).max()
         height = 0.95 * propagator.WEAK_ABSORBER / (peak * STRIDE * cfg.dtau)
@@ -306,6 +340,51 @@ def test_intermediate_rows_are_exact_reads(populated, n_substeps, n, outer, j, s
     upper = np.sum(np.abs(moved[:, 0]) ** 2, axis=0)
     want = [np.sum(r * upper) * dx for r in rates]
     assert np.abs(rec.channel_density[:, outer * STRIDE + j] - want).max() < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(populated=st.sampled_from([(0, 1, 2, 3), PAIRS[0], PAIRS[1]]),
+       n_substeps=st.integers(1, 16), n=st.integers(128, 400), outer=st.integers(0, 2),
+       j=st.integers(1, STRIDE - 1), seed=st.integers(0, 2**32 - 1))
+def test_strong_stride_survival_is_the_stepped_norm(populated, n_substeps, n, outer, j, seed):
+    """Against a strong absorber (rate 1 to 40) on a window of a few sites a
+    run strides, and its S recurrence is the norm of the stepped state: at
+    site step r = outer * STRIDE + j, inside an outer step, S plus the
+    leakage and the channel densities equal those at the end of the run that
+    stops at r (vdot of its final state, after its last wall strip), and so
+    does every row before r, to 1e-12.  (S alone differs by the norm that
+    run's last strip removes: the absorber's sharp edges reach the walls
+    through the fractional-site advection of the substeps.)  A run whose step
+    count STRIDE does not divide ends at n_steps dtau."""
+    rng = np.random.default_rng(seed)
+    dx = 0.01
+    grid = UniformGrid(-n * dx / 2, dx, n)
+    x = grid.positions
+    cfg = EvolutionConfig(dtau=dx, x_lo=x[0], x_hi=x[-1], tau_max=1.0, n_substeps=n_substeps)
+    vals = np.zeros((4, n), dtype=complex)
+    amp = rng.normal(size=(len(populated), 1)) + 1j * rng.normal(size=(len(populated), 1))
+    q = rng.uniform(-50.0, 50.0, size=(len(populated), 1))
+    vals[list(populated)] = amp * np.exp(1j * q * x - (x / (n * dx / 12)) ** 2)
+    vals /= np.sqrt(np.sum(np.abs(vals) ** 2) * dx)
+    rates = [rng.uniform(1.0, 40.0) * np.exp(-((x - c) / (rng.uniform(1, 3) * dx)) ** 2)
+             for c in rng.uniform(-0.03, 0.03, 2)]
+    rates = [np.where(r > 1e-3 * r.max(), r, 0.0) for r in rates]  # a window of a few sites
+    support = np.flatnonzero(np.sum(rates, axis=0))
+    assert support[-1] - support[0] < propagator.NARROW_WINDOW
+    initial = PlaneState(grid.x_min, dx, vals)
+
+    r = outer * STRIDE + j
+    n_steps = r + int(rng.integers(1, STRIDE))
+    n_steps += n_steps % STRIDE == 0
+    rec = integrate(initial, rates, cfg, n_steps)
+    np.testing.assert_array_equal(rec.tau_samples, cfg.dtau * np.arange(n_steps + 1))
+    assert rec.tau_samples[-1] == n_steps * cfg.dtau
+
+    stepped = integrate(initial, rates, cfg, r)
+    kept = rec.survival + rec.boundary_leakage
+    assert abs(kept[r] - stepped.final_state.norm_sq() - stepped.boundary_leakage[-1]) < 1e-12
+    assert np.abs(kept[:r + 1] - stepped.survival - stepped.boundary_leakage).max() < 1e-12
+    assert np.abs(rec.channel_density[:, :r + 1] - stepped.channel_density).max() < 1e-12
 
 
 def test_scan_error_does_not_depend_on_step_parity(monkeypatch):

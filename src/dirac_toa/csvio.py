@@ -19,12 +19,19 @@ def _fmt(value) -> str:
 
 
 def _cells(a: np.ndarray) -> Iterator[str]:
-    """A column's cells, each as _fmt formats that element."""
+    """A column's cells, each as _fmt formats that element.  A float, int or
+    bool value that repeats is formatted once: its cells are found by bit
+    pattern, so -0.0 and 0.0, and NaNs of different payloads, stay apart."""
     if a.dtype.kind == "f" and a.dtype.itemsize <= 8:
-        return map(repr, a.tolist())
-    if a.dtype.kind in "biu":
-        return map(str, a.tolist())
-    return map(_fmt, a)
+        fmt, bits = repr, a.view(f"i{a.dtype.itemsize}")
+    elif a.dtype.kind in "biu":
+        fmt, bits = str, a
+    else:
+        return map(_fmt, a)
+    _, first, index = np.unique(bits, return_index=True, return_inverse=True)
+    if len(first) == len(a):
+        return map(fmt, a.tolist())
+    return map(list(map(fmt, a[first].tolist())).__getitem__, index.tolist())
 
 
 _BLOCK_ROWS = 2048  # rows formatted and written at a time

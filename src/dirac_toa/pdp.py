@@ -271,7 +271,7 @@ class JumpProcess:
         self.channels = list(channels)
         self.preparation = preparation
         rates = [lambda_field(ch.spec, initial.grid) for ch in self.channels]
-        check_run_inputs(initial, [ch.spec for ch in self.channels])
+        check_run_inputs(initial, [ch.spec for ch in self.channels], cfg)
         rec = integrate(initial, rates, cfg, cfg.n_steps)
         self.tau = rec.tau_samples
         self.survival = rec.survival

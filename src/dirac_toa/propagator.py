@@ -9,14 +9,16 @@ time-integration error and scales as (dtau/n_substeps)^2, small enough that
 arrival-time observables are dominated by physics, not the scheme.  The
 n_substeps = 1 limit is the plain light-cone scheme (advection = exact
 one-site shift).  Advection is exact in Fourier space for any step length,
-so integrate() takes outer steps of STRIDE site steps, one transform pair
+so integrate() takes outer steps of several site steps, one transform pair
 each, against any absorber but a strong one on a wide window: the free
-part of one outer step is STRIDE site steps' worth of the same substeps.
-A weak absorber acts once per outer step.  A strong one still acts at
-every site step, exactly as in the one-site run: between transforms it
-touches only the few sites of its window, so its effect there is a small
-linear system and, on the amplitudes, one correction from those sites.
-The wall strip runs once per outer step.  The record has one row per site
+part of one outer step is that many site steps' worth of the same
+substeps.  A weak absorber acts once per outer step of STRIDE site steps.
+A strong one on a narrow window still acts at every site step, exactly as
+in the one-site run, in outer steps of NARROW_STRIDE site steps: between
+transforms it touches only the few sites of its window, so its effect there
+is a small linear system and, on the amplitudes, one correction from those
+sites.  The wall strip, WALL_SITES sites beyond each edge of the configured
+domain, is zeroed once per outer step.  The record has one row per site
 step: between transforms, the state on the absorber window at site step j
 is read straight from the outer step's Fourier amplitudes, as the upper
 entries of M^j applied to them (M the one-site free-step matrix of each
@@ -25,8 +27,8 @@ mode) transformed back on the window's sites only.
 The transforms are numpy.fft's (pocketfft).  The mass term is uniform in
 x, so every substep is diagonal in k: a 2x2 matrix per mode on the
 component pairs (1, 4) and (2, 3).  The n_substeps substeps are
-multiplied into one cached matrix per mode.  No factor of the
-step mixes the two pairs (the absorber damps components 1 and 2, the upper
+multiplied into one cached matrix per mode, by binary powering.  No factor
+of the step mixes the two pairs (the absorber damps components 1 and 2, the upper
 entries), so the state is stepped as a (pairs, 2, n) stack and a pair
 without norm is left out: an outer step costs one transform pair per pair
 that carries norm, whatever n_substeps and the stride are.  Packets
@@ -53,30 +55,39 @@ log = logging.getLogger(__name__)
 LEAKAGE_WARN = 1e-6
 LEAKAGE_REJECT = 1e-3
 TAIL_MAX = 1e-6  # contract on d(tau_max) / max d
-WALL_SITES = 8
-STRIDE = 8  # site steps per outer step, unless the absorber is strong and wide
+# Sites of the absorbing strip beyond each edge of the configured domain
+# (EvolutionConfig.grid), zeroed at the end of every outer step.
+WALL_SITES = 16
+STRIDE = 16  # site steps per outer step against a weak absorber
+# Site steps per outer step against a strong absorber on a narrow window.
+# Per 400 site steps at n = 3000, rate 20, 8 substeps, one BLAS thread on a
+# 2-vCPU host (median of 7 interleaved runs; stride 8 / 16 ms): w = 4
+# 38.7 / 34.0, w = 9 54.9 / 47.5, w = 16 58.0 / 63.7, w = 32 76.3 / 139.3.
+NARROW_STRIDE = 8
 # max(summed rate) * STRIDE * dtau at or below which an absorber is weak and
 # acts once per outer step, as a half-stage of STRIDE * dtau at each end.
-# Measured on the fig4-desk lattice at 8 substeps against the one-site step,
-# at 0.95 of this value: T moves <= 2.0e-7, P_inf <= 1.4e-7 and neg_mass <=
-# 7.9e-6 relative (p0 = 0.5 to 2; T and P_inf worst at p0 = 2).  The shifts
-# are the absorber splitting and grow linearly with the rate: at 8.3e-3, T
-# moves 1.7e-6 and P_inf 3.4e-6 at p0 = 2.  A stronger absorber acts at every
-# site step, and strides exactly (integrate) on a window of at most
-# NARROW_WINDOW sites.
+# Measured on the fig4-desk lattice at 8 substeps against the one-site step
+# (p0 = 0.5 to 2; T and P_inf worst at p0 = 2): at the desk detector W = 1e-5
+# T moves <= 3.5e-8, P_inf <= 1.9e-8 and neg_mass <= 1.5e-6 relative; at 0.95
+# of this value T <= 2.0e-7, P_inf <= 1.2e-7 and neg_mass <= 8.6e-6.  The
+# shifts are the absorber splitting and grow linearly with the rate: at
+# 8.3e-3, T moves 1.7e-6 and P_inf 2.4e-6 at p0 = 2.  A stronger absorber
+# acts at every site step, and strides exactly (integrate) on a window of at
+# most NARROW_WINDOW sites.
 WEAK_ABSORBER = 1e-3
 # The widest absorber window (sites) on which a strong run strides.  Its cost
-# per outer step grows as J w n + (J w)^2 (J = STRIDE - 1 site steps read,
-# w window sites, n lattice sites) against STRIDE transform pairs of the
-# one-site run.  Measured per 200 site steps at rate 20, 32 substeps, one
-# BLAS thread on a 2-vCPU host (median of 9 interleaved runs; one-site /
-# strided ms): n = 3000: w = 5 67.4 / 28.6, w = 32 64.9 / 48.2, w = 40
+# per outer step grows as J w n + (J w)^2 (J = NARROW_STRIDE - 1 site steps
+# read, w window sites, n lattice sites) against NARROW_STRIDE transform
+# pairs of the one-site run.  Measured per 200 site steps at rate 20, 32
+# substeps, one BLAS thread on a 2-vCPU host (median of 9 interleaved runs;
+# one-site / strided ms): n = 3000: w = 5 67.4 / 28.6, w = 32 64.9 / 48.2, w = 40
 # 62.5 / 59.0, w = 48 58.4 / 73.7; n = 12000: w = 5 236 / 96, w = 32
 # 218 / 135, w = 48 231 / 188, w = 64 226 / 244.
 NARROW_WINDOW = 32
-# The strip is zeroed once per outer step, in which light crosses STRIDE sites;
-# a strip narrower than that would let norm cross the periodic seam unzeroed.
-assert STRIDE <= WALL_SITES
+# The strip is zeroed once per outer step, in which light crosses up to STRIDE
+# sites; a strip narrower than that would let norm cross the periodic seam
+# unzeroed.
+assert max(STRIDE, NARROW_STRIDE) <= WALL_SITES
 PAIRS = ((0, 3), (1, 2))  # the (upper, lower) component pairs that alpha couples
 
 
@@ -86,9 +97,12 @@ class DomainTooSmallError(RuntimeError):
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Lattice and run parameters.  dx equals dtau (light-cone lattice); a run
-    of n_steps site steps takes outer steps of STRIDE site steps, or of 1
-    against a strong absorber on a wide window (integrate)."""
+    """Lattice and run parameters.  dx equals dtau (light-cone lattice); the
+    lattice (grid) holds the domain [x_lo, x_hi] and a wall strip beyond
+    each edge.  A run of n_steps site steps takes outer steps of STRIDE site
+    steps against a weak absorber, of NARROW_STRIDE against a strong one on
+    a narrow window, and of 1 against a strong one on a wide window
+    (integrate)."""
 
     dtau: float
     x_lo: float
@@ -111,7 +125,10 @@ class EvolutionConfig:
         return self.dtau
 
     def grid(self) -> UniformGrid:
-        return UniformGrid.from_domain(self.x_lo, self.x_hi, self.dx)
+        """The lattice: [x_lo, x_hi] and a wall strip of WALL_SITES sites
+        beyond each edge, rounded up to fft_size sites on the right."""
+        pad = WALL_SITES * self.dx
+        return UniformGrid.from_domain(self.x_lo - pad, self.x_hi + pad, self.dx)
 
     @property
     def n_steps(self) -> int:
@@ -125,17 +142,19 @@ class EvolutionRecord:
     S(tau) = <Psi|Psi>, and cumulative wall leakage.  channel_density splits
     d(tau) into one row per detection channel.
 
-    Against a weak absorber a strided run (see integrate) computes S and
-    the leakage at the ends of its outer steps only; at the site steps
-    between, both are the straight line between those ends.  The absorbed
-    norm 1 - S - leakage is then the piecewise-linear curve that
-    JumpProcess._outcomes inverts, and its increments over an outer step
-    match the trapezoid of d(tau) over the same step to the absorber's
-    order.  d(tau) between the ends is the density of M^j A psi.  Against a
-    strong absorber S is exact at every row (the one-site run's, but for the
-    wall strip), and the leakage between the ends of an outer step is that
-    of the strip zeroed at the last end, so 1 - S - leakage is the norm the
-    detectors have absorbed at each row."""
+    In a strided run (see integrate) the leakage between the ends of an
+    outer step is that of the strip zeroed at the last end.  Against a weak
+    absorber the run computes S at the ends of its outer steps only; d(tau)
+    between the ends is the density of M^j A psi, and there the absorbed
+    norm 1 - S - leakage rises from its value at the start of the outer
+    step to its value at the end in proportion to the trapezoid of d(tau),
+    so its increments match the trapezoid to within the outer step's
+    absorber splitting (the budget (1 - S) - int d - leakage reads 3.4e-8
+    at most on the fig4-desk lattice at 8 substeps).  Against a strong
+    absorber S is exact at every row (the one-site run's, but for the wall
+    strip).
+    Either way 1 - S - leakage is the norm the detectors have absorbed at
+    each row, the curve that JumpProcess._outcomes inverts."""
 
     tau_samples: np.ndarray
     detection_density: np.ndarray
@@ -171,13 +190,27 @@ def _step_matrix(n: int, dx: float, dtau: float, n_substeps: int, chi: float) ->
     k = 2 * np.pi * np.fft.fftfreq(n, d=dx)
     h = dtau / n_substeps
     mass = np.exp(-1j * chi * h)
-    sub = np.empty((n, 2, 2), dtype=complex)
-    sub[:, 0, 0] = mass * np.cos(k * h)
-    sub[:, 0, 1] = sub[:, 1, 0] = -1j * np.sin(k * h)
-    sub[:, 1, 1] = np.conj(mass) * np.cos(k * h)
-    step = np.linalg.matrix_power(sub, n_substeps).transpose(1, 2, 0).copy()
+    sub = np.empty((2, 2, n), dtype=complex)
+    sub[0, 0] = mass * np.cos(k * h)
+    sub[0, 1] = sub[1, 0] = -1j * np.sin(k * h)
+    sub[1, 1] = np.conj(mass) * np.cos(k * h)
+    # binary powering in numpy.linalg.matrix_power's order of products, on the
+    # four entries as (n,) arrays rather than on an (n, 2, 2) matrix stack
+    power = step = None
+    bits = n_substeps
+    while bits:
+        power = sub if power is None else _product(power, power)
+        bits, bit = divmod(bits, 2)
+        if bit:
+            step = power if step is None else _product(step, power)
+    step = np.array(step)
     step.flags.writeable = False  # cached: every caller shares this array
     return step
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The per-mode matrix product a b of two (2, 2, n) stacks."""
+    return np.array([[a[i, 0] * b[0, j] + a[i, 1] * b[1, j] for j in (0, 1)] for i in (0, 1)])
 
 
 def _to_pairs(values: np.ndarray, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
@@ -321,7 +354,8 @@ def integrate(
     rates holds one (n,) field from lambda_field per detection channel;
     the record's channel_density has one row of <Psi|Lambda_c Psi> per
     channel, and detection_density is their sum.  Walls absorb: a strip of
-    WALL_SITES sites at each domain edge is zeroed after every outer step and
+    WALL_SITES sites at each end of the lattice (beyond the configured
+    domain, on EvolutionConfig.grid) is zeroed after every outer step and
     the removed norm is accounted as boundary leakage.  Rejects the run if
     leakage exceeds LEAKAGE_REJECT.
 
@@ -332,20 +366,20 @@ def integrate(
     the upper entries of the state on the absorber window at site step j are
     read from the Fourier amplitudes f of A psi, as the upper entries of
     M^j f (M^j the j-site free step) transformed back on the window only.
-    s is STRIDE in two cases, and 1 otherwise:
+    s is STRIDE or NARROW_STRIDE in two cases, and 1 otherwise:
 
     - a weak absorber (max(summed rate) * STRIDE * dtau <= WEAK_ABSORBER)
-      acts once per outer step, as half-stages of length s*dtau; the reads
-      give the record rows inside the outer step (see EvolutionRecord for S
-      and the leakage there);
-    - a strong absorber on a window of at most NARROW_WINDOW sites acts at
-      every site step, as the one-site run does, with half-stages of length
-      dtau.  Between transforms it multiplies the window's upper entries
-      u_j by A^2 = 1 + c at each site step j < s and touches nothing else,
-      so the reads fed back through _feedback's K are the one-site run's
-      u_j, which give its rows and its S exactly, and the free step's
-      amplitudes M^s f gain sum_j M^(s-j) (c u_j) transformed from the
-      window.
+      acts once per outer step of STRIDE site steps, as half-stages of length
+      s*dtau; the reads give the record rows inside the outer step, and S
+      there follows their trapezoid between its end values (EvolutionRecord);
+    - a strong absorber on a window of at most NARROW_WINDOW sites, in outer
+      steps of NARROW_STRIDE site steps, acts at every site step, as the
+      one-site run does, with half-stages of length dtau.  Between
+      transforms it multiplies the window's upper entries u_j by
+      A^2 = 1 + c at each site step j < s and touches nothing else, so the
+      reads fed back through _feedback's K are the one-site run's u_j,
+      which give its rows and its S exactly, and the free step's amplitudes
+      M^s f gain sum_j M^(s-j) (c u_j) transformed from the window.
 
     The state is stepped as a stack of the PAIRS that carry norm at the
     start.  Every factor of the step maps a pair into itself, so a pair that
@@ -360,7 +394,7 @@ def integrate(
     window = slice(support[0], support[-1] + 1) if support.size else slice(0, 0)
     w = window.stop - window.start
     weak = rate.max(initial=0.0) * STRIDE * cfg.dtau <= WEAK_ABSORBER
-    s = STRIDE if weak or w <= NARROW_WINDOW else 1
+    s = STRIDE if weak else NARROW_STRIDE if w <= NARROW_WINDOW else 1
     sites = np.r_[0:n_steps:s, n_steps]  # site steps reached at each outer step
     lengths = np.diff(sites)
     # free-step matrix and absorber half-stage per outer-step length; a strong
@@ -417,7 +451,6 @@ def integrate(
         # S falls by (1 - A^2) times the window density at both half-stages
         taken = np.concatenate([seen[None], dens[:-1]]) + arriving
         surv[inside] = surv[r] - dx * np.cumsum(taken @ (1.0 - damp))
-        leak[inside] = leak[r]
         # sum_j M^(k-j) (e_j, 0), e_j the DFT of (A^2 - 1) u_j from the window
         e = (((damp - 1.0) * u)[..., None, :] * to_outer).reshape(-1, w) @ to_inner
         e = e.reshape(len(f), 1, k - 1, grid.n)
@@ -427,47 +460,52 @@ def integrate(
         return fed
 
     record(0)
-    for m, k in enumerate(lengths.tolist(), start=1):
+    for r, k in zip(sites[:-1].tolist(), lengths.tolist()):
         free, absorber = stages[k]
         f = np.fft.fft(_absorb(stack, absorber), axis=-1)
-        fed = read_between(f, sites[m - 1], k) if between and k > 1 else None
+        fed = read_between(f, r, k) if between and k > 1 else None
         f = _mix(f, free)
         if fed is not None:
             f += fed
         stack = _absorb(np.fft.ifft(f, axis=-1), absorber)
         lost = np.sum(np.abs(stack[..., strips]) ** 2) * dx
-        leak[sites[m]] = leak[sites[m - 1]] + lost
+        leak[r + 1:r + k] = leak[r]  # the strip is zeroed at the outer step's end
+        leak[r + k] = leak[r] + lost
         if lost:
             stack[..., strips] = 0.0
-        record(sites[m])
+        record(r + k)
+        if weak and k > 1:
+            # S inside: the norm the absorber took in the outer step, split
+            # over its site steps as the trapezoid of the recorded density
+            d = chan_dens[:, r:r + k + 1].sum(axis=0)
+            cum = np.cumsum(d[1:] + d[:-1])
+            share = cum[:-1] / cum[-1] if cum[-1] > 0.0 else 0.0
+            surv[r + 1:r + k] = surv[r] - (surv[r] - surv[r + k] - lost) * share
 
-        if leak[sites[m]] > LEAKAGE_REJECT:
+        if leak[r + k] > LEAKAGE_REJECT:
             raise DomainTooSmallError(
-                f"boundary leakage {leak[sites[m]]:.3e} at tau={cfg.dtau * sites[m]:.3f} "
+                f"boundary leakage {leak[r + k]:.3e} at tau={cfg.dtau * (r + k):.3f} "
                 f"exceeds {LEAKAGE_REJECT}"
             )
 
     if leak[-1] > LEAKAGE_WARN:
         log.warning("boundary leakage %.3e exceeds %.0e", leak[-1], LEAKAGE_WARN)
 
-    every = np.arange(n_steps + 1)
-    if weak:  # S and the leakage inside an outer step: straight lines between its ends
-        surv = np.interp(every, sites, surv[sites])
-        leak = np.interp(every, sites, leak[sites])
     final = PlaneState(initial.x_min, initial.dx, _from_pairs(stack, live))
-    return EvolutionRecord(cfg.dtau * every, chan_dens.sum(axis=0), surv, leak,
+    return EvolutionRecord(cfg.dtau * np.arange(n_steps + 1), chan_dens.sum(axis=0), surv, leak,
                            final, channel_density=chan_dens)
 
 
-def check_run_inputs(initial: PlaneState, detectors: Sequence[WindowDetector]) -> None:
+def check_run_inputs(initial: PlaneState, detectors: Sequence[WindowDetector],
+                     cfg: EvolutionConfig) -> None:
     """Reject a run integrate cannot account for: an initial state whose
-    norm^2 is not 1, or a window detector whose support reaches a wall strip."""
+    norm^2 is not 1, or a window detector whose support leaves the configured
+    domain [x_lo, x_hi] for a wall strip."""
     norm = initial.norm_sq()
     if abs(norm - 1.0) > 1e-6:
         raise ValueError(f"initial state norm^2 = {norm}, expected 1")
-    x = initial.grid.positions
     for det in detectors:
-        if det.position - det.width / 2 < x[WALL_SITES] or det.position + det.width / 2 > x[-WALL_SITES - 1]:
+        if det.position - det.width / 2 < cfg.x_lo or det.position + det.width / 2 > cfg.x_hi:
             raise ValueError("detector support must lie inside the domain walls")
 
 
@@ -484,7 +522,7 @@ def evolve(
     if det is not None and det.height != 0.0:
         detectors.append(det)
     rates = [lambda_field(d, initial.grid) for d in detectors]
-    check_run_inputs(initial, detectors)
+    check_run_inputs(initial, detectors, cfg)
 
     rec = integrate(initial, rates, cfg, cfg.n_steps)
     if not rec.tail_ok:

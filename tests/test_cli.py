@@ -10,6 +10,7 @@ from dirac_toa.cli import build_parser, main, parse_inputs, resolve_config
 from dirac_toa.csvio import read_csv, read_manifest, write_manifest
 from dirac_toa.detector import WindowDetector
 from dirac_toa.presets import PRESETS
+from dirac_toa.propagator import WALL_SITES
 from dirac_toa.studies import config_from_lattice
 from dirac_toa.wavepacket import PacketSpec
 
@@ -307,10 +308,12 @@ def test_preset_inputs_survive_their_manifest(name, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(n for n, p in PRESETS.items() if "lattice" in p))
 def test_preset_lattice_sizes_are_next_fast_len(name):
-    """Every preset lattice has the site count scipy.fft.next_fast_len gave it."""
+    """Every preset lattice, its configured domain and a wall strip of
+    WALL_SITES sites beyond each edge, has the site count
+    scipy.fft.next_fast_len gives it."""
     for _, run_cfg in parse_inputs(_resolved([PRESETS[name]["command"], "--preset", name])).runs:
         n = int(round((run_cfg.x_hi - run_cfg.x_lo) / run_cfg.dx))
-        assert run_cfg.grid().n == next_fast_len(n, real=False)
+        assert run_cfg.grid().n == next_fast_len(n + 2 * WALL_SITES, real=False)
 
 
 def test_scan_momenta_default_to_the_packet_momentum():

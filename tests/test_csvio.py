@@ -28,13 +28,15 @@ I64, U64 = np.iinfo(np.int64), np.iinfo(np.uint64)
 
 
 def test_write_csv_matches_reference_on_extremes(tmp_path):
+    # repeated values: -0.0 and 0.0, NaNs of two sign bits, and bools
+    repeats = [-0.0, 0.0, np.nan, -np.nan, 0.1, 0.0, -0.0, np.nan]
     floats = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324,
-                       1.7976931348623157e308, 0.1, -2.5e-300, 1.0])
+                       1.7976931348623157e308, 0.1, -2.5e-300, 1.0] + repeats)
     n = len(floats)
     columns = {
         "f64": floats,
         "f32": np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-45, 3.4028235e38,
-                         0.1, -2.5e-30, 1.0], dtype=np.float32),
+                         0.1, -2.5e-30, 1.0] + repeats, dtype=np.float32),
         "i64": np.resize(np.array([I64.min, I64.max, 0, -1], dtype=np.int64), n),
         "u64": np.resize(np.array([U64.max, 0, 1], dtype=np.uint64), n),
         "i8": np.arange(n, dtype=np.int8) - 5,

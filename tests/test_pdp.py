@@ -18,7 +18,7 @@ from dirac_toa.pdp import (
     ideal_measurement_run,
     validate_event_order,
 )
-from dirac_toa.propagator import STRIDE, EvolutionConfig, evolve, integrate
+from dirac_toa.propagator import NARROW_STRIDE, STRIDE, EvolutionConfig, evolve, integrate
 from dirac_toa.presets import PRESETS
 from dirac_toa.studies import _ks_statistic, config_from_lattice, pdp_study, prepare_omega
 from dirac_toa.wavepacket import PacketSpec
@@ -191,12 +191,15 @@ def test_conditional_arrival_times_match_density():
 
 
 def test_weak_detector_run_strides_and_the_sampler_reads_its_record():
-    """A detector weak enough to stride (max rate * 8 dtau = 1.8e-4) on a
-    step count STRIDE does not divide: the record has a row per site step
-    and ends at n_steps dtau, S is the straight line between the ends of the
-    outer steps, each jump time inverts the absorbed norm, the jump times
-    follow the density (KS), and the record row at the end of outer step k
-    holds the norm of the state integrate reaches in k outer steps."""
+    """A detector weak enough to stride (max rate * STRIDE dtau = 3.6e-4) on
+    a step count STRIDE does not divide: the record has a row per site step
+    and ends at n_steps dtau; inside each outer step the leakage is that of
+    the last strip zeroing and S + leakage falls from its start value in
+    proportion to the trapezoid of the recorded density, reaching the end
+    value; the absorbed norm never falls, each jump time inverts it, the
+    jump times follow the density (KS), and the record row at the end of
+    outer step k holds the norm of the state integrate reaches in k outer
+    steps."""
     spec = PacketSpec(p0=0.75)
     det = WindowDetector(height=1.1e-5, width=1.0, edge=0.05)
     cfg = EvolutionConfig(dtau=0.004, x_lo=-4.0, x_hi=2.0, tau_max=4.004, n_substeps=4)
@@ -206,8 +209,14 @@ def test_weak_detector_run_strides_and_the_sampler_reads_its_record():
     assert cfg.n_steps % STRIDE != 0
     np.testing.assert_array_equal(proc.tau, cfg.dtau * np.arange(cfg.n_steps + 1))
     ends = np.r_[0:cfg.n_steps:STRIDE, cfg.n_steps]
-    between = np.interp(np.arange(cfg.n_steps + 1), ends, proc.survival[ends])
-    assert np.abs(proc.survival - between).max() < 1e-15
+    d, leak = proc.detection_density, proc.boundary_leakage
+    kept = proc.survival + leak
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        trapezoid = np.cumsum(d[lo + 1:hi + 1] + d[lo:hi])
+        share = trapezoid[:-1] / trapezoid[-1]
+        assert np.abs(kept[lo + 1:hi] - (kept[lo] - (kept[lo] - kept[hi]) * share)).max() < 1e-15
+        assert np.all(leak[lo + 1:hi] == leak[lo])
+    assert np.all(np.diff(proc.absorbed) >= 0.0)
 
     r, _ = _first_doubles(seed, np.arange(n, dtype=np.uint64))
     hit = recs.detected
@@ -226,11 +235,11 @@ def test_weak_detector_run_strides_and_the_sampler_reads_its_record():
 
 def test_strong_detector_strides_and_matches_the_one_site_run(monkeypatch):
     """pdp-desk (W = 0.2, a window of a few sites) takes one transform pair
-    per STRIDE site steps with the one-site absorber at every site step, so
-    only the wall strip's cadence differs from the run stepped one site at a
-    time: survival agrees to 1e-9, and with seed 7 every detected flag and
-    channel is the same and the jump times agree to 1e-7 (measured 3.8e-10
-    and 2.0e-10)."""
+    per NARROW_STRIDE site steps with the one-site absorber at every site
+    step, so only the wall strip's cadence differs from the run stepped one
+    site at a time: survival agrees to 1e-9, and with seed 7 every detected flag and
+    channel is the same and the jump times agree to 1e-7 (measured 2.4e-10
+    and 4.2e-10)."""
     preset = PRESETS["pdp-desk"]
     spec = PacketSpec(**preset["packet"])
     det = WindowDetector(**preset["detector"])
@@ -240,10 +249,11 @@ def test_strong_detector_strides_and_matches_the_one_site_run(monkeypatch):
     mix = propagator._mix
     monkeypatch.setattr(propagator, "_mix", lambda f, m: outer_steps.append(1) or mix(f, m))
     strided = pdp_study(spec, det, cfg, n, 7)
-    assert len(outer_steps) == -(-cfg.n_steps // STRIDE)
-    monkeypatch.setattr(propagator, "STRIDE", 1)
+    strided_steps = -(-cfg.n_steps // NARROW_STRIDE)
+    assert len(outer_steps) == strided_steps
+    monkeypatch.setattr(propagator, "NARROW_STRIDE", 1)
     single = pdp_study(spec, det, cfg, n, 7)
-    assert len(outer_steps) == -(-cfg.n_steps // STRIDE) + cfg.n_steps
+    assert len(outer_steps) == strided_steps + cfg.n_steps
 
     assert np.abs(strided.process.survival - single.process.survival).max() < 1e-9
     a, b = strided.records, single.records

@@ -12,15 +12,15 @@ one-site shift).  Advection is exact in Fourier space for any step length,
 so integrate() takes outer steps of several site steps, one transform pair
 each, against any absorber but a strong one on a wide window: the free
 part of one outer step is that many site steps' worth of the same
-substeps.  A weak absorber acts once per outer step of STRIDE site steps.
-A strong one on a narrow window still acts at every site step, exactly as
-in the one-site run, in outer steps of NARROW_STRIDE site steps: between
-transforms it touches only the few sites of its window, so its effect there
-is a small linear system and, on the amplitudes, one correction from those
-sites.  The wall strip, WALL_SITES sites beyond each edge of the configured
-domain, is zeroed once per outer step.  The record has one row per site
-step: between transforms, the state on the absorber window at site step j
-is read straight from the outer step's Fourier amplitudes, as the upper
+substeps.  An outer step is STRIDE site steps.  A weak absorber acts once
+per outer step.  A strong one on a narrow window still acts at every site
+step, exactly as in the one-site run: between transforms it touches only
+the few sites of its window, so its effect there is a small linear system
+and, on the amplitudes, one correction from those sites.  The wall
+strip, WALL_SITES sites beyond each edge of the configured domain, is
+zeroed once per outer step.  The record has one row per site step:
+between transforms, the state on the absorber window at site step j is
+read straight from the outer step's Fourier amplitudes, as the upper
 entries of M^j applied to them (M the one-site free-step matrix of each
 mode) transformed back on the window's sites only.
 
@@ -58,12 +58,7 @@ TAIL_MAX = 1e-6  # contract on d(tau_max) / max d
 # Sites of the absorbing strip beyond each edge of the configured domain
 # (EvolutionConfig.grid), zeroed at the end of every outer step.
 WALL_SITES = 16
-STRIDE = 16  # site steps per outer step against a weak absorber
-# Site steps per outer step against a strong absorber on a narrow window.
-# Per 400 site steps at n = 3000, rate 20, 8 substeps, one BLAS thread on a
-# 2-vCPU host (median of 7 interleaved runs; stride 8 / 16 ms): w = 4
-# 38.7 / 34.0, w = 9 54.9 / 47.5, w = 16 58.0 / 63.7, w = 32 76.3 / 139.3.
-NARROW_STRIDE = 8
+STRIDE = 16  # site steps per outer step, against any absorber but a strong wide one
 # max(summed rate) * STRIDE * dtau at or below which an absorber is weak and
 # acts once per outer step, as a half-stage of STRIDE * dtau at each end.
 # Measured on the fig4-desk lattice at 8 substeps against the one-site step
@@ -71,23 +66,23 @@ NARROW_STRIDE = 8
 # T moves <= 3.5e-8, P_inf <= 1.9e-8 and neg_mass <= 1.5e-6 relative; at 0.95
 # of this value T <= 2.0e-7, P_inf <= 1.2e-7 and neg_mass <= 8.6e-6.  The
 # shifts are the absorber splitting and grow linearly with the rate: at
-# 8.3e-3, T moves 1.7e-6 and P_inf 2.4e-6 at p0 = 2.  A stronger absorber
+# 8.3e-3, T moves 1.7e-6 and P_inf 2.7e-6 at p0 = 2.  A stronger absorber
 # acts at every site step, and strides exactly (integrate) on a window of at
 # most NARROW_WINDOW sites.
 WEAK_ABSORBER = 1e-3
 # The widest absorber window (sites) on which a strong run strides.  Its cost
-# per outer step grows as J w n + (J w)^2 (J = NARROW_STRIDE - 1 site steps
-# read, w window sites, n lattice sites) against NARROW_STRIDE transform
-# pairs of the one-site run.  Measured per 200 site steps at rate 20, 32
-# substeps, one BLAS thread on a 2-vCPU host (median of 9 interleaved runs;
-# one-site / strided ms): n = 3000: w = 5 67.4 / 28.6, w = 32 64.9 / 48.2, w = 40
-# 62.5 / 59.0, w = 48 58.4 / 73.7; n = 12000: w = 5 236 / 96, w = 32
-# 218 / 135, w = 48 231 / 188, w = 64 226 / 244.
-NARROW_WINDOW = 32
+# per outer step grows as J w n + (J w)^2 (J = STRIDE - 1 site steps read,
+# w window sites, n lattice sites) against STRIDE transform pairs of the
+# one-site run.  Measured per 200 site steps at rate 20, 32 substeps, one
+# BLAS thread on a 2-vCPU host (median of 9 interleaved runs; one-site /
+# strided ms): n = 3000: w = 5 58.9 / 23.5, w = 16 60.0 / 38.4, w = 20
+# 59.3 / 45.8, w = 24 58.1 / 60.4, w = 32 63.8 / 104.2; n = 12000: w = 5
+# 158 / 68, w = 16 201 / 115, w = 24 155 / 122, w = 32 144 / 153.
+NARROW_WINDOW = 16
 # The strip is zeroed once per outer step, in which light crosses up to STRIDE
 # sites; a strip narrower than that would let norm cross the periodic seam
 # unzeroed.
-assert max(STRIDE, NARROW_STRIDE) <= WALL_SITES
+assert STRIDE <= WALL_SITES
 PAIRS = ((0, 3), (1, 2))  # the (upper, lower) component pairs that alpha couples
 
 
@@ -100,9 +95,7 @@ class EvolutionConfig:
     """Lattice and run parameters.  dx equals dtau (light-cone lattice); the
     lattice (grid) holds the domain [x_lo, x_hi] and a wall strip beyond
     each edge.  A run of n_steps site steps takes outer steps of STRIDE site
-    steps against a weak absorber, of NARROW_STRIDE against a strong one on
-    a narrow window, and of 1 against a strong one on a wide window
-    (integrate)."""
+    steps, or of 1 against a strong absorber on a wide window (integrate)."""
 
     dtau: float
     x_lo: float
@@ -366,20 +359,20 @@ def integrate(
     the upper entries of the state on the absorber window at site step j are
     read from the Fourier amplitudes f of A psi, as the upper entries of
     M^j f (M^j the j-site free step) transformed back on the window only.
-    s is STRIDE or NARROW_STRIDE in two cases, and 1 otherwise:
+    s is STRIDE in two cases, and 1 otherwise:
 
     - a weak absorber (max(summed rate) * STRIDE * dtau <= WEAK_ABSORBER)
       acts once per outer step of STRIDE site steps, as half-stages of length
       s*dtau; the reads give the record rows inside the outer step, and S
       there follows their trapezoid between its end values (EvolutionRecord);
-    - a strong absorber on a window of at most NARROW_WINDOW sites, in outer
-      steps of NARROW_STRIDE site steps, acts at every site step, as the
-      one-site run does, with half-stages of length dtau.  Between
-      transforms it multiplies the window's upper entries u_j by
-      A^2 = 1 + c at each site step j < s and touches nothing else, so the
-      reads fed back through _feedback's K are the one-site run's u_j,
-      which give its rows and its S exactly, and the free step's amplitudes
-      M^s f gain sum_j M^(s-j) (c u_j) transformed from the window.
+    - a strong absorber on a window of at most NARROW_WINDOW sites acts at
+      every site step, as the one-site run does, with half-stages of length
+      dtau.  Between transforms it multiplies the window's upper entries
+      u_j by A^2 = 1 + c at each site step j < s and touches nothing else,
+      so the reads fed back through _feedback's K are the one-site run's
+      u_j, which give its rows and its S exactly, and the free step's
+      amplitudes M^s f gain sum_j M^(s-j) (c u_j) transformed from the
+      window.
 
     The state is stepped as a stack of the PAIRS that carry norm at the
     start.  Every factor of the step maps a pair into itself, so a pair that
@@ -394,7 +387,7 @@ def integrate(
     window = slice(support[0], support[-1] + 1) if support.size else slice(0, 0)
     w = window.stop - window.start
     weak = rate.max(initial=0.0) * STRIDE * cfg.dtau <= WEAK_ABSORBER
-    s = STRIDE if weak else NARROW_STRIDE if w <= NARROW_WINDOW else 1
+    s = STRIDE if weak or w <= NARROW_WINDOW else 1
     sites = np.r_[0:n_steps:s, n_steps]  # site steps reached at each outer step
     lengths = np.diff(sites)
     # free-step matrix and absorber half-stage per outer-step length; a strong
@@ -500,12 +493,14 @@ def check_run_inputs(initial: PlaneState, detectors: Sequence[WindowDetector],
                      cfg: EvolutionConfig) -> None:
     """Reject a run integrate cannot account for: an initial state whose
     norm^2 is not 1, or a window detector whose support leaves the configured
-    domain [x_lo, x_hi] for a wall strip."""
+    domain [x_lo, x_hi] or reaches a wall strip of the state's lattice."""
     norm = initial.norm_sq()
     if abs(norm - 1.0) > 1e-6:
         raise ValueError(f"initial state norm^2 = {norm}, expected 1")
+    x = initial.grid.positions
+    lo, hi = max(cfg.x_lo, x[WALL_SITES]), min(cfg.x_hi, x[-WALL_SITES - 1])
     for det in detectors:
-        if det.position - det.width / 2 < cfg.x_lo or det.position + det.width / 2 > cfg.x_hi:
+        if det.position - det.width / 2 < lo or det.position + det.width / 2 > hi:
             raise ValueError("detector support must lie inside the domain walls")
 
 

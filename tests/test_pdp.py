@@ -18,7 +18,7 @@ from dirac_toa.pdp import (
     ideal_measurement_run,
     validate_event_order,
 )
-from dirac_toa.propagator import NARROW_STRIDE, STRIDE, EvolutionConfig, evolve, integrate
+from dirac_toa.propagator import STRIDE, WALL_SITES, EvolutionConfig, evolve, integrate
 from dirac_toa.presets import PRESETS
 from dirac_toa.studies import _ks_statistic, config_from_lattice, pdp_study, prepare_omega
 from dirac_toa.wavepacket import PacketSpec
@@ -235,11 +235,11 @@ def test_weak_detector_run_strides_and_the_sampler_reads_its_record():
 
 def test_strong_detector_strides_and_matches_the_one_site_run(monkeypatch):
     """pdp-desk (W = 0.2, a window of a few sites) takes one transform pair
-    per NARROW_STRIDE site steps with the one-site absorber at every site
+    per STRIDE site steps with the one-site absorber at every site
     step, so only the wall strip's cadence differs from the run stepped one
     site at a time: survival agrees to 1e-9, and with seed 7 every detected flag and
-    channel is the same and the jump times agree to 1e-7 (measured 2.4e-10
-    and 4.2e-10)."""
+    channel is the same and the jump times agree to 1e-7 (measured 3.4e-10
+    and 4.3e-10)."""
     preset = PRESETS["pdp-desk"]
     spec = PacketSpec(**preset["packet"])
     det = WindowDetector(**preset["detector"])
@@ -249,9 +249,9 @@ def test_strong_detector_strides_and_matches_the_one_site_run(monkeypatch):
     mix = propagator._mix
     monkeypatch.setattr(propagator, "_mix", lambda f, m: outer_steps.append(1) or mix(f, m))
     strided = pdp_study(spec, det, cfg, n, 7)
-    strided_steps = -(-cfg.n_steps // NARROW_STRIDE)
+    strided_steps = -(-cfg.n_steps // STRIDE)
     assert len(outer_steps) == strided_steps
-    monkeypatch.setattr(propagator, "NARROW_STRIDE", 1)
+    monkeypatch.setattr(propagator, "STRIDE", 1)
     single = pdp_study(spec, det, cfg, n, 7)
     assert len(outer_steps) == strided_steps + cfg.n_steps
 
@@ -420,8 +420,10 @@ def test_ks_statistic_matches_scipy(samples):
 
 
 def test_jump_process_rejects_detector_on_the_wall_strip():
-    """The pdp-desk lattice [-4, 2] with the window at 1.997: its support
-    reaches the wall strip, which evolve rejects and the sampler must too."""
+    """The pdp-desk domain [-4, 2] with the window at 1.997: its support
+    leaves the domain, toward the wall strip, which evolve rejects and the
+    sampler must too.  So is a window inside the domain whose support
+    reaches the strip of a state's own lattice, here one without padding."""
     spec = PacketSpec(p0=0.75)
     det = WindowDetector(height=0.2, width=0.01, edge=0.004, position=1.997)
     cfg = EvolutionConfig(dtau=0.002, x_lo=-4.0, x_hi=2.0, tau_max=1.0, n_substeps=8)
@@ -431,3 +433,15 @@ def test_jump_process_rejects_detector_on_the_wall_strip():
         evolve(initial, det, cfg)
     with pytest.raises(ValueError, match="walls"):
         JumpProcess(initial, [DetectorChannel.at_rest(det, prep)], cfg, preparation=prep)
+    # inside [x_lo, x_hi], but on the strip of a state on the unpadded lattice
+    inside = WindowDetector(height=0.2, width=0.01, edge=0.004, position=1.985)
+    bare = UniformGrid.from_domain(cfg.x_lo, cfg.x_hi, cfg.dx)
+    assert bare.positions[-WALL_SITES - 1] < 1.99
+    values = np.zeros((4, bare.n), dtype=complex)
+    values[0] = np.exp(-bare.positions**2)
+    values /= np.sqrt(np.sum(np.abs(values) ** 2) * bare.dx)
+    state = PlaneState(bare.x_min, bare.dx, values)
+    with pytest.raises(ValueError, match="walls"):
+        evolve(state, inside, cfg)
+    with pytest.raises(ValueError, match="walls"):
+        JumpProcess(state, [DetectorChannel.at_rest(inside, prep)], cfg, preparation=prep)

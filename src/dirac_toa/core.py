@@ -124,10 +124,6 @@ class PlaneState:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("state contains non-finite amplitudes")
 
-    @classmethod
-    def zeros(cls, grid: UniformGrid) -> "PlaneState":
-        return cls(grid.x_min, grid.dx, np.zeros((4, grid.n), dtype=complex))
-
     @property
     def grid(self) -> UniformGrid:
         return UniformGrid(self.x_min, self.dx, self.values.shape[1])

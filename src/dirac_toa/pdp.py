@@ -278,8 +278,11 @@ class JumpProcess:
         self.boundary_leakage = rec.boundary_leakage
         self.channel_density = rec.channel_density
         self.detection_density = rec.detection_density
-        # norm lost to the walls is not a detection
-        self.absorbed = 1.0 - (rec.survival + rec.boundary_leakage) / rec.survival[0]
+        # norm lost to the walls is not a detection; the running maximum keeps
+        # the curve sorted for _outcomes' searchsorted where the transforms'
+        # roundoff in S (about 1e-16) exceeds what the detector absorbs in a row
+        absorbed = 1.0 - (rec.survival + rec.boundary_leakage) / rec.survival[0]
+        self.absorbed = np.maximum.accumulate(absorbed)
         self.p_inf = float(self.absorbed[-1])
 
     def _outcomes(self, r: np.ndarray, u: np.ndarray) -> DetectionRecords:

@@ -26,10 +26,12 @@ mode) transformed back on the window's sites only.
 
 The transforms are numpy.fft's (pocketfft).  The mass term is uniform in
 x, so every substep is diagonal in k: a 2x2 matrix per mode on the
-component pairs (1, 4) and (2, 3).  The n_substeps substeps are
-multiplied into one cached matrix per mode, by binary powering.  No factor
-of the step mixes the two pairs (the absorber damps components 1 and 2, the upper
-entries), so the state is stepped as a (pairs, 2, n) stack and a pair
+component pairs (1, 4) and (2, 3), and a rotation (unit determinant).  The
+n_substeps substeps of a site step compose to one rotation per mode, cached
+as its angle and axis; the free step of j site steps is the rotation by j
+times that angle, in closed form.  No factor of the step mixes the two
+pairs (the absorber damps components 1 and 2, the upper entries), so the
+state is stepped as a (pairs, 2, n) stack and a pair
 without norm is left out: an outer step costs one transform pair per pair
 that carries norm, whatever n_substeps and the stride are.  Packets
 prepared by wavepacket have components 2 and 3 zero, so they cost one.
@@ -173,37 +175,35 @@ class EvolutionRecord:
 
 
 @lru_cache(maxsize=16)
-def _step_matrix(n: int, dx: float, dtau: float, n_substeps: int, chi: float) -> np.ndarray:
-    """Per-mode free-step matrix M(k) = S(k)^n_substeps, shape (2, 2, n).
+def _rotation(n: int, dx: float, dtau: float, n_substeps: int, chi: float):
+    """(angle, axis) of the one-site free step M(k) = S(k)^n_substeps per
+    mode, shapes (n,) and (2, n), both read-only.
 
     S(k) is one Strang substep of length h = dtau/n_substeps -- half mass
     phase, exact advection by h, half mass phase -- acting on the Fourier
-    amplitudes of an (upper, lower) component pair.
+    amplitudes of an (upper, lower) component pair.  It is the rotation
+    cos(phi) I - i (a sigma_x + b sigma_z) with a = sin(kh),
+    b = cos(kh) sin(chi h), sin(phi) = |(a, b)| and cos(phi) =
+    cos(kh) cos(chi h), so M is the rotation by angle = n_substeps phi about
+    axis = (a, b)/|(a, b)| (zero where S is +-I).
     """
     k = 2 * np.pi * np.fft.fftfreq(n, d=dx)
     h = dtau / n_substeps
-    mass = np.exp(-1j * chi * h)
-    sub = np.empty((2, 2, n), dtype=complex)
-    sub[0, 0] = mass * np.cos(k * h)
-    sub[0, 1] = sub[1, 0] = -1j * np.sin(k * h)
-    sub[1, 1] = np.conj(mass) * np.cos(k * h)
-    # binary powering in numpy.linalg.matrix_power's order of products, on the
-    # four entries as (n,) arrays rather than on an (n, 2, 2) matrix stack
-    power = step = None
-    bits = n_substeps
-    while bits:
-        power = sub if power is None else _product(power, power)
-        bits, bit = divmod(bits, 2)
-        if bit:
-            step = power if step is None else _product(step, power)
-    step = np.array(step)
-    step.flags.writeable = False  # cached: every caller shares this array
-    return step
+    cos_kh = np.cos(k * h)
+    a, b = np.sin(k * h), cos_kh * np.sin(chi * h)
+    sin_phi = np.hypot(a, b)
+    angle = n_substeps * np.arctan2(sin_phi, cos_kh * np.cos(chi * h))
+    axis = np.divide([a, b], sin_phi, out=np.zeros((2, n)), where=sin_phi > 0.0)
+    angle.flags.writeable = axis.flags.writeable = False  # cached: shared by every caller
+    return angle, axis
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The per-mode matrix product a b of two (2, 2, n) stacks."""
-    return np.array([[a[i, 0] * b[0, j] + a[i, 1] * b[1, j] for j in (0, 1)] for i in (0, 1)])
+def _step_matrix(angle: np.ndarray, axis: np.ndarray, j=1) -> np.ndarray:
+    """M^j per mode for the rotation (angle, axis) of _rotation: the
+    rotation by j angle, shape (2, 2) + broadcast(j, angle).shape."""
+    cos, sin = np.cos(j * angle), np.sin(j * angle)
+    return np.array([[cos - 1j * sin * axis[1], -1j * sin * axis[0]],
+                     [-1j * sin * axis[0], cos + 1j * sin * axis[1]]])
 
 
 def _to_pairs(values: np.ndarray, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
@@ -222,9 +222,9 @@ def _upper_powers(m: np.ndarray, upper: np.ndarray, lower: np.ndarray,
                   out: np.ndarray) -> np.ndarray:
     """Upper entries of M^j (upper, lower) for j = 1 .. len(out), into out
     ((J, n)), for a one-site free-step matrix M from _step_matrix and the
-    Fourier amplitudes (upper, lower) of a pair.  M is a product of substeps
-    of unit determinant, so M^(j+1) = tr(M) M^j - M^(j-1) (Cayley-Hamilton):
-    each row follows from the two before it, starting from upper itself."""
+    Fourier amplitudes (upper, lower) of a pair.  M is a rotation, of unit
+    determinant, so M^(j+1) = tr(M) M^j - M^(j-1) (Cayley-Hamilton): each
+    row follows from the two before it, starting from upper itself."""
     np.multiply(m[0, 0], upper, out=out[0])
     out[0] += m[0, 1] * lower
     trace = m[0, 0] + m[1, 1]
@@ -253,36 +253,27 @@ def _window_phases(n: int, window: slice):
     return inner, outer
 
 
-def _feedback(m: np.ndarray, window: slice, c: np.ndarray, n_inner: int):
-    """(columns, K) for outer steps of up to n_inner + 1 site steps against
-    the one-site absorber on a window of w sites, for the one-site free-step
-    matrix M = m.
+def _feedback(columns: np.ndarray, window: slice, c: np.ndarray) -> np.ndarray:
+    """K for outer steps of up to n_inner + 1 site steps against the
+    one-site absorber on a window of w sites, from the first columns
+    ((2, n_inner, n)) of M^j, j = 1 .. n_inner, for the one-site free-step
+    matrix M.
 
-    columns ((2, n_inner, n)) holds the first column of M^j per mode,
-    (M^j)_00 and (M^j)_10 for j = 1 .. n_inner: M has unit determinant, so
-    M^j = alpha_j M - alpha_(j-1) I with alpha_0 = 0, alpha_1 = 1 and
-    alpha_(j+1) = tr(M) alpha_j - alpha_(j-1).  Between site steps the
-    absorber multiplies the upper entries u_j on the window by 1 + c, so
-    u_j = u0_j + sum_(i<j) G_(j-i) (c u_i), with u0_j the free read and
-    G_j[s, t] = ifft((M^j)_00)[(s - t) mod n] the j-site free step from
-    window site t to window site s.  K = (I - L)^-1 for the block
-    lower-triangular L of those terms ((n_inner w, n_inner w)) maps the
-    stacked free reads to u; its leading j w rows and columns serve an
+    Between site steps the absorber multiplies the upper entries u_j on the
+    window by 1 + c, so u_j = u0_j + sum_(i<j) G_(j-i) (c u_i), with u0_j
+    the free read and G_j[s, t] = ifft((M^j)_00)[(s - t) mod n] the j-site
+    free step from window site t to window site s.  K = (I - L)^-1 for the
+    block lower-triangular L of those terms ((n_inner w, n_inner w)) maps
+    the stacked free reads to u; its leading j w rows and columns serve an
     outer step of j + 1 site steps."""
-    n, w = m.shape[-1], c.size
-    alpha = np.zeros((n_inner + 1, n), dtype=complex)
-    alpha[1] = 1.0
-    trace = m[0, 0] + m[1, 1]
-    for j in range(2, n_inner + 1):
-        alpha[j] = trace * alpha[j - 1] - alpha[j - 2]
-    columns = np.stack([alpha[1:] * m[0, 0] - alpha[:-1], alpha[1:] * m[1, 0]])
+    n_inner, n, w = columns.shape[1], columns.shape[2], c.size
     sites = np.arange(window.start, window.stop)
     kernels = np.fft.ifft(columns[0], axis=-1)[:, (sites[:, None] - sites[None, :]) % n]
     lower = np.zeros((n_inner, w, n_inner, w), dtype=complex)
     for j in range(1, n_inner):
         for i in range(j):
             lower[j, :, i] = kernels[j - i - 1] * c
-    return columns, np.linalg.inv(np.eye(n_inner * w) - lower.reshape(n_inner * w, -1))
+    return np.linalg.inv(np.eye(n_inner * w) - lower.reshape(n_inner * w, -1))
 
 
 def _mix(f: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -292,27 +283,6 @@ def _mix(f: np.ndarray, m: np.ndarray) -> np.ndarray:
     f[:, 0] = m[0, 0] * upper + m[0, 1] * lower
     f[:, 1] = m[1, 0] * upper + m[1, 1] * lower
     return f
-
-
-def _half_absorber(dtau: float, rate: np.ndarray):
-    """(window, factors) of the absorber half-stage of a step of length dtau
-    for an (n,) rate, or None if the rate is zero everywhere.  The state norm
-    decays at rate Lambda, so the amplitude factor is exp(-Lambda dtau/4) per
-    half stage; the window spans the rate's support."""
-    support = np.flatnonzero(rate)
-    if not support.size:
-        return None
-    window = slice(support[0], support[-1] + 1)
-    return window, np.exp(-dtau * rate[window] / 4.0)
-
-
-def _absorb(stack: np.ndarray, absorber) -> np.ndarray:
-    """The absorber half-stage, in place on a pair stack: it damps the upper
-    entries (components 1 and 2) on its window."""
-    if absorber is not None:
-        window, half_absorb = absorber
-        stack[:, 0, window] *= half_absorb
-    return stack
 
 
 def spectral_free_evolve(state: PlaneState, tau: float) -> PlaneState:
@@ -390,22 +360,26 @@ def integrate(
     s = STRIDE if weak or w <= NARROW_WINDOW else 1
     sites = np.r_[0:n_steps:s, n_steps]  # site steps reached at each outer step
     lengths = np.diff(sites)
-    # free-step matrix and absorber half-stage per outer-step length; a strong
-    # absorber takes the one-site half-stage at every site step
-    stages = {k: (_step_matrix(grid.n, dx, k * cfg.dtau, k * cfg.n_substeps, CHI),
-                  _half_absorber((k if weak else 1) * cfg.dtau, rate))
+    rotation = _rotation(grid.n, dx, cfg.dtau, cfg.n_substeps, CHI)
+    # per outer-step length: the free-step matrix, and the absorber
+    # half-stage's amplitude factor exp(-Lambda dtau_k / 4) on the window (the
+    # norm decays at rate Lambda); a strong absorber takes the one-site
+    # half-stage at every site step
+    stages = {k: (_step_matrix(*rotation, k),
+                  np.exp(-(k if weak else 1) * cfg.dtau * rate[window] / 4.0))
               for k in set(lengths.tolist())}
     window_rows = rows[:, window]
     strips = np.r_[:WALL_SITES, grid.n - WALL_SITES:grid.n]
     # site steps read inside an outer step; a run without a detector reads none
     between = lengths.max(initial=1) - 1 if support.size else 0
     if between:
-        one_site = _step_matrix(grid.n, dx, cfg.dtau, cfg.n_substeps, CHI)
+        one_site = _step_matrix(*rotation)
         inner, outer = _window_phases(grid.n, window)
         powers = np.empty((between, grid.n), dtype=complex)
         if not weak:
-            damp = _half_absorber(cfg.dtau, rate)[1] ** 2  # A^2 on the window
-            columns, feedback = _feedback(one_site, window, damp - 1.0, between)
+            damp = np.exp(-cfg.dtau * rate[window] / 4.0) ** 2  # A^2 on the window
+            columns = _step_matrix(*rotation, np.arange(1, between + 1)[:, None])[:, 0]
+            feedback = _feedback(columns, window, damp - 1.0)
             # the forward DFT from the window sites, split as _window_phases'
             to_outer, to_inner = outer.conj(), grid.n * inner.conj().T
 
@@ -454,13 +428,15 @@ def integrate(
 
     record(0)
     for r, k in zip(sites[:-1].tolist(), lengths.tolist()):
-        free, absorber = stages[k]
-        f = np.fft.fft(_absorb(stack, absorber), axis=-1)
+        free, half = stages[k]
+        stack[:, 0, window] *= half  # the detectors damp the upper entries
+        f = np.fft.fft(stack, axis=-1)
         fed = read_between(f, r, k) if between and k > 1 else None
         f = _mix(f, free)
         if fed is not None:
             f += fed
-        stack = _absorb(np.fft.ifft(f, axis=-1), absorber)
+        stack = np.fft.ifft(f, axis=-1)
+        stack[:, 0, window] *= half
         lost = np.sum(np.abs(stack[..., strips]) ** 2) * dx
         leak[r + 1:r + k] = leak[r]  # the strip is zeroed at the outer step's end
         leak[r + k] = leak[r] + lost

@@ -262,6 +262,30 @@ def test_strong_detector_strides_and_matches_the_one_site_run(monkeypatch):
     assert np.abs(a.tau_detect - b.tau_detect).max() < 1e-7
 
 
+@pytest.mark.parametrize("preset, p0", [("pdp-desk", 0.75), ("weak", 0.75), ("weak", 2.0)])
+def test_absorbed_norm_never_falls(preset, p0):
+    """The absorbed norm that _outcomes inverts with searchsorted is sorted,
+    on pdp-desk and on the benchmark's weak lattice (lattice-density: W =
+    1e-5, 8 substeps).  Before the packet reaches the detector, S carries
+    the transforms' roundoff while the detector absorbs far less per row, so
+    1 - (S + leakage) can fall between rows (with the step matrix built as a
+    product of substeps: 18 rows down to -2.4e-14 on pdp-desk, 367 and 457
+    rows at p0 = 0.75 and 2 on the weak lattice)."""
+    if preset == "pdp-desk":
+        preset = PRESETS["pdp-desk"]
+        det, lattice = WindowDetector(**preset["detector"]), preset["lattice"]
+    else:
+        det = WindowDetector(height=1e-5, width=0.01, edge=0.004)
+        lattice = {"dtau": 0.002, "x_lo": -4.0, "x_hi": 2.0, "n_substeps": 8}
+    spec = PacketSpec(p0=p0)
+    cfg = config_from_lattice(lattice, p0, spec, det.position)
+    prep = TwoVector(spec.t0, spec.x0)
+    proc = JumpProcess(prepare_omega(spec, cfg, det.position),
+                       [DetectorChannel.at_rest(det, prep)], cfg, preparation=prep)
+    assert np.all(np.diff(proc.absorbed) >= 0.0)
+    assert proc.p_inf == proc.absorbed[-1] > 0.0
+
+
 def test_colocated_channels_split_evenly():
     spec, det, cfg, prep, _, initial = _pdp_setup()
     ch = DetectorChannel.at_rest(det, prep)

@@ -318,7 +318,7 @@ def main(argv=None) -> int:
         inputs = parse_inputs(cfg)
         # the first file written creates out_dir, so a rejected config leaves none
         rc = COMMANDS[args.command](inputs, out_dir, max(1, args.threads))
-    except (DomainTooSmallError, ValueError) as exc:
+    except (DomainTooSmallError, arrival.NoDetectionError, ValueError) as exc:
         log.error("run rejected: %s", exc)
         return 2
     write_manifest(out_dir / "manifest.cfg", {"meta": {"version": __version__}} | cfg)

@@ -40,14 +40,14 @@ PRESETS: dict[str, dict] = {
         "command": "arrival-scan",
         "packet": {},
         "detector": {"height": 1e-5, "width": 0.01, "edge": 0.002},
-        "lattice": {"x_lo": -6.0, "x_hi": 4.0, "n_substeps": 32},
+        "lattice": {"x_lo": -6.0, "x_hi": 4.0},
         "scan": {"p0_values": [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]},
     },
     "fig2-desk": {
         "command": "arrival-scan",
         "packet": {},
         "detector": {"height": 1e-5, "width": 0.01, "edge": 0.004},
-        "lattice": {"dtau": 0.002, "x_lo": -3.0, "x_hi": 2.0, "n_substeps": 32},
+        "lattice": {"dtau": 0.002, "x_lo": -3.0, "x_hi": 2.0},
         "scan": {"p0_values": [0.5, 0.75, 1.0]},
     },
     # lab-frame arrival densities for several momenta
@@ -55,14 +55,14 @@ PRESETS: dict[str, dict] = {
         "command": "density",
         "packet": {},
         "detector": {"height": 1e-5, "width": 0.01, "edge": 0.002},
-        "lattice": {"x_lo": -6.0, "x_hi": 4.0, "n_substeps": 32},
+        "lattice": {"x_lo": -6.0, "x_hi": 4.0},
         "scan": {"p0_values": [0.75, 1.5, 2.0]},
     },
     "fig4-desk": {
         "command": "density",
         "packet": {},
         "detector": {"height": 1e-5, "width": 0.01, "edge": 0.004},
-        "lattice": {"dtau": 0.002, "x_lo": -4.0, "x_hi": 2.0, "n_substeps": 32},
+        "lattice": {"dtau": 0.002, "x_lo": -4.0, "x_hi": 2.0},
         "scan": {"p0_values": [0.75, 2.0]},
     },
     # arrival density of the p0 = 2 packet in moving frames
@@ -70,14 +70,14 @@ PRESETS: dict[str, dict] = {
         "command": "frames",
         "packet": {"p0": 2.0},
         "detector": {"height": 1e-5, "width": 0.01, "edge": 0.002},
-        "lattice": {"x_lo": -6.0, "x_hi": 4.0, "n_substeps": 32},
+        "lattice": {"x_lo": -6.0, "x_hi": 4.0},
         "scan": {"v_values": [0.0, 0.5, 0.9]},
     },
     "fig10-desk": {
         "command": "frames",
         "packet": {"p0": 2.0},
         "detector": {"height": 1e-5, "width": 0.01, "edge": 0.004},
-        "lattice": {"dtau": 0.002, "x_lo": -4.0, "x_hi": 2.0, "n_substeps": 32},
+        "lattice": {"dtau": 0.002, "x_lo": -4.0, "x_hi": 2.0},
         "scan": {"v_values": [0.0, 0.5, 0.9]},
     },
     # point-detector densities
@@ -98,14 +98,14 @@ PRESETS: dict[str, dict] = {
         "command": "pdp",
         "packet": {"p0": 0.75},
         "detector": {"height": 0.2, "width": 0.01, "edge": 0.004},
-        "lattice": {"dtau": 0.002, "x_lo": -4.0, "x_hi": 2.0, "n_substeps": 32},
+        "lattice": {"dtau": 0.002, "x_lo": -4.0, "x_hi": 2.0},
         "scan": {"n_trajectories": 10000},
     },
     "pdp-desk": {
         "command": "pdp",
         "packet": {"p0": 0.75},
         "detector": {"height": 0.2, "width": 0.01, "edge": 0.004},
-        "lattice": {"dtau": 0.002, "x_lo": -4.0, "x_hi": 2.0, "n_substeps": 32},
+        "lattice": {"dtau": 0.002, "x_lo": -4.0, "x_hi": 2.0},
         "scan": {"n_trajectories": 2000},
     },
 }

@@ -1,42 +1,32 @@
 """Lattice integration of the proper-time evolution: Dirac transport + mass
 rotation + absorptive detector coupling, plus a spectral free-flight oracle.
 
-The lattice is light-cone locked: dx = dtau.  A site step's free part is a
-Strang splitting of the mass rotation against exact Fourier advection
-(split-operator scheme, Feit, Fleck & Steiger, J. Comput. Phys. 47, 412
-(1982)), subcycled n_substeps times; the splitting error is the only
-time-integration error and scales as (dtau/n_substeps)^2, small enough that
-arrival-time observables are dominated by physics, not the scheme.  The
-n_substeps = 1 limit is the plain light-cone scheme (advection = exact
-one-site shift).  Advection is exact in Fourier space for any step length,
-so integrate() takes outer steps of several site steps, one transform pair
-each, against any absorber but a strong one on a wide window: the free
-part of one outer step is that many site steps' worth of the same
-substeps.  An outer step is STRIDE site steps.  A weak absorber acts once
-per outer step.  A strong one on a narrow window still acts at every site
-step, exactly as in the one-site run: between transforms it touches only
-the few sites of its window, so its effect there is a small linear system
-and, on the amplitudes, one correction from those sites.  The wall
-strip, WALL_SITES sites beyond each edge of the configured domain, is
-zeroed once per outer step.  The record has one row per site step:
-between transforms, the state on the absorber window at site step j is
-read straight from the outer step's Fourier amplitudes, as the upper
+The lattice is light-cone locked: dx = dtau.  The free step is exact: the
+mass term is uniform in x, so free evolution is diagonal in k, and on the
+Fourier amplitudes of the component pairs (1, 4) and (2, 3) a step of
+length tau is exp(-i tau (k sigma_x + chi sigma_z)), a rotation per mode
+cached as its angle and axis.  The free step of j site steps is the
+rotation by j times that angle, in closed form, so integrate() takes outer
+steps of several site steps, one transform pair each, against any absorber
+but a strong one on a wide window.  An outer step is STRIDE site steps.  A
+weak absorber acts once per outer step.  A strong one on a narrow window
+still acts at every site step, exactly as in the one-site run: between
+transforms it touches only the few sites of its window, so its effect there
+is a small linear system and, on the amplitudes, one correction from those
+sites.  The wall strip, WALL_SITES sites beyond each edge of the configured
+domain, is zeroed once per outer step.  The record has one row per site
+step: between transforms, the state on the absorber window at site step j
+is read straight from the outer step's Fourier amplitudes, as the upper
 entries of M^j applied to them (M the one-site free-step matrix of each
 mode) transformed back on the window's sites only.
 
-The transforms are numpy.fft's (pocketfft).  The mass term is uniform in
-x, so every substep is diagonal in k: a 2x2 matrix per mode on the
-component pairs (1, 4) and (2, 3), and a rotation (unit determinant).  The
-n_substeps substeps of a site step compose to one rotation per mode, cached
-as its angle and axis; the free step of j site steps is the rotation by j
-times that angle, in closed form.  No factor of the step mixes the two
-pairs (the absorber damps components 1 and 2, the upper entries), so the
-state is stepped as a (pairs, 2, n) stack and a pair
-without norm is left out: an outer step costs one transform pair per pair
-that carries norm, whatever n_substeps and the stride are.  Packets
-prepared by wavepacket have components 2 and 3 zero, so they cost one.
-integrate() is the one stepping loop; evolve() and the jump sampler in pdp
-both run through it.
+The transforms are numpy.fft's (pocketfft).  No factor of the step mixes
+the two pairs (the absorber damps components 1 and 2, the upper entries),
+so the state is stepped as a (pairs, 2, n) stack and a pair without norm is
+left out: an outer step costs one transform pair per pair that carries
+norm, whatever the stride.  Packets prepared by wavepacket have components
+2 and 3 zero, so they cost one.  integrate() is the one stepping loop;
+evolve() and the jump sampler in pdp both run through it.
 """
 
 from __future__ import annotations
@@ -63,23 +53,23 @@ WALL_SITES = 16
 STRIDE = 16  # site steps per outer step, against any absorber but a strong wide one
 # max(summed rate) * STRIDE * dtau at or below which an absorber is weak and
 # acts once per outer step, as a half-stage of STRIDE * dtau at each end.
-# Measured on the fig4-desk lattice at 8 substeps against the one-site step
-# (p0 = 0.5 to 2; T and P_inf worst at p0 = 2): at the desk detector W = 1e-5
-# T moves <= 3.5e-8, P_inf <= 1.9e-8 and neg_mass <= 1.5e-6 relative; at 0.95
-# of this value T <= 2.0e-7, P_inf <= 1.2e-7 and neg_mass <= 8.6e-6.  The
-# shifts are the absorber splitting and grow linearly with the rate: at
-# 8.3e-3, T moves 1.7e-6 and P_inf 2.7e-6 at p0 = 2.  A stronger absorber
-# acts at every site step, and strides exactly (integrate) on a window of at
-# most NARROW_WINDOW sites.
+# Measured on the fig4-desk lattice against the one-site step (p0 = 0.5 to 2;
+# T and P_inf worst at p0 = 2): at the desk detector W = 1e-5 T moves
+# <= 3.4e-8, P_inf <= 1.8e-8 and neg_mass <= 1.5e-6 relative; at 0.95 of this
+# value T <= 2.0e-7, P_inf <= 1.2e-7 and neg_mass <= 8.5e-6.  The shifts are
+# the absorber splitting and grow linearly with the rate: at 8.3e-3, T moves
+# 1.7e-6 (p0 = 2) and P_inf 7.3e-6 (p0 = 1.5).  A stronger absorber acts at
+# every site step, and strides exactly (integrate) on a window of at most
+# NARROW_WINDOW sites.
 WEAK_ABSORBER = 1e-3
 # The widest absorber window (sites) on which a strong run strides.  Its cost
 # per outer step grows as J w n + (J w)^2 (J = STRIDE - 1 site steps read,
 # w window sites, n lattice sites) against STRIDE transform pairs of the
-# one-site run.  Measured per 200 site steps at rate 20, 32 substeps, one
-# BLAS thread on a 2-vCPU host (median of 9 interleaved runs; one-site /
-# strided ms): n = 3000: w = 5 58.9 / 23.5, w = 16 60.0 / 38.4, w = 20
-# 59.3 / 45.8, w = 24 58.1 / 60.4, w = 32 63.8 / 104.2; n = 12000: w = 5
-# 158 / 68, w = 16 201 / 115, w = 24 155 / 122, w = 32 144 / 153.
+# one-site run.  Measured per 200 site steps at rate 20, one BLAS thread on
+# a 2-vCPU host (median of 9 interleaved runs; one-site / strided ms):
+# n = 3000: w = 5 58.9 / 23.5, w = 16 60.0 / 38.4, w = 20 59.3 / 45.8,
+# w = 24 58.1 / 60.4, w = 32 63.8 / 104.2; n = 12000: w = 5 158 / 68,
+# w = 16 201 / 115, w = 24 155 / 122, w = 32 144 / 153.
 NARROW_WINDOW = 16
 # The strip is zeroed once per outer step, in which light crosses up to STRIDE
 # sites; a strip narrower than that would let norm cross the periodic seam
@@ -103,7 +93,6 @@ class EvolutionConfig:
     x_lo: float
     x_hi: float
     tau_max: float
-    n_substeps: int = 64
 
     def __post_init__(self):
         if self.dtau <= 0:
@@ -112,8 +101,9 @@ class EvolutionConfig:
             raise ValueError(f"x_hi = {self.x_hi} must exceed x_lo = {self.x_lo}")
         if self.tau_max <= 0:
             raise ValueError("tau_max must be positive")
-        if self.n_substeps < 1:
-            raise ValueError("n_substeps must be >= 1")
+        if self.n_steps < 1:
+            raise ValueError(f"tau_max = {self.tau_max} is shorter than one step "
+                             f"(dtau = {self.dtau})")
 
     @property
     def dx(self) -> float:
@@ -145,9 +135,8 @@ class EvolutionRecord:
     step to its value at the end in proportion to the trapezoid of d(tau),
     so its increments match the trapezoid to within the outer step's
     absorber splitting (the budget (1 - S) - int d - leakage reads 3.4e-8
-    at most on the fig4-desk lattice at 8 substeps).  Against a strong
-    absorber S is exact at every row (the one-site run's, but for the wall
-    strip).
+    at most on the fig4-desk lattice).  Against a strong absorber S is
+    exact at every row (the one-site run's, but for the wall strip).
     Either way 1 - S - leakage is the norm the detectors have absorbed at
     each row, the curve that JumpProcess._outcomes inverts."""
 
@@ -175,25 +164,15 @@ class EvolutionRecord:
 
 
 @lru_cache(maxsize=16)
-def _rotation(n: int, dx: float, dtau: float, n_substeps: int, chi: float):
-    """(angle, axis) of the one-site free step M(k) = S(k)^n_substeps per
-    mode, shapes (n,) and (2, n), both read-only.
-
-    S(k) is one Strang substep of length h = dtau/n_substeps -- half mass
-    phase, exact advection by h, half mass phase -- acting on the Fourier
-    amplitudes of an (upper, lower) component pair.  It is the rotation
-    cos(phi) I - i (a sigma_x + b sigma_z) with a = sin(kh),
-    b = cos(kh) sin(chi h), sin(phi) = |(a, b)| and cos(phi) =
-    cos(kh) cos(chi h), so M is the rotation by angle = n_substeps phi about
-    axis = (a, b)/|(a, b)| (zero where S is +-I).
-    """
+def _rotation(n: int, dx: float, dtau: float, chi: float):
+    """(angle, axis) of the one-site free step M(k) = exp(-i dtau (k sigma_x
+    + chi sigma_z)) per mode, acting on the Fourier amplitudes of an (upper,
+    lower) component pair: the rotation by angle = dtau omega about
+    axis = (k, chi)/omega, omega = sqrt(k^2 + chi^2) > 0.  Shapes (n,) and
+    (2, n), both read-only."""
     k = 2 * np.pi * np.fft.fftfreq(n, d=dx)
-    h = dtau / n_substeps
-    cos_kh = np.cos(k * h)
-    a, b = np.sin(k * h), cos_kh * np.sin(chi * h)
-    sin_phi = np.hypot(a, b)
-    angle = n_substeps * np.arctan2(sin_phi, cos_kh * np.cos(chi * h))
-    axis = np.divide([a, b], sin_phi, out=np.zeros((2, n)), where=sin_phi > 0.0)
+    omega = np.hypot(k, chi)
+    angle, axis = dtau * omega, np.array([k, np.full(n, chi)]) / omega
     angle.flags.writeable = axis.flags.writeable = False  # cached: shared by every caller
     return angle, axis
 
@@ -311,8 +290,8 @@ def integrate(
     cfg: EvolutionConfig,
     n_steps: int,
 ) -> EvolutionRecord:
-    """The stepping loop: n_steps site steps of Strang splitting against the
-    summed absorber, recorded at every site step.
+    """The stepping loop: n_steps site steps, the exact free step split
+    symmetrically by the summed absorber, recorded at every site step.
 
     rates holds one (n,) field from lambda_field per detection channel;
     the record's channel_density has one row of <Psi|Lambda_c Psi> per
@@ -360,7 +339,7 @@ def integrate(
     s = STRIDE if weak or w <= NARROW_WINDOW else 1
     sites = np.r_[0:n_steps:s, n_steps]  # site steps reached at each outer step
     lengths = np.diff(sites)
-    rotation = _rotation(grid.n, dx, cfg.dtau, cfg.n_substeps, CHI)
+    rotation = _rotation(grid.n, dx, cfg.dtau, CHI)
     # per outer-step length: the free-step matrix, and the absorber
     # half-stage's amplitude factor exp(-Lambda dtau_k / 4) on the window (the
     # norm decays at rate Lambda); a strong absorber takes the one-site

@@ -10,7 +10,7 @@ from dirac_toa.detector import WindowDetector
 from dirac_toa.studies import ArrivalRunResult, arrival_run, config_from_lattice
 from dirac_toa.wavepacket import PacketSpec
 
-DESK_LATTICE = dict(dtau=0.002, x_lo=-3.0, x_hi=2.0, n_substeps=32)
+DESK_LATTICE = dict(dtau=0.002, x_lo=-3.0, x_hi=2.0)
 DESK_DETECTOR = WindowDetector(height=1e-5, width=0.01, edge=0.004)
 
 _run_cache: dict = {}

@@ -85,7 +85,7 @@ def test_criterion_02_high_momentum_early_arrivals(run_p075, run_p2):
 def test_criterion_03_unitarity_and_probability_budget(run_p075):
     spec = PacketSpec(p0=0.75)
     cfg = EvolutionConfig(dtau=0.002, x_lo=-4.0, x_hi=2.0,
-                          tau_max=auto_tau_max(spec), n_substeps=32)
+                          tau_max=auto_tau_max(spec))
     rec_free = evolve(prepare_omega(spec, cfg), WindowDetector(height=0.0), cfg)
     unit_dev = np.abs(rec_free.survival - 1.0).max()
     assert unit_dev < 1e-9
@@ -101,19 +101,19 @@ def test_criterion_03_unitarity_and_probability_budget(run_p075):
 
 
 def test_criterion_04_free_evolution_matches_spectral_oracle():
+    """The free step is exact, so the lattice matches the spectral oracle to
+    roundoff at every dx (measured 3.4e-14 / 3.1e-14)."""
     spec = PacketSpec(p0=0.75)
     errs = {}
     for dx in (0.002, 0.001):
-        cfg = EvolutionConfig(dtau=dx, x_lo=-3.25, x_hi=0.75, tau_max=1.0, n_substeps=64)
+        cfg = EvolutionConfig(dtau=dx, x_lo=-3.25, x_hi=0.75, tau_max=1.0)
         grid = cfg.grid()
         st = initial_packet(spec, grid)
         rec = evolve(st, None, cfg)
         oracle = spectral_free_evolve(st, 1.0)
         errs[dx] = float(np.sqrt(np.sum(np.abs(rec.final_state.values - oracle.values) ** 2) * dx))
-    ratio = errs[0.002] / errs[0.001]
-    assert errs[0.001] < 1e-3
-    assert 3.0 <= ratio <= 5.0
-    _report(4, f"L2(dx=0.001)={errs[0.001]:.2e} < 1e-3; error ratio={ratio:.2f} in [3, 5]")
+    assert max(errs.values()) < 1e-12
+    _report(4, f"L2(dx=0.002)={errs[0.002]:.2e}, L2(dx=0.001)={errs[0.001]:.2e} < 1e-12")
 
 
 def test_criterion_05_detector_height_insensitivity():
@@ -207,7 +207,7 @@ def pdp_process():
     spec = PacketSpec(p0=0.75)
     det = WindowDetector(height=0.2, width=0.01, edge=0.004)
     cfg = EvolutionConfig(dtau=0.002, x_lo=-4.0, x_hi=2.0,
-                          tau_max=auto_tau_max(spec) + 0.6, n_substeps=32)
+                          tau_max=auto_tau_max(spec) + 0.6)
     prep = TwoVector(spec.t0, spec.x0)
     channel = DetectorChannel.at_rest(det, prep)
     initial = prepare_omega(spec, cfg, detector_position=det.position)
@@ -266,7 +266,7 @@ def test_criterion_11_event_ordering():
     spec = PacketSpec(p0=2.0)
     det = WindowDetector(height=0.2, width=0.01, edge=0.004)
     cfg = EvolutionConfig(dtau=0.002, x_lo=-4.0, x_hi=2.0,
-                          tau_max=auto_tau_max(spec), n_substeps=32)
+                          tau_max=auto_tau_max(spec))
     prep = TwoVector(spec.t0, spec.x0)
     channel = DetectorChannel.at_rest(det, prep)
     proc = JumpProcess(prepare_omega(spec, cfg, detector_position=det.position),

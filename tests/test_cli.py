@@ -1,3 +1,4 @@
+import logging
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,9 @@ from scipy.fft import next_fast_len
 from dirac_toa.cli import build_parser, main, parse_inputs, resolve_config
 from dirac_toa.csvio import read_csv, read_manifest, write_manifest
 from dirac_toa.detector import WindowDetector
-from dirac_toa.presets import PRESETS
-from dirac_toa.propagator import WALL_SITES
+from dirac_toa import studies
+from dirac_toa.presets import PRESETS, steps_for_momentum
+from dirac_toa.propagator import WALL_SITES, evolve
 from dirac_toa.studies import config_from_lattice
 from dirac_toa.wavepacket import PacketSpec
 
@@ -21,7 +23,7 @@ def _tiny_scan_config(tmp_path):
         "run": {"command": "arrival-scan"},
         "packet": {},
         "detector": {"height": 1e-4, "width": 0.02, "edge": 0.008},
-        "lattice": {"dtau": 0.004, "x_lo": -3.0, "x_hi": 2.0, "n_substeps": 8},
+        "lattice": {"dtau": 0.004, "x_lo": -3.0, "x_hi": 2.0},
         "scan": {"p0_values": "0.75"},
     })
     return cfg
@@ -68,7 +70,7 @@ def test_density_command(tmp_path):
     write_manifest(cfg, {
         "run": {"command": "density"},
         "detector": {"height": 1e-4, "width": 0.02, "edge": 0.008},
-        "lattice": {"dtau": 0.004, "x_lo": -3.0, "x_hi": 2.0, "n_substeps": 8},
+        "lattice": {"dtau": 0.004, "x_lo": -3.0, "x_hi": 2.0},
         "scan": {"p0_values": "0.75"},
     })
     out = tmp_path / "res"
@@ -86,7 +88,7 @@ def test_frames_command_v0_matches_lab(tmp_path):
         "run": {"command": "frames"},
         "packet": {"p0": 2.0},
         "detector": {"height": 1e-4, "width": 0.02, "edge": 0.008},
-        "lattice": {"dtau": 0.004, "x_lo": -4.0, "x_hi": 2.0, "n_substeps": 8},
+        "lattice": {"dtau": 0.004, "x_lo": -4.0, "x_hi": 2.0},
         "scan": {"v_values": "0.0 0.5 0.9"},
     })
     out = tmp_path / "res"
@@ -117,7 +119,7 @@ def test_pdp_command(tmp_path):
     write_manifest(cfg, {
         "run": {"command": "pdp"},
         "detector": {"height": 0.3, "width": 0.02, "edge": 0.008},
-        "lattice": {"dtau": 0.004, "x_lo": -4.0, "x_hi": 2.0, "n_substeps": 8},
+        "lattice": {"dtau": 0.004, "x_lo": -4.0, "x_hi": 2.0},
         "scan": {"n_trajectories": 400},
     })
     out = tmp_path / "res"
@@ -137,7 +139,7 @@ def test_scan_worker_pool_matches_serial(tmp_path):
     write_manifest(cfg, {
         "run": {"command": "arrival-scan"},
         "detector": {"height": 1e-4, "width": 0.02, "edge": 0.008},
-        "lattice": {"dtau": 0.004, "x_lo": -3.0, "x_hi": 2.0, "n_substeps": 8},
+        "lattice": {"dtau": 0.004, "x_lo": -3.0, "x_hi": 2.0},
         "scan": {"p0_values": "0.5 0.75"},
     })
     out1, out2 = tmp_path / "serial", tmp_path / "pool"
@@ -154,10 +156,71 @@ def test_rejected_run_exits_nonzero(tmp_path):
         "run": {"command": "density"},
         "detector": {"height": 1e-4, "width": 0.02, "edge": 0.008},
         "lattice": {"dtau": 0.004, "x_lo": -1.6, "x_hi": 0.4,
-                    "tau_max": 3.0, "n_substeps": 8},
+                    "tau_max": 3.0},
         "scan": {"p0_values": "0.75"},
     })
     assert main(["density", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+
+
+def _density_config(path, **lattice):
+    write_manifest(path, {
+        "run": {"command": "density"},
+        "detector": {"height": 1e-4, "width": 0.02, "edge": 0.008},
+        "lattice": {"dtau": 0.004, "x_lo": -3.0, "x_hi": 2.0} | lattice,
+        "scan": {"p0_values": "0.75"},
+    })
+    return path
+
+
+def test_run_shorter_than_one_step_is_rejected(tmp_path, caplog):
+    """tau_max = 0.001 at dtau = 0.004 is zero steps: the config is rejected
+    before anything runs."""
+    cfg = _density_config(tmp_path / "short.cfg", tau_max=0.001)
+    out = tmp_path / "out"
+    assert main(["density", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "run rejected: tau_max = 0.001 is shorter than one step" in caplog.text
+    assert not out.exists()
+
+
+def test_run_that_detects_nothing_is_rejected(tmp_path, caplog, monkeypatch):
+    """A run whose record holds no detection (here a record with d = 0) is
+    rejected with exit 2, not ended by a NoDetectionError traceback."""
+    def undetected(*args):
+        rec = evolve(*args)
+        rec.detection_density[:] = 0.0
+        return rec
+
+    monkeypatch.setattr(studies, "evolve", undetected)
+    cfg = _density_config(tmp_path / "blind.cfg", tau_max=0.1)
+    out = tmp_path / "out"
+    assert main(["density", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "run rejected: total detection probability is zero" in caplog.text
+    assert not out.exists()
+
+
+def test_ignored_n_substeps_key_changes_no_output(tmp_path, caplog):
+    """[lattice] n_substeps, which the exact free step does not have, is
+    still accepted while the benchmark's configs set it: a density run with
+    n_substeps = 8 writes the same CSV bytes as the run without it and logs
+    that the key is ignored."""
+    caplog.set_level(logging.INFO)
+    runs = {}
+    for name, lattice in (("without", {}), ("with", {"n_substeps": 8})):
+        cfg = _density_config(tmp_path / f"{name}.cfg", **lattice)
+        runs[name] = tmp_path / name
+        assert main(["density", "--config", str(cfg), "--out", str(runs[name])]) == 0
+    for f in ("density_p0.75.csv", "proper_time_density_p0.75.csv", "evolution_p0.75.csv"):
+        assert (runs["with"] / f).read_bytes() == (runs["without"] / f).read_bytes()
+    assert "[lattice] n_substeps = 8 is ignored" in caplog.text
+
+
+@pytest.mark.parametrize("value", ["0", "8.5"])
+def test_n_substeps_that_is_no_count_is_rejected(value, tmp_path, caplog):
+    cfg = _density_config(tmp_path / "bad.cfg", n_substeps=value)
+    out = tmp_path / "out"
+    assert main(["density", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"[lattice] n_substeps = {value} must be an integer >= 1" in caplog.text
+    assert not out.exists()
 
 
 def test_edge_resolution_is_checked_for_every_run_before_anything_runs(tmp_path, caplog):
@@ -168,7 +231,7 @@ def test_edge_resolution_is_checked_for_every_run_before_anything_runs(tmp_path,
     write_manifest(cfg, {
         "run": {"command": "density"},
         "detector": {"width": 0.01, "edge": 0.001},
-        "lattice": {"x_lo": -4.0, "x_hi": 2.0, "tau_max": 0.1, "n_substeps": 2},
+        "lattice": {"x_lo": -4.0, "x_hi": 2.0, "tau_max": 0.1},
         "scan": {"p0_values": "2 0.25"},
     })
     out = tmp_path / "out"
@@ -224,7 +287,7 @@ def test_pdp_rejects_seed_and_count_out_of_range(tmp_path):
     write_manifest(cfg, {
         "run": {"command": "pdp"},
         "detector": {"height": 0.3, "width": 0.02, "edge": 0.008},
-        "lattice": {"dtau": 0.004, "x_lo": -4.0, "x_hi": 2.0, "n_substeps": 8,
+        "lattice": {"dtau": 0.004, "x_lo": -4.0, "x_hi": 2.0,
                     "tau_max": 1.0},
         "scan": {"n_trajectories": 10},
     })
@@ -247,7 +310,7 @@ def test_cli_runs_without_loading_scipy(tmp_path):
     write_manifest(density, {
         "run": {"command": "density"},
         "detector": {"height": 1e-4, "width": 0.02, "edge": 0.008},
-        "lattice": {"dtau": 0.004, "x_lo": -3.0, "x_hi": 2.0, "n_substeps": 8},
+        "lattice": {"dtau": 0.004, "x_lo": -3.0, "x_hi": 2.0},
         "scan": {"p0_values": "0.75"},
     })
     write_manifest(point, {
@@ -320,7 +383,7 @@ def test_scan_momenta_default_to_the_packet_momentum():
     cfg = _resolved(["density", "--seed", "1"]) | {"packet": {"p0": "2.0"}}
     (spec, run_cfg), = parse_inputs(cfg).runs
     assert spec.p0 == 2.0
-    assert run_cfg.n_substeps == 64 and (run_cfg.x_lo, run_cfg.x_hi) == (-6.0, 4.0)
+    assert run_cfg.dtau == steps_for_momentum(2.0) and (run_cfg.x_lo, run_cfg.x_hi) == (-6.0, 4.0)
 
 
 @pytest.mark.parametrize("command, section, key, named", [

@@ -121,11 +121,10 @@ def test_ideal_measurement_rejects_bad_plans():
         ideal_measurement_run(TotalState(0, bad, 0.0), [(1.0, TwoVector(1, 0), obs)], rng)
 
 
-def _pdp_setup(n_substeps=16):
+def _pdp_setup():
     spec = PacketSpec(p0=0.75)
     det = WindowDetector(height=0.3, width=0.02, edge=0.008)
-    cfg = EvolutionConfig(dtau=0.004, x_lo=-4.0, x_hi=2.0, tau_max=4.0,
-                          n_substeps=n_substeps)
+    cfg = EvolutionConfig(dtau=0.004, x_lo=-4.0, x_hi=2.0, tau_max=4.0)
     prep = TwoVector(spec.t0, spec.x0)
     channel = DetectorChannel.at_rest(det, prep)
     initial = prepare_omega(spec, cfg, detector_position=det.position)
@@ -134,10 +133,12 @@ def _pdp_setup(n_substeps=16):
 
 def test_jump_process_shares_evolve_loop_and_wall_accounting():
     """One channel: the sampler's deterministic record is evolve's, bit for
-    bit, and norm lost at the walls is not detected."""
+    bit, and norm lost at the walls is not detected.  The left wall sits
+    close enough for the negative-energy branch to reach it (leakage 5.5e-6;
+    7.1e-8 with the wall at -3)."""
     spec = PacketSpec(p0=0.75)
     det = WindowDetector(height=0.3, width=0.02, edge=0.008)
-    cfg = EvolutionConfig(dtau=0.004, x_lo=-3.0, x_hi=2.0, tau_max=3.5, n_substeps=4)
+    cfg = EvolutionConfig(dtau=0.004, x_lo=-2.9, x_hi=2.0, tau_max=3.5)
     prep = TwoVector(spec.t0, spec.x0)
     initial = prepare_omega(spec, cfg, detector_position=det.position)
     initial.values /= np.sqrt(initial.norm_sq())
@@ -202,7 +203,7 @@ def test_weak_detector_run_strides_and_the_sampler_reads_its_record():
     steps."""
     spec = PacketSpec(p0=0.75)
     det = WindowDetector(height=1.1e-5, width=1.0, edge=0.05)
-    cfg = EvolutionConfig(dtau=0.004, x_lo=-4.0, x_hi=2.0, tau_max=4.004, n_substeps=4)
+    cfg = EvolutionConfig(dtau=0.004, x_lo=-4.0, x_hi=2.0, tau_max=4.004)
     n, seed = 200000, 5
     result = pdp_study(spec, det, cfg, n, seed)
     proc, recs = result.process, result.records
@@ -266,7 +267,7 @@ def test_strong_detector_strides_and_matches_the_one_site_run(monkeypatch):
 def test_absorbed_norm_never_falls(preset, p0):
     """The absorbed norm that _outcomes inverts with searchsorted is sorted,
     on pdp-desk and on the benchmark's weak lattice (lattice-density: W =
-    1e-5, 8 substeps).  Before the packet reaches the detector, S carries
+    1e-5).  Before the packet reaches the detector, S carries
     the transforms' roundoff while the detector absorbs far less per row, so
     1 - (S + leakage) can fall between rows (with the step matrix built as a
     product of substeps: 18 rows down to -2.4e-14 on pdp-desk, 367 and 457
@@ -276,7 +277,7 @@ def test_absorbed_norm_never_falls(preset, p0):
         det, lattice = WindowDetector(**preset["detector"]), preset["lattice"]
     else:
         det = WindowDetector(height=1e-5, width=0.01, edge=0.004)
-        lattice = {"dtau": 0.002, "x_lo": -4.0, "x_hi": 2.0, "n_substeps": 8}
+        lattice = {"dtau": 0.002, "x_lo": -4.0, "x_hi": 2.0}
     spec = PacketSpec(p0=p0)
     cfg = config_from_lattice(lattice, p0, spec, det.position)
     prep = TwoVector(spec.t0, spec.x0)
@@ -384,7 +385,7 @@ def _reference_sample(proc, rng):
 def test_sample_many_is_per_trajectory_sample(heights):
     """Trajectory i of the columnar batch is the per-trajectory reference
     sampler on stream i, field for field."""
-    spec, _, cfg, prep, _, initial = _pdp_setup(n_substeps=4)
+    spec, _, cfg, prep, _, initial = _pdp_setup()
     channels = [DetectorChannel.at_rest(WindowDetector(height=h, width=0.02, edge=0.008), prep)
                 for h in heights]
     proc = JumpProcess(initial, channels, cfg, preparation=prep)
@@ -401,7 +402,7 @@ def test_sample_many_is_per_trajectory_sample(heights):
 
 
 def test_sample_many_empty_and_rejects_bad_streams():
-    _, _, cfg, prep, channel, initial = _pdp_setup(n_substeps=4)
+    _, _, cfg, prep, channel, initial = _pdp_setup()
     proc = JumpProcess(initial, [channel], cfg, preparation=prep)
     empty = proc.sample_many(0, seed=5)
     assert len(empty) == 0 and list(empty) == []
@@ -418,7 +419,7 @@ def test_pdp_study_rejects_bad_request_before_integrating(monkeypatch):
         raise AssertionError("the deterministic integration ran before the request was checked")
 
     monkeypatch.setattr(pdp, "integrate", integrate)
-    spec, det, cfg, _, _, _ = _pdp_setup(n_substeps=1)
+    spec, det, cfg, _, _, _ = _pdp_setup()
     for n, seed in ((3, -1), (3, 2**64), (-1, 5)):
         with pytest.raises(ValueError):
             pdp_study(spec, det, cfg, n, seed)
@@ -450,7 +451,7 @@ def test_jump_process_rejects_detector_on_the_wall_strip():
     reaches the strip of a state's own lattice, here one without padding."""
     spec = PacketSpec(p0=0.75)
     det = WindowDetector(height=0.2, width=0.01, edge=0.004, position=1.997)
-    cfg = EvolutionConfig(dtau=0.002, x_lo=-4.0, x_hi=2.0, tau_max=1.0, n_substeps=8)
+    cfg = EvolutionConfig(dtau=0.002, x_lo=-4.0, x_hi=2.0, tau_max=1.0)
     prep = TwoVector(spec.t0, spec.x0)
     initial = prepare_omega(spec, cfg, detector_position=det.position)
     with pytest.raises(ValueError, match="walls"):

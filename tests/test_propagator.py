@@ -46,7 +46,7 @@ def _periodic_step(state: PlaneState, cfg: EvolutionConfig, rate=0.0) -> PlaneSt
     absorber half-stage at a uniform or (n,) rate, free step, half-stage."""
     n = state.grid.n
     half = np.exp(-cfg.dtau * np.broadcast_to(rate, (n,)) / 4.0)
-    free = _step_matrix(*_rotation(n, cfg.dx, cfg.dtau, cfg.n_substeps, CHI))
+    free = _step_matrix(*_rotation(n, cfg.dx, cfg.dtau, CHI))
     stack = _to_pairs(state.values, PAIRS)
     stack[:, 0] *= half
     stack = _free_step(stack, free)
@@ -54,70 +54,55 @@ def _periodic_step(state: PlaneState, cfg: EvolutionConfig, rate=0.0) -> PlaneSt
     return PlaneState(state.x_min, state.dx, _from_pairs(stack, PAIRS))
 
 
-def _substep_reference(values: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
-    """The free step as n_substeps literal Strang substeps: half mass phase,
-    exact Fourier advection by h on the pairs (1,4), (2,3), half mass phase."""
-    h = cfg.dtau / cfg.n_substeps
-    k = 2 * np.pi * np.fft.fftfreq(values.shape[1], d=cfg.dx)
-    cos_k, sin_k = np.cos(k * h), np.sin(k * h)
-    mh = np.exp(-1j * CHI * h / 2)
-    half_mass = np.array([mh, mh, np.conj(mh), np.conj(mh)])[:, None]
-    v = values.copy()
-    for _ in range(cfg.n_substeps):
-        f = np.fft.fft(v * half_mass, axis=1)
-        for i, j in ((0, 3), (1, 2)):
-            f[i], f[j] = cos_k * f[i] - 1j * sin_k * f[j], cos_k * f[j] - 1j * sin_k * f[i]
-        v = np.fft.ifft(f, axis=1) * half_mass
-    return v
-
-
 @settings(max_examples=40, deadline=None)
-@given(n_substeps=st.integers(1, 64), n=st.integers(8, 200), seed=st.integers(0, 2**32 - 1))
-def test_fused_free_step_matches_substep_loop(n_substeps, n, seed):
+@given(n=st.integers(8, 200), j=st.integers(1, STRIDE), seed=st.integers(0, 2**32 - 1))
+def test_free_step_matches_spectral_oracle(n, j, seed):
+    """The free step of j site steps (_step_matrix's M^j, one transform pair
+    on the pair stack) is the exact free evolution of spectral_free_evolve,
+    which diagonalises the Dirac Hamiltonian per mode, for any state on any
+    lattice, to roundoff."""
     rng = np.random.default_rng(seed)
     vals = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
     dx = 0.002
-    cfg = EvolutionConfig(dtau=dx, x_lo=0, x_hi=n * dx, tau_max=1, n_substeps=n_substeps)
-    out = _periodic_step(PlaneState(0.0, dx, vals), cfg)
-    ref = _substep_reference(vals, cfg)
-    assert np.abs(out.values - ref).max() < 1e-12 * np.abs(vals).max()
+    moved = _free_step(_to_pairs(vals, PAIRS), _step_matrix(*_rotation(n, dx, dx, CHI), j))
+    ref = spectral_free_evolve(PlaneState(0.0, dx, vals), j * dx)
+    assert np.abs(_from_pairs(moved, PAIRS) - ref.values).max() < 1e-12 * np.abs(vals).max()
 
 
 @pytest.mark.parametrize("n, dx", [(3072, 0.002), (26730, 0.000375)])
-@pytest.mark.parametrize("n_substeps", [1, 8, 32, 64])
-def test_outer_step_matrices_are_unitary(n, dx, n_substeps):
-    """M^j for the outer-step lengths j = 1, STRIDE - 1 and STRIDE, on the
+@pytest.mark.parametrize("j", [1, STRIDE - 1, STRIDE])
+def test_outer_step_matrices_are_unitary(j, n, dx):
+    """M^j for each outer-step length j = 1, STRIDE - 1 and STRIDE, on the
     lattice-density lattice (3072 sites) and on full fig2's at p0 = 2
     (26 730 sites), is unitary to roundoff: both column norms and the
-    determinant are 1 to 2e-15 (the substeps' product read up to 2.1e-13
-    and 4.2e-13 at 64 substeps)."""
-    j = np.array([1, STRIDE - 1, STRIDE])[:, None]
-    m = _step_matrix(*_rotation(n, dx, dx, n_substeps, CHI), j)
+    determinant are 1 to 2e-15 (measured 4.4e-16)."""
+    m = _step_matrix(*_rotation(n, dx, dx, CHI), j)
     for col in (m[:, 0], m[:, 1]):
         assert np.abs(np.sqrt(np.sum(np.abs(col) ** 2, axis=0)) - 1.0).max() <= 2e-15
     assert np.abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] - 1.0).max() <= 2e-15
 
 
 @pytest.mark.parametrize("p0", [0.75, 2.0])
-@pytest.mark.parametrize("n_substeps", [8, 32])
-def test_free_run_keeps_the_norm_budget(p0, n_substeps):
-    """Without a detector, S + leakage stays 1 at every row to 1e-13 on the
-    lattice-density lattice (the substeps' product drifted up to 1.25e-12 /
-    2.6e-12 at 8 / 32 substeps)."""
+def test_free_run_keeps_the_norm_budget(p0):
+    """Without a detector, S + leakage stays 1 at every row to 1e-14 on the
+    lattice-density lattice (measured 3.3e-15 / 1.1e-15 at p0 = 0.75 / 2),
+    and the walls take less than 1e-12 of the norm (measured 1.9e-24 at
+    p0 = 2)."""
     spec = PacketSpec(p0=p0)
-    lattice = {"dtau": 0.002, "x_lo": -4.0, "x_hi": 2.0, "n_substeps": n_substeps}
+    lattice = {"dtau": 0.002, "x_lo": -4.0, "x_hi": 2.0}
     cfg = config_from_lattice(lattice, p0, spec)
     initial = prepare_omega(spec, cfg)
     initial.values /= np.sqrt(initial.norm_sq())
     rec = integrate(initial, [], cfg, cfg.n_steps)
-    assert np.abs(rec.survival + rec.boundary_leakage - 1.0).max() <= 1e-13
+    assert np.abs(rec.survival + rec.boundary_leakage - 1.0).max() <= 1e-14
+    assert rec.boundary_leakage[-1] < 1e-12
 
 
 def _four_row_reference(initial: PlaneState, rates, cfg: EvolutionConfig, n_steps: int,
                         stride: int, per_site: bool = False):
     """integrate() as a loop over all four component rows with outer steps
     of stride site steps, the last one shorter when stride does not divide
-    n_steps: Strang step against the summed absorber, wall strip,
+    n_steps: a step against the summed absorber, wall strip,
     per-channel record over the whole lattice.  Inside an outer step of k
     site steps, the record row of site step j < k is the density of the
     j-site free step (its own _step_matrix, a transform pair over all four
@@ -126,7 +111,7 @@ def _four_row_reference(initial: PlaneState, rates, cfg: EvolutionConfig, n_step
     outer step's start by the norm taken in the whole outer step times the
     share of the trapezoid of the recorded density reached at site step j.
 
-    per_site: the one-site run instead, a Strang step and a record row with
+    per_site: the one-site run instead, a step and a record row with
     its own S at every site step, with the wall strips zeroed only at the
     ends of the outer steps; the leakage between is that of the last
     zeroing."""
@@ -142,7 +127,7 @@ def _four_row_reference(initial: PlaneState, rates, cfg: EvolutionConfig, n_step
         chan.append([np.sum(r * (dens[0] + dens[1])) * dx for r in rates])
 
     def free(f, k):
-        m = _step_matrix(*_rotation(f.shape[1], dx, cfg.dtau, cfg.n_substeps, CHI), k)
+        m = _step_matrix(*_rotation(f.shape[1], dx, cfg.dtau, CHI), k)
         upper, lower = f[:2], f[[3, 2]]
         out = np.empty_like(f)
         out[:2] = m[0, 0] * upper + m[0, 1] * lower
@@ -190,9 +175,9 @@ def _four_row_reference(initial: PlaneState, rates, cfg: EvolutionConfig, n_step
 
 @settings(max_examples=60, deadline=None)
 @given(populated=st.sampled_from([(0, 1, 2, 3), PAIRS[0], PAIRS[1]]),
-       n_substeps=st.integers(1, 16), n=st.integers(96, 160), n_steps=st.integers(1, 30),
+       n=st.integers(96, 160), n_steps=st.integers(1, 30),
        absorber=st.sampled_from(["weak", "strong", "narrow"]), seed=st.integers(0, 2**32 - 1))
-def test_pair_stack_matches_four_row_loop(populated, n_substeps, n, n_steps, absorber, seed):
+def test_pair_stack_matches_four_row_loop(populated, n, n_steps, absorber, seed):
     """integrate() steps only the pairs that carry norm, STRIDE site steps at
     a time against a weak absorber or a strong one on a narrow window, and
     ending at n_steps site steps, and records every site step; survival,
@@ -204,7 +189,7 @@ def test_pair_stack_matches_four_row_loop(populated, n_substeps, n, n_steps, abs
     dx = 0.01
     grid = UniformGrid(-n * dx / 2, dx, n)
     x = grid.positions
-    cfg = EvolutionConfig(dtau=dx, x_lo=x[0], x_hi=x[-1], tau_max=1.0, n_substeps=n_substeps)
+    cfg = EvolutionConfig(dtau=dx, x_lo=x[0], x_hi=x[-1], tau_max=1.0)
     vals = np.zeros((4, n), dtype=complex)
     rows = len(populated)
     amp = rng.normal(size=(rows, 1)) + 1j * rng.normal(size=(rows, 1))
@@ -249,12 +234,11 @@ def test_pair_stack_matches_four_row_loop(populated, n_substeps, n, n_steps, abs
 
 
 @settings(max_examples=15, deadline=None)
-@given(n_substeps=st.integers(1, 64), p=st.floats(-1.0, 1.0), width=st.floats(0.03, 0.1),
-       seed=st.integers(0, 2**32 - 1))
-def test_survival_flat_without_detector(n_substeps, p, width, seed):
+@given(p=st.floats(-1.0, 1.0), width=st.floats(0.03, 0.1), seed=st.integers(0, 2**32 - 1))
+def test_survival_flat_without_detector(p, width, seed):
     """W = 0: the shared loop keeps the norm of any smooth packet at 1."""
     rng = np.random.default_rng(seed)
-    cfg = EvolutionConfig(dtau=0.004, x_lo=-2.0, x_hi=2.0, tau_max=0.2, n_substeps=n_substeps)
+    cfg = EvolutionConfig(dtau=0.004, x_lo=-2.0, x_hi=2.0, tau_max=0.2)
     grid = cfg.grid()
     spinor = rng.normal(size=4) + 1j * rng.normal(size=4)
     envelope = np.exp(-(grid.positions**2) / (4 * width**2) + 1j * CHI * p * grid.positions)
@@ -267,8 +251,8 @@ def test_survival_flat_without_detector(n_substeps, p, width, seed):
 def test_config_validation():
     with pytest.raises(ValueError):
         EvolutionConfig(dtau=-0.01, x_lo=0, x_hi=1, tau_max=1)
-    with pytest.raises(ValueError):
-        EvolutionConfig(dtau=0.01, x_lo=0, x_hi=1, tau_max=1, n_substeps=0)
+    with pytest.raises(ValueError, match="shorter than one step"):
+        EvolutionConfig(dtau=0.01, x_lo=0, x_hi=1, tau_max=0.004)
     cfg = EvolutionConfig(dtau=0.01, x_lo=0, x_hi=1, tau_max=1)
     assert cfg.dx == cfg.dtau
     # the wall strips lie beyond the configured domain
@@ -316,21 +300,20 @@ STRIDE_BOUNDS = {"desk": (1e-7, 1e-7, 1e-5), "threshold": (3e-7, 3e-7, 2e-5),
 @pytest.mark.parametrize("p0", [0.75, 2.0])
 @pytest.mark.parametrize("detector", ["desk", "threshold", "strong"])
 def test_strided_run_matches_site_step_run(p0, detector, monkeypatch):
-    """The benchmark's lattice-density lattice (fig4-desk at 8 substeps)
-    strides, at the desk detector W = 1e-5 (max rate * STRIDE dtau =
-    1.7e-4), at a detector just inside the stride rule (0.95 WEAK_ABSORBER)
-    and at the pdp detector W = 0.2 (a window of 4 sites).  All runs record
-    every site step, and the strided run's T, P_inf and neg_mass stay within
-    STRIDE_BOUNDS of the run stepped one site at a time (measured at
-    p0 = 0.75 / 2: T 1.6e-11 / 3.5e-8, P_inf 7.2e-10 / 1.9e-8, neg_mass
-    1.5e-6 / 8.4e-7 at the desk detector; T 5.6e-11 / 2.0e-7, P_inf
-    2.2e-8 / 1.2e-7, neg_mass 8.6e-6 / 4.8e-6 at the threshold).  What is
-    left there is the absorber splitting, first order in the rate.  The
-    strong detector acts at every site step in both runs, so only the wall
-    strip's cadence is left (measured T 5.3e-16 / 2.3e-12, P_inf
-    3.1e-12 / 9.7e-12, neg_mass 1.2e-12 / 9.7e-12)."""
+    """The benchmark's lattice-density lattice (fig4-desk's) strides, at the
+    desk detector W = 1e-5 (max rate * STRIDE dtau = 1.7e-4), at a detector
+    just inside the stride rule (0.95 WEAK_ABSORBER) and at the pdp detector
+    W = 0.2 (a window of 4 sites).  All runs record every site step, and the
+    strided run's T, P_inf and neg_mass stay within STRIDE_BOUNDS of the run
+    stepped one site at a time (measured at p0 = 0.75 / 2: T 1.4e-11 /
+    3.4e-8, P_inf 7.1e-10 / 1.8e-8, neg_mass 1.4e-6 / 8.4e-7 at the desk
+    detector; T 4.6e-11 / 2.0e-7, P_inf 2.2e-8 / 1.2e-7, neg_mass 8.4e-6 /
+    4.8e-6 at the threshold).  What is left there is the absorber splitting,
+    first order in the rate.  The strong detector acts at every site step in
+    both runs, so only the wall strip's cadence is left (measured T 3.7e-15
+    / 1.1e-12, P_inf 3.4e-12 / 5.5e-12, neg_mass 2.1e-12 / 5.4e-12)."""
     spec = PacketSpec(p0=p0)
-    lattice = {"dtau": 0.002, "x_lo": -4.0, "x_hi": 2.0, "n_substeps": 8}
+    lattice = {"dtau": 0.002, "x_lo": -4.0, "x_hi": 2.0}
     cfg = config_from_lattice(lattice, p0, spec)
     shape = dict(width=0.01, edge=0.004)
     height = 0.2 if detector == "strong" else 1e-5
@@ -356,9 +339,9 @@ def test_strided_run_matches_site_step_run(p0, detector, monkeypatch):
 
 @settings(max_examples=40, deadline=None)
 @given(populated=st.sampled_from([(0, 1, 2, 3), PAIRS[0], PAIRS[1]]),
-       n_substeps=st.integers(1, 16), n=st.integers(128, 400), outer=st.integers(0, 2),
+       n=st.integers(128, 400), outer=st.integers(0, 2),
        j=st.integers(1, STRIDE - 1), seed=st.integers(0, 2**32 - 1))
-def test_intermediate_rows_are_exact_reads(populated, n_substeps, n, outer, j, seed):
+def test_intermediate_rows_are_exact_reads(populated, n, outer, j, seed):
     """A strided run's record row at site step outer * STRIDE + j is the
     density of the j-site free step (_free_step with _step_matrix's M^j) of
     the state after the outer step's first absorber half-stage, per channel
@@ -368,7 +351,7 @@ def test_intermediate_rows_are_exact_reads(populated, n_substeps, n, outer, j, s
     dx = 0.01
     grid = UniformGrid(-n * dx / 2, dx, n)
     x = grid.positions
-    cfg = EvolutionConfig(dtau=dx, x_lo=x[0], x_hi=x[-1], tau_max=1.0, n_substeps=n_substeps)
+    cfg = EvolutionConfig(dtau=dx, x_lo=x[0], x_hi=x[-1], tau_max=1.0)
     vals = np.zeros((4, n), dtype=complex)
     amp = rng.normal(size=(len(populated), 1)) + 1j * rng.normal(size=(len(populated), 1))
     q = rng.uniform(-50.0, 50.0, size=(len(populated), 1))
@@ -389,7 +372,7 @@ def test_intermediate_rows_are_exact_reads(populated, n_substeps, n, outer, j, s
     k = min(STRIDE, n_steps - outer * STRIDE)  # the length of that outer step
     stack = _to_pairs(start.values, PAIRS)
     stack[:, 0] *= np.exp(-k * cfg.dtau * np.sum(rates, axis=0) / 4.0)
-    moved = _free_step(stack, _step_matrix(*_rotation(n, dx, cfg.dtau, n_substeps, CHI), j))
+    moved = _free_step(stack, _step_matrix(*_rotation(n, dx, cfg.dtau, CHI), j))
     upper = np.sum(np.abs(moved[:, 0]) ** 2, axis=0)
     want = [np.sum(r * upper) * dx for r in rates]
     assert np.abs(rec.channel_density[:, outer * STRIDE + j] - want).max() < 1e-12
@@ -397,9 +380,9 @@ def test_intermediate_rows_are_exact_reads(populated, n_substeps, n, outer, j, s
 
 @settings(max_examples=40, deadline=None)
 @given(populated=st.sampled_from([(0, 1, 2, 3), PAIRS[0], PAIRS[1]]),
-       n_substeps=st.integers(1, 16), n=st.integers(128, 400), outer=st.integers(0, 2),
+       n=st.integers(128, 400), outer=st.integers(0, 2),
        j=st.integers(1, STRIDE - 1), seed=st.integers(0, 2**32 - 1))
-def test_strong_stride_survival_is_the_stepped_norm(populated, n_substeps, n, outer, j, seed):
+def test_strong_stride_survival_is_the_stepped_norm(populated, n, outer, j, seed):
     """Against a strong absorber (rate 1 to 40) on a window of a few sites a
     run strides, and its S recurrence is the norm of the stepped state: at
     site step r = outer * STRIDE + j, inside an outer step, S plus the
@@ -407,13 +390,13 @@ def test_strong_stride_survival_is_the_stepped_norm(populated, n_substeps, n, ou
     stops at r (vdot of its final state, after its last wall strip), and so
     does every row before r, to 1e-12.  (S alone differs by the norm that
     run's last strip removes: the absorber's sharp edges reach the walls
-    through the fractional-site advection of the substeps.)  A run whose step
+    through the free step, which moves a site's amplitude to every site.)  A run whose step
     count STRIDE does not divide ends at n_steps dtau."""
     rng = np.random.default_rng(seed)
     dx = 0.01
     grid = UniformGrid(-n * dx / 2, dx, n)
     x = grid.positions
-    cfg = EvolutionConfig(dtau=dx, x_lo=x[0], x_hi=x[-1], tau_max=1.0, n_substeps=n_substeps)
+    cfg = EvolutionConfig(dtau=dx, x_lo=x[0], x_hi=x[-1], tau_max=1.0)
     vals = np.zeros((4, n), dtype=complex)
     amp = rng.normal(size=(len(populated), 1)) + 1j * rng.normal(size=(len(populated), 1))
     q = rng.uniform(-50.0, 50.0, size=(len(populated), 1))
@@ -447,11 +430,12 @@ def test_scan_error_does_not_depend_on_step_parity(monkeypatch):
     strided run ends at n_steps * dtau like the one-site run and records the
     same times, so the scan row's T and its error column, |T - T0| with T0
     on the run's own record times, match the one-site scan's to the stride's
-    own size (measured 7.0e-10 and 6.3e-6 relative; at a stride of 32 the
-    error column would move 2.4e-5)."""
+    own size: T to 7.0e-10 relative, and the error column moves 1.6e-9,
+    7.0e-10 of T.  The error bound is relative to T, since the error column
+    itself is only 1.8e-7."""
     spec = PacketSpec(p0=0.5)
     det = WindowDetector(height=1e-5, width=0.01, edge=0.004)
-    lattice = {"dtau": 0.002, "x_lo": -3.0, "x_hi": 2.0, "n_substeps": 32}
+    lattice = {"dtau": 0.002, "x_lo": -3.0, "x_hi": 2.0}
     cfg = config_from_lattice(lattice, spec.p0, spec)
     assert cfg.n_steps % STRIDE != 0
     strided = _scan_one((spec, det, cfg))
@@ -459,7 +443,7 @@ def test_scan_error_does_not_depend_on_step_parity(monkeypatch):
     single = _scan_one((spec, det, cfg))
     assert strided["T0"] == single["T0"]
     assert abs(strided["T"] - single["T"]) / single["T"] <= 1e-8
-    assert abs(strided["error"] - single["error"]) / single["error"] <= 1e-5
+    assert abs(strided["error"] - single["error"]) / single["T"] <= 1e-9
 
 
 def test_single_site_norm_with_mass_only():
@@ -473,13 +457,13 @@ def test_single_site_norm_with_mass_only():
 
 
 def test_plane_wave_dispersion():
-    """One outer step multiplies a plane-wave eigenmode by the composed
-    substep phase; the deviation from exp(-i chi E dtau) is bounded by the
-    splitting-error estimate a^2 b^2/(6 Phi) per substep."""
+    """One step multiplies a positive-energy plane-wave eigenmode by
+    exp(-i chi E dtau), E = sqrt(p^2 + 1), to roundoff (measured 2.2e-16 in
+    the phase): the free step is exact, so no splitting error is left."""
     chi = CHI
-    n, dx, n_sub = 512, 0.001, 64
+    n, dx = 512, 0.001
     grid = UniformGrid(0.0, dx, n)
-    cfg = EvolutionConfig(dtau=dx, x_lo=0, x_hi=n * dx, tau_max=1, n_substeps=n_sub)
+    cfg = EvolutionConfig(dtau=dx, x_lo=0, x_hi=n * dx, tau_max=1)
     k = 2 * np.pi * 60 / (n * dx)
     p = k / chi
     e = np.sqrt(p * p + 1)
@@ -490,29 +474,24 @@ def test_plane_wave_dispersion():
     out = _periodic_step(st, cfg)
 
     overlap = np.sum(np.conj(st.values) * out.values) * dx
-    phase = -np.angle(overlap)
-    hs = dx / n_sub
-    phi_sub = np.arccos(np.cos(k * hs) * np.cos(chi * hs))
-    assert phase == pytest.approx(n_sub * phi_sub, abs=1e-9)
-
-    a, b = k * hs, chi * hs
-    bound = n_sub * (a * b) ** 2 / (6 * np.sqrt(a * a + b * b)) * 1.5
-    assert abs(n_sub * phi_sub - chi * e * dx) < bound
-    assert abs(overlap) == pytest.approx(1.0, abs=1e-6)
+    assert -np.angle(overlap) == pytest.approx(chi * e * dx, abs=1e-13)
+    assert abs(overlap) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_free_evolution_matches_oracle_second_order():
+    """The free step is exact, so the lattice's free evolution is the
+    spectral oracle's at every dx, to roundoff (measured 8.9e-15 / 9.2e-15).
+    The domain keeps the packet's tails off the wall strips, whose norm
+    would show as its square root in L2."""
     spec = PacketSpec()
     errs = {}
     for dx in (0.002, 0.001):
-        grid = UniformGrid.from_domain(-2.2, 0.0, dx)
-        cfg = EvolutionConfig(dtau=dx, x_lo=-2.2, x_hi=0.0, tau_max=0.2, n_substeps=64)
-        st = initial_packet(spec, grid)
+        cfg = EvolutionConfig(dtau=dx, x_lo=-2.6, x_hi=0.4, tau_max=0.2)
+        st = initial_packet(spec, cfg.grid())
         lat = integrate(st, [], cfg, cfg.n_steps).final_state
         oracle = spectral_free_evolve(st, 0.2)
         errs[dx] = np.sqrt(np.sum(np.abs(lat.values - oracle.values) ** 2) * dx)
-    assert errs[0.001] < 1e-3
-    assert errs[0.002] / errs[0.001] == pytest.approx(4.0, abs=0.5)
+    assert max(errs.values()) < 1e-12
 
 
 def test_strang_step_uniform_absorber_decay(monkeypatch):
@@ -580,7 +559,7 @@ def test_evolve_rejects_unnormalized_and_leaking_runs():
 
 def test_evolve_free_survival_flat():
     spec = PacketSpec()
-    cfg = EvolutionConfig(dtau=0.004, x_lo=-3.0, x_hi=1.0, tau_max=0.6, n_substeps=32)
+    cfg = EvolutionConfig(dtau=0.004, x_lo=-3.0, x_hi=1.0, tau_max=0.6)
     st = initial_packet(spec, cfg.grid())
     rec = evolve(st, WindowDetector(height=0.0), cfg)
     assert np.abs(rec.survival - 1.0).max() < 1e-9
@@ -617,7 +596,7 @@ def test_tail_ok_reads_the_record_it_belongs_to():
     rising, reports an undecayed tail; run past the arrival, it reports a
     decayed one."""
     det = WindowDetector(height=1e-4, width=0.02, edge=0.008)
-    cfg = EvolutionConfig(dtau=0.004, x_lo=-5.0, x_hi=2.0, tau_max=1.2, n_substeps=8)
+    cfg = EvolutionConfig(dtau=0.004, x_lo=-5.0, x_hi=2.0, tau_max=1.2)
     st = initial_packet(PacketSpec(), cfg.grid())
     rec = integrate(st, [lambda_field(det, st.grid)], cfg, cfg.n_steps)
     assert rec.detection_density[-1] == rec.detection_density.max() > 0.0

@@ -83,14 +83,17 @@ def test_outer_step_matrices_are_unitary(j, n, dx):
 
 
 @pytest.mark.parametrize("p0", [0.75, 2.0])
-def test_free_run_keeps_the_norm_budget(p0):
+@pytest.mark.parametrize("n_substeps", [8, 32])
+def test_free_run_keeps_the_norm_budget(p0, n_substeps):
     """Without a detector, S + leakage stays 1 at every row to 1e-14 on the
     lattice-density lattice (measured 3.3e-15 / 1.1e-15 at p0 = 0.75 / 2),
     and the walls take less than 1e-12 of the norm (measured 1.9e-24 at
-    p0 = 2)."""
+    p0 = 2).  The lattice sets the legacy n_substeps key, as the benchmark
+    configs do; it yields the same EvolutionConfig as the lattice without it."""
     spec = PacketSpec(p0=p0)
     lattice = {"dtau": 0.002, "x_lo": -4.0, "x_hi": 2.0}
-    cfg = config_from_lattice(lattice, p0, spec)
+    cfg = config_from_lattice(lattice | {"n_substeps": n_substeps}, p0, spec)
+    assert cfg == config_from_lattice(lattice, p0, spec)
     initial = prepare_omega(spec, cfg)
     initial.values /= np.sqrt(initial.norm_sq())
     rec = integrate(initial, [], cfg, cfg.n_steps)

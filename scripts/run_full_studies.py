@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Production-resolution studies (per-momentum published step sizes, walls at
--6/+4 A).  All of them take about 30 s single-threaded on a 2-vCPU host: the
-fig2 momentum scan 16 s, fig4 7.5 s and fig10 4.4 s; --threads runs the
-scan's momenta in parallel.
+"""Production-resolution studies (dx = edge/2 = 0.001 A for every momentum,
+walls at -6/+4 A).  All of them take about 11 s single-threaded on a 2-vCPU
+host: the fig2 momentum scan 7.5-8.3 s, fig4 2.2-2.7 s and fig10 1.0-1.2 s;
+--threads runs the scan's momenta in parallel.
 """
 
 import argparse

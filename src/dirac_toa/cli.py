@@ -19,7 +19,7 @@ from .detector import WindowDetector, check_resolution
 from .point_analytic import arrival_density_point
 from .presets import PRESETS
 from .propagator import DomainTooSmallError, EvolutionConfig
-from .studies import arrival_run, check_keys, config_from_lattice, momentum_scan, pdp_study
+from .studies import arrival_run, check_keys, config_from_lattice, finite, momentum_scan, pdp_study
 from .wavepacket import PacketSpec, evaluate_spacetime
 
 log = logging.getLogger("dirac_toa")
@@ -101,16 +101,17 @@ def _build(cls, cfg: dict, name: str):
     """cls from the float fields given in section [name]."""
     sec = cfg.get(name, {})
     check_keys(f"[{name}] key", sec, [f.name for f in fields(cls)])
-    return cls(**{k: float(v) for k, v in sec.items()})
+    return cls(**{k: finite(f"[{name}] {k}", v) for k, v in sec.items()})
 
 
-def _convert(default, value):
+def _convert(where: str, default, value):
     """value typed as default; a list is given as one or as a string such as
-    "0.5 0.75", "0.5, 0.75" or "[0.5, 0.75]"."""
+    "0.5 0.75", "0.5, 0.75" or "[0.5, 0.75]".  Every number must be finite."""
     if isinstance(default, list):
         items = value if isinstance(value, (list, tuple)) else re.split(r"[\s,\[\]]+", str(value))
-        return [float(v) for v in items if v != ""]
-    return int(float(value)) if isinstance(default, int) else float(value)
+        return [finite(where, v) for v in items if v != ""]
+    number = finite(where, value)
+    return int(number) if isinstance(default, int) else number
 
 
 def _check_params(command: str, params: dict) -> None:
@@ -143,7 +144,7 @@ def parse_inputs(cfg: dict) -> Inputs:
     check_keys("[run] key", cfg["run"], ("command", "seed"))
     sec = cfg.get(name, {})
     check_keys(f"[{name}] key", sec, defaults)
-    params = {k: _convert(d, sec.get(k, d)) for k, d in defaults.items()}
+    params = {k: _convert(f"[{name}] {k}", d, sec.get(k, d)) for k, d in defaults.items()}
     _check_params(command, params)
     if "p0" in cfg.get("packet", {}) and (params.get("p0_values") or command == "point"):
         raise ValueError(f"[packet] p0 is ignored: {command} runs the [{name}] p0_values list")
@@ -155,7 +156,7 @@ def parse_inputs(cfg: dict) -> Inputs:
             raise ValueError(f"[detector] height = 0 detects nothing: {command} needs height > 0")
         for p0 in params.get("p0_values") or [packet.p0]:
             spec = replace(packet, p0=p0)
-            run_cfg = config_from_lattice(cfg.get("lattice", {}), p0, spec, det.position)
+            run_cfg = config_from_lattice(cfg.get("lattice", {}), p0, spec, det)
             check_resolution(det, run_cfg.dx)
             runs.append((spec, run_cfg))
     return Inputs(int(cfg["run"]["seed"]), packet, params, det, runs)

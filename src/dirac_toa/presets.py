@@ -1,25 +1,8 @@
-"""Named parameter presets for the standard studies.  The *-desk variants
-use coarser steps and shorter runs sized for CI machines."""
+"""Named parameter presets for the standard studies.  Without a [lattice]
+dtau a preset steps at half its detector edge; the *-desk variants use a
+coarser edge and step and shorter runs sized for CI machines."""
 
 from __future__ import annotations
-
-# Published step-size table: momentum -> dtau = dx (A).
-STEP_TABLE = (
-    (0.75, 0.001),
-    (1.0, 0.00075),
-    (1.25, 0.00075),
-    (1.5, 0.0005),
-    (1.75, 0.00043),
-    (2.0, 0.000375),
-)
-
-
-def steps_for_momentum(p0: float) -> float:
-    for p_max, step in STEP_TABLE:
-        if p0 <= p_max + 1e-12:
-            return step
-    return STEP_TABLE[-1][1]
-
 
 PRESETS: dict[str, dict] = {
     # |Psi0(ct, x)|^2 component surfaces

@@ -4,17 +4,17 @@ acceptance suite."""
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import arrival, pdp
-from .core import TwoVector
+from .core import CHI, TwoVector
 from .detector import WindowDetector, lambda_field
-from .presets import steps_for_momentum
 from .propagator import EvolutionConfig, EvolutionRecord, evolve
-from .wavepacket import PacketSpec, evaluate_spacetime, sample_packet
+from .wavepacket import BAND_SIGMAS, PacketSpec, evaluate_spacetime, sample_packet
 
 log = logging.getLogger(__name__)
 
@@ -154,15 +154,23 @@ def check_keys(where: str, given: Iterable[str], known: Collection[str]) -> None
         raise ValueError(f"unknown {where} {', '.join(unknown)}; known: {', '.join(known)}")
 
 
+def finite(where: str, value) -> float:
+    """value as a float; where names it ("[lattice] tau_max") if not finite."""
+    if not math.isfinite(number := float(value)):
+        raise ValueError(f"{where} = {value} must be finite")
+    return number
+
+
 def config_from_lattice(
     lattice: Mapping[str, object],
-    p0: float,
+    p0: float,  # unread: ROADMAP item 1 drops it from the benchmark's call, then here
     spec: PacketSpec,
-    detector_position: float = 0.0,
+    det: WindowDetector = WindowDetector(),
 ) -> EvolutionConfig:
     """The EvolutionConfig of a [lattice] section, given as numbers or as
-    manifest strings.  The domain defaults to [-6, 4] A, dtau to the published
-    step for p0 and tau_max to auto_tau_max."""
+    manifest strings.  The domain defaults to [-6, 4] A, dtau to half the
+    detector edge and tau_max to auto_tau_max.  The packet's momentum band
+    must lie below the lattice's Nyquist wavenumber pi/dx."""
     kw = dict(lattice)
     # Transitional: the benchmark's configs still set n_substeps, which the
     # exact free step no longer has.  ROADMAP item 1's benchmark change drops
@@ -173,10 +181,13 @@ def config_from_lattice(
             raise ValueError(f"[lattice] n_substeps = {substeps} must be an integer >= 1")
         log.info("[lattice] n_substeps = %s is ignored: the free step is exact", substeps)
     check_keys("[lattice] key", kw, ("dtau", "x_lo", "x_hi", "tau_max"))
-    kw = {"x_lo": -6.0, "x_hi": 4.0} | {k: float(v) for k, v in kw.items()}
-    kw.setdefault("dtau", steps_for_momentum(p0))
+    kw = {"x_lo": -6.0, "x_hi": 4.0, "dtau": det.edge / 2} | {
+        k: finite(f"[lattice] {k}", v) for k, v in kw.items()}
+    band = abs(spec.p0) + BAND_SIGMAS * spec.sigma_p()  # as every quadrature integrates it
+    if CHI * band * kw["dtau"] >= math.pi:
+        raise ValueError(f"dtau = {kw['dtau']:g} aliases the packet's momenta up to {band:g} mc")
     if "tau_max" not in kw:
-        kw["tau_max"] = auto_tau_max(spec, detector_position)
+        kw["tau_max"] = auto_tau_max(spec, det.position)
     return EvolutionConfig(**kw)
 
 

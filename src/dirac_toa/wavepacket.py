@@ -53,6 +53,8 @@ _BLOCK_ENTRIES = 2**17
 # A point sequence is a uniform axis when every point lies within this many
 # ulp (of the largest coordinate) of the line through its end points.
 _UNIFORM_ULPS = 4
+# Every momentum quadrature integrates each branch over p0 +- BAND_SIGMAS sigma_p.
+BAND_SIGMAS = 10
 
 
 @dataclass(frozen=True)
@@ -230,7 +232,7 @@ def _branch_tables(p0: float, eta: float, x0: float, chi: float, n_nodes: int, h
 
 
 def _tables(spec: PacketSpec, n_nodes: int):
-    return _branch_tables(spec.p0, spec.eta, spec.x0, CHI, n_nodes, 10)
+    return _branch_tables(spec.p0, spec.eta, spec.x0, CHI, n_nodes, BAND_SIGMAS)
 
 
 def spectral_coefficients(spec: PacketSpec, p, n_nodes: int = 2048) -> SpectralCoeffs:

@@ -26,7 +26,7 @@ def desk_run(p0: float, height: float = 1e-5, x_lo: float = -3.0,
         lattice = dict(DESK_LATTICE, x_lo=x_lo)
         if tau_max is not None:
             lattice["tau_max"] = tau_max
-        cfg = config_from_lattice(lattice, p0, spec=spec, detector_position=det.position)
+        cfg = config_from_lattice(lattice, p0, spec=spec, det=det)
         _run_cache[key] = arrival_run(spec, det, cfg)
     return _run_cache[key]
 

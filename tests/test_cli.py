@@ -11,7 +11,7 @@ from dirac_toa.cli import build_parser, main, parse_inputs, resolve_config
 from dirac_toa.csvio import read_csv, read_manifest, write_manifest
 from dirac_toa.detector import WindowDetector
 from dirac_toa import studies
-from dirac_toa.presets import PRESETS, steps_for_momentum
+from dirac_toa.presets import PRESETS
 from dirac_toa.propagator import WALL_SITES, evolve
 from dirac_toa.studies import config_from_lattice
 from dirac_toa.wavepacket import PacketSpec
@@ -224,19 +224,65 @@ def test_n_substeps_that_is_no_count_is_rejected(value, tmp_path, caplog):
 
 
 def test_edge_resolution_is_checked_for_every_run_before_anything_runs(tmp_path, caplog):
-    """dtau = dx follows the momentum: p0 = 2 runs at 0.000375, which
-    resolves edge = 0.001, but p0 = 0.25 runs at 0.001, which does not.  The
-    config is rejected before the first run writes anything."""
+    """dtau = dx = 0.001 does not resolve edge = 0.001 (dx <= edge/2): the
+    two-momentum config is rejected before the first run writes anything."""
     cfg = tmp_path / "edge.cfg"
     write_manifest(cfg, {
         "run": {"command": "density"},
         "detector": {"width": 0.01, "edge": 0.001},
-        "lattice": {"x_lo": -4.0, "x_hi": 2.0, "tau_max": 0.1},
+        "lattice": {"dtau": 0.001, "x_lo": -4.0, "x_hi": 2.0, "tau_max": 0.1},
         "scan": {"p0_values": "2 0.25"},
     })
     out = tmp_path / "out"
     assert main(["density", "--config", str(cfg), "--out", str(out)]) == 2
     assert "under-resolves the detector edge" in caplog.text
+    assert not out.exists()
+
+
+def test_packet_band_past_the_nyquist_momentum_is_rejected(tmp_path, caplog):
+    """The lattice must carry the packet's momentum band p0 +- 10 sigma_p,
+    the band every quadrature integrates over: chi (p0 + 10 sigma_p) dx <
+    pi.  On the desk lattice (dtau = 0.002, W = 1e-5) the band of p0 = 6
+    reaches 1.021 of the Nyquist momentum, and the run aliased its fastest
+    modes and wrote T 4.3e-3 off T0; it is rejected before anything runs.
+    p0 = 5.8 (0.988 of it) runs, with T within 1e-5 of T0 (measured
+    2.2e-6)."""
+    def scan(p0):
+        cfg, out = tmp_path / f"p{p0}.cfg", tmp_path / f"out{p0}"
+        write_manifest(cfg, {"run": {"command": "arrival-scan"}, "lattice": {"x_lo": -4.0},
+                             "scan": {"p0_values": p0}})
+        return main(["arrival-scan", "--preset", "fig2-desk", "--config", str(cfg),
+                     "--out", str(out)]), out
+
+    rc, out = scan("6")
+    assert rc == 2 and not out.exists()
+    assert "dtau = 0.002 aliases the packet's momenta up to 6.19" in caplog.text
+    rc, out = scan("5.8")
+    assert rc == 0
+    _, cols = read_csv(out / "arrival_scan.csv")
+    assert cols["error"][0] <= 1e-5 * cols["T"][0]
+
+
+@pytest.mark.parametrize("command, preset, section, key, value", [
+    ("frames", "fig10-desk", "lattice", "tau_max", "inf"),
+    ("frames", "fig10-desk", "lattice", "x_hi", "inf"),
+    ("frames", "fig10-desk", "packet", "eta", "inf"),
+    ("frames", "fig10-desk", "packet", "p0", "nan"),
+    ("frames", "fig10-desk", "detector", "position", "nan"),
+    ("frames", "fig10-desk", "detector", "height", "nan"),
+    ("pdp", "pdp-desk", "scan", "n_trajectories", "inf"),
+])
+def test_non_finite_config_numbers_are_rejected(command, preset, section, key, value, tmp_path,
+                                                caplog):
+    """A number that is not finite is rejected, naming its key, before
+    anything runs.  Each of these ended in a traceback (OverflowError,
+    FloatingPointError), or, for height = nan, failed after packet
+    preparation with a message about the state's amplitudes."""
+    cfg = tmp_path / "bad.cfg"
+    write_manifest(cfg, {"run": {"command": command}, section: {key: value}})
+    out = tmp_path / "out"
+    assert main([command, "--preset", preset, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"[{section}] {key} = {value} must be finite" in caplog.text
     assert not out.exists()
 
 
@@ -345,7 +391,9 @@ def _resolved(argv):
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_preset_inputs_survive_their_manifest(name, tmp_path):
     """A preset and the manifest written from it build the same packet,
-    detector and per-momentum lattice configs as the preset dict does."""
+    detector and per-momentum lattice configs as the preset dict does.  A
+    preset that sets no dtau steps at half its detector edge, on one lattice
+    for all its momenta."""
     preset = PRESETS[name]
     command = preset["command"]
     cfg = _resolved([command, "--preset", name])
@@ -366,7 +414,9 @@ def test_preset_inputs_survive_their_manifest(name, tmp_path):
     for p0, (spec, run_cfg) in zip(momenta, inputs.runs):
         spec_p0 = PacketSpec(**(preset["packet"] | {"p0": p0}))
         assert spec == spec_p0
-        assert run_cfg == config_from_lattice(preset["lattice"], p0, spec_p0, det.position)
+        assert run_cfg == config_from_lattice(preset["lattice"], p0, spec_p0, det)
+    assert "dtau" in preset["lattice"] or {(c.dtau, c.grid()) for _, c in inputs.runs} == {
+        (det.edge / 2, inputs.runs[0][1].grid())}
 
 
 @pytest.mark.parametrize("name", sorted(n for n, p in PRESETS.items() if "lattice" in p))
@@ -381,9 +431,10 @@ def test_preset_lattice_sizes_are_next_fast_len(name):
 
 def test_scan_momenta_default_to_the_packet_momentum():
     cfg = _resolved(["density", "--seed", "1"]) | {"packet": {"p0": "2.0"}}
-    (spec, run_cfg), = parse_inputs(cfg).runs
+    inputs = parse_inputs(cfg)
+    (spec, run_cfg), = inputs.runs
     assert spec.p0 == 2.0
-    assert run_cfg.dtau == steps_for_momentum(2.0) and (run_cfg.x_lo, run_cfg.x_hi) == (-6.0, 4.0)
+    assert run_cfg.dtau == inputs.detector.edge / 2 and (run_cfg.x_lo, run_cfg.x_hi) == (-6.0, 4.0)
 
 
 @pytest.mark.parametrize("command, section, key, named", [

@@ -244,7 +244,7 @@ def test_strong_detector_strides_and_matches_the_one_site_run(monkeypatch):
     preset = PRESETS["pdp-desk"]
     spec = PacketSpec(**preset["packet"])
     det = WindowDetector(**preset["detector"])
-    cfg = config_from_lattice(preset["lattice"], spec.p0, spec, det.position)
+    cfg = config_from_lattice(preset["lattice"], spec.p0, spec, det)
     n = preset["scan"]["n_trajectories"]
     outer_steps = []
     mix = propagator._mix
@@ -279,7 +279,7 @@ def test_absorbed_norm_never_falls(preset, p0):
         det = WindowDetector(height=1e-5, width=0.01, edge=0.004)
         lattice = {"dtau": 0.002, "x_lo": -4.0, "x_hi": 2.0}
     spec = PacketSpec(p0=p0)
-    cfg = config_from_lattice(lattice, p0, spec, det.position)
+    cfg = config_from_lattice(lattice, p0, spec, det)
     prep = TwoVector(spec.t0, spec.x0)
     proc = JumpProcess(prepare_omega(spec, cfg, det.position),
                        [DetectorChannel.at_rest(det, prep)], cfg, preparation=prep)

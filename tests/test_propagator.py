@@ -73,8 +73,8 @@ def test_free_step_matches_spectral_oracle(n, j, seed):
 @pytest.mark.parametrize("j", [1, STRIDE - 1, STRIDE])
 def test_outer_step_matrices_are_unitary(j, n, dx):
     """M^j for each outer-step length j = 1, STRIDE - 1 and STRIDE, on the
-    lattice-density lattice (3072 sites) and on full fig2's at p0 = 2
-    (26 730 sites), is unitary to roundoff: both column norms and the
+    lattice-density lattice (3072 sites) and on a 26 730-site lattice at
+    dx = 0.000375, is unitary to roundoff: both column norms and the
     determinant are 1 to 2e-15 (measured 4.4e-16)."""
     m = _step_matrix(*_rotation(n, dx, dx, CHI), j)
     for col in (m[:, 0], m[:, 1]):

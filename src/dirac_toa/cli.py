@@ -106,12 +106,17 @@ def _build(cls, cfg: dict, name: str):
 
 def _convert(where: str, default, value):
     """value typed as default; a list is given as one or as a string such as
-    "0.5 0.75", "0.5, 0.75" or "[0.5, 0.75]".  Every number must be finite."""
+    "0.5 0.75", "0.5, 0.75" or "[0.5, 0.75]".  Every number must be finite,
+    and a count must be a whole number."""
     if isinstance(default, list):
         items = value if isinstance(value, (list, tuple)) else re.split(r"[\s,\[\]]+", str(value))
         return [finite(where, v) for v in items if v != ""]
     number = finite(where, value)
-    return int(number) if isinstance(default, int) else number
+    if not isinstance(default, int):
+        return number
+    if not number.is_integer():
+        raise ValueError(f"{where} = {value} must be an integer")
+    return int(number)
 
 
 def _check_params(command: str, params: dict) -> None:

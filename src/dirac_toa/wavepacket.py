@@ -23,8 +23,12 @@ from the input:
 - anything else (meshgrids, scattered points, the tilted-plane nodes): a = the
   points, b = {0}, the same product with a one-column b table.
 
-The product walks both sets in blocks of at most ``_BLOCK_ENTRIES`` table
-entries, so no input builds a phase matrix larger than 2 MB.  A block of
+The product is summed over blocks whose phase tables hold at most
+``_BLOCK_ENTRIES`` entries (2 MB) each.  Two sides that fit that budget
+whole (the lattice, the initial-state grid, a tau axis) are kept whole and
+the nodes are walked in chunks, so each table entry is built once and the
+tables of a chunk share the budget; scattered points and long sides are
+walked in blocks of points at all nodes (``_momentum_sum``).  A block of
 uniformly spaced points (every set of the first two splits, as a rule) has
 its table built as powers of the phase of one step, by repeated doubling:
 one exponential per node instead of one per entry.  The result differs from
@@ -309,22 +313,38 @@ def _momentum_sum(k, omega, weights, t, x, chi: float) -> np.ndarray:
     """sum_n weights[c, n] e^{i chi (k_n x - omega_n t)} at the broadcast points
     (t, x), shape (len(weights),) + shape of the points.
 
-    The points are factored into a_i + b_j (``_factor_points``) and each block
-    of the result is (phase table of a) @ (weights * phase table of b).
+    The points are factored into a_i + b_j (``_factor_points``) and the
+    result is summed over blocks of (phase table of a) @ (weights * phase
+    table of b).  With step = ``_BLOCK_ENTRIES // n_nodes``: when the b side
+    has more than one point and the whole a table and weighted b table
+    (n_a + n_c n_b entries per node) fit ``_BLOCK_ENTRIES`` entries at step
+    nodes or more, the blocks are the whole sides and the nodes are walked
+    in chunks, so each table entry is built once and the tables of a chunk
+    share the budget.  Otherwise (scattered points, long sides) the blocks
+    are step points of each side at all nodes, and a uniform run of a
+    scattered set (a meshgrid row) gets its own table of powers.
     """
     a, b, shape = _factor_points(t, x)
     n_c, n_nodes = weights.shape
     n_a, n_b = a[0].size, b[0].size
-    out = np.empty((n_c, n_a, n_b), dtype=complex)
+    out = np.zeros((n_c, n_a, n_b), dtype=complex)
     step = max(1, _BLOCK_ENTRIES // n_nodes)
-    for j in range(0, n_b, step):
-        jb = slice(j, j + step)
-        wb = weights[:, None, :] * _phases(k, omega, b[0][jb], b[1][jb], chi)
-        wb = wb.reshape(-1, n_nodes).T  # (nodes, n_c * block)
-        for i in range(0, n_a, step):
-            ib = slice(i, i + step)
-            blk = _phases(k, omega, a[0][ib], a[1][ib], chi) @ wb
-            out[:, ib, jb] = blk.reshape(blk.shape[0], n_c, -1).transpose(1, 0, 2)
+    whole = n_a + n_c * n_b  # entries per node of the a table and weighted b table
+    if n_b > 1 and whole * step <= _BLOCK_ENTRIES:
+        block, chunk = max(n_a, n_b), _BLOCK_ENTRIES // whole
+    else:
+        block, chunk = step, n_nodes
+    for c in range(0, n_nodes, chunk):
+        nc = slice(c, c + chunk)
+        for j in range(0, n_b, block):
+            jb = slice(j, j + block)
+            wb = weights[:, None, nc] * _phases(k[nc], omega[nc], b[0][jb], b[1][jb], chi)
+            wb = wb.reshape(-1, wb.shape[-1]).T  # (nodes, n_c * block)
+            for i in range(0, n_a, block):
+                ib = slice(i, i + block)
+                blk = _phases(k[nc], omega[nc], a[0][ib], a[1][ib], chi) @ wb
+                out[:, ib, jb] += blk.reshape(blk.shape[0], n_c, -1).transpose(1, 0, 2)
+            del wb  # before the next table is built
     n_points = math.prod(shape)
     out = out.reshape(n_c, -1)[:, :n_points]
     if not np.all(np.isfinite(out)):

@@ -286,6 +286,22 @@ def test_non_finite_config_numbers_are_rejected(command, preset, section, key, v
     assert not out.exists()
 
 
+def test_non_integral_count_is_rejected(tmp_path, caplog):
+    """A count that is not a whole number is rejected, naming its key, before
+    anything runs; n_trajectories = 8.5 used to sample 8 trajectories and
+    write 8.5 into the manifest.  A whole number written as a float is
+    still read as that count."""
+    cfg = tmp_path / "bad.cfg"
+    write_manifest(cfg, {"run": {"command": "pdp"}, "scan": {"n_trajectories": "8.5"}})
+    out = tmp_path / "out"
+    assert main(["pdp", "--preset", "pdp-desk", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "[scan] n_trajectories = 8.5 must be an integer" in caplog.text
+    assert not out.exists()
+    write_manifest(cfg, {"run": {"command": "pdp"}, "scan": {"n_trajectories": "8.0"}})
+    params = parse_inputs(_resolved(["pdp", "--preset", "pdp-desk", "--config", str(cfg)])).params
+    assert params["n_trajectories"] == 8 and isinstance(params["n_trajectories"], int)
+
+
 @pytest.mark.parametrize("command, preset", [
     ("density", "fig4-desk"), ("pdp", "pdp-desk"), ("arrival-scan", "fig2-desk"),
     ("frames", "fig10-desk"),

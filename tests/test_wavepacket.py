@@ -3,15 +3,22 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_legendre
 
+from dirac_toa import wavepacket
 from dirac_toa.core import CHI, TwoVector, UniformGrid, inner_product
+from dirac_toa.detector import WindowDetector, lambda_field
 from dirac_toa.point_analytic import arrival_density_point
+from dirac_toa.studies import ORACLE_ROWS
 from dirac_toa.wavepacket import (
     PacketSpec,
+    _BLOCK_ENTRIES,
+    _factor_points,
     _gauss_nodes,
+    _momentum_sum,
+    _phases,
     _tables,
     energy,
     evaluate_spacetime,
@@ -313,6 +320,13 @@ _TS = np.arange(-1.0, 2.0 + 1e-12, 0.05)  # the CLI default initial-state grid
 _XS = np.arange(-3.0, 1.0 + 1e-12, 0.02)
 _DESK = UniformGrid.from_domain(-4.0, 2.0, 0.002)
 _FIG5_TAUS = np.arange(0.0, 5.0 + 1e-12, 0.002)
+# one free_arrival block: ORACLE_ROWS record times x the fig2-desk window sites
+_ORACLE_TAUS = -1.0 + 0.002 * np.arange(ORACLE_ROWS)
+_ORACLE_SITES = _DESK.positions[np.flatnonzero(lambda_field(WindowDetector(edge=0.004), _DESK))]
+# A sum holds at most three budgets of complex entries at once (6 MB): a
+# point block's table and the temporaries of its exponentials (the tables of
+# a node chunk share one budget).
+_PEAK_MB = 3 * _BLOCK_ENTRIES * 16 / 2**20
 
 
 @pytest.mark.parametrize("case", [
@@ -320,8 +334,60 @@ _FIG5_TAUS = np.arange(0.0, 5.0 + 1e-12, 0.002)
     lambda: evaluate_spacetime(_SPEC, *np.meshgrid(_TS, _XS, indexing="ij")),
     lambda: sample_packet(_SPEC, _DESK, -1.0),
     lambda: arrival_density_point(_SPEC, 1.0, _FIG5_TAUS),
-], ids=["initial-state-open", "initial-state-meshgrid", "desk-lattice", "fig5-point"])
+    lambda: evaluate_spacetime(_SPEC, _ORACLE_TAUS[:, None], _ORACLE_SITES[None, :]),
+], ids=["initial-state-open", "initial-state-meshgrid", "desk-lattice", "fig5-point", "oracle-block"])
 def test_quadrature_peak_memory(case):
-    assert (_TS.size, _XS.size, _DESK.n, _FIG5_TAUS.size) == (61, 201, 3000, 2501)
+    assert (_TS.size, _XS.size, _DESK.n, _FIG5_TAUS.size, _ORACLE_SITES.size) == (61, 201, 3000, 2501, 4)
     evaluate_spacetime(_SPEC, 0.0, 0.0)  # fill the node caches outside the measurement
-    assert _peak_traced_mb(case) < 64.0
+    assert _peak_traced_mb(case) < _PEAK_MB
+
+
+def _direct_sum(k, omega, weights, t, x, chi):
+    """The momentum sum with one exponential per (point, node), unblocked."""
+    t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
+    phase = np.exp(1j * chi * (np.outer(x.ravel(), k) - np.outer(t.ravel(), omega)))
+    return (phase @ weights.T).T.reshape((len(weights),) + t.shape)
+
+
+# At a budget of 1024 entries and 101 nodes a point block holds 10 points.
+_SMALL_BUDGET, _FEW_NODES = 1024, 101
+_CHUNK_POINTS = {
+    # whole sides of 7 + 23 and 12 + 13 points, node chunks of 19 to 40
+    "open-grid": lambda rng: (np.linspace(-2.0, 3.0, 7)[:, None],
+                              np.sort(rng.uniform(-3.0, 3.0, 23))[None, :]),
+    "uniform-axis": lambda rng: (rng.uniform(-3.0, 3.0),
+                                 rng.uniform(-3.0, 0.0) + rng.uniform(1e-3, 0.02) * np.arange(150)),
+    # point blocks at all nodes: a one-point b side, or sides too long to keep whole
+    "scattered": lambda rng: (rng.uniform(-3.0, 3.0, 57), rng.uniform(-3.0, 3.0, 57)),
+    "long-open-grid": lambda rng: (np.linspace(-2.0, 3.0, 43)[:, None],
+                                   rng.uniform(-3.0, 3.0, 97)[None, :]),
+}
+
+
+@pytest.mark.parametrize("n_c", [1, 2])
+@pytest.mark.parametrize("kind", sorted(_CHUNK_POINTS))
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_chunked_sum_matches_direct_sum(kind, n_c, seed, monkeypatch):
+    """The blocked sum is the direct sum to roundoff, whichever way it walks
+    the nodes and points; node chunks build each table entry once."""
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(-3.0, 3.0, _FEW_NODES)
+    sign = rng.choice([-1.0, 1.0], _FEW_NODES)
+    k, omega = sign * p, sign * np.sqrt(p * p + 1.0)
+    weights = (rng.normal(size=(n_c, _FEW_NODES)) + 1j * rng.normal(size=(n_c, _FEW_NODES))) / _FEW_NODES
+    t, x = _CHUNK_POINTS[kind](rng)
+    tables = []  # (points, nodes) of every phase table built
+    monkeypatch.setattr(wavepacket, "_BLOCK_ENTRIES", _SMALL_BUDGET)
+    monkeypatch.setattr(wavepacket, "_phases",
+                        lambda k, omega, t, x, chi: tables.append((t.size, k.size)) or _phases(k, omega, t, x, chi))
+    got = _momentum_sum(k, omega, weights, t, x, 1.0)
+    np.testing.assert_allclose(got, _direct_sum(k, omega, weights, t, x, 1.0), rtol=0, atol=1e-13)
+
+    points, nodes = np.array(tables).T
+    (a, _), (b, _), _ = _factor_points(t, x)
+    if kind in ("open-grid", "uniform-axis"):
+        assert set(points) == {a.size, b.size}
+        assert _FEW_NODES % nodes.max() and np.sum(points * nodes) == (a.size + b.size) * _FEW_NODES
+    else:
+        assert set(nodes) == {_FEW_NODES} and points.max() == 10 and points.min() < 10

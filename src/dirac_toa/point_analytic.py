@@ -13,7 +13,8 @@ import numpy as np
 from .arrival import ArrivalDensity
 from .core import CHI
 from .propagator import TAIL_MAX
-from .wavepacket import PacketSpec, _momentum_sum, _tables, energy, spectral_coefficients
+from .wavepacket import (PacketSpec, _check_reach, _momentum_sum, _tables, energy,
+                         spectral_coefficients)
 
 log = logging.getLogger(__name__)
 
@@ -122,6 +123,8 @@ def transmitted_amplitude(
     Omega_1(tau, 0): momentum quadrature of the branch weights times the
     per-momentum transmission, with proper-time phases e^{-+ i chi E tau}."""
     tau_in = np.asarray(tau, dtype=float)
+    # the site x = 0 at proper time tau is the lab point (t0 + tau + x0, 0)
+    _check_reach(spec, tau_in + spec.x0, -spec.x0, n_nodes)
     p, w, sign, _, _ = _tables(spec, n_nodes)
     coeffs = spectral_coefficients(spec, p, n_nodes)
     plus, minus = sign > 0, sign < 0

@@ -6,7 +6,7 @@ here, the point-detector amplitude in ``point_analytic``) is a sum
 
     F_c(t, x) = sum_n W[c, n] e^{i chi (k_n x - omega_n t)}
 
-over the Gauss-Legendre nodes of both energy branches (k = +-p and
+over the equal-weight midpoint nodes of both energy branches (k = +-p and
 omega = +-E).  The phase factorizes over a sum of points: at
 (t_a + t_b, x_a + x_b) each term is the product of
 e^{i chi (k_n x_a - omega_n t_a)} and e^{i chi (k_n x_b - omega_n t_b)}.  When
@@ -18,10 +18,11 @@ from the input:
 - open grid: t varies only on leading axes and x only on trailing ones (as
   ``t[:, None], x[None, :]``); a = the t values, b = the x values;
 - uniform 1-D axis: the flattened points are affine in their index (a lattice
-  at fixed t, a uniform tau grid); point q*m + r splits into the coarse point
-  q*m and the fine offset r*h, with m = ceil(sqrt(n));
-- anything else (meshgrids, scattered points, the tilted-plane nodes): a = the
-  points, b = {0}, the same product with a one-column b table.
+  at fixed t, a uniform tau grid, the tilted-plane nodes); point q*m + r
+  splits into the coarse point q*m and the fine offset r*h, with
+  m = ceil(sqrt(n));
+- anything else (meshgrids, scattered points): a = the points, b = {0}, the
+  same product with a one-column b table.
 
 The product is summed over blocks whose phase tables hold at most
 ``_BLOCK_ENTRIES`` entries (2 MB) each.  Two sides that fit that budget
@@ -135,54 +136,11 @@ def _geometric(first: np.ndarray, ratio: np.ndarray, count: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=32)
-def _gauss_nodes(n: int):
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
-
-    Newton's method in t = arccos x on the finite cosine series
-
-        P_n(cos t) = sum_k a_k cos((n - 2k) t),  a_k = g_k g_(n-k),
-        g_k = binom(2k, k) / 4^k,
-
-    started from Tricomi's asymptotic roots to order n^-4; three or four
-    sweeps converge.  The series is evaluated for the nodes with x >= 0
-    (the rest by symmetry) as one product of two phase tables, like
-    _momentum_sum: term k = q m + r has phase e^{i n t} (z^m)^q z^r with
-    z = e^{-2 i t}.
-    The three-term recurrence would cost a Python loop over the degree per
-    sweep instead; at n = 2048 this takes about 9 ms on one core.  The
-    weight is 2 / (dP_n/dt)^2, which needs no 1 - x^2 (it cancels at the end
-    nodes).  Nodes are within 2.2e-16 of scipy.special.roots_legendre for
-    n <= 4096; weights are within 1.3e-13 relative of 40-digit values at the
-    nodes checked for n = 1024 and 2048.
-    """
-    g = np.cumprod(np.r_[1.0, 1.0 - 0.5 / np.arange(1, n + 1)])
-    m = math.isqrt(n) + 1
-    n_q = -(-(n + 1) // m)
-    coef = np.zeros((2, n_q * m))
-    coef[0, : n + 1] = g * g[::-1]  # P_n
-    coef[1, : n + 1] = coef[0, : n + 1] * (n - 2.0 * np.arange(n + 1))  # dP_n/dt = -Im of this
-    coef = coef.reshape(2 * n_q, m)  # (q, r) for P_n, then (q, r) for dP_n/dt
-
-    k = np.arange(1, n - n // 2 + 1)  # the nodes with x >= 0, descending
-    phi = np.pi * (4 * k - 1) / (4 * n + 2)
-    t = np.arccos((1.0 - (n - 1) / (8.0 * n**3)
-                   - (39.0 - 28.0 / np.sin(phi) ** 2) / (384.0 * n**4)) * np.cos(phi))
-    for _ in range(100):
-        z = np.exp(-2j * t)
-        z_r = _geometric(np.ones_like(z), z, m)
-        z_q = _geometric(np.exp(1j * n * t), z_r[-1] * z, n_q)
-        inner = coef @ z_r
-        p = np.einsum("qi,qi->i", z_q, inner[:n_q]).real
-        dp = -np.einsum("qi,qi->i", z_q, inner[n_q:]).imag
-        step = p / dp
-        # carry dP/dt to t - step: d2P/dt2 = -cot(t) dP/dt - n (n + 1) P
-        dp = dp + (dp / np.tan(t) + n * (n + 1) * p) * step
-        t = t - step
-        if np.abs(step).max() < 1e-14:
-            break
-    x, w = np.cos(t), 2.0 / (dp * dp)
-    return np.r_[-x, x[::-1][n % 2:]], np.r_[w, w[::-1][n % 2:]]
+def _midpoints(lo: float, hi: float, n: int):
+    """Nodes of the n-point equal-weight midpoint rule on [lo, hi] and their
+    common weight h = (hi - lo) / n."""
+    h = (hi - lo) / n
+    return lo + h * (np.arange(n) + 0.5), h
 
 
 def _branch_weights(p, sign, p0: float, eta: float, x0: float, chi: float, delay: float):
@@ -205,23 +163,26 @@ def _branch_weights(p, sign, p0: float, eta: float, x0: float, chi: float, delay
 
 @lru_cache(maxsize=64)
 def _branch_tables(p0: float, eta: float, x0: float, chi: float, n_nodes: int, half_widths: int):
-    """Gauss-Legendre momentum nodes of both branches and their weights.
+    """Midpoint momentum nodes of both branches and their weights.
 
-    Returns (p, w, sign, f, norm_const): n_nodes nodes around +p0 (branch A,
-    sign +1) followed by n_nodes around -p0 (branch B, sign -1), quadrature
-    weights w and normalized lab-frame branch weights f, so that
+    Returns (p, w, sign, f, norm_const): n_nodes nodes over p0 +- half_widths
+    sigma_p (branch A, sign +1) followed by n_nodes over -p0 +- half_widths
+    sigma_p (branch B, sign -1), the midpoint weight h of every node in w and
+    normalized lab-frame branch weights f, so that
 
         Psi(t, x) = sum_n w_n f_n s_n e^{i sign_n chi (p_n x - E_n (t - t0))}
 
     reproduces the prepared packet at t = t0 with unit L2 norm, where the
     spinor s is u+ = (1, 0, 0, p/(E+1)) on A and w+ = (p/(E+1), 0, 0, 1) on B.
-    The arrays are shared by every caller and read-only.
+    The summand is analytic and about e^-25 at the band ends, where the
+    equal-weight rule converges exponentially (Trefethen and Weideman, SIAM
+    Rev. 56, 385 (2014)).  The arrays are shared by every caller and read-only.
     """
-    xn, wn = _gauss_nodes(n_nodes)
     half = half_widths / (2.0 * eta * chi)
+    offsets, h = _midpoints(-half, half, n_nodes)
     sign = np.repeat([1.0, -1.0], n_nodes)
-    p = sign * p0 + half * np.tile(xn, 2)
-    w = half * np.tile(wn, 2)
+    p = sign * p0 + np.tile(offsets, 2)
+    w = np.full(2 * n_nodes, h)
     f = _branch_weights(p, sign, p0, eta, x0, chi, delay=0.0)
 
     # Unit norm: int |Psi|^2 dx = (2 pi / chi) int dp |f|^2 |spinor|^2 with
@@ -237,6 +198,19 @@ def _branch_tables(p0: float, eta: float, x0: float, chi: float, n_nodes: int, h
 
 def _tables(spec: PacketSpec, n_nodes: int):
     return _branch_tables(spec.p0, spec.eta, spec.x0, CHI, n_nodes, BAND_SIGMAS)
+
+
+def _check_reach(spec: PacketSpec, dt, dx, n_nodes: int) -> None:
+    """Reject points at lab offsets (dt, dx) from the preparation that the
+    momentum sum cannot resolve: it adds images of the packet displaced by
+    L = 2 pi n_nodes eta / BAND_SIGMAS in x, out of reach while
+    max|dx| + max|dt| + 12 eta < L (light cone plus Gaussian tail).  Points
+    that are not finite are left to the sum, which rejects its result."""
+    reach = np.max(np.abs(dx), initial=0.0) + np.max(np.abs(dt), initial=0.0)
+    period = 2 * np.pi * n_nodes * spec.eta / BAND_SIGMAS
+    if np.isfinite(reach) and reach + 12 * spec.eta >= period:
+        raise ValueError(f"[packet] eta = {spec.eta:g} is too narrow for {n_nodes} momentum nodes: "
+                         f"the points reach {reach:.3g} A, its images repeat every {period:.3g} A")
 
 
 def spectral_coefficients(spec: PacketSpec, p, n_nodes: int = 2048) -> SpectralCoeffs:
@@ -372,14 +346,15 @@ def evaluate_spacetime(
     if branch not in nodes:
         raise ValueError(f"unknown branch {branch!r}")
     sel = nodes[branch]
+    t = np.asarray(t, dtype=float) - spec.t0
+    _check_reach(spec, t, np.asarray(x, dtype=float) - spec.x0, n_nodes)
     p, w, sign, f, _ = _tables(spec, n_nodes)
     p, w, sign, f = p[sel], w[sel], sign[sel], f[sel]
     e = np.sqrt(p * p + 1.0)
     a = p / (e + 1.0)
     # components 1 and 4 of u+ = (1, 0, 0, a) on A and w+ = (a, 0, 0, 1) on B
     spinor = np.where(sign > 0, [np.ones_like(a), a], [a, np.ones_like(a)])
-    psi14 = _momentum_sum(sign * p, sign * e, w * f * spinor,
-                          np.asarray(t, dtype=float) - spec.t0, x, CHI)
+    psi14 = _momentum_sum(sign * p, sign * e, w * f * spinor, t, x, CHI)
     out = np.zeros((4,) + psi14.shape[1:], dtype=complex)
     out[0], out[3] = psi14
     return out
@@ -415,26 +390,18 @@ def _plane_window(a: PacketSpec, b: PacketSpec, y: TwoVector, alpha: float):
 def tilted_inner(a: PacketSpec, b: PacketSpec, y: TwoVector, alpha: float) -> complex:
     """Scalar product over the tilted plane {(y0 + alpha*s, y1 + s)} with the
     metric factor [1 - gamma0 gamma1 alpha]; independent of y and alpha for
-    free solutions.  The plane integral is composite Gauss-Legendre (128
-    panels of 32 points), the fields are summed over 1024 momentum nodes."""
+    free solutions.  The plane integral is the 4096-point midpoint rule over
+    ``_plane_window``."""
     if not abs(alpha) < 1.0:
         raise ValueError(f"|alpha| must be < 1, got {alpha}")
-    lo, hi = _plane_window(a, b, y, alpha)
-
-    xn, wn = _gauss_nodes(32)
-    edges = np.linspace(lo, hi, 128 + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    s = (mid[:, None] + half[:, None] * xn[None, :]).reshape(-1)
-    w = (half[:, None] * wn[None, :]).reshape(-1)
-
+    s, h = _midpoints(*_plane_window(a, b, y, alpha), 4096)
     ts = y.t + alpha * s
     xs = y.x + s
-    psi_a = evaluate_spacetime(a, ts, xs, n_nodes=1024)
-    psi_b = psi_a if (a == b) else evaluate_spacetime(b, ts, xs, n_nodes=1024)
+    psi_a = evaluate_spacetime(a, ts, xs)
+    psi_b = psi_a if (a == b) else evaluate_spacetime(b, ts, xs)
 
     ca = np.conj(psi_a)
     integrand = np.sum(ca * psi_b, axis=0) - alpha * (
         ca[0] * psi_b[3] + ca[3] * psi_b[0] + ca[1] * psi_b[2] + ca[2] * psi_b[1]
     )
-    return complex(np.sum(w * integrand))
+    return complex(h * np.sum(integrand))

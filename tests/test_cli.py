@@ -302,6 +302,26 @@ def test_non_integral_count_is_rejected(tmp_path, caplog):
     assert params["n_trajectories"] == 8 and isinstance(params["n_trajectories"], int)
 
 
+@pytest.mark.parametrize("eta", ["1e-6", "1e-300"])
+@pytest.mark.parametrize("command, preset, extra", [
+    ("initial-state", "fig1-desk", {"grid": {"t_step": 0.5, "x_step": 0.5}}),
+    ("point", "fig5-desk", {}),
+])
+def test_packet_narrower_than_the_momentum_rule_resolves_is_rejected(command, preset, extra, eta,
+                                                                     tmp_path, caplog):
+    """The momentum sum repeats the packet every 2 pi n_nodes eta /
+    BAND_SIGMAS in x (1.3e-3 A at eta = 1e-6), so a packet that narrow is
+    rejected before anything is written.  initial-state at eta = 1e-6 used to
+    write density 86.9 at (t, x) = (-1, -3), outside the packet's light cone,
+    and at eta = 1e-300 ended in a FloatingPointError traceback."""
+    cfg = tmp_path / "narrow.cfg"
+    write_manifest(cfg, {"run": {"command": command}, "packet": {"eta": eta}} | extra)
+    out = tmp_path / "out"
+    assert main([command, "--preset", preset, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"[packet] eta = {float(eta):g} is too narrow" in caplog.text
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, preset", [
     ("density", "fig4-desk"), ("pdp", "pdp-desk"), ("arrival-scan", "fig2-desk"),
     ("frames", "fig10-desk"),

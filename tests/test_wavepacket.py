@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from scipy.special import roots_legendre
 
 from dirac_toa import wavepacket
 from dirac_toa.core import CHI, TwoVector, UniformGrid, inner_product
@@ -15,8 +14,9 @@ from dirac_toa.studies import ORACLE_ROWS
 from dirac_toa.wavepacket import (
     PacketSpec,
     _BLOCK_ENTRIES,
+    BAND_SIGMAS,
     _factor_points,
-    _gauss_nodes,
+    _midpoints,
     _momentum_sum,
     _phases,
     _tables,
@@ -108,7 +108,7 @@ def test_evaluate_spacetime_matches_packet_at_t0():
     pk = initial_packet(spec, grid)
     psi = evaluate_spacetime(spec, spec.t0, grid.positions)
     err = np.sqrt(np.sum(np.abs(psi - pk.values) ** 2) * grid.dx)
-    assert err < 1e-6
+    assert err < 1e-10
 
 
 def test_evaluate_spacetime_norm_conserved():
@@ -125,16 +125,12 @@ def test_spectral_reconstruction_reproduces_packet():
     (lab time t0) reproduces the prepared packet."""
     spec = PacketSpec()
     grid = UniformGrid.from_domain(-2.5, 0.5, 0.004)
-    from dirac_toa.wavepacket import _gauss_nodes
-
-    xn, wn = _gauss_nodes(2048)
-    sigma_p = spec.sigma_p()
+    offsets, w = _midpoints(-10 * spec.sigma_p(), 10 * spec.sigma_p(), 2048)
     tau = -spec.x0
     x = grid.positions
     recon = np.zeros((4, grid.n), dtype=complex)
     for center, branch in ((spec.p0, "A"), (-spec.p0, "B")):
-        p = center + 10 * sigma_p * xn
-        w = 10 * sigma_p * wn
+        p = center + offsets
         c = spectral_coefficients(spec, p)
         e = energy(p)
         a = p / (e + 1.0)
@@ -148,7 +144,36 @@ def test_spectral_reconstruction_reproduces_packet():
             recon[3] += (w * c.b_plus) @ phase
     pk = initial_packet(spec, grid)
     err = np.sqrt(np.sum(np.abs(recon - pk.values) ** 2) * grid.dx)
-    assert err < 1e-6
+    assert err < 1e-10
+
+
+@pytest.mark.parametrize("p0", [0.25, 2.5])
+def test_field_converges_in_the_node_count(p0):
+    """2048 midpoint nodes give the 16384-node field to roundoff over the
+    space-time any study evaluates."""
+    spec = PacketSpec(p0=p0)
+    t, x = np.linspace(-2.0, 8.0, 41)[:, None], np.linspace(-10.0, 10.0, 401)[None, :]
+    np.testing.assert_allclose(evaluate_spacetime(spec, t, x),
+                               evaluate_spacetime(spec, t, x, n_nodes=16384), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("eta", [0.01, 0.003])
+def test_reach_up_to_the_first_packet_image_is_resolved(eta):
+    """The momentum sum repeats the packet every L = 2 pi n_nodes eta /
+    BAND_SIGMAS in x.  Points that reach 0.97 of L - 12 eta from the
+    preparation are still accurate; 1.05 of it is rejected."""
+    spec = PacketSpec(eta=eta)
+    limit = 2 * np.pi * 2048 * eta / BAND_SIGMAS - 12 * eta
+
+    def points(frac):
+        half = frac * limit / 2
+        return np.linspace(0.0, half, 5)[:, None], spec.x0 + np.linspace(-half, half, 401)[None, :]
+
+    t, x = points(0.97)
+    np.testing.assert_allclose(evaluate_spacetime(spec, t, x),
+                               evaluate_spacetime(spec, t, x, n_nodes=16384), rtol=0, atol=1e-11)
+    with pytest.raises(ValueError, match=r"\[packet\] eta = .* too narrow for 2048 momentum nodes"):
+        evaluate_spacetime(spec, *points(1.05))
 
 
 @pytest.mark.parametrize("p0", [0.25, 0.75, 2.0])
@@ -195,7 +220,7 @@ def test_full_state_centroid_drags_behind_group_velocity():
 def test_tilted_inner_reduces_to_inner_product_at_zero_alpha():
     spec = PacketSpec()
     val = tilted_inner(spec, spec, TwoVector(spec.t0, 0.0), 0.0)
-    assert val.real == pytest.approx(1.0, abs=1e-6)
+    assert val.real == pytest.approx(1.0, abs=1e-12)
     assert abs(val.imag) < 1e-9
 
 
@@ -204,8 +229,8 @@ def test_tilted_inner_plane_independence():
     y = TwoVector(spec.t0, spec.x0)
     vals = [tilted_inner(spec, spec, y, a).real for a in (-0.5, 0.0, 0.5)]
     spread = (max(vals) - min(vals)) / abs(np.mean(vals))
-    assert spread < 1e-4
-    assert vals[1] == pytest.approx(1.0, abs=1e-4)
+    assert spread < 1e-12
+    assert vals[1] == pytest.approx(1.0, abs=1e-12)
     # shift along the plane
     y2 = TwoVector(spec.t0 + 0.15, spec.x0 + 0.5)
     v2 = tilted_inner(spec, spec, y2, 0.3).real
@@ -224,16 +249,6 @@ def test_sample_packet_matches_evaluate():
     st = sample_packet(spec, grid, 0.3)
     direct = evaluate_spacetime(spec, 0.3, grid.positions)
     np.testing.assert_allclose(st.values, direct)
-
-
-@pytest.mark.parametrize("n", [1, 2, 5, 32, 33, 1024, 2048])
-def test_gauss_nodes_match_scipy_and_integrate_polynomials(n):
-    x, w = _gauss_nodes(n)
-    np.testing.assert_allclose(x, roots_legendre(n)[0], rtol=0, atol=1e-15)
-    # exact for every even monomial up to degree 2n - 2 (odd ones by symmetry)
-    k = np.arange(0, 2 * n, 2)[:100]
-    np.testing.assert_allclose((x[:, None] ** k).T @ w, 2.0 / (k + 1), rtol=0, atol=1e-14)
-    assert np.all(w > 0) and np.all(np.diff(x) > 0)
 
 
 def dense_spacetime(spec, t, x, branch="both", n_nodes=2048):

@@ -21,7 +21,6 @@ from .wavepacket import (
     energy,
     evaluate_spacetime,
     initial_packet,
-    spectral_coefficients,
     tilted_inner,
 )
 
@@ -42,7 +41,6 @@ __all__ = [
     "inner_product",
     "lambda_field",
     "minkowski_norm_sq",
-    "spectral_coefficients",
     "spectral_free_evolve",
     "spinor_boost",
     "tilted_inner",

@@ -1,7 +1,7 @@
 """Closed-form treatment of the delta-function detector: jump conditions at
-the detector site, scattering coefficients, transmitted amplitude by momentum
-quadrature, and the resulting arrival densities (finite in the kappa -> 0
-limit)."""
+the detector site, scattering coefficients, the transmitted amplitude (the
+free packet's lab-frame momentum sum with transmission weights), and the
+resulting arrival densities (finite in the kappa -> 0 limit)."""
 
 from __future__ import annotations
 
@@ -11,10 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrival import ArrivalDensity
-from .core import CHI
 from .propagator import TAIL_MAX
-from .wavepacket import (PacketSpec, _check_reach, _momentum_sum, _tables, energy,
-                         spectral_coefficients)
+from .wavepacket import N_NODES, PacketSpec, energy, lab_components
 
 log = logging.getLogger(__name__)
 
@@ -117,38 +115,44 @@ def transmitted_amplitude(
     spec: PacketSpec,
     kappa: float,
     tau,
-    n_nodes: int = 2048,
+    n_nodes: int = N_NODES,
 ) -> np.ndarray:
     """First component of the transmitted field at the detector site,
-    Omega_1(tau, 0): momentum quadrature of the branch weights times the
-    per-momentum transmission, with proper-time phases e^{-+ i chi E tau}."""
-    tau_in = np.asarray(tau, dtype=float)
-    # the site x = 0 at proper time tau is the lab point (t0 + tau + x0, 0)
-    _check_reach(spec, tau_in + spec.x0, -spec.x0, n_nodes)
-    p, w, sign, _, _ = _tables(spec, n_nodes)
-    coeffs = spectral_coefficients(spec, p, n_nodes)
-    plus, minus = sign > 0, sign < 0
-    # A nodes carry a_plus t_particle, B nodes b_plus t_anti times the
-    # component-1 entry p/(E+1) of w+; each family is solved on its own nodes
-    g = np.empty(p.size, dtype=complex)
-    g[plus] = coeffs.a_plus[plus] * _solve_particle(p[plus], kappa)[0]
-    e = energy(p)
-    g[minus] = coeffs.b_plus[minus] * _solve_anti(p[minus], kappa)[0] * (p / (e + 1.0))[minus]
-    # phases e^{-+ i chi E tau} at the detector site x = 0
-    amp = _momentum_sum(sign * p, sign * e, (w * g)[None], np.atleast_1d(tau_in), 0.0, CHI)[0]
-    return complex(amp[0]) if tau_in.ndim == 0 else amp
+    Omega_1(tau, 0): the free packet's component 1 at the lab point
+    (t0 + x0 + tau, 0), each momentum weighted by its transmission amplitude,
+    t_particle on branch A and t_anti on branch B.  Raises ValueError where a
+    family's transmission denominator is <= 0 on its own nodes (on branch A
+    only at kappa > 0: t_particle = 1 at kappa = 0)."""
+
+    def transmission(p, sign):
+        plus = sign > 0
+        a = p / (np.sqrt(p * p + 1.0) + 1.0)
+        den = np.where(plus, 2 * a + kappa / 2, 2 + kappa * a / 2)  # of t_particle, t_anti
+        if np.any(den[~plus] <= 0) or (kappa > 0 and np.any(den[plus] <= 0)):
+            raise ValueError(f"kappa = {kappa:g} reaches a pole of the transmission amplitude "
+                             f"in the momentum band of p0 = {spec.p0:g}")
+        t = np.empty(p.size)  # each family solved on its own nodes
+        t[plus] = _solve_particle(p[plus], kappa)[0]
+        t[~plus] = _solve_anti(p[~plus], kappa)[0]
+        return t
+
+    amp = lab_components(spec, spec.t0 + spec.x0 + np.asarray(tau, dtype=float), 0.0,
+                         n_nodes=n_nodes, momentum_filter=transmission)[0]
+    return complex(amp) if amp.ndim == 0 else amp
 
 
 def arrival_density_point(
     spec: PacketSpec,
     kappa: float,
     tau_grid: np.ndarray,
-    n_nodes: int = 2048,
+    n_nodes: int = N_NODES,
 ) -> ArrivalDensity:
     """P(tau) proportional to |Omega_1(tau, 0)|^2, normalized over the grid.
 
     The kappa factor cancels in the normalization, so the kappa -> 0 limit
-    stays finite (kappa = 0 gives the undisturbed transit density)."""
+    stays finite (kappa = 0 gives the undisturbed transit density).  P_inf is
+    kappa times the integral of |Omega_1|^2, which ArrivalDensity rejects
+    when it exceeds one."""
     tau_grid = np.asarray(tau_grid, dtype=float)
     amp = transmitted_amplitude(spec, kappa, tau_grid, n_nodes=n_nodes)
     raw = np.abs(amp) ** 2
@@ -157,5 +161,4 @@ def arrival_density_point(
         raise ValueError("transit density vanishes on this tau grid")
     if raw[-1] > TAIL_MAX * raw.max():
         log.warning("point-detector density tail has not decayed at the grid end")
-    p_inf = min(1.0, kappa * float(total))
-    return ArrivalDensity(tau=tau_grid, P=raw / total, P_inf=p_inf, x0=spec.x0)
+    return ArrivalDensity(tau=tau_grid, P=raw / total, P_inf=kappa * float(total), x0=spec.x0)

@@ -170,7 +170,8 @@ def config_from_lattice(
     """The EvolutionConfig of a [lattice] section, given as numbers or as
     manifest strings.  The domain defaults to [-6, 4] A, dtau to half the
     detector edge and tau_max to auto_tau_max.  The packet's momentum band
-    must lie below the lattice's Nyquist wavenumber pi/dx."""
+    must lie below the lattice's Nyquist wavenumber pi/dx, and the run may
+    not end before the classical arrival (auto_tau_max without its margin)."""
     kw = dict(lattice)
     # Transitional: the benchmark's configs still set n_substeps, which the
     # exact free step no longer has.  ROADMAP item 1's benchmark change drops
@@ -186,9 +187,12 @@ def config_from_lattice(
     band = abs(spec.p0) + BAND_SIGMAS * spec.sigma_p()  # as every quadrature integrates it
     if CHI * band * kw["dtau"] >= math.pi:
         raise ValueError(f"dtau = {kw['dtau']:g} aliases the packet's momenta up to {band:g} mc")
-    if "tau_max" not in kw:
-        kw["tau_max"] = auto_tau_max(spec, det.position)
-    return EvolutionConfig(**kw)
+    kw.setdefault("tau_max", auto_tau_max(spec, det.position))
+    cfg = EvolutionConfig(**kw)
+    if cfg.tau_max < (arrival_tau := auto_tau_max(spec, det.position) - TAIL_MARGIN):
+        raise ValueError(f"tau_max = {cfg.tau_max:g} ends the run before the packet arrives "
+                         f"(classical arrival at tau = {arrival_tau:.4g})")
+    return cfg
 
 
 @dataclass

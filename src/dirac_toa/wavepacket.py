@@ -1,8 +1,9 @@
 """Gaussian spinor wave packets: preparation, momentum decomposition, exact
 free space-time evaluation, and the tilted-plane scalar product.
 
-Every momentum quadrature of the free packet (the field at space-time points
-here, the point-detector amplitude in ``point_analytic``) is a sum
+Every momentum quadrature of the free packet is ``lab_components``: the field
+at space-time points here, and with a transmission factor on each node the
+point-detector amplitude in ``point_analytic``.  It is a sum
 
     F_c(t, x) = sum_n W[c, n] e^{i chi (k_n x - omega_n t)}
 
@@ -58,8 +59,10 @@ _BLOCK_ENTRIES = 2**17
 # A point sequence is a uniform axis when every point lies within this many
 # ulp (of the largest coordinate) of the line through its end points.
 _UNIFORM_ULPS = 4
-# Every momentum quadrature integrates each branch over p0 +- BAND_SIGMAS sigma_p.
+# Every momentum quadrature integrates each branch over p0 +- BAND_SIGMAS sigma_p
+# (N_NODES midpoint nodes by default).
 BAND_SIGMAS = 10
+N_NODES = 2048
 
 
 @dataclass(frozen=True)
@@ -79,16 +82,6 @@ class PacketSpec:
     def sigma_p(self) -> float:
         """Momentum-space standard deviation of |A|^2, in mc."""
         return 1.0 / (2.0 * self.eta * CHI)
-
-
-@dataclass(frozen=True)
-class SpectralCoeffs:
-    """Momentum-space weights of the positive (A) and negative (B) energy
-    branches; the component-2/3 families vanish for this preparation."""
-
-    p: np.ndarray
-    a_plus: np.ndarray
-    b_plus: np.ndarray
 
 
 def energy(p):
@@ -143,32 +136,19 @@ def _midpoints(lo: float, hi: float, n: int):
     return lo + h * (np.arange(n) + 0.5), h
 
 
-def _branch_weights(p, sign, p0: float, eta: float, x0: float, chi: float, delay: float):
-    """Unnormalized weight of the positive (sign = +1, A) or negative
-    (sign = -1, B) energy branch at momenta p:
-
-        A(p) = (E+1)/(2E) e^{-(eta chi)^2 (p - p0)^2 - i chi (p x0 + E delay)}
-        B(p) =     p/(2E) e^{-(eta chi)^2 (p + p0)^2 + i chi (p x0 + E delay)}
-
-    delay = 0 gives the lab-frame expansion with phases e^{+-i chi E (t - t0)};
-    the detector frame runs its clock from the light-cone start and uses
-    delay = x0.
-    """
-    e = np.sqrt(p * p + 1.0)
-    prefactor = np.where(sign > 0, (e + 1.0) / (2.0 * e), p / (2.0 * e))
-    return prefactor * np.exp(
-        -((eta * chi) ** 2) * (p - sign * p0) ** 2 - 1j * sign * chi * (p * x0 + e * delay)
-    )
-
-
 @lru_cache(maxsize=64)
 def _branch_tables(p0: float, eta: float, x0: float, chi: float, n_nodes: int, half_widths: int):
     """Midpoint momentum nodes of both branches and their weights.
 
-    Returns (p, w, sign, f, norm_const): n_nodes nodes over p0 +- half_widths
-    sigma_p (branch A, sign +1) followed by n_nodes over -p0 +- half_widths
-    sigma_p (branch B, sign -1), the midpoint weight h of every node in w and
-    normalized lab-frame branch weights f, so that
+    Returns (p, w, sign, f): n_nodes nodes over p0 +- half_widths sigma_p
+    (branch A, sign +1) followed by n_nodes over -p0 +- half_widths sigma_p
+    (branch B, sign -1), the midpoint weight h of every node in w and the
+    lab-frame branch weights
+
+        A(p) = (E+1)/(2E) e^{-(eta chi)^2 (p - p0)^2 - i chi p x0}
+        B(p) =     p/(2E) e^{-(eta chi)^2 (p + p0)^2 + i chi p x0}
+
+    in f, normalized so that
 
         Psi(t, x) = sum_n w_n f_n s_n e^{i sign_n chi (p_n x - E_n (t - t0))}
 
@@ -183,17 +163,17 @@ def _branch_tables(p0: float, eta: float, x0: float, chi: float, n_nodes: int, h
     sign = np.repeat([1.0, -1.0], n_nodes)
     p = sign * p0 + np.tile(offsets, 2)
     w = np.full(2 * n_nodes, h)
-    f = _branch_weights(p, sign, p0, eta, x0, chi, delay=0.0)
+    e = np.sqrt(p * p + 1.0)
+    prefactor = np.where(sign > 0, (e + 1.0) / (2.0 * e), p / (2.0 * e))
+    f = prefactor * np.exp(-((eta * chi) ** 2) * (p - sign * p0) ** 2 - 1j * sign * chi * (p * x0))
 
     # Unit norm: int |Psi|^2 dx = (2 pi / chi) int dp |f|^2 |spinor|^2 with
     # |u+|^2 = |w+|^2 = 2E/(E+1); positive/negative branches are orthogonal.
-    e = np.sqrt(p * p + 1.0)
     norm_sq = (2 * np.pi / chi) * np.sum(w * np.abs(f) ** 2 * 2 * e / (e + 1.0))
-    norm_const = 1.0 / np.sqrt(norm_sq)
-    f = norm_const * f
+    f = (1.0 / np.sqrt(norm_sq)) * f
     for arr in (p, w, sign, f):
         arr.flags.writeable = False
-    return p, w, sign, f, norm_const
+    return p, w, sign, f
 
 
 def _tables(spec: PacketSpec, n_nodes: int):
@@ -211,24 +191,6 @@ def _check_reach(spec: PacketSpec, dt, dx, n_nodes: int) -> None:
     if np.isfinite(reach) and reach + 12 * spec.eta >= period:
         raise ValueError(f"[packet] eta = {spec.eta:g} is too narrow for {n_nodes} momentum nodes: "
                          f"the points reach {reach:.3g} A, its images repeat every {period:.3g} A")
-
-
-def spectral_coefficients(spec: PacketSpec, p, n_nodes: int = 2048) -> SpectralCoeffs:
-    """Branch weights A+(p), B+(p) in the detector frame (proper-time phases
-    e^{-+ i chi E tau}); the extra e^{-+ i chi E x0} factor relative to the lab
-    expansion comes from the light-cone offset of the detector trajectory.
-
-    The overall normalization is fixed numerically so the reconstructed
-    state has unit norm.
-    """
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    *_, norm_const = _tables(spec, n_nodes)
-    packet = (spec.p0, spec.eta, spec.x0, CHI)
-    return SpectralCoeffs(
-        p=p,
-        a_plus=norm_const * _branch_weights(p, 1.0, *packet, delay=spec.x0),
-        b_plus=norm_const * _branch_weights(p, -1.0, *packet, delay=spec.x0),
-    )
 
 
 def _uniform_step(v: np.ndarray):
@@ -326,12 +288,32 @@ def _momentum_sum(k, omega, weights, t, x, chi: float) -> np.ndarray:
     return out.reshape((n_c,) + shape)
 
 
+def lab_components(spec: PacketSpec, t, x, branch: str = "both", n_nodes: int = N_NODES,
+                   momentum_filter=None) -> np.ndarray:
+    """Components 1 and 4 of the free packet at the lab points (t, x), shape
+    (2,) + their broadcast shape: the momentum sum over the nodes of branch
+    ("both", "plus" (A) or "minus" (B)), each term times momentum_filter(p,
+    sign) when given (node momenta p, sign +1 on A and -1 on B)."""
+    nodes = {"both": slice(None), "plus": slice(0, n_nodes), "minus": slice(n_nodes, None)}
+    if branch not in nodes:
+        raise ValueError(f"unknown branch {branch!r}")
+    t = np.asarray(t, dtype=float) - spec.t0
+    _check_reach(spec, t, np.asarray(x, dtype=float) - spec.x0, n_nodes)
+    p, w, sign, f = (arr[nodes[branch]] for arr in _tables(spec, n_nodes))
+    e = np.sqrt(p * p + 1.0)
+    a = p / (e + 1.0)
+    # components 1 and 4 of u+ = (1, 0, 0, a) on A and w+ = (a, 0, 0, 1) on B
+    spinor = np.where(sign > 0, [np.ones_like(a), a], [a, np.ones_like(a)])
+    weights = w * f * spinor * (1.0 if momentum_filter is None else momentum_filter(p, sign))
+    return _momentum_sum(sign * p, sign * e, weights, t, x, CHI)
+
+
 def evaluate_spacetime(
     spec: PacketSpec,
     t,
     x,
     branch: str = "both",
-    n_nodes: int = 2048,
+    n_nodes: int = N_NODES,
 ) -> np.ndarray:
     """Exact free wave function at space-time points (t, x) by momentum
     quadrature over both energy branches.
@@ -342,19 +324,7 @@ def evaluate_spacetime(
     exponentials instead of n_nodes |t| |x|.
     branch selects "both", "plus" (A) or "minus" (B).
     """
-    nodes = {"both": slice(None), "plus": slice(0, n_nodes), "minus": slice(n_nodes, None)}
-    if branch not in nodes:
-        raise ValueError(f"unknown branch {branch!r}")
-    sel = nodes[branch]
-    t = np.asarray(t, dtype=float) - spec.t0
-    _check_reach(spec, t, np.asarray(x, dtype=float) - spec.x0, n_nodes)
-    p, w, sign, f, _ = _tables(spec, n_nodes)
-    p, w, sign, f = p[sel], w[sel], sign[sel], f[sel]
-    e = np.sqrt(p * p + 1.0)
-    a = p / (e + 1.0)
-    # components 1 and 4 of u+ = (1, 0, 0, a) on A and w+ = (a, 0, 0, 1) on B
-    spinor = np.where(sign > 0, [np.ones_like(a), a], [a, np.ones_like(a)])
-    psi14 = _momentum_sum(sign * p, sign * e, w * f * spinor, t, x, CHI)
+    psi14 = lab_components(spec, t, x, branch, n_nodes)
     out = np.zeros((4,) + psi14.shape[1:], dtype=complex)
     out[0], out[3] = psi14
     return out

@@ -114,6 +114,27 @@ def test_point_command(tmp_path):
     assert float(m1["T"]) < float(m0["T"])
 
 
+@pytest.mark.parametrize("p0, kappa, message", [
+    (2.0, 6.5, "reaches a pole of the transmission amplitude"),
+    (4.44, 6.5, "reaches a pole of the transmission amplitude"),
+    (4.44, 5.0, "reaches a pole of the transmission amplitude"),
+    (2.0, 5.0, "P_inf must lie in [0, 1]"),
+])
+def test_point_detector_past_a_transmission_pole_is_rejected(p0, kappa, message, tmp_path, caplog):
+    """On branch B the nodes have p < 0, so t_anti = 2/(2 + kappa a/2) has a
+    pole at kappa = 4(E+1)/|p|: 6.2 to 6.8 at p0 = 2, 4.96 to 5.05 at p0 =
+    4.44.  At or past it the run wrote T = 1.511 and -0.818, and max|Omega_1|
+    reached 3235 at (4.44, 5).  Below it, at (2, 5), kappa times the integral
+    of |Omega_1|^2 is 1.52, which was clipped to P_inf = 1."""
+    cfg = tmp_path / "point.cfg"
+    write_manifest(cfg, {"run": {"command": "point"},
+                         "scan": {"p0_values": str(p0), "kappa_values": str(kappa)}})
+    out = tmp_path / "out"
+    assert main(["point", "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in caplog.text
+    assert not out.exists()
+
+
 def test_pdp_command(tmp_path):
     cfg = tmp_path / "pdp.cfg"
     write_manifest(cfg, {
@@ -182,6 +203,19 @@ def test_run_shorter_than_one_step_is_rejected(tmp_path, caplog):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tau_max", [0.5, 1.0, 2.0])
+def test_run_that_ends_before_the_packet_arrives_is_rejected(tau_max, tmp_path, caplog):
+    """The packet at p0 = 0.75 reaches the detector 1 A away at the classical
+    arrival tau = 1 + 5/3: a run that ends before it saw only the prepared
+    packet's roundoff tail (it wrote T = -0.962 at tau_max = 0.5 and passed
+    the tail contract), and is rejected before anything runs."""
+    cfg = _density_config(tmp_path / "early.cfg", tau_max=tau_max)
+    out = tmp_path / "out"
+    assert main(["density", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"tau_max = {tau_max:g} ends the run before the packet arrives" in caplog.text
+    assert not out.exists()
+
+
 def test_run_that_detects_nothing_is_rejected(tmp_path, caplog, monkeypatch):
     """A run whose record holds no detection (here a record with d = 0) is
     rejected with exit 2, not ended by a NoDetectionError traceback."""
@@ -191,7 +225,7 @@ def test_run_that_detects_nothing_is_rejected(tmp_path, caplog, monkeypatch):
         return rec
 
     monkeypatch.setattr(studies, "evolve", undetected)
-    cfg = _density_config(tmp_path / "blind.cfg", tau_max=0.1)
+    cfg = _density_config(tmp_path / "blind.cfg", tau_max=3.0)
     out = tmp_path / "out"
     assert main(["density", "--config", str(cfg), "--out", str(out)]) == 2
     assert "run rejected: total detection probability is zero" in caplog.text
@@ -230,7 +264,7 @@ def test_edge_resolution_is_checked_for_every_run_before_anything_runs(tmp_path,
     write_manifest(cfg, {
         "run": {"command": "density"},
         "detector": {"width": 0.01, "edge": 0.001},
-        "lattice": {"dtau": 0.001, "x_lo": -4.0, "x_hi": 2.0, "tau_max": 0.1},
+        "lattice": {"dtau": 0.001, "x_lo": -4.0, "x_hi": 2.0, "tau_max": 6.0},
         "scan": {"p0_values": "2 0.25"},
     })
     out = tmp_path / "out"
@@ -370,7 +404,7 @@ def test_pdp_rejects_seed_and_count_out_of_range(tmp_path):
         "run": {"command": "pdp"},
         "detector": {"height": 0.3, "width": 0.02, "edge": 0.008},
         "lattice": {"dtau": 0.004, "x_lo": -4.0, "x_hi": 2.0,
-                    "tau_max": 1.0},
+                    "tau_max": 3.0},
         "scan": {"n_trajectories": 10},
     })
     for seed in ("-1", str(2**64)):

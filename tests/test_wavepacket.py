@@ -12,9 +12,11 @@ from dirac_toa.detector import WindowDetector, lambda_field
 from dirac_toa.point_analytic import arrival_density_point
 from dirac_toa.studies import ORACLE_ROWS
 from dirac_toa.wavepacket import (
+    N_NODES,
     PacketSpec,
     _BLOCK_ENTRIES,
     BAND_SIGMAS,
+    _branch_tables,
     _factor_points,
     _midpoints,
     _momentum_sum,
@@ -25,7 +27,6 @@ from dirac_toa.wavepacket import (
     group_velocity,
     initial_packet,
     sample_packet,
-    spectral_coefficients,
     tilted_inner,
 )
 
@@ -66,37 +67,43 @@ def test_initial_packet_rejects_narrow_grid():
 
 
 def test_spectral_coefficients_zero_and_branch_separation():
+    """Lab-frame node weights: B's momentum factor p/(2E) kills it at p = 0,
+    and at +p0 the B Gaussian (centered at -p0) underflows.  One node per
+    branch sits at the band centre; three over p0 +- 3 p0 put A's middle node
+    and B's last at +p0."""
     spec = PacketSpec()
-    c = spectral_coefficients(spec, np.array([0.0, spec.p0]))
-    assert c.b_plus[0] == 0.0  # momentum factor kills B at p = 0
-    # at +p0 the B Gaussian (centered at -p0) underflows: plug-in oracle
+    packet = (spec.eta, spec.x0, CHI)
+    p, _, _, f = _branch_tables(0.0, *packet, 1, BAND_SIGMAS)
+    assert p[1] == 0.0 and f[1] == 0.0  # momentum factor kills B at p = 0
+    p, _, _, f = _branch_tables(spec.p0, *packet, 3, 3 * spec.p0 / spec.sigma_p())
+    np.testing.assert_allclose(p[[1, 5]], spec.p0, rtol=1e-15)
+    # plug-in oracle
     ratio_oracle = (spec.p0 / (energy(spec.p0) + 1.0)) * math.exp(
         -4 * (spec.eta * CHI) ** 2 * spec.p0**2
     )
-    assert abs(c.b_plus[1] / c.a_plus[1]) == pytest.approx(ratio_oracle, abs=1e-30)
-    assert abs(c.b_plus[1] / c.a_plus[1]) < 1e-200
+    assert abs(f[5] / f[1]) == pytest.approx(ratio_oracle, abs=1e-30)
+    assert abs(f[5] / f[1]) < 1e-200
 
 
 def test_spectral_coefficient_gaussian_ratio():
-    """Amplitude falloff away from the carrier, checked against the
-    closed-form ratio: Gaussian factor times the (E+1)/2E prefactor ratio.
-    At 2 sigma_p offset the Gaussian factor alone is exactly e."""
+    """Amplitude falloff away from the carrier at the node momenta, checked
+    against the closed-form ratio: Gaussian factor times the (E+1)/2E
+    prefactor ratio.  At 2 sigma_p offset the Gaussian factor alone is
+    exactly e."""
     spec = PacketSpec()
     sigma_p = spec.sigma_p()
     assert sigma_p == pytest.approx(1.0 / (2 * spec.eta * CHI))
+    p, _, _, f = _tables(spec, N_NODES)
+    # the A nodes nearest p0, p0 + 2 sigma_p and p0 + 4 sigma_p
+    c, i2, i4 = (int(np.argmin(np.abs(p[:N_NODES] - spec.p0 - k * sigma_p))) for k in (0, 2, 4))
 
-    def oracle(offset):
-        p2 = spec.p0 + offset
-        e0, e2 = energy(spec.p0), energy(p2)
-        pref = ((e0 + 1) / (2 * e0)) / ((e2 + 1) / (2 * e2))
-        return pref * math.exp((spec.eta * CHI * offset) ** 2)
+    def oracle(i, j):
+        e_i, e_j = energy(p[i]), energy(p[j])
+        pref = ((e_i + 1) / (2 * e_i)) / ((e_j + 1) / (2 * e_j))
+        return pref * math.exp((spec.eta * CHI) ** 2 * ((p[j] - spec.p0) ** 2 - (p[i] - spec.p0) ** 2))
 
-    c = spectral_coefficients(spec, np.array([spec.p0, spec.p0 + 2 * sigma_p,
-                                              spec.p0 + 4 * sigma_p]))
-    ratio_2s = abs(c.a_plus[0]) / abs(c.a_plus[1])
-    ratio_4s = abs(c.a_plus[0]) / abs(c.a_plus[2])
-    assert ratio_2s == pytest.approx(oracle(2 * sigma_p), rel=1e-12)
-    assert ratio_4s == pytest.approx(oracle(4 * sigma_p), rel=1e-12)
+    assert abs(f[c]) / abs(f[i2]) == pytest.approx(oracle(c, i2), rel=1e-12)
+    assert abs(f[c]) / abs(f[i4]) == pytest.approx(oracle(c, i4), rel=1e-12)
     # pure Gaussian parts: e at 2 sigma_p, e^4 at 4 sigma_p
     assert math.exp((spec.eta * CHI * 2 * sigma_p) ** 2) == pytest.approx(math.e)
     assert math.exp((spec.eta * CHI * 4 * sigma_p) ** 2) == pytest.approx(math.e**4)
@@ -121,27 +128,17 @@ def test_evaluate_spacetime_norm_conserved():
 
 
 def test_spectral_reconstruction_reproduces_packet():
-    """Inverse-transforming the detector-frame coefficients at tau = -x0
-    (lab time t0) reproduces the prepared packet."""
+    """Summing the lab-frame node weights with their spinors at t0
+    reproduces the prepared packet."""
     spec = PacketSpec()
     grid = UniformGrid.from_domain(-2.5, 0.5, 0.004)
-    offsets, w = _midpoints(-10 * spec.sigma_p(), 10 * spec.sigma_p(), 2048)
-    tau = -spec.x0
-    x = grid.positions
+    p, w, sign, f = _tables(spec, N_NODES)
+    a = p / (energy(p) + 1.0)
+    # entries 1 and 4 of u+ = (1, 0, 0, a) on A and w+ = (a, 0, 0, 1) on B
+    c1, c4 = np.where(sign > 0, 1.0, a), np.where(sign > 0, a, 1.0)
+    phase = np.exp(1j * CHI * np.outer(sign * p, grid.positions))
     recon = np.zeros((4, grid.n), dtype=complex)
-    for center, branch in ((spec.p0, "A"), (-spec.p0, "B")):
-        p = center + offsets
-        c = spectral_coefficients(spec, p)
-        e = energy(p)
-        a = p / (e + 1.0)
-        if branch == "A":
-            phase = np.exp(1j * CHI * (np.outer(p, x) - np.outer(e, np.full_like(x, tau))))
-            recon[0] += (w * c.a_plus) @ phase
-            recon[3] += (w * c.a_plus * a) @ phase
-        else:
-            phase = np.exp(-1j * CHI * (np.outer(p, x) - np.outer(e, np.full_like(x, tau))))
-            recon[0] += (w * c.b_plus * a) @ phase
-            recon[3] += (w * c.b_plus) @ phase
+    recon[0], recon[3] = (w * f * c1) @ phase, (w * f * c4) @ phase
     pk = initial_packet(spec, grid)
     err = np.sqrt(np.sum(np.abs(recon - pk.values) ** 2) * grid.dx)
     assert err < 1e-10
@@ -251,9 +248,9 @@ def test_sample_packet_matches_evaluate():
     np.testing.assert_allclose(st.values, direct)
 
 
-def dense_spacetime(spec, t, x, branch="both", n_nodes=2048):
+def dense_spacetime(spec, t, x, branch="both", n_nodes=N_NODES):
     """Reference: the momentum sum with one exponential per (node, point)."""
-    p, w, sign, f, _ = _tables(spec, n_nodes)
+    p, w, sign, f = _tables(spec, n_nodes)
     t, x = np.broadcast_arrays(np.asarray(t, dtype=float) - spec.t0, np.asarray(x, dtype=float))
     keep = {"both": sign != 0, "plus": sign > 0, "minus": sign < 0}[branch]
     e = energy(p)

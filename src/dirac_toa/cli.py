@@ -243,16 +243,17 @@ def cmd_frames(inputs: Inputs, out_dir: Path, workers: int) -> int:
 def cmd_point(inputs: Inputs, out_dir: Path, workers: int) -> int:
     scan = inputs.params
     taus = np.arange(scan["tau_lo"], scan["tau_hi"] + 1e-12, scan["tau_step"])
-    for p0 in scan["p0_values"]:
-        for kappa in scan["kappa_values"]:
-            s = replace(inputs.packet, p0=p0)
-            dens = arrival_density_point(s, kappa, taus)
-            write_csv(
-                out_dir / f"point_p{p0:g}_kappa{kappa:g}.csv",
-                {"tau": dens.tau, "P": dens.P},
-                metadata={"p0": p0, "kappa": kappa,
-                          "T": arrival.expected_time(dens)},
-            )
+    # every pair is computed before any file is written, so a rejected pair
+    # leaves no output directory
+    densities = [(p0, kappa, arrival_density_point(replace(inputs.packet, p0=p0), kappa, taus))
+                 for p0 in scan["p0_values"] for kappa in scan["kappa_values"]]
+    for p0, kappa, dens in densities:
+        write_csv(
+            out_dir / f"point_p{p0:g}_kappa{kappa:g}.csv",
+            {"tau": dens.tau, "P": dens.P},
+            metadata={"p0": p0, "kappa": kappa,
+                      "T": arrival.expected_time(dens)},
+        )
     return 0
 
 
@@ -261,7 +262,7 @@ def cmd_pdp(inputs: Inputs, out_dir: Path, workers: int) -> int:
     seed, n = inputs.seed, inputs.params["n_trajectories"]
     result = pdp_study(spec, inputs.detector, run_cfg, n, seed)
 
-    recs = result.records
+    recs, proc = result.records, result.process
     write_csv(
         out_dir / "pdp_trajectories.csv",
         {
@@ -282,7 +283,8 @@ def cmd_pdp(inputs: Inputs, out_dir: Path, workers: int) -> int:
             "P_inf": np.array([result.p_inf]),
             "ks_statistic": np.array([result.ks_statistic]),
         },
-        metadata={"p0": spec.p0, "seed": seed},
+        metadata={"p0": spec.p0, "seed": seed, "tail_ok": int(proc.tail_ok),
+                  "tail_ratio": proc.tail_ratio},
     )
     return 0
 

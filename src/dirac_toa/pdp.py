@@ -178,48 +178,6 @@ def ideal_measurement_run(initial: TotalState, plan, rng) -> list:
     return results
 
 
-def _trajectory_rng(seed: int, index: int) -> np.random.Generator:
-    """Counter-based stream: reproducible and order-independent across
-    trajectories."""
-    key = np.array([np.uint64(seed), np.uint64(index)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-# Philox4x64-10 multipliers and key increments (Salmon et al., SC'11)
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_LO32 = np.uint64(0xFFFFFFFF)
-_S32 = np.uint64(32)
-
-
-def _mulhilo(m: int, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Low and high words of the 128-bit products m * a, from 32-bit halves."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    a_lo, a_hi = a & _LO32, a >> _S32
-    ll, lh, hl = m_lo * a_lo, m_lo * a_hi, m_hi * a_lo
-    mid = (ll >> _S32) + (lh & _LO32) + (hl & _LO32)
-    return np.uint64(m) * a, m_hi * a_hi + (lh >> _S32) + (hl >> _S32) + (mid >> _S32)
-
-
-def _first_doubles(seed: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first two doubles that _trajectory_rng(seed, i) yields, for each i
-    in the uint64 array index.
-
-    Philox is counter based: a stream's first four words are one Philox4x64-10
-    block of the key (seed, i) at counter (1, 0, 0, 0), a pure function that
-    is computed for every stream at once.  A double is (word >> 11) * 2**-53.
-    """
-    c0, c1 = np.ones(len(index), dtype=np.uint64), np.zeros(len(index), dtype=np.uint64)
-    c2, c3 = c1, c1
-    for r in range(10):
-        k0 = np.uint64((int(seed) + r * _PHILOX_W[0]) % 2**64)
-        k1 = index + np.uint64(r * _PHILOX_W[1] % 2**64)
-        lo0, hi0 = _mulhilo(_PHILOX_M[0], c0)
-        lo1, hi1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return (c0 >> np.uint64(11)) * 2.0**-53, (c1 >> np.uint64(11)) * 2.0**-53
-
-
 def check_sampling_request(n: int, seed: int) -> None:
     """Reject what sample_many(n, seed) cannot draw: a seed outside the
     uint64 key range [0, 2**64) or a negative trajectory count."""
@@ -245,10 +203,13 @@ class JumpProcess:
     exact at every row and the absorbed norm is the one-site run's but for
     the wall strip's cadence (EvolutionRecord).
 
-    Trajectory i of sample_many(n, seed) draws from its own Philox stream
-    _trajectory_rng(seed, i), so it does not depend on n or on the other
-    trajectories; sample_many computes every stream's draws and outcomes at
-    once and returns them as columns (DetectionRecords).
+    sample_many(n, seed) draws every trajectory from one Philox stream keyed
+    by the seed: trajectory i takes row i of random((n, 2)), which the
+    stream fills in counter order, so trajectory i depends on the seed and i
+    alone, not on n or on the other trajectories.  It computes every
+    outcome at once and returns them as columns (DetectionRecords).
+    The record's tail_ratio (d(tau_max) / max d) and tail_ok are kept for the
+    callers to report: integrate, unlike evolve, does not check the tail.
     """
 
     def __init__(
@@ -278,6 +239,7 @@ class JumpProcess:
         self.boundary_leakage = rec.boundary_leakage
         self.channel_density = rec.channel_density
         self.detection_density = rec.detection_density
+        self.tail_ratio, self.tail_ok = rec.tail_ratio, rec.tail_ok
         # norm lost to the walls is not a detection; the running maximum keeps
         # the curve sorted for _outcomes' searchsorted where the transforms'
         # roundoff in S (about 1e-16) exceeds what the detector absorbs in a row
@@ -321,11 +283,12 @@ class JumpProcess:
         )
 
     def sample_many(self, n: int, seed: int) -> DetectionRecords:
-        """n trajectories as columns: trajectory i takes the first two
-        doubles of _trajectory_rng(seed, i), for its jump time and its
-        channel, computed for all n streams at once."""
+        """n trajectories as columns: trajectory i takes row i (r_i, u_i) of
+        Generator(Philox(key=seed)).random((n, 2)) for its jump time and its
+        channel.  A Philox block holds two rows, so a shard that starts at an
+        even row i reproduces it from Philox(key=seed).advance(i // 2)."""
         check_sampling_request(n, seed)
-        return self._outcomes(*_first_doubles(seed, np.arange(n, dtype=np.uint64)))
+        return self._outcomes(*np.random.Generator(np.random.Philox(key=seed)).random((n, 2)).T)
 
     def events_for(self, record: DetectionRecord) -> list[EventRecord]:
         ev = [EventRecord(tau=0.0, point=self.preparation, label=0)]

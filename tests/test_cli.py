@@ -119,13 +119,16 @@ def test_point_command(tmp_path):
     (4.44, 6.5, "reaches a pole of the transmission amplitude"),
     (4.44, 5.0, "reaches a pole of the transmission amplitude"),
     (2.0, 5.0, "P_inf must lie in [0, 1]"),
+    ("0.75 2", "1 6.5", "reaches a pole of the transmission amplitude"),
 ])
 def test_point_detector_past_a_transmission_pole_is_rejected(p0, kappa, message, tmp_path, caplog):
     """On branch B the nodes have p < 0, so t_anti = 2/(2 + kappa a/2) has a
     pole at kappa = 4(E+1)/|p|: 6.2 to 6.8 at p0 = 2, 4.96 to 5.05 at p0 =
     4.44.  At or past it the run wrote T = 1.511 and -0.818, and max|Omega_1|
     reached 3235 at (4.44, 5).  Below it, at (2, 5), kappa times the integral
-    of |Omega_1|^2 is 1.52, which was clipped to P_inf = 1."""
+    of |Omega_1|^2 is 1.52, which was clipped to P_inf = 1.  A scan whose
+    last pair is rejected writes nothing: it used to leave the CSVs of the
+    three pairs before it, without a manifest."""
     cfg = tmp_path / "point.cfg"
     write_manifest(cfg, {"run": {"command": "point"},
                          "scan": {"p0_values": str(p0), "kappa_values": str(kappa)}})
@@ -153,6 +156,19 @@ def test_pdp_command(tmp_path):
     assert len(traj["index"]) == 400
     det = traj["detected"] == 1
     np.testing.assert_allclose(traj["t"][det], traj["tau"][det] - 1.0, atol=1e-12)
+
+
+def test_pdp_reports_its_detection_density_tail(tmp_path):
+    """pdp-desk ends its run before the detection density decays below
+    TAIL_MAX of its peak (d(tau_max) / max d = 6.56e-5), and says so in its
+    summary, as density does."""
+    cfg = tmp_path / "pdp.cfg"
+    write_manifest(cfg, {"run": {"command": "pdp"}, "scan": {"n_trajectories": 100}})
+    out = tmp_path / "res"
+    assert main(["pdp", "--preset", "pdp-desk", "--config", str(cfg), "--out", str(out)]) == 0
+    meta, _ = read_csv(out / "pdp_summary.csv")
+    assert meta["tail_ok"] == "0"
+    assert float(meta["tail_ratio"]) == pytest.approx(6.56e-5, rel=1e-3)
 
 
 def test_scan_worker_pool_matches_serial(tmp_path):

@@ -13,8 +13,6 @@ from dirac_toa.pdp import (
     JumpProcess,
     Observable,
     TotalState,
-    _first_doubles,
-    _trajectory_rng,
     ideal_measurement_run,
     validate_event_order,
 )
@@ -219,7 +217,7 @@ def test_weak_detector_run_strides_and_the_sampler_reads_its_record():
         assert np.all(leak[lo + 1:hi] == leak[lo])
     assert np.all(np.diff(proc.absorbed) >= 0.0)
 
-    r, _ = _first_doubles(seed, np.arange(n, dtype=np.uint64))
+    r = _rows(seed, n)[:, 0]
     hit = recs.detected
     inverted = np.interp(recs.tau_detect[hit], proc.tau, proc.absorbed)
     assert np.abs(inverted - r[hit]).max() < 1e-12
@@ -240,7 +238,7 @@ def test_strong_detector_strides_and_matches_the_one_site_run(monkeypatch):
     step, so only the wall strip's cadence differs from the run stepped one
     site at a time: survival agrees to 1e-9, and with seed 7 every detected flag and
     channel is the same and the jump times agree to 1e-7 (measured 3.4e-10
-    and 4.3e-10)."""
+    and 6.5e-11)."""
     preset = PRESETS["pdp-desk"]
     spec = PacketSpec(**preset["packet"])
     det = WindowDetector(**preset["detector"])
@@ -344,27 +342,46 @@ def test_emitted_events_pass_ordering():
 U64_MAX = 2**64 - 1
 
 
-@settings(max_examples=50, deadline=None)
-@given(seed=st.integers(0, U64_MAX),
-       index=st.lists(st.integers(0, U64_MAX), min_size=1, max_size=20))
-@example(seed=0, index=[0, U64_MAX])
-@example(seed=U64_MAX, index=[U64_MAX, 0, 1])
-def test_vectorized_philox_matches_numpy_streams(seed, index):
-    r, u = _first_doubles(seed, np.array(index, dtype=np.uint64))
-    for j, i in enumerate(index):
-        key = np.array([seed, i], dtype=np.uint64)
-        words = np.random.Philox(key=key).random_raw(2)
-        assert r[j] == (words[0] >> np.uint64(11)) * 2.0**-53
-        assert u[j] == (words[1] >> np.uint64(11)) * 2.0**-53
-        rng = _trajectory_rng(seed, i)
-        assert (r[j], u[j]) == (rng.uniform(), rng.random())
+def _rows(seed, n, start=0):
+    """Rows start .. start + n - 1 of the (r, u) table that sample_many draws
+    from one Philox stream keyed by the seed; each Philox block holds two
+    rows, so an even start is reached with advance(start // 2)."""
+    assert start % 2 == 0
+    bits = np.random.Philox(key=seed)
+    bits.advance(start // 2)
+    return np.random.Generator(bits).random((n, 2))
 
 
-def _reference_sample(proc, rng):
-    """Per-trajectory sampler: scalar inversion of the absorbed norm and
-    rng.choice over the relative channel densities."""
+def _columns(records):
+    return [records.detected, records.tau_detect, records.detector_index, records.t, records.x]
+
+
+def test_sample_many_reads_rows_of_one_philox_stream():
+    """Trajectory i is row i of one stream keyed by the seed, at both ends of
+    the seed range: the first 1000 of 100 000 trajectories are a batch of
+    1000, and a shard that starts at an even row i is that stream advanced
+    by i // 2 blocks."""
+    _, _, cfg, prep, channel, initial = _pdp_setup()
+    proc = JumpProcess(initial, [channel], cfg, preparation=prep)
+    n, i = 100_000, 61_000
+    for seed in (0, U64_MAX):
+        rows = _rows(seed, n)
+        large = proc.sample_many(n, seed)
+        np.testing.assert_array_equal(large.detected, rows[:, 0] <= proc.p_inf)
+        small = proc.sample_many(1000, seed)
+        for a, b in zip(_columns(small), _columns(large)):
+            np.testing.assert_array_equal(a, b[:1000])
+        shard = _rows(seed, 1000, start=i)
+        np.testing.assert_array_equal(shard, rows[i:i + 1000])
+        for a, b in zip(_columns(proc._outcomes(*shard.T)), _columns(large)):
+            np.testing.assert_array_equal(a, b[i:i + 1000])
+
+
+def _reference_sample(proc, r, u):
+    """Per-trajectory sampler: scalar inversion of the absorbed norm at r,
+    and the channel that u picks from the relative channel densities by
+    Generator.choice's rule."""
     absorbed = proc.absorbed
-    r = float(rng.uniform())
     if r > absorbed[-1]:
         return DetectionRecord(False, -1, float(proc.tau[-1]), None)
     m = int(np.searchsorted(absorbed, r))
@@ -376,7 +393,9 @@ def _reference_sample(proc, rng):
         tau = float(proc.tau[m - 1] + frac * (proc.tau[m] - proc.tau[m - 1]))
     dens = np.array([np.interp(tau, proc.tau, d) for d in proc.channel_density])
     probs = dens / dens.sum() if dens.sum() > 0.0 else np.full(len(dens), 1.0 / len(dens))
-    k = int(rng.choice(len(probs), p=probs))
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    k = int(np.searchsorted(cdf, u, side="right"))
     return DetectionRecord(True, k, tau, proc.channels[k].point_at(tau))
 
 
@@ -384,7 +403,7 @@ def _reference_sample(proc, rng):
                          ids=["one", "colocated", "twin-1:3"])
 def test_sample_many_is_per_trajectory_sample(heights):
     """Trajectory i of the columnar batch is the per-trajectory reference
-    sampler on stream i, field for field."""
+    sampler on row i of the stream, field for field."""
     spec, _, cfg, prep, _, initial = _pdp_setup()
     channels = [DetectorChannel.at_rest(WindowDetector(height=h, width=0.02, edge=0.008), prep)
                 for h in heights]
@@ -392,8 +411,8 @@ def test_sample_many_is_per_trajectory_sample(heights):
     n, seed = 1500, 2024
     batch = proc.sample_many(n, seed)
     assert len(batch) == n
-    for i in range(n):
-        assert batch[i] == _reference_sample(proc, _trajectory_rng(seed, i))
+    for i, (r, u) in enumerate(_rows(seed, n)):
+        assert batch[i] == _reference_sample(proc, r, u)
     assert 0 < batch.detected.sum() < n
     assert set(batch.detector_index[batch.detected]) == set(range(len(channels)))
     assert batch[-1] == batch[n - 1]

@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Production-resolution studies (dx = edge/2 = 0.001 A for every momentum,
-walls at -6/+4 A).  All of them take about 11 s single-threaded on a 2-vCPU
-host: the fig2 momentum scan 7.5-8.3 s, fig4 2.2-2.7 s and fig10 1.0-1.2 s;
---threads runs the scan's momenta in parallel.
+walls at -6/+4 A), printing each study's wall time and the total.  All of
+them take 4.8-5.9 s single-threaded on a 2-vCPU host: the fig2 momentum scan
+3.2-3.9 s, fig4 1.0-1.2 s and fig10 0.3-0.5 s; --threads runs the scan's
+momenta in parallel.
 """
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from dirac_toa.cli import main
@@ -26,12 +28,18 @@ if __name__ == "__main__":
     ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--only", default=None, help="run a single preset by name")
     args = ap.parse_args()
+    total = 0.0
     for command, preset in STUDIES:
         if args.only and preset != args.only:
             continue
         out = Path(args.out) / preset
-        print(f"== {command} --preset {preset} -> {out}")
+        print(f"== {command} --preset {preset} -> {out}", flush=True)
+        start = time.perf_counter()
         rc = main([command, "--preset", preset, "--out", str(out),
                    "--threads", str(args.threads)])
+        wall = time.perf_counter() - start
+        total += wall
+        print(f"   {preset}: {wall:.2f} s wall", flush=True)
         if rc != 0:
             sys.exit(rc)
+    print(f"all studies written under {args.out}/ in {total:.2f} s wall")

@@ -12,7 +12,7 @@ import numpy as np
 
 from .arrival import ArrivalDensity
 from .propagator import TAIL_MAX
-from .wavepacket import N_NODES, PacketSpec, energy, lab_components
+from .wavepacket import MIN_NODES, PacketSpec, energy, lab_components
 
 log = logging.getLogger(__name__)
 
@@ -115,7 +115,7 @@ def transmitted_amplitude(
     spec: PacketSpec,
     kappa: float,
     tau,
-    n_nodes: int = N_NODES,
+    n_nodes: int = MIN_NODES,
 ) -> np.ndarray:
     """First component of the transmitted field at the detector site,
     Omega_1(tau, 0): the free packet's component 1 at the lab point
@@ -145,7 +145,7 @@ def arrival_density_point(
     spec: PacketSpec,
     kappa: float,
     tau_grid: np.ndarray,
-    n_nodes: int = N_NODES,
+    n_nodes: int = MIN_NODES,
 ) -> ArrivalDensity:
     """P(tau) proportional to |Omega_1(tau, 0)|^2, normalized over the grid.
 

@@ -14,7 +14,7 @@ from . import arrival, pdp
 from .core import CHI, TwoVector
 from .detector import WindowDetector, lambda_field
 from .propagator import EvolutionConfig, EvolutionRecord, evolve
-from .wavepacket import BAND_SIGMAS, PacketSpec, evaluate_spacetime, sample_packet
+from .wavepacket import BAND_SIGMAS, PacketSpec, lab_components, sample_packet
 
 log = logging.getLogger(__name__)
 
@@ -86,12 +86,13 @@ ORACLE_ROWS = 1024  # record times per field evaluation in free_arrival
 
 
 def free_arrival(spec: PacketSpec, det: WindowDetector, cfg: EvolutionConfig,
-                 tau: np.ndarray) -> tuple[float, float]:
-    """(T0, P_inf0): the free packet's arrival time and detection probability
-    to first order in W, on the record times tau.  The density is
-    d0(tau) = sum_window Lambda(x) (|psi_1|^2 + |psi_2|^2)(tau + t_start, x) dx
-    with the exact free field, reduced as arrival_run reduces d(tau).  The
-    field is evaluated ORACLE_ROWS record times at a time."""
+                 tau: np.ndarray) -> tuple[float, float, float]:
+    """(T0, P_inf0, neg_mass0): the free packet's arrival time, detection
+    probability and negative-time mass to first order in W, on the record
+    times tau, from d0(tau) = sum_window Lambda(x) |psi_1|^2 (tau + t_start, x) dx
+    with the exact free field, reduced as arrival_run reduces d(tau).  Lambda
+    also weighs |psi_2|^2, but packets from ``wavepacket`` have components 2
+    and 3 zero.  The field is evaluated ORACLE_ROWS record times at a time."""
     grid = cfg.grid()
     rate = lambda_field(det, grid)
     window = np.flatnonzero(rate)
@@ -99,11 +100,12 @@ def free_arrival(spec: PacketSpec, det: WindowDetector, cfg: EvolutionConfig,
     d0 = np.empty(len(tau))
     for lo in range(0, len(tau), ORACLE_ROWS):
         rows = slice(lo, lo + ORACLE_ROWS)
-        psi = evaluate_spacetime(spec, (tau[rows] + t_start)[:, None], grid.positions[window][None, :])
-        d0[rows] = (np.abs(psi[0]) ** 2 + np.abs(psi[1]) ** 2) @ rate[window] * grid.dx
+        psi1 = lab_components(spec, (tau[rows] + t_start)[:, None], grid.positions[window][None, :])[0]
+        d0[rows] = np.abs(psi1) ** 2 @ rate[window] * grid.dx
     p_inf0 = float(np.trapezoid(d0, tau))
     density = arrival.ArrivalDensity(tau, d0 / p_inf0, p_inf0, x0=t_start)
-    return arrival.expected_time(density), p_inf0
+    neg_mass0 = arrival.negative_time_mass(arrival.lab_density(density))
+    return arrival.expected_time(density), p_inf0, neg_mass0
 
 
 def _scan_one(args):
@@ -118,7 +120,7 @@ def _scan_one(args):
     """
     spec, det, cfg = args
     run = arrival_run(spec, det, cfg)
-    t0, p_inf0 = free_arrival(spec, det, cfg, run.record.tau_samples)
+    t0, p_inf0, neg_mass0 = free_arrival(spec, det, cfg, run.record.tau_samples)
     return {
         "p0": spec.p0,
         "T": run.T,
@@ -128,6 +130,7 @@ def _scan_one(args):
         "P_inf": run.P_inf,
         "P_inf0": p_inf0,
         "neg_mass": run.neg_mass,
+        "neg_mass0": neg_mass0,
     }
 
 

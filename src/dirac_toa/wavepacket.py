@@ -25,18 +25,15 @@ from the input:
 - anything else (meshgrids, scattered points): a = the points, b = {0}, the
   same product with a one-column b table.
 
-The product is summed over blocks whose phase tables hold at most
-``_BLOCK_ENTRIES`` entries (2 MB) each.  Two sides that fit that budget
-whole (the lattice, the initial-state grid, a tau axis) are kept whole and
-the nodes are walked in chunks, so each table entry is built once and the
-tables of a chunk share the budget; scattered points and long sides are
-walked in blocks of points at all nodes (``_momentum_sum``).  A block of
-uniformly spaced points (every set of the first two splits, as a rule) has
-its table built as powers of the phase of one step, by repeated doubling:
-one exponential per node instead of one per entry.  The result differs from
-the direct sum only in rounding: a phase chi (k x - omega t) of a few
-thousand radians is rounded as two shorter phases, the rounding of a step's
-phase is carried into its powers, and a uniform-axis point is rebuilt within
+The node count follows each call's reach (``_check_reach``).  The product
+is summed over blocks of points at all nodes, each table at most
+``_BLOCK_ENTRIES`` entries (2 MB) (``_momentum_sum``).  A set of uniformly
+spaced points (every set of the first two splits, as a rule) has its tables
+built as powers of the phase of one step, by repeated doubling: one
+exponential per node instead of one per entry.  The result differs from the
+direct sum only in rounding: a phase chi (k x - omega t) of a few thousand
+radians is rounded as two shorter phases, the rounding of a step's phase is
+carried into its powers, and a uniform-axis point is rebuilt within
 ``_UNIFORM_ULPS`` ulp of its largest coordinate.  These errors are of the
 size of the direct sum's own rounding, ulp(phase) or a few 1e-13 rad; the
 property tests in ``tests/test_wavepacket.py`` hold the fields to 1e-12
@@ -60,8 +57,10 @@ _BLOCK_ENTRIES = 2**17
 # ulp (of the largest coordinate) of the line through its end points.
 _UNIFORM_ULPS = 4
 # Every momentum quadrature integrates each branch over p0 +- BAND_SIGMAS sigma_p
-# (N_NODES midpoint nodes by default).
+# with MIN_NODES to N_NODES midpoint nodes (``_check_reach``).  On the study
+# inputs 128 nodes are within 4.8e-13 of the 16384-node field, 256 within 2.0e-13.
 BAND_SIGMAS = 10
+MIN_NODES = 256
 N_NODES = 2048
 
 
@@ -180,17 +179,22 @@ def _tables(spec: PacketSpec, n_nodes: int):
     return _branch_tables(spec.p0, spec.eta, spec.x0, CHI, n_nodes, BAND_SIGMAS)
 
 
-def _check_reach(spec: PacketSpec, dt, dx, n_nodes: int) -> None:
-    """Reject points at lab offsets (dt, dx) from the preparation that the
-    momentum sum cannot resolve: it adds images of the packet displaced by
-    L = 2 pi n_nodes eta / BAND_SIGMAS in x, out of reach while
-    max|dx| + max|dt| + 12 eta < L (light cone plus Gaussian tail).  Points
-    that are not finite are left to the sum, which rejects its result."""
+def _check_reach(spec: PacketSpec, dt, dx, n_nodes: int) -> int:
+    """Node count for points at lab offsets (dt, dx) from the preparation.
+    The momentum sum adds images of the packet displaced by
+    L = 2 pi n eta / BAND_SIGMAS in x, out of reach while
+    max|dx| + max|dt| + 12 eta < L (light cone plus Gaussian tail).  n is
+    n_nodes, doubled while the images are in reach, up to
+    max(n_nodes, N_NODES); a reach that needs more is rejected.  Points that
+    are not finite are left to the sum, which rejects its result."""
     reach = np.max(np.abs(dx), initial=0.0) + np.max(np.abs(dt), initial=0.0)
-    period = 2 * np.pi * n_nodes * spec.eta / BAND_SIGMAS
-    if np.isfinite(reach) and reach + 12 * spec.eta >= period:
-        raise ValueError(f"[packet] eta = {spec.eta:g} is too narrow for {n_nodes} momentum nodes: "
-                         f"the points reach {reach:.3g} A, its images repeat every {period:.3g} A")
+    n, cap = n_nodes, max(n_nodes, N_NODES)
+    while np.isfinite(reach) and reach + 12 * spec.eta >= (period := 2 * np.pi * n * spec.eta / BAND_SIGMAS):
+        if n == cap:
+            raise ValueError(f"[packet] eta = {spec.eta:g} is too narrow for {n} momentum nodes: "
+                             f"the points reach {reach:.3g} A, its images repeat every {period:.3g} A")
+        n = min(2 * n, cap)
+    return n
 
 
 def _uniform_step(v: np.ndarray):
@@ -232,17 +236,24 @@ def _factor_points(t, x):
     return (tf[coarse], xf[coarse]), (fine * ht, fine * hx), shape
 
 
-def _phases(k, omega, t, x, chi: float) -> np.ndarray:
-    """e^{i chi (k_n x - omega_n t)}, one row per point, one column per node.
-
-    Points that step uniformly (``_uniform_step``) are built as powers of
-    the phase of one step: one exponential per node instead of one per entry.
-    """
+def _phase_blocks(k, omega, t, x, step: int, chi: float):
+    """e^{i chi (k_n x - omega_n t)} for successive blocks of step points,
+    one row per point, one column per node.  Points that step uniformly
+    (``_uniform_step``) are built as powers of the phase of one step, each
+    block continuing from the last row of the one before: one exponential
+    per node instead of one per entry, on the line of the whole set however
+    it is split."""
     ht, hx = _uniform_step(t), _uniform_step(x)
     if ht is None or hx is None:
-        return np.exp(1j * chi * (x[:, None] * k - t[:, None] * omega))
-    return _geometric(np.exp(1j * chi * (x[0] * k - t[0] * omega)),
-                      np.exp(1j * chi * (hx * k - ht * omega)), t.size)
+        for i in range(0, t.size, step):
+            yield np.exp(1j * chi * (x[i:i + step, None] * k - t[i:i + step, None] * omega))
+        return
+    ratio = np.exp(1j * chi * (hx * k - ht * omega))
+    first = np.exp(1j * chi * (x[0] * k - t[0] * omega))
+    for i in range(0, t.size, step):
+        table = _geometric(first, ratio, min(step, t.size - i))
+        first = table[-1] * ratio
+        yield table
 
 
 def _momentum_sum(k, omega, weights, t, x, chi: float) -> np.ndarray:
@@ -250,37 +261,19 @@ def _momentum_sum(k, omega, weights, t, x, chi: float) -> np.ndarray:
     (t, x), shape (len(weights),) + shape of the points.
 
     The points are factored into a_i + b_j (``_factor_points``) and the
-    result is summed over blocks of (phase table of a) @ (weights * phase
-    table of b).  With step = ``_BLOCK_ENTRIES // n_nodes``: when the b side
-    has more than one point and the whole a table and weighted b table
-    (n_a + n_c n_b entries per node) fit ``_BLOCK_ENTRIES`` entries at step
-    nodes or more, the blocks are the whole sides and the nodes are walked
-    in chunks, so each table entry is built once and the tables of a chunk
-    share the budget.  Otherwise (scattered points, long sides) the blocks
-    are step points of each side at all nodes, and a uniform run of a
-    scattered set (a meshgrid row) gets its own table of powers.
+    result is summed over blocks of step points of each side at all nodes:
+    (phase table of a) @ (weights * phase table of b).  The weighted b table,
+    n_c step x n_nodes entries, is the largest; step keeps it within
+    ``_BLOCK_ENTRIES``.
     """
     a, b, shape = _factor_points(t, x)
     n_c, n_nodes = weights.shape
-    n_a, n_b = a[0].size, b[0].size
-    out = np.zeros((n_c, n_a, n_b), dtype=complex)
-    step = max(1, _BLOCK_ENTRIES // n_nodes)
-    whole = n_a + n_c * n_b  # entries per node of the a table and weighted b table
-    if n_b > 1 and whole * step <= _BLOCK_ENTRIES:
-        block, chunk = max(n_a, n_b), _BLOCK_ENTRIES // whole
-    else:
-        block, chunk = step, n_nodes
-    for c in range(0, n_nodes, chunk):
-        nc = slice(c, c + chunk)
-        for j in range(0, n_b, block):
-            jb = slice(j, j + block)
-            wb = weights[:, None, nc] * _phases(k[nc], omega[nc], b[0][jb], b[1][jb], chi)
-            wb = wb.reshape(-1, wb.shape[-1]).T  # (nodes, n_c * block)
-            for i in range(0, n_a, block):
-                ib = slice(i, i + block)
-                blk = _phases(k[nc], omega[nc], a[0][ib], a[1][ib], chi) @ wb
-                out[:, ib, jb] += blk.reshape(blk.shape[0], n_c, -1).transpose(1, 0, 2)
-            del wb  # before the next table is built
+    out = np.empty((n_c, a[0].size, b[0].size), dtype=complex)
+    step = max(1, _BLOCK_ENTRIES // (n_c * n_nodes))
+    for j, phase_b in enumerate(_phase_blocks(k, omega, *b, step, chi)):
+        wb = (weights[:, None, :] * phase_b).transpose(0, 2, 1)  # (n_c, nodes, block)
+        for i, phase_a in enumerate(_phase_blocks(k, omega, *a, step, chi)):
+            out[:, i * step:(i + 1) * step, j * step:(j + 1) * step] = phase_a @ wb
     n_points = math.prod(shape)
     out = out.reshape(n_c, -1)[:, :n_points]
     if not np.all(np.isfinite(out)):
@@ -288,18 +281,19 @@ def _momentum_sum(k, omega, weights, t, x, chi: float) -> np.ndarray:
     return out.reshape((n_c,) + shape)
 
 
-def lab_components(spec: PacketSpec, t, x, branch: str = "both", n_nodes: int = N_NODES,
+def lab_components(spec: PacketSpec, t, x, branch: str = "both", n_nodes: int = MIN_NODES,
                    momentum_filter=None) -> np.ndarray:
     """Components 1 and 4 of the free packet at the lab points (t, x), shape
     (2,) + their broadcast shape: the momentum sum over the nodes of branch
     ("both", "plus" (A) or "minus" (B)), each term times momentum_filter(p,
-    sign) when given (node momenta p, sign +1 on A and -1 on B)."""
-    nodes = {"both": slice(None), "plus": slice(0, n_nodes), "minus": slice(n_nodes, None)}
+    sign) when given (node momenta p, sign +1 on A and -1 on B), on n_nodes
+    nodes per branch or more if the reach needs them (``_check_reach``)."""
+    t = np.asarray(t, dtype=float) - spec.t0
+    n = _check_reach(spec, t, np.asarray(x, dtype=float) - spec.x0, n_nodes)
+    nodes = {"both": slice(None), "plus": slice(0, n), "minus": slice(n, None)}
     if branch not in nodes:
         raise ValueError(f"unknown branch {branch!r}")
-    t = np.asarray(t, dtype=float) - spec.t0
-    _check_reach(spec, t, np.asarray(x, dtype=float) - spec.x0, n_nodes)
-    p, w, sign, f = (arr[nodes[branch]] for arr in _tables(spec, n_nodes))
+    p, w, sign, f = (arr[nodes[branch]] for arr in _tables(spec, n))
     e = np.sqrt(p * p + 1.0)
     a = p / (e + 1.0)
     # components 1 and 4 of u+ = (1, 0, 0, a) on A and w+ = (a, 0, 0, 1) on B
@@ -313,15 +307,15 @@ def evaluate_spacetime(
     t,
     x,
     branch: str = "both",
-    n_nodes: int = N_NODES,
+    n_nodes: int = MIN_NODES,
 ) -> np.ndarray:
     """Exact free wave function at space-time points (t, x) by momentum
     quadrature over both energy branches.
 
     t and x broadcast against each other; the result has shape (4, ...).
     Pass open axes (``t[:, None], x[None, :]``) rather than a meshgrid for a
-    grid of points: the quadrature then costs n_nodes (|t| + |x|)
-    exponentials instead of n_nodes |t| |x|.
+    grid of points: the quadrature then costs n (|t| + |x|) exponentials
+    instead of n |t| |x|, n >= n_nodes nodes per branch (``lab_components``).
     branch selects "both", "plus" (A) or "minus" (B).
     """
     psi14 = lab_components(spec, t, x, branch, n_nodes)

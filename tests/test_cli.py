@@ -53,7 +53,8 @@ def test_arrival_scan_and_manifest_reproducibility(tmp_path):
     out1 = tmp_path / "run1"
     assert main(["arrival-scan", "--config", str(cfg), "--out", str(out1)]) == 0
     meta, cols = read_csv(out1 / "arrival_scan.csv")
-    assert set(cols) == {"p0", "T", "error", "T0", "t_rm", "P_inf", "P_inf0", "neg_mass"}
+    assert set(cols) == {"p0", "T", "error", "T0", "t_rm", "P_inf", "P_inf0", "neg_mass",
+                         "neg_mass0"}
     assert np.all(cols["error"] >= 0.0)
     assert cols["T"][0] == pytest.approx(cols["t_rm"][0], rel=0.05)
 

@@ -39,7 +39,7 @@ def test_scan_error_measures_the_lattice_error_richardson_did(p0):
     (measured to 1.4e-4)."""
     spec, cfg = PacketSpec(p0=p0), _desk_config(p0)
     base, weaker = desk_run(p0), desk_run(p0, height=DESK_DETECTOR.height / 10)
-    t0, _ = free_arrival(spec, DESK_DETECTOR, cfg, base.record.tau_samples)
+    t0, _, _ = free_arrival(spec, DESK_DETECTOR, cfg, base.record.tau_samples)
     assert abs(base.T - t0) / base.T <= 1e-6
     assert abs(weaker.T - t0) / abs(base.T - t0) == pytest.approx(0.1, rel=1e-2)
 
@@ -52,8 +52,20 @@ def test_free_arrival_matches_the_weak_detector_run(p0):
     spec, cfg = PacketSpec(p0=p0), _desk_config(p0)
     run = desk_run(p0)
     np.testing.assert_array_equal(run.record.tau_samples, cfg.dtau * np.arange(cfg.n_steps + 1))
-    _, p_inf0 = free_arrival(spec, DESK_DETECTOR, cfg, run.record.tau_samples)
+    _, p_inf0, _ = free_arrival(spec, DESK_DETECTOR, cfg, run.record.tau_samples)
     assert abs(run.P_inf - p_inf0) / p_inf0 <= 1e-4
+
+
+@pytest.mark.parametrize("p0", [0.75, 1.0, 2.0])
+def test_free_arrival_negative_time_mass_matches_the_run(p0):
+    """fig4-desk at W = 1e-5: the oracle's negative-time mass, from the
+    density it reduces for T0, is the lattice run's to 1e-4 relative
+    (measured 3.4e-5 / 2.3e-5 / 8.6e-6 at p0 = 0.75 / 1 / 2)."""
+    spec = PacketSpec(p0=p0)
+    cfg = config_from_lattice(dict(DESK_LATTICE, x_lo=-4.0), p0, spec, DESK_DETECTOR)
+    run = desk_run(p0, x_lo=-4.0)
+    _, _, neg_mass0 = free_arrival(spec, DESK_DETECTOR, cfg, run.record.tau_samples)
+    assert abs(run.neg_mass - neg_mass0) / neg_mass0 <= 1e-4
 
 
 def test_momentum_scan_runs_one_lattice_per_momentum(monkeypatch):

@@ -12,15 +12,15 @@ from dirac_toa.detector import WindowDetector, lambda_field
 from dirac_toa.point_analytic import arrival_density_point
 from dirac_toa.studies import ORACLE_ROWS
 from dirac_toa.wavepacket import (
+    MIN_NODES,
     N_NODES,
     PacketSpec,
     _BLOCK_ENTRIES,
     BAND_SIGMAS,
     _branch_tables,
-    _factor_points,
     _midpoints,
     _momentum_sum,
-    _phases,
+    _phase_blocks,
     _tables,
     energy,
     evaluate_spacetime,
@@ -146,7 +146,8 @@ def test_spectral_reconstruction_reproduces_packet():
 
 @pytest.mark.parametrize("p0", [0.25, 2.5])
 def test_field_converges_in_the_node_count(p0):
-    """2048 midpoint nodes give the 16384-node field to roundoff over the
+    """The node count sized from the reach (512 here: the points reach 19 A
+    from the preparation) gives the 16384-node field to roundoff over the
     space-time any study evaluates."""
     spec = PacketSpec(p0=p0)
     t, x = np.linspace(-2.0, 8.0, 41)[:, None], np.linspace(-10.0, 10.0, 401)[None, :]
@@ -335,23 +336,82 @@ _FIG5_TAUS = np.arange(0.0, 5.0 + 1e-12, 0.002)
 # one free_arrival block: ORACLE_ROWS record times x the fig2-desk window sites
 _ORACLE_TAUS = -1.0 + 0.002 * np.arange(ORACLE_ROWS)
 _ORACLE_SITES = _DESK.positions[np.flatnonzero(lambda_field(WindowDetector(edge=0.004), _DESK))]
-# A sum holds at most three budgets of complex entries at once (6 MB): a
-# point block's table and the temporaries of its exponentials (the tables of
-# a node chunk share one budget).
+# A sum holds at most three budgets of complex entries at once (6 MB): the
+# weighted b table (one budget), the phase tables of a block of each side
+# (half a budget each with two weight rows) and the temporaries of their
+# exponentials.
 _PEAK_MB = 3 * _BLOCK_ENTRIES * 16 / 2**20
+_STUDY_CASES = {
+    "initial-state-open": lambda: evaluate_spacetime(_SPEC, _TS[:, None], _XS[None, :]),
+    "initial-state-meshgrid": lambda: evaluate_spacetime(_SPEC, *np.meshgrid(_TS, _XS, indexing="ij")),
+    "desk-lattice": lambda: sample_packet(_SPEC, _DESK, -1.0),
+    "fig5-point": lambda: arrival_density_point(_SPEC, 1.0, _FIG5_TAUS),
+    "oracle-block": lambda: evaluate_spacetime(_SPEC, _ORACLE_TAUS[:, None], _ORACLE_SITES[None, :]),
+}
 
 
-@pytest.mark.parametrize("case", [
-    lambda: evaluate_spacetime(_SPEC, _TS[:, None], _XS[None, :]),
-    lambda: evaluate_spacetime(_SPEC, *np.meshgrid(_TS, _XS, indexing="ij")),
-    lambda: sample_packet(_SPEC, _DESK, -1.0),
-    lambda: arrival_density_point(_SPEC, 1.0, _FIG5_TAUS),
-    lambda: evaluate_spacetime(_SPEC, _ORACLE_TAUS[:, None], _ORACLE_SITES[None, :]),
-], ids=["initial-state-open", "initial-state-meshgrid", "desk-lattice", "fig5-point", "oracle-block"])
+@pytest.mark.parametrize("case", list(_STUDY_CASES.values()), ids=list(_STUDY_CASES))
 def test_quadrature_peak_memory(case):
     assert (_TS.size, _XS.size, _DESK.n, _FIG5_TAUS.size, _ORACLE_SITES.size) == (61, 201, 3000, 2501, 4)
     evaluate_spacetime(_SPEC, 0.0, 0.0)  # fill the node caches outside the measurement
     assert _peak_traced_mb(case) < _PEAK_MB
+
+
+def _image_limit(eta: float) -> float:
+    """The reach at which 2048 nodes put the first packet image 12 eta away."""
+    return 2 * np.pi * N_NODES * eta / BAND_SIGMAS - 12 * eta
+
+
+def _reaching(spec: PacketSpec, reach: float, n_x: int = 401):
+    """An open grid of points whose reach |t - t0| + |x - x0| is reach."""
+    half = reach / 2
+    return spec.t0 + np.linspace(0.0, half, 5)[:, None], spec.x0 + np.linspace(-half, half, n_x)[None, :]
+
+
+# 2 eta short of the image period of MIN_NODES nodes at eta = 0.1: inside the
+# 12 eta margin, so the sum needs twice the floor
+_MARGIN_REACH = 2 * np.pi * MIN_NODES * 0.1 / BAND_SIGMAS - 0.2
+
+
+@pytest.mark.parametrize("case, n_nodes", [
+    (_STUDY_CASES["initial-state-open"], MIN_NODES),
+    (_STUDY_CASES["desk-lattice"], MIN_NODES),
+    (_STUDY_CASES["fig5-point"], MIN_NODES),
+    (_STUDY_CASES["oracle-block"], MIN_NODES),
+    (lambda: evaluate_spacetime(_SPEC, *_reaching(_SPEC, _MARGIN_REACH)), 2 * MIN_NODES),
+    (lambda: evaluate_spacetime(PacketSpec(eta=0.01), *_reaching(PacketSpec(eta=0.01), 0.97 * _image_limit(0.01))),
+     N_NODES),
+], ids=["initial-state", "desk-lattice", "fig5-point", "oracle-block", "image-margin", "image-0.97"])
+def test_node_count_is_sized_from_the_reach(case, n_nodes, monkeypatch):
+    """Every study input reaches well inside the images of MIN_NODES nodes and
+    is summed on that floor; a reach within 12 eta of their period needs
+    twice the floor, and a reach of 0.97 of the 2048-node limit all 2048."""
+    counts = []
+    tables = wavepacket._tables
+    monkeypatch.setattr(wavepacket, "_tables", lambda spec, n: counts.append(n) or tables(spec, n))
+    case()
+    assert counts == [n_nodes]
+
+
+@given(p0=st.floats(0.1, 5.0), eta=st.floats(0.003, 0.3), frac=st.floats(0.0, 0.97))
+@example(p0=0.1, eta=0.003, frac=0.97)
+@example(p0=5.0, eta=0.3, frac=0.97)
+@settings(max_examples=10, deadline=None)
+def test_sized_field_matches_the_dense_node_field(p0, eta, frac):
+    """Up to 0.97 of the 2048-node limit, the default field is the
+    16384-node field to roundoff, relative to the field's size: to
+    (1e-12 + 1e-13 R) max|psi| at reach R (in A).  The first term is the
+    ringing of the band edges (e^-25), which the sized rule aliases at up to
+    4e-13 max|psi|; the second is the rounding of the phases
+    chi (k x - omega t), measured up to 2.4e-14 R max|psi| (8192 nodes read
+    the same distance).  Too few nodes would add a packet image of size
+    max|psi|."""
+    spec = PacketSpec(p0=p0, eta=eta)
+    reach = frac * _image_limit(eta)
+    t, x = _reaching(spec, reach, n_x=101)
+    dense = evaluate_spacetime(spec, t, x, n_nodes=16384)
+    atol = (1e-12 + 1e-13 * reach) * np.abs(dense).max()
+    np.testing.assert_allclose(evaluate_spacetime(spec, t, x), dense, rtol=0, atol=atol)
 
 
 def _direct_sum(k, omega, weights, t, x, chi):
@@ -361,15 +421,16 @@ def _direct_sum(k, omega, weights, t, x, chi):
     return (phase @ weights.T).T.reshape((len(weights),) + t.shape)
 
 
-# At a budget of 1024 entries and 101 nodes a point block holds 10 points.
+# At a budget of 1024 entries and 101 nodes a point block holds 10 points for
+# one weight row and 5 for two.
 _SMALL_BUDGET, _FEW_NODES = 1024, 101
 _CHUNK_POINTS = {
-    # whole sides of 7 + 23 and 12 + 13 points, node chunks of 19 to 40
+    # open grids of 7 x 23 and 43 x 97 points, a uniform axis split into 12 + 13
     "open-grid": lambda rng: (np.linspace(-2.0, 3.0, 7)[:, None],
                               np.sort(rng.uniform(-3.0, 3.0, 23))[None, :]),
     "uniform-axis": lambda rng: (rng.uniform(-3.0, 3.0),
                                  rng.uniform(-3.0, 0.0) + rng.uniform(1e-3, 0.02) * np.arange(150)),
-    # point blocks at all nodes: a one-point b side, or sides too long to keep whole
+    # scattered points against a one-point b side
     "scattered": lambda rng: (rng.uniform(-3.0, 3.0, 57), rng.uniform(-3.0, 3.0, 57)),
     "long-open-grid": lambda rng: (np.linspace(-2.0, 3.0, 43)[:, None],
                                    rng.uniform(-3.0, 3.0, 97)[None, :]),
@@ -381,8 +442,9 @@ _CHUNK_POINTS = {
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_chunked_sum_matches_direct_sum(kind, n_c, seed, monkeypatch):
-    """The blocked sum is the direct sum to roundoff, whichever way it walks
-    the nodes and points; node chunks build each table entry once."""
+    """The blocked sum is the direct sum to roundoff, whichever way it splits
+    the points; every phase table is a block of points at all nodes, within
+    the entry budget."""
     rng = np.random.default_rng(seed)
     p = rng.uniform(-3.0, 3.0, _FEW_NODES)
     sign = rng.choice([-1.0, 1.0], _FEW_NODES)
@@ -390,16 +452,16 @@ def test_chunked_sum_matches_direct_sum(kind, n_c, seed, monkeypatch):
     weights = (rng.normal(size=(n_c, _FEW_NODES)) + 1j * rng.normal(size=(n_c, _FEW_NODES))) / _FEW_NODES
     t, x = _CHUNK_POINTS[kind](rng)
     tables = []  # (points, nodes) of every phase table built
+
+    def counted(*args):
+        for table in _phase_blocks(*args):
+            tables.append(table.shape)
+            yield table
+
     monkeypatch.setattr(wavepacket, "_BLOCK_ENTRIES", _SMALL_BUDGET)
-    monkeypatch.setattr(wavepacket, "_phases",
-                        lambda k, omega, t, x, chi: tables.append((t.size, k.size)) or _phases(k, omega, t, x, chi))
+    monkeypatch.setattr(wavepacket, "_phase_blocks", counted)
     got = _momentum_sum(k, omega, weights, t, x, 1.0)
     np.testing.assert_allclose(got, _direct_sum(k, omega, weights, t, x, 1.0), rtol=0, atol=1e-13)
 
     points, nodes = np.array(tables).T
-    (a, _), (b, _), _ = _factor_points(t, x)
-    if kind in ("open-grid", "uniform-axis"):
-        assert set(points) == {a.size, b.size}
-        assert _FEW_NODES % nodes.max() and np.sum(points * nodes) == (a.size + b.size) * _FEW_NODES
-    else:
-        assert set(nodes) == {_FEW_NODES} and points.max() == 10 and points.min() < 10
+    assert set(nodes) == {_FEW_NODES} and points.max() == 10 // n_c and points.min() < 10 // n_c

@@ -35,8 +35,8 @@ if __name__ == "__main__":
         out = Path(args.out) / preset
         print(f"== {command} --preset {preset} -> {out}", flush=True)
         start = time.perf_counter()
-        rc = main([command, "--preset", preset, "--out", str(out),
-                   "--threads", str(args.threads)])
+        pool = ["--threads", str(args.threads)] if command == "arrival-scan" else []
+        rc = main([command, "--preset", preset, "--out", str(out), *pool])
         wall = time.perf_counter() - start
         total += wall
         print(f"   {preset}: {wall:.2f} s wall", flush=True)

@@ -1,7 +1,7 @@
-"""Arrival-time observables: proper-time density P(tau), lab-frame density
-and expectation, boosted-frame transforms and the mechanics reference.  A
-lattice record and the free-packet oracle (studies.free_arrival) are both
-reduced here, so their T differ only through their densities."""
+"""Arrival-time observables: proper-time density P(tau), lab density over the
+detection times t_start + tau (core.clock_start) and its expectation, boosts
+and the mechanics reference.  A lattice record and the free-packet oracle
+(studies.free_arrival) are reduced alike here, so only their densities differ."""
 
 from __future__ import annotations
 
@@ -18,13 +18,13 @@ class NoDetectionError(RuntimeError):
 
 @dataclass
 class ArrivalDensity:
-    """Normalized proper-time-of-arrival density on a tau grid, with the
-    total detection probability and the preparation offset x0."""
+    """Normalized proper-time-of-arrival density on a tau grid, the total
+    detection probability and t_start, the lab time at tau = 0 (core.clock_start)."""
 
     tau: np.ndarray
     P: np.ndarray
     P_inf: float
-    x0: float
+    t_start: float
 
     def __post_init__(self):
         self.tau = np.asarray(self.tau, dtype=float)
@@ -55,7 +55,7 @@ class LabDensity:
         return float(self.t[np.argmax(self.p)])
 
 
-def normalize_density(rec: EvolutionRecord, x0: float) -> ArrivalDensity:
+def normalize_density(rec: EvolutionRecord, t_start: float) -> ArrivalDensity:
     """P_inf = integral of d(tau); P(tau) = d(tau)/P_inf."""
     p_inf = rec.total_detection_probability
     if p_inf <= 0.0:
@@ -64,34 +64,34 @@ def normalize_density(rec: EvolutionRecord, x0: float) -> ArrivalDensity:
         tau=rec.tau_samples.copy(),
         P=rec.detection_density / p_inf,
         P_inf=p_inf,
-        x0=x0,
+        t_start=t_start,
     )
 
 
 def lab_density(density: ArrivalDensity) -> LabDensity:
-    """Shift to the frame where the detector is at rest: t = tau + x0/c."""
-    return LabDensity(t=density.tau + density.x0, p=density.P.copy())
+    """The density over lab arrival times t = t_start + tau."""
+    return LabDensity(t=density.tau + density.t_start, p=density.P.copy())
 
 
 def expected_time(density: ArrivalDensity) -> float:
-    """Lab-frame expectation T = int tau P(tau) dtau + x0/c (trapezoid)."""
-    return float(np.trapezoid(density.tau * density.P, density.tau) + density.x0)
+    """Lab-frame expectation T = int tau P(tau) dtau + t_start (trapezoid)."""
+    return float(np.trapezoid(density.tau * density.P, density.tau) + density.t_start)
 
 
-def boost_density(lab: LabDensity, v: float) -> LabDensity:
-    """Density seen from a frame moving at v: abscissa stretches by the
-    Lorentz factor, ordinate shrinks by it; total mass is preserved."""
+def boost_density(lab: LabDensity, v: float, x: float = 0.0) -> LabDensity:
+    """Density of the detection events (t, x) in a frame moving at v, over
+    t' = gamma (t - v x): the ordinate shrinks by gamma, preserving the mass."""
     if not abs(v) < 1.0:
         raise ValueError(f"|v| must be < 1, got {v}")
     root = np.sqrt(1.0 - v * v)
-    return LabDensity(t=lab.t / root, p=lab.p * root)
+    return LabDensity(t=(lab.t - v * x) / root, p=lab.p * root)
 
 
-def boost_expectation(T: float, v: float) -> float:
-    """Expected arrival time in the moving frame: T / sqrt(1 - v^2)."""
+def boost_expectation(T: float, v: float, x: float = 0.0) -> float:
+    """Expected arrival time at x in the frame moving at v: gamma (T - v x)."""
     if not abs(v) < 1.0:
         raise ValueError(f"|v| must be < 1, got {v}")
-    return T / np.sqrt(1.0 - v * v)
+    return (T - v * x) / np.sqrt(1.0 - v * v)
 
 
 def lab_expectation(lab: LabDensity) -> float:
@@ -105,18 +105,18 @@ def mechanics_time(p0: float, distance: float = 1.0) -> float:
     return distance * np.sqrt(1.0 + 1.0 / (p0 * p0))
 
 
-def negative_time_mass(lab: LabDensity) -> float:
-    """Probability of arrival at t < 0, with linear interpolation across the
-    bin containing t = 0."""
+def negative_time_mass(lab: LabDensity, t0: float = 0.0) -> float:
+    """Probability of arrival before the preparation time t0, with linear
+    interpolation across the bin containing t = t0."""
     t, p = lab.t, lab.p
-    if t[0] >= 0.0:
+    if t[0] >= t0:
         return 0.0
-    if t[-1] <= 0.0:
+    if t[-1] <= t0:
         return float(np.trapezoid(p, t))
-    k = int(np.searchsorted(t, 0.0))
+    k = int(np.searchsorted(t, t0))
     mass = float(np.trapezoid(p[:k], t[:k]))
-    # partial trapezoid from t[k-1] to 0
-    frac = (0.0 - t[k - 1]) / (t[k] - t[k - 1])
-    p_at_zero = p[k - 1] + frac * (p[k] - p[k - 1])
-    mass += 0.5 * (p[k - 1] + p_at_zero) * (0.0 - t[k - 1])
+    # partial trapezoid from t[k-1] to t0
+    frac = (t0 - t[k - 1]) / (t[k] - t[k - 1])
+    p_at_t0 = p[k - 1] + frac * (p[k] - p[k - 1])
+    mass += 0.5 * (p[k - 1] + p_at_t0) * (t0 - t[k - 1])
     return mass

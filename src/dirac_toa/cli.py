@@ -128,6 +128,9 @@ def _check_params(command: str, params: dict) -> None:
         entries = value if isinstance(value, list) else [value]
         if not entries and defaults[key]:
             raise ValueError(f"{where} is empty: {command} runs once per entry")
+        tags = [f"{v:g}" for v in entries]
+        if len(set(tags)) < len(tags):
+            raise ValueError(f"{where} = {' '.join(tags)} would name two outputs alike")
         if key in BOUNDS:
             need, ok = BOUNDS[key]
             bad = [v for v in entries if not ok(v)]
@@ -167,7 +170,7 @@ def parse_inputs(cfg: dict) -> Inputs:
     return Inputs(int(cfg["run"]["seed"]), packet, params, det, runs)
 
 
-def cmd_initial_state(inputs: Inputs, out_dir: Path, workers: int) -> int:
+def cmd_initial_state(inputs: Inputs, out_dir: Path) -> int:
     spec, g = inputs.packet, inputs.params
     ts = np.arange(g["t_lo"], g["t_hi"] + 1e-12, g["t_step"])
     xs = np.arange(g["x_lo"], g["x_hi"] + 1e-12, g["x_step"])
@@ -199,7 +202,7 @@ def cmd_arrival_scan(inputs: Inputs, out_dir: Path, workers: int) -> int:
     return 0
 
 
-def cmd_density(inputs: Inputs, out_dir: Path, workers: int) -> int:
+def cmd_density(inputs: Inputs, out_dir: Path) -> int:
     for spec, run_cfg in inputs.runs:
         run = arrival_run(spec, inputs.detector, run_cfg)
         rec, p0 = run.record, spec.p0
@@ -225,22 +228,22 @@ def cmd_density(inputs: Inputs, out_dir: Path, workers: int) -> int:
     return 0
 
 
-def cmd_frames(inputs: Inputs, out_dir: Path, workers: int) -> int:
+def cmd_frames(inputs: Inputs, out_dir: Path) -> int:
     (spec, run_cfg), = inputs.runs
     run = arrival_run(spec, inputs.detector, run_cfg)
-    t_lab = arrival.expected_time(run.density)
+    x_d = inputs.detector.position
     for v in inputs.params["v_values"]:
-        boosted = arrival.boost_density(run.lab, v)
+        boosted = arrival.boost_density(run.lab, v, x_d)
         write_csv(
             out_dir / f"frames_v{v:g}.csv",
             {"t": boosted.t, "p": boosted.p},
             metadata={"p0": spec.p0, "v": v,
-                      "T": arrival.boost_expectation(t_lab, v)},
+                      "T": arrival.boost_expectation(run.T, v, x_d)},
         )
     return 0
 
 
-def cmd_point(inputs: Inputs, out_dir: Path, workers: int) -> int:
+def cmd_point(inputs: Inputs, out_dir: Path) -> int:
     scan = inputs.params
     taus = np.arange(scan["tau_lo"], scan["tau_hi"] + 1e-12, scan["tau_step"])
     # every pair is computed before any file is written, so a rejected pair
@@ -257,7 +260,7 @@ def cmd_point(inputs: Inputs, out_dir: Path, workers: int) -> int:
     return 0
 
 
-def cmd_pdp(inputs: Inputs, out_dir: Path, workers: int) -> int:
+def cmd_pdp(inputs: Inputs, out_dir: Path) -> int:
     (spec, run_cfg), = inputs.runs
     seed, n = inputs.seed, inputs.params["n_trajectories"]
     result = pdp_study(spec, inputs.detector, run_cfg, n, seed)
@@ -289,8 +292,7 @@ def cmd_pdp(inputs: Inputs, out_dir: Path, workers: int) -> int:
     return 0
 
 
-# Every command runs as fn(inputs, out_dir, workers) -> exit code; only the
-# arrival scan uses the worker pool.
+# fn(inputs, out_dir) -> exit code; arrival-scan also takes its --threads pool.
 COMMANDS = {
     "initial-state": cmd_initial_state,
     "arrival-scan": cmd_arrival_scan,
@@ -313,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="key=value config file (overrides preset)")
         p.add_argument("--out", default="results", help="output directory")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1, help="worker pool size for scans")
+    sub.choices["arrival-scan"].add_argument("--threads", type=int, default=1,
+                                             help="worker pool size for the momentum scan")
     return ap
 
 
@@ -325,7 +328,8 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         inputs = parse_inputs(cfg)
         # the first file written creates out_dir, so a rejected config leaves none
-        rc = COMMANDS[args.command](inputs, out_dir, max(1, args.threads))
+        pool = {"workers": max(1, args.threads)} if "threads" in args else {}
+        rc = COMMANDS[args.command](inputs, out_dir, **pool)
     except (DomainTooSmallError, arrival.NoDetectionError, ValueError) as exc:
         log.error("run rejected: %s", exc)
         return 2

@@ -42,6 +42,12 @@ class TwoVector:
     x: float
 
 
+def clock_start(x: float, preparation: TwoVector) -> float:
+    """Lab time t0 - |x - x0| at which a detector at rest at x starts its proper
+    time: the backward light cone of the preparation event (t0, x0)."""
+    return preparation.t - abs(x - preparation.x)
+
+
 def minkowski_norm_sq(d: TwoVector) -> float:
     """Minkowski interval t^2 - x^2 of a coordinate difference."""
     return d.t * d.t - d.x * d.x

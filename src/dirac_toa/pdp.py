@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import PlaneState, TwoVector, inner_product, minkowski_norm_sq
+from .core import PlaneState, TwoVector, clock_start, inner_product, minkowski_norm_sq
 from .detector import WindowDetector, lambda_field
 from .propagator import EvolutionConfig, check_run_inputs, integrate
 
@@ -118,8 +118,7 @@ class DetectorChannel:
 
     @classmethod
     def at_rest(cls, spec: WindowDetector, preparation: TwoVector) -> "DetectorChannel":
-        t_start = preparation.t - abs(spec.position - preparation.x)
-        return cls(spec=spec, t_start=t_start)
+        return cls(spec=spec, t_start=clock_start(spec.position, preparation))
 
     def point_at(self, tau: float) -> TwoVector:
         return TwoVector(t=tau + self.t_start, x=self.spec.position)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrival import ArrivalDensity
+from .core import clock_start
 from .propagator import TAIL_MAX
 from .wavepacket import MIN_NODES, PacketSpec, energy, lab_components
 
@@ -119,10 +120,10 @@ def transmitted_amplitude(
 ) -> np.ndarray:
     """First component of the transmitted field at the detector site,
     Omega_1(tau, 0): the free packet's component 1 at the lab point
-    (t0 + x0 + tau, 0), each momentum weighted by its transmission amplitude,
-    t_particle on branch A and t_anti on branch B.  Raises ValueError where a
-    family's transmission denominator is <= 0 on its own nodes (on branch A
-    only at kappa > 0: t_particle = 1 at kappa = 0)."""
+    (core.clock_start(0, (t0, x0)) + tau, 0), each momentum weighted by its
+    transmission amplitude, t_particle on branch A and t_anti on branch B.
+    Raises ValueError where a family's transmission denominator is <= 0 on
+    its own nodes (on branch A only at kappa > 0: t_particle = 1 at kappa = 0)."""
 
     def transmission(p, sign):
         plus = sign > 0
@@ -136,8 +137,8 @@ def transmitted_amplitude(
         t[~plus] = _solve_anti(p[~plus], kappa)[0]
         return t
 
-    amp = lab_components(spec, spec.t0 + spec.x0 + np.asarray(tau, dtype=float), 0.0,
-                         n_nodes=n_nodes, momentum_filter=transmission)[0]
+    t = clock_start(0.0, spec.preparation) + np.asarray(tau, dtype=float)
+    amp = lab_components(spec, t, 0.0, n_nodes=n_nodes, momentum_filter=transmission)[0]
     return complex(amp) if amp.ndim == 0 else amp
 
 
@@ -161,4 +162,5 @@ def arrival_density_point(
         raise ValueError("transit density vanishes on this tau grid")
     if raw[-1] > TAIL_MAX * raw.max():
         log.warning("point-detector density tail has not decayed at the grid end")
-    return ArrivalDensity(tau=tau_grid, P=raw / total, P_inf=kappa * float(total), x0=spec.x0)
+    return ArrivalDensity(tau=tau_grid, P=raw / total, P_inf=kappa * float(total),
+                          t_start=clock_start(0.0, spec.preparation))

@@ -11,7 +11,7 @@ from typing import Collection, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import arrival, pdp
-from .core import CHI, TwoVector
+from .core import CHI, clock_start
 from .detector import WindowDetector, lambda_field
 from .propagator import EvolutionConfig, EvolutionRecord, evolve
 from .wavepacket import BAND_SIGMAS, PacketSpec, lab_components, sample_packet
@@ -30,17 +30,10 @@ class ArrivalRunResult:
     neg_mass: float
 
 
-def detector_frame_offset(spec: PacketSpec, detector_position: float = 0.0) -> float:
-    """Lab time of the detector trajectory at proper time zero (light-cone
-    start from the preparation event)."""
-    return spec.t0 - abs(detector_position - spec.x0)
-
-
 def prepare_omega(spec: PacketSpec, cfg: EvolutionConfig, detector_position: float = 0.0):
     """Initial lattice field in the detector frame: the free wave function
-    evaluated at the trajectory start time."""
-    t_start = detector_frame_offset(spec, detector_position)
-    return sample_packet(spec, cfg.grid(), t_start)
+    evaluated at the lab time the detector's proper time starts."""
+    return sample_packet(spec, cfg.grid(), clock_start(detector_position, spec.preparation))
 
 
 def arrival_run(spec: PacketSpec, det: WindowDetector, cfg: EvolutionConfig) -> ArrivalRunResult:
@@ -48,8 +41,7 @@ def arrival_run(spec: PacketSpec, det: WindowDetector, cfg: EvolutionConfig) -> 
     detection record to arrival-time observables."""
     initial = prepare_omega(spec, cfg, det.position)
     rec = evolve(initial, det, cfg)
-    shift = detector_frame_offset(spec, det.position)
-    dens = arrival.normalize_density(rec, shift)
+    dens = arrival.normalize_density(rec, clock_start(det.position, spec.preparation))
     lab = arrival.lab_density(dens)
     return ArrivalRunResult(
         p0=spec.p0,
@@ -58,7 +50,7 @@ def arrival_run(spec: PacketSpec, det: WindowDetector, cfg: EvolutionConfig) -> 
         lab=lab,
         T=arrival.expected_time(dens),
         P_inf=dens.P_inf,
-        neg_mass=arrival.negative_time_mass(lab),
+        neg_mass=arrival.negative_time_mass(lab, spec.t0),
     )
 
 
@@ -82,9 +74,6 @@ def auto_tau_max(spec: PacketSpec, detector_position: float = 0.0) -> float:
     return dist + arrival.mechanics_time(spec.p0, dist) + TAIL_MARGIN
 
 
-ORACLE_ROWS = 1024  # record times per field evaluation in free_arrival
-
-
 def free_arrival(spec: PacketSpec, det: WindowDetector, cfg: EvolutionConfig,
                  tau: np.ndarray) -> tuple[float, float, float]:
     """(T0, P_inf0, neg_mass0): the free packet's arrival time, detection
@@ -92,19 +81,16 @@ def free_arrival(spec: PacketSpec, det: WindowDetector, cfg: EvolutionConfig,
     times tau, from d0(tau) = sum_window Lambda(x) |psi_1|^2 (tau + t_start, x) dx
     with the exact free field, reduced as arrival_run reduces d(tau).  Lambda
     also weighs |psi_2|^2, but packets from ``wavepacket`` have components 2
-    and 3 zero.  The field is evaluated ORACLE_ROWS record times at a time."""
+    and 3 zero."""
     grid = cfg.grid()
     rate = lambda_field(det, grid)
     window = np.flatnonzero(rate)
-    t_start = detector_frame_offset(spec, det.position)
-    d0 = np.empty(len(tau))
-    for lo in range(0, len(tau), ORACLE_ROWS):
-        rows = slice(lo, lo + ORACLE_ROWS)
-        psi1 = lab_components(spec, (tau[rows] + t_start)[:, None], grid.positions[window][None, :])[0]
-        d0[rows] = np.abs(psi1) ** 2 @ rate[window] * grid.dx
+    t_start = clock_start(det.position, spec.preparation)
+    psi1 = lab_components(spec, (tau + t_start)[:, None], grid.positions[window][None, :])[0]
+    d0 = np.abs(psi1) ** 2 @ rate[window] * grid.dx
     p_inf0 = float(np.trapezoid(d0, tau))
-    density = arrival.ArrivalDensity(tau, d0 / p_inf0, p_inf0, x0=t_start)
-    neg_mass0 = arrival.negative_time_mass(arrival.lab_density(density))
+    density = arrival.ArrivalDensity(tau, d0 / p_inf0, p_inf0, t_start)
+    neg_mass0 = arrival.negative_time_mass(arrival.lab_density(density), spec.t0)
     return arrival.expected_time(density), p_inf0, neg_mass0
 
 
@@ -126,7 +112,7 @@ def _scan_one(args):
         "T": run.T,
         "error": abs(run.T - t0),
         "T0": t0,
-        "t_rm": arrival.mechanics_time(spec.p0, abs(det.position - spec.x0)),
+        "t_rm": spec.t0 + arrival.mechanics_time(spec.p0, abs(det.position - spec.x0)),
         "P_inf": run.P_inf,
         "P_inf0": p_inf0,
         "neg_mass": run.neg_mass,
@@ -144,7 +130,7 @@ def momentum_scan(
     if workers > 1:
         import concurrent.futures as cf
 
-        with cf.ProcessPoolExecutor(max_workers=workers) as pool:
+        with cf.ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             return list(pool.map(_scan_one, jobs))
     return [_scan_one(j) for j in jobs]
 
@@ -233,10 +219,9 @@ def pdp_study(
     deterministic proper-time density via the Kolmogorov-Smirnov statistic.
     A bad sampling request is rejected before the deterministic integration."""
     pdp.check_sampling_request(n_trajectories, seed)
-    prep = TwoVector(spec.t0, spec.x0)
-    channel = pdp.DetectorChannel.at_rest(det, prep)
+    channel = pdp.DetectorChannel.at_rest(det, spec.preparation)
     initial = prepare_omega(spec, cfg, det.position)
-    process = pdp.JumpProcess(initial, [channel], cfg, preparation=prep)
+    process = pdp.JumpProcess(initial, [channel], cfg, preparation=spec.preparation)
     records = process.sample_many(n_trajectories, seed)
 
     taus = records.tau_detect[records.detected]

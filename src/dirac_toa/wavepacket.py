@@ -82,6 +82,10 @@ class PacketSpec:
         """Momentum-space standard deviation of |A|^2, in mc."""
         return 1.0 / (2.0 * self.eta * CHI)
 
+    @property
+    def preparation(self) -> TwoVector:
+        return TwoVector(self.t0, self.x0)
+
 
 def energy(p):
     """Relativistic energy sqrt(p^2 + 1) in mc^2 for momentum p in mc."""

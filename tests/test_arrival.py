@@ -31,17 +31,17 @@ def _record(tau, d):
     )
 
 
-def _gaussian_density(center=2.0, width=0.2, x0=-1.0, lo=0.0, hi=6.0, n=2001):
+def _gaussian_density(center=2.0, width=0.2, t_start=-1.0, lo=0.0, hi=6.0, n=2001):
     tau = np.linspace(lo, hi, n)
     p = np.exp(-((tau - center) ** 2) / (2 * width**2))
     p /= np.trapezoid(p, tau)
-    return ArrivalDensity(tau=tau, P=p, P_inf=0.5, x0=x0)
+    return ArrivalDensity(tau=tau, P=p, P_inf=0.5, t_start=t_start)
 
 
 def test_normalize_density_constant_block():
     tau = np.linspace(0, 2, 4001)
     d = np.where(tau <= 1.0, 0.25, 0.0)
-    dens = normalize_density(_record(tau, d), x0=-1.0)
+    dens = normalize_density(_record(tau, d), t_start=-1.0)
     assert dens.P_inf == pytest.approx(0.25, rel=1e-3)
     inside = tau < 0.99
     np.testing.assert_allclose(dens.P[inside], 1.0, rtol=1e-3)
@@ -50,8 +50,8 @@ def test_normalize_density_constant_block():
 def test_normalize_density_scale_invariance():
     tau = np.linspace(0, 3, 1500)
     d = 0.1 * np.exp(-((tau - 1.5) ** 2) / 0.02)
-    d1 = normalize_density(_record(tau, d), x0=0.0)
-    d5 = normalize_density(_record(tau, 5 * d), x0=0.0)
+    d1 = normalize_density(_record(tau, d), t_start=0.0)
+    d5 = normalize_density(_record(tau, 5 * d), t_start=0.0)
     np.testing.assert_allclose(d5.P, d1.P)
     assert d5.P_inf == pytest.approx(5 * d1.P_inf)
 
@@ -59,41 +59,41 @@ def test_normalize_density_scale_invariance():
 def test_normalize_density_no_detection():
     tau = np.linspace(0, 1, 100)
     with pytest.raises(NoDetectionError):
-        normalize_density(_record(tau, np.zeros_like(tau)), x0=0.0)
+        normalize_density(_record(tau, np.zeros_like(tau)), t_start=0.0)
 
 
 def test_density_validation():
     tau = np.linspace(0, 1, 101)
     with pytest.raises(ValueError):
-        ArrivalDensity(tau=tau, P=np.full_like(tau, 2.0), P_inf=0.5, x0=0.0)
+        ArrivalDensity(tau=tau, P=np.full_like(tau, 2.0), P_inf=0.5, t_start=0.0)
     bad = np.full_like(tau, 1.0)
     with pytest.raises(ValueError):
-        ArrivalDensity(tau=tau, P=bad, P_inf=1.5, x0=0.0)
+        ArrivalDensity(tau=tau, P=bad, P_inf=1.5, t_start=0.0)
 
 
 def test_lab_density_shift():
-    dens = _gaussian_density(center=5.0 / 3.0 + 1.0, x0=-1.0)
+    dens = _gaussian_density(center=5.0 / 3.0 + 1.0, t_start=-1.0)
     lab = lab_density(dens)
     assert lab.mode() == pytest.approx(dens.mode() - 1.0)
     assert lab.mode() == pytest.approx(5.0 / 3.0, abs=1e-2)
     # proper times below the light-cone delay map to negative lab times
     assert np.all((dens.tau < 1.0) == (lab.t < 0.0))
-    # x0 = 0 is the identity
-    dens0 = _gaussian_density(x0=0.0)
+    # t_start = 0 is the identity
+    dens0 = _gaussian_density(t_start=0.0)
     np.testing.assert_array_equal(lab_density(dens0).t, dens0.tau)
 
 
 def test_expected_time_examples():
-    # sharply peaked at tau = 2 with x0 = -1
-    dens = _gaussian_density(center=2.0, width=0.01, x0=-1.0)
+    # sharply peaked at tau = 2 with t_start = -1
+    dens = _gaussian_density(center=2.0, width=0.01, t_start=-1.0)
     assert expected_time(dens) == pytest.approx(1.0, abs=1e-6)
-    # symmetric about tau = 1.6667 with x0 = 0
-    sym = _gaussian_density(center=1.6667, width=0.2, x0=0.0)
+    # symmetric about tau = 1.6667 with t_start = 0
+    sym = _gaussian_density(center=1.6667, width=0.2, t_start=0.0)
     assert expected_time(sym) == pytest.approx(1.6667, abs=1e-9)
 
 
 def test_boost_density_examples():
-    dens = _gaussian_density(center=2.6667, x0=-1.0)
+    dens = _gaussian_density(center=2.6667, t_start=-1.0)
     lab = lab_density(dens)
     b = boost_density(lab, 0.5)
     gamma = 1.0 / np.sqrt(0.75)
@@ -127,7 +127,7 @@ def test_boost_expectation_examples():
 
 
 def test_boost_transform_identity():
-    dens = _gaussian_density(center=2.1, width=0.15, x0=-1.0)
+    dens = _gaussian_density(center=2.1, width=0.15, t_start=-1.0)
     lab = lab_density(dens)
     t_lab = expected_time(dens)
     for v in (0.5, 0.9):

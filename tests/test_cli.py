@@ -103,6 +103,54 @@ def test_frames_command_v0_matches_lab(tmp_path):
     np.testing.assert_allclose(b5["t"], lab["t"] / np.sqrt(0.75))
 
 
+@pytest.mark.parametrize("v", [0.5, 0.9])
+def test_frames_boost_the_detection_event_at_the_detector(v, tmp_path):
+    """frames boosts the lab event (T, x_d) of a detector at x_d: the written
+    T is gamma (T_lab - v x_d), and it is the mean of the boosted density
+    written with it (criterion 07's identity).  With the detector at x_d =
+    0.3 the command boosted (T, 0) and wrote T = 1.6401 at v = 0.5, where
+    gamma (T_lab - v x_d) = 1.4669."""
+    cfg = tmp_path / "frames.cfg"
+    write_manifest(cfg, {"run": {"command": "frames"}, "detector": {"position": 0.3},
+                         "lattice": {"x_hi": 2.5}, "scan": {"v_values": f"0 {v}"}})
+    out = tmp_path / "res"
+    assert main(["frames", "--preset", "fig10-desk", "--config", str(cfg), "--out", str(out)]) == 0
+    t_lab = float(read_csv(out / "frames_v0.csv")[0]["T"])
+    meta, cols = read_csv(out / f"frames_v{v:g}.csv")
+    t_boosted = float(meta["T"])
+    assert t_boosted == pytest.approx((t_lab - v * 0.3) / np.sqrt(1 - v * v), rel=1e-12)
+    mean = np.trapezoid(cols["t"] * cols["p"], cols["t"]) / np.trapezoid(cols["p"], cols["t"])
+    assert abs(t_boosted - mean) < 1e-10
+
+
+@pytest.mark.parametrize("command, preset, scan, name, moved, fixed", [
+    ("density", "fig4-desk", {"p0_values": "2"}, "density_p2.csv", ["T"], ["P_inf", "neg_mass"]),
+    ("arrival-scan", "fig2-desk", {"p0_values": "1"}, "arrival_scan.csv", ["T", "T0", "t_rm"],
+     ["P_inf", "P_inf0", "neg_mass", "neg_mass0"]),
+    ("frames", "fig10-desk", {"v_values": "0"}, "frames_v0.csv", ["T"], []),
+    ("point", "fig5-desk", {"p0_values": "2", "kappa_values": "1"}, "point_p2_kappa1.csv",
+     ["T"], []),
+], ids=["density", "arrival-scan", "frames", "point"])
+def test_outputs_are_covariant_under_a_shift_of_the_preparation_time(command, preset, scan, name,
+                                                                      moved, fixed, tmp_path):
+    """Preparing the packet 0.5 A/c later moves every arrival time a command
+    writes by 0.5 and no probability.  point used to write T =
+    1.0752063156719553 at both t0, t_rm was the flight time, and neg_mass
+    counted arrivals before lab time 0 rather than before t0."""
+    values = []
+    for t0 in (0.0, 0.5):
+        cfg, out = tmp_path / f"t{t0}.cfg", tmp_path / f"t{t0}"
+        write_manifest(cfg, {"run": {"command": command}, "packet": {"t0": t0}, "scan": scan})
+        assert main([command, "--preset", preset, "--config", str(cfg), "--out", str(out)]) == 0
+        meta, cols = read_csv(out / name)
+        values.append({k: float(v) for k, v in meta.items()} | {k: c[0] for k, c in cols.items()})
+    before, after = values
+    for key in moved:
+        assert after[key] - before[key] == pytest.approx(0.5, abs=1e-9), key
+    for key in fixed:
+        assert after[key] == pytest.approx(before[key], rel=1e-9), key
+
+
 def test_point_command(tmp_path):
     out = tmp_path / "res"
     assert main(["point", "--preset", "fig5-desk", "--out", str(out)]) == 0
@@ -185,6 +233,13 @@ def test_scan_worker_pool_matches_serial(tmp_path):
     assert main(["arrival-scan", "--config", str(cfg), "--out", str(out2),
                  "--threads", "2"]) == 0
     assert (out1 / "arrival_scan.csv").read_bytes() == (out2 / "arrival_scan.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["initial-state", "density", "frames", "point", "pdp"])
+def test_only_the_scan_takes_a_worker_pool(command):
+    """--threads sizes arrival-scan's worker pool; no other command has one."""
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, "--threads", "2"])
 
 
 def test_rejected_run_exits_nonzero(tmp_path):
@@ -563,6 +618,8 @@ def test_unknown_key_or_section_is_rejected(command, section, key, named, tmp_pa
     ("point", "scan", {"kappa_values": "1 -0.5"}, "kappa_values"),
     ("frames", "scan", {"v_values": "0 1.2"}, "v_values"),
     ("frames", "scan", {"v_values": "-1"}, "v_values"),
+    # entries that would write one output file, named by their :g tag
+    ("point", "scan", {"p0_values": "0.75 0.7500001"}, "p0_values"),
 ])
 def test_values_no_run_can_use_are_rejected_before_anything_runs(command, section, values, key,
                                                                  tmp_path, caplog):

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -84,3 +86,28 @@ def test_momentum_scan_runs_one_lattice_per_momentum(monkeypatch):
     assert len(calls) == len(runs)
     assert [row["p0"] for row in rows] == [0.75, 1.0]
     assert all(row["error"] == abs(row["T"] - row["T0"]) for row in rows)
+
+
+def test_scan_pool_is_no_larger_than_the_scan(monkeypatch):
+    """Under the fork start method (Linux's default) a ProcessPoolExecutor
+    starts all of its max_workers processes at once, so a --threads far
+    above a scan's momenta would start that many idle processes.  The
+    pool holds at most one worker per run."""
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return []
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    momentum_scan(WindowDetector(), [(PacketSpec(), None)] * 3, workers=100000)
+    assert sizes == [3]

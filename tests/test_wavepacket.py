@@ -10,7 +10,6 @@ from dirac_toa import wavepacket
 from dirac_toa.core import CHI, TwoVector, UniformGrid, inner_product
 from dirac_toa.detector import WindowDetector, lambda_field
 from dirac_toa.point_analytic import arrival_density_point
-from dirac_toa.studies import ORACLE_ROWS
 from dirac_toa.wavepacket import (
     MIN_NODES,
     N_NODES,
@@ -333,8 +332,8 @@ _TS = np.arange(-1.0, 2.0 + 1e-12, 0.05)  # the CLI default initial-state grid
 _XS = np.arange(-3.0, 1.0 + 1e-12, 0.02)
 _DESK = UniformGrid.from_domain(-4.0, 2.0, 0.002)
 _FIG5_TAUS = np.arange(0.0, 5.0 + 1e-12, 0.002)
-# one free_arrival block: ORACLE_ROWS record times x the fig2-desk window sites
-_ORACLE_TAUS = -1.0 + 0.002 * np.arange(ORACLE_ROWS)
+# free_arrival on 2000 record times x the fig2-desk window sites, in one call
+_ORACLE_TAUS = -1.0 + 0.002 * np.arange(2000)
 _ORACLE_SITES = _DESK.positions[np.flatnonzero(lambda_field(WindowDetector(edge=0.004), _DESK))]
 # A sum holds at most three budgets of complex entries at once (6 MB): the
 # weighted b table (one budget), the phase tables of a block of each side

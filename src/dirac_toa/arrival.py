@@ -9,8 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagator import EvolutionRecord
-
 
 class NoDetectionError(RuntimeError):
     """Raised when a run produced zero total detection probability."""
@@ -55,17 +53,12 @@ class LabDensity:
         return float(self.t[np.argmax(self.p)])
 
 
-def normalize_density(rec: EvolutionRecord, t_start: float) -> ArrivalDensity:
-    """P_inf = integral of d(tau); P(tau) = d(tau)/P_inf."""
-    p_inf = rec.total_detection_probability
+def normalize_density(tau: np.ndarray, d: np.ndarray, t_start: float) -> ArrivalDensity:
+    """P_inf = integral of the detection density d(tau) (trapezoid); P(tau) = d(tau)/P_inf."""
+    p_inf = float(np.trapezoid(d, tau))
     if p_inf <= 0.0:
         raise NoDetectionError("total detection probability is zero")
-    return ArrivalDensity(
-        tau=rec.tau_samples.copy(),
-        P=rec.detection_density / p_inf,
-        P_inf=p_inf,
-        t_start=t_start,
-    )
+    return ArrivalDensity(tau, d / p_inf, p_inf, t_start)
 
 
 def lab_density(density: ArrivalDensity) -> LabDensity:

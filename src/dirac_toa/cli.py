@@ -328,7 +328,9 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         inputs = parse_inputs(cfg)
         # the first file written creates out_dir, so a rejected config leaves none
-        pool = {"workers": max(1, args.threads)} if "threads" in args else {}
+        pool = {"workers": args.threads} if "threads" in args else {}
+        if pool and args.threads < 1:
+            raise ValueError(f"--threads {args.threads} must be at least 1")
         rc = COMMANDS[args.command](inputs, out_dir, **pool)
     except (DomainTooSmallError, arrival.NoDetectionError, ValueError) as exc:
         log.error("run rejected: %s", exc)

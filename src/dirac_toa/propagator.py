@@ -18,7 +18,8 @@ domain, is zeroed once per outer step.  The record has one row per site
 step: between transforms, the state on the absorber window at site step j
 is read straight from the outer step's Fourier amplitudes, as the upper
 entries of M^j applied to them (M the one-site free-step matrix of each
-mode) transformed back on the window's sites only.
+mode) transformed back on the window's sites only; every power of M inside
+an outer step comes from its recurrence (_upper_powers).
 
 The transforms are numpy.fft's (pocketfft).  No factor of the step mixes
 the two pairs (the absorber damps components 1 and 2, the upper entries),
@@ -158,10 +159,6 @@ class EvolutionRecord:
         """Whether the detection density has decayed below TAIL_MAX of its peak."""
         return self.tail_ratio < TAIL_MAX
 
-    @property
-    def total_detection_probability(self) -> float:
-        return float(np.trapezoid(self.detection_density, self.tau_samples))
-
 
 @lru_cache(maxsize=16)
 def _rotation(n: int, dx: float, dtau: float, chi: float):
@@ -177,9 +174,9 @@ def _rotation(n: int, dx: float, dtau: float, chi: float):
     return angle, axis
 
 
-def _step_matrix(angle: np.ndarray, axis: np.ndarray, j=1) -> np.ndarray:
+def _step_matrix(angle: np.ndarray, axis: np.ndarray, j: int = 1) -> np.ndarray:
     """M^j per mode for the rotation (angle, axis) of _rotation: the
-    rotation by j angle, shape (2, 2) + broadcast(j, angle).shape."""
+    rotation by j angle, shape (2, 2, n)."""
     cos, sin = np.cos(j * angle), np.sin(j * angle)
     return np.array([[cos - 1j * sin * axis[1], -1j * sin * axis[0]],
                      [-1j * sin * axis[0], cos + 1j * sin * axis[1]]])
@@ -200,10 +197,10 @@ def _from_pairs(stack: np.ndarray, pairs: Sequence[tuple[int, int]]) -> np.ndarr
 def _upper_powers(m: np.ndarray, upper: np.ndarray, lower: np.ndarray,
                   out: np.ndarray) -> np.ndarray:
     """Upper entries of M^j (upper, lower) for j = 1 .. len(out), into out
-    ((J, n)), for a one-site free-step matrix M from _step_matrix and the
-    Fourier amplitudes (upper, lower) of a pair.  M is a rotation, of unit
-    determinant, so M^(j+1) = tr(M) M^j - M^(j-1) (Cayley-Hamilton): each
-    row follows from the two before it, starting from upper itself."""
+    ((J, ..., n)), for a one-site free-step matrix M from _step_matrix and
+    the Fourier amplitudes (upper, lower) ((..., n)) of one or more pairs.
+    M is a rotation, of unit determinant, so M^(j+1) = tr(M) M^j - M^(j-1)
+    (Cayley-Hamilton): each row follows from the two before it."""
     np.multiply(m[0, 0], upper, out=out[0])
     out[0] += m[0, 1] * lower
     trace = m[0, 0] + m[1, 1]
@@ -232,26 +229,38 @@ def _window_phases(n: int, window: slice):
     return inner, outer
 
 
-def _feedback(columns: np.ndarray, window: slice, c: np.ndarray) -> np.ndarray:
+def _power_sum(m: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """sum_j M^(J - j) (e_j, 0) over j < J ((P, 2, n)) for a one-site free-step
+    matrix M from _step_matrix and e ((P, J, n)), as Clenshaw's sum on the
+    recurrence of _upper_powers, in place of e: b_j = e_j + tr(M) b_(j-1) -
+    b_(j-2) from b_(-1) = b_(-2) = 0, and the sum is M (b_(J-1), 0) - (b_(J-2), 0)."""
+    trace = m[0, 0] + m[1, 1]
+    for j in range(1, e.shape[1]):
+        e[:, j] += trace * e[:, j - 1]
+        e[:, j] -= e[:, j - 2] if j > 1 else 0.0
+    fed = m[:, 0] * e[:, -1, None]
+    fed[:, 0] -= e[:, -2] if e.shape[1] > 1 else 0.0
+    return fed
+
+
+def _feedback(m: np.ndarray, n_inner: int, c: np.ndarray) -> np.ndarray:
     """K for outer steps of up to n_inner + 1 site steps against the
-    one-site absorber on a window of w sites, from the first columns
-    ((2, n_inner, n)) of M^j, j = 1 .. n_inner, for the one-site free-step
-    matrix M.
+    one-site absorber on a window of w sites, for the one-site free-step
+    matrix M from _step_matrix.
 
     Between site steps the absorber multiplies the upper entries u_j on the
     window by 1 + c, so u_j = u0_j + sum_(i<j) G_(j-i) (c u_i), with u0_j
-    the free read and G_j[s, t] = ifft((M^j)_00)[(s - t) mod n] the j-site
-    free step from window site t to window site s.  K = (I - L)^-1 for the
-    block lower-triangular L of those terms ((n_inner w, n_inner w)) maps
-    the stacked free reads to u; its leading j w rows and columns serve an
-    outer step of j + 1 site steps."""
-    n_inner, n, w = columns.shape[1], columns.shape[2], c.size
-    sites = np.arange(window.start, window.stop)
-    kernels = np.fft.ifft(columns[0], axis=-1)[:, (sites[:, None] - sites[None, :]) % n]
+    the free read and G_j[s, t] = ifft((M^j)_00)[(s - t) mod n] (by
+    _upper_powers) the j-site free step from window site t to window site s.
+    K = (I - L)^-1 for the block lower-triangular L of those terms
+    ((n_inner w, n_inner w)) maps the stacked free reads to u; its leading
+    j w rows and columns serve an outer step of j + 1 site steps."""
+    n, w = m.shape[-1], c.size
+    columns = _upper_powers(m, np.ones(n), np.zeros(n), np.empty((n_inner, n), dtype=complex))
+    kernels = np.fft.ifft(columns, axis=-1)[:, np.subtract.outer(range(w), range(w)) % n]
     lower = np.zeros((n_inner, w, n_inner, w), dtype=complex)
-    for j in range(1, n_inner):
-        for i in range(j):
-            lower[j, :, i] = kernels[j - i - 1] * c
+    j, i = np.tril_indices(n_inner, -1)
+    lower[j, :, i] = kernels[j - i - 1] * c
     return np.linalg.inv(np.eye(n_inner * w) - lower.reshape(n_inner * w, -1))
 
 
@@ -307,7 +316,7 @@ def integrate(
     shorter outer step, so it ends at n_steps*dtau.  Inside an outer step
     the upper entries of the state on the absorber window at site step j are
     read from the Fourier amplitudes f of A psi, as the upper entries of
-    M^j f (M^j the j-site free step) transformed back on the window only.
+    M^j f (_upper_powers, every pair at once) transformed to the window.
     s is STRIDE in two cases, and 1 otherwise:
 
     - a weak absorber (max(summed rate) * STRIDE * dtau <= WEAK_ABSORBER)
@@ -321,7 +330,7 @@ def integrate(
       so the reads fed back through _feedback's K are the one-site run's
       u_j, which give its rows and its S exactly, and the free step's
       amplitudes M^s f gain sum_j M^(s-j) (c u_j) transformed from the
-      window.
+      window (_power_sum).
 
     The state is stepped as a stack of the PAIRS that carry norm at the
     start.  Every factor of the step maps a pair into itself, so a pair that
@@ -351,14 +360,15 @@ def integrate(
     strips = np.r_[:WALL_SITES, grid.n - WALL_SITES:grid.n]
     # site steps read inside an outer step; a run without a detector reads none
     between = lengths.max(initial=1) - 1 if support.size else 0
+    live = [pair for pair in PAIRS if np.any(initial.values[list(pair)])]
+    stack = _to_pairs(initial.values, live)
     if between:
         one_site = _step_matrix(*rotation)
         inner, outer = _window_phases(grid.n, window)
-        powers = np.empty((between, grid.n), dtype=complex)
+        powers = np.empty((len(live), between, grid.n), dtype=complex)
         if not weak:
             damp = np.exp(-cfg.dtau * rate[window] / 4.0) ** 2  # A^2 on the window
-            columns = _step_matrix(*rotation, np.arange(1, between + 1)[:, None])[:, 0]
-            feedback = _feedback(columns, window, damp - 1.0)
+            feedback = _feedback(one_site, between, damp - 1.0)
             # the forward DFT from the window sites, split as _window_phases'
             to_outer, to_inner = outer.conj(), grid.n * inner.conj().T
 
@@ -366,9 +376,6 @@ def integrate(
     leak = np.zeros(n_steps + 1)
     chan_dens = np.zeros((len(rates), n_steps + 1))
     seen = np.zeros(w)  # upper-entry density on the window at the last record
-
-    live = [pair for pair in PAIRS if np.any(initial.values[list(pair)])]
-    stack = _to_pairs(initial.values, live)
 
     def record(r):
         # the detectors see only the upper entries, on the absorber window
@@ -381,11 +388,10 @@ def integrate(
         # rows r + 1 .. r + k - 1 from the amplitudes f of A psi; for a strong
         # absorber, returns what it adds to the amplitudes after the free step
         inside = slice(r + 1, r + k)
-        u = np.empty((len(f), k - 1, w), dtype=complex)  # window upper entries of M^j f
-        for i, (upper, lower) in enumerate(f):
-            moved = _upper_powers(one_site, upper, lower, powers[:k - 1])
-            v = (moved.reshape(-1, inner.shape[0]) @ inner).reshape(k - 1, *outer.shape)
-            u[i] = np.sum(v * outer, axis=1)  # the inverse DFT on the window
+        moved = powers[:, :k - 1]  # upper entries of M^j f, per pair
+        _upper_powers(one_site, f[:, 0], f[:, 1], moved.swapaxes(0, 1))
+        v = (moved.reshape(-1, inner.shape[0]) @ inner).reshape(*moved.shape[:2], *outer.shape)
+        u = np.sum(v * outer, axis=2)  # the inverse DFT on the window
         if not weak:
             n_in = (k - 1) * w
             u = (u.reshape(len(f), n_in) @ feedback[:n_in, :n_in].T).reshape(u.shape)
@@ -399,11 +405,7 @@ def integrate(
         surv[inside] = surv[r] - dx * np.cumsum(taken @ (1.0 - damp))
         # sum_j M^(k-j) (e_j, 0), e_j the DFT of (A^2 - 1) u_j from the window
         e = (((damp - 1.0) * u)[..., None, :] * to_outer).reshape(-1, w) @ to_inner
-        e = e.reshape(len(f), 1, k - 1, grid.n)
-        fed = columns[:, k - 2] * e[:, :, 0]
-        for j in range(1, k - 1):
-            fed += columns[:, k - 2 - j] * e[:, :, j]
-        return fed
+        return _power_sum(one_site, e.reshape(len(f), k - 1, grid.n))
 
     record(0)
     for r, k in zip(sites[:-1].tolist(), lengths.tolist()):

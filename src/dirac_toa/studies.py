@@ -39,9 +39,9 @@ def prepare_omega(spec: PacketSpec, cfg: EvolutionConfig, detector_position: flo
 def arrival_run(spec: PacketSpec, det: WindowDetector, cfg: EvolutionConfig) -> ArrivalRunResult:
     """Evolve the prepared packet against one window detector and reduce the
     detection record to arrival-time observables."""
-    initial = prepare_omega(spec, cfg, det.position)
-    rec = evolve(initial, det, cfg)
-    dens = arrival.normalize_density(rec, clock_start(det.position, spec.preparation))
+    rec = evolve(prepare_omega(spec, cfg, det.position), det, cfg)
+    dens = arrival.normalize_density(rec.tau_samples, rec.detection_density,
+                                     clock_start(det.position, spec.preparation))
     lab = arrival.lab_density(dens)
     return ArrivalRunResult(
         p0=spec.p0,
@@ -57,8 +57,14 @@ def arrival_run(spec: PacketSpec, det: WindowDetector, cfg: EvolutionConfig) -> 
 TAIL_MARGIN = 0.75  # proper time run past the classical arrival (A/c)
 
 
+def classical_arrival_tau(spec: PacketSpec, detector_position: float = 0.0) -> float:
+    """Proper time, on a detector at rest at x_d, of the classical arrival at lab time t_rm."""
+    t_rm = spec.t0 + arrival.mechanics_time(spec.p0, abs(detector_position - spec.x0))
+    return t_rm - clock_start(detector_position, spec.preparation)
+
+
 def auto_tau_max(spec: PacketSpec, detector_position: float = 0.0) -> float:
-    """Run length: light-cone delay + classical flight time + TAIL_MARGIN.
+    """Run length: the classical arrival's proper time + TAIL_MARGIN.
 
     The margin trades the decay of the detection-density tail against the
     backward-moving negative-energy branch reaching the left wall on small
@@ -70,8 +76,7 @@ def auto_tau_max(spec: PacketSpec, detector_position: float = 0.0) -> float:
     0.75), 1e-7 for 1 <= p0 < 2 (4.0e-8 at 1) and 1e-10 for p0 >= 2 (7.3e-12
     at 2).  Below p0 = 0.5 it is not measured.
     """
-    dist = abs(detector_position - spec.x0)
-    return dist + arrival.mechanics_time(spec.p0, dist) + TAIL_MARGIN
+    return classical_arrival_tau(spec, detector_position) + TAIL_MARGIN
 
 
 def free_arrival(spec: PacketSpec, det: WindowDetector, cfg: EvolutionConfig,
@@ -87,11 +92,9 @@ def free_arrival(spec: PacketSpec, det: WindowDetector, cfg: EvolutionConfig,
     window = np.flatnonzero(rate)
     t_start = clock_start(det.position, spec.preparation)
     psi1 = lab_components(spec, (tau + t_start)[:, None], grid.positions[window][None, :])[0]
-    d0 = np.abs(psi1) ** 2 @ rate[window] * grid.dx
-    p_inf0 = float(np.trapezoid(d0, tau))
-    density = arrival.ArrivalDensity(tau, d0 / p_inf0, p_inf0, t_start)
+    density = arrival.normalize_density(tau, np.abs(psi1) ** 2 @ rate[window] * grid.dx, t_start)
     neg_mass0 = arrival.negative_time_mass(arrival.lab_density(density), spec.t0)
-    return arrival.expected_time(density), p_inf0, neg_mass0
+    return arrival.expected_time(density), density.P_inf, neg_mass0
 
 
 def _scan_one(args):
@@ -160,7 +163,7 @@ def config_from_lattice(
     manifest strings.  The domain defaults to [-6, 4] A, dtau to half the
     detector edge and tau_max to auto_tau_max.  The packet's momentum band
     must lie below the lattice's Nyquist wavenumber pi/dx, and the run may
-    not end before the classical arrival (auto_tau_max without its margin)."""
+    not end before the classical arrival (classical_arrival_tau)."""
     kw = dict(lattice)
     # Transitional: the benchmark's configs still set n_substeps, which the
     # exact free step no longer has.  ROADMAP item 1's benchmark change drops
@@ -178,7 +181,7 @@ def config_from_lattice(
         raise ValueError(f"dtau = {kw['dtau']:g} aliases the packet's momenta up to {band:g} mc")
     kw.setdefault("tau_max", auto_tau_max(spec, det.position))
     cfg = EvolutionConfig(**kw)
-    if cfg.tau_max < (arrival_tau := auto_tau_max(spec, det.position) - TAIL_MARGIN):
+    if cfg.tau_max < (arrival_tau := classical_arrival_tau(spec, det.position)):
         raise ValueError(f"tau_max = {cfg.tau_max:g} ends the run before the packet arrives "
                          f"(classical arrival at tau = {arrival_tau:.4g})")
     return cfg

@@ -16,19 +16,6 @@ from dirac_toa.arrival import (
     negative_time_mass,
     normalize_density,
 )
-from dirac_toa.propagator import EvolutionRecord
-
-
-def _record(tau, d):
-    tau = np.asarray(tau, float)
-    d = np.asarray(d, float)
-    return EvolutionRecord(
-        tau_samples=tau,
-        detection_density=d,
-        survival=np.ones_like(tau),
-        boundary_leakage=np.zeros_like(tau),
-        final_state=None,
-    )
 
 
 def _gaussian_density(center=2.0, width=0.2, t_start=-1.0, lo=0.0, hi=6.0, n=2001):
@@ -41,7 +28,7 @@ def _gaussian_density(center=2.0, width=0.2, t_start=-1.0, lo=0.0, hi=6.0, n=200
 def test_normalize_density_constant_block():
     tau = np.linspace(0, 2, 4001)
     d = np.where(tau <= 1.0, 0.25, 0.0)
-    dens = normalize_density(_record(tau, d), t_start=-1.0)
+    dens = normalize_density(tau, d, t_start=-1.0)
     assert dens.P_inf == pytest.approx(0.25, rel=1e-3)
     inside = tau < 0.99
     np.testing.assert_allclose(dens.P[inside], 1.0, rtol=1e-3)
@@ -50,8 +37,8 @@ def test_normalize_density_constant_block():
 def test_normalize_density_scale_invariance():
     tau = np.linspace(0, 3, 1500)
     d = 0.1 * np.exp(-((tau - 1.5) ** 2) / 0.02)
-    d1 = normalize_density(_record(tau, d), t_start=0.0)
-    d5 = normalize_density(_record(tau, 5 * d), t_start=0.0)
+    d1 = normalize_density(tau, d, t_start=0.0)
+    d5 = normalize_density(tau, 5 * d, t_start=0.0)
     np.testing.assert_allclose(d5.P, d1.P)
     assert d5.P_inf == pytest.approx(5 * d1.P_inf)
 
@@ -59,7 +46,7 @@ def test_normalize_density_scale_invariance():
 def test_normalize_density_no_detection():
     tau = np.linspace(0, 1, 100)
     with pytest.raises(NoDetectionError):
-        normalize_density(_record(tau, np.zeros_like(tau)), t_start=0.0)
+        normalize_density(tau, np.zeros_like(tau), t_start=0.0)
 
 
 def test_density_validation():

@@ -447,12 +447,15 @@ def test_zero_height_detector_is_rejected_before_anything_runs(command, preset, 
 def test_unknown_preset_and_wrong_command(tmp_path, caplog):
     cfg = _tiny_scan_config(tmp_path)
     for args, message in [
-        (["--preset", "nope"], "unknown preset 'nope'"),
-        (["--preset", "fig2-desk"], "belongs to command 'arrival-scan'"),
-        (["--config", str(cfg)], "config file is for command 'arrival-scan'"),
+        (["density", "--preset", "nope"], "unknown preset 'nope'"),
+        (["density", "--preset", "fig2-desk"], "belongs to command 'arrival-scan'"),
+        (["density", "--config", str(cfg)], "config file is for command 'arrival-scan'"),
+        # a pool below one worker used to run serially and exit 0
+        (["arrival-scan", "--config", str(cfg), "--threads", "-3"], "--threads -3 must be at least 1"),
+        (["arrival-scan", "--config", str(cfg), "--threads", "0"], "--threads 0 must be at least 1"),
     ]:
         out = tmp_path / "out"
-        assert main(["density", *args, "--out", str(out)]) == 2
+        assert main([*args, "--out", str(out)]) == 2
         assert message in caplog.text
         assert not (out / "manifest.cfg").exists()
 

@@ -15,6 +15,7 @@ from dirac_toa.propagator import (
     EvolutionConfig,
     _from_pairs,
     _mix,
+    _power_sum,
     _rotation,
     _step_matrix,
     _to_pairs,
@@ -428,6 +429,23 @@ def test_strong_stride_survival_is_the_stepped_norm(populated, n, outer, j, seed
     assert np.abs(rec.channel_density[:, :r + 1] - stepped.channel_density).max() < 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(8, 400), k=st.integers(2, STRIDE), pairs=st.integers(1, 2),
+       seed=st.integers(0, 2**32 - 1))
+def test_feed_sum_is_the_closed_form_sum_of_powers(n, k, pairs, seed):
+    """What a strong absorber feeds into an outer step of k site steps,
+    _power_sum's Clenshaw sum on the recurrence of the powers of the
+    one-site step M, is sum_j M^(k-1-j) (e_j, 0) over j = 0 .. k - 2 with
+    each M^(k-1-j) from _step_matrix in closed form, for one or two pairs,
+    to 1e-12 of its largest entry."""
+    rng = np.random.default_rng(seed)
+    rotation = _rotation(n, 0.002, 0.002, CHI)
+    e = rng.normal(size=(pairs, k - 1, n)) + 1j * rng.normal(size=(pairs, k - 1, n))
+    want = sum(_step_matrix(*rotation, k - 1 - j)[:, 0] * e[:, j, None] for j in range(k - 1))
+    got = _power_sum(_step_matrix(*rotation), e.copy())
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_scan_error_does_not_depend_on_step_parity(monkeypatch):
     """fig2-desk at p0 = 0.5 has a step count STRIDE does not divide.  A
     strided run ends at n_steps * dtau like the one-site run and records the
@@ -588,7 +606,7 @@ def test_evolve_detection_peak_at_classical_arrival(run_p075):
     rec = run_p075.record
     mode = rec.tau_samples[np.argmax(rec.detection_density)]
     assert mode == pytest.approx(1.0 + 5.0 / 3.0, abs=0.03)
-    assert rec.total_detection_probability > 0
+    assert run_p075.P_inf > 0
     # the desk domain trades tail decay against the left wall; the residual
     # tail must still be tiny
     assert rec.detection_density[-1] < 5e-4 * rec.detection_density.max()

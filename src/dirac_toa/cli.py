@@ -287,7 +287,7 @@ def cmd_pdp(inputs: Inputs, out_dir: Path) -> int:
             "ks_statistic": np.array([result.ks_statistic]),
         },
         metadata={"p0": spec.p0, "seed": seed, "tail_ok": int(proc.tail_ok),
-                  "tail_ratio": proc.tail_ratio},
+                  "tail_ratio": proc.tail_ratio, "absorbed_residual": proc.absorbed_residual},
     )
     return 0
 

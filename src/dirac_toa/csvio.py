@@ -63,23 +63,23 @@ def write_csv(
 
 
 def read_csv(path: Path):
-    """Return (metadata dict, column dict of float arrays)."""
-    meta = {}
-    rows = []
-    names = None
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            key, _, val = line[1:].partition("=")
-            meta[key.strip()] = val.strip()
-            continue
-        if names is None:
-            names = [c.strip() for c in line.split(",")]
-            continue
-        rows.append([float(v) for v in line.split(",")])
-    data = np.asarray(rows, dtype=float) if rows else np.zeros((0, len(names or [])))
-    return meta, {n: data[:, j] for j, n in enumerate(names or [])}
+    """Return (metadata dict, column dict of float arrays).  The '# key =
+    value' lines before the header are the metadata; the rows after it are
+    parsed by numpy.loadtxt."""
+    meta, names = {}, []
+    with Path(path).open() as fh:
+        for line in fh:
+            if line.startswith("#"):
+                key, _, val = line[1:].partition("=")
+                meta[key.strip()] = val.strip()
+            elif line.strip():
+                names = [c.strip() for c in line.split(",")]
+                break
+        rows = fh.read().splitlines()
+    # loadtxt warns on input without rows
+    data = (np.loadtxt(rows, delimiter=",", ndmin=2) if any(map(str.strip, rows))
+            else np.zeros((0, len(names))))
+    return meta, {n: data[:, j] for j, n in enumerate(names)}
 
 
 def write_manifest(path: Path, sections: Mapping[str, Mapping[str, object]]) -> Path:

@@ -16,6 +16,7 @@ from .detector import WindowDetector, lambda_field
 from .propagator import EvolutionConfig, check_run_inputs, integrate
 
 ORTHO_TOL = 1e-10
+SAMPLE_BLOCK = 4096  # trajectories JumpProcess.sample_many draws and inverts at a time
 
 
 @dataclass
@@ -191,24 +192,24 @@ class JumpProcess:
 
     The non-Hermitian evolution is the same for every trajectory, so it is
     integrated once, by propagator.integrate, with a record row at every
-    site step; each trajectory then draws r uniform in [0, 1), inverts the
-    cumulative absorbed norm 1 - S(tau) at r (linear interpolation inside
-    the bracketing site step), picks the detecting channel with the
-    relative-rate probabilities at that moment, and terminates.  The absorbed
-    norm counts detector absorption only; trajectories with r > p_inf survive
-    to the end of the record or are lost at the domain walls, and end
-    undetected there.  A strong detector on a window of a few sites strides
-    like a weak one, with its absorber applied at every site step, so S is
-    exact at every row and the absorbed norm is the one-site run's but for
-    the wall strip's cadence (EvolutionRecord).
+    site step.  The record's channel_absorbed is the norm each channel has
+    taken by every row; their sum relative to S[0], absorbed, is the jump
+    time's CDF, sorted by construction, and p_inf its last value.  Each
+    trajectory draws r uniform in [0, 1), inverts absorbed at r (linear
+    interpolation inside the bracketing site step), picks the detecting
+    channel by that step's per-channel absorbed norm, and terminates.  Norm
+    lost at the domain walls is not absorbed: trajectories with r >= p_inf
+    survive to the end of the record or are lost there, and end undetected.
+    Against a strong detector the absorbed norm is exact at every row, the
+    one-site run's but for the wall strip's cadence (EvolutionRecord).
 
     sample_many(n, seed) draws every trajectory from one Philox stream keyed
     by the seed: trajectory i takes row i of random((n, 2)), which the
     stream fills in counter order, so trajectory i depends on the seed and i
-    alone, not on n or on the other trajectories.  It computes every
-    outcome at once and returns them as columns (DetectionRecords).
-    The record's tail_ratio (d(tau_max) / max d) and tail_ok are kept for the
-    callers to report: integrate, unlike evolve, does not check the tail.
+    alone, not on n or on the other trajectories.  It returns the outcomes
+    as columns (DetectionRecords).  The record's tail_ratio (d(tau_max) /
+    max d), tail_ok and absorbed_residual are kept for the callers to
+    report: integrate, unlike evolve, does not check the tail.
     """
 
     def __init__(
@@ -216,7 +217,7 @@ class JumpProcess:
         initial: PlaneState,
         channels: Sequence[DetectorChannel],
         cfg: EvolutionConfig,
-        preparation: TwoVector = TwoVector(0.0, -1.0),
+        preparation: TwoVector,
     ):
         if not channels:
             raise ValueError("need at least one channel")
@@ -236,43 +237,32 @@ class JumpProcess:
         self.tau = rec.tau_samples
         self.survival = rec.survival
         self.boundary_leakage = rec.boundary_leakage
-        self.channel_density = rec.channel_density
         self.detection_density = rec.detection_density
+        self.channel_absorbed = rec.channel_absorbed
         self.tail_ratio, self.tail_ok = rec.tail_ratio, rec.tail_ok
-        # norm lost to the walls is not a detection; the running maximum keeps
-        # the curve sorted for _outcomes' searchsorted where the transforms'
-        # roundoff in S (about 1e-16) exceeds what the detector absorbs in a row
-        absorbed = 1.0 - (rec.survival + rec.boundary_leakage) / rec.survival[0]
-        self.absorbed = np.maximum.accumulate(absorbed)
+        self.absorbed_residual = rec.absorbed_residual
+        self.absorbed = rec.channel_absorbed.sum(axis=0) / rec.survival[0]
         self.p_inf = float(self.absorbed[-1])
 
     def _outcomes(self, r: np.ndarray, u: np.ndarray) -> DetectionRecords:
         """Trajectories for uniform draws r (jump time) and u (channel).
 
-        r at or below p_inf is detected: the jump time inverts the absorbed
-        norm at r, linearly inside the bracketing step.  The channel is the
-        one that u selects from the relative channel densities at that time,
-        as Generator.choice selects with those probabilities; u of an
+        r below p_inf is detected.  Its jump time inverts absorbed at r,
+        linearly inside the bracketing step m, absorbed[m - 1] <= r <
+        absorbed[m], where absorbed rises.  Its channel is the one that u
+        selects from the channels' shares of the norm absorbed in step m, as
+        Generator.choice selects with those probabilities; u of an
         undetected trajectory is not read.
         """
         absorbed = self.absorbed
-        detected = r <= absorbed[-1]
-        m = np.searchsorted(absorbed, r)
-        hi = np.clip(m, 1, len(absorbed) - 1)
-        a0, gap = absorbed[hi - 1], absorbed[hi] - absorbed[hi - 1]
-        frac = np.divide(r - a0, gap, out=np.zeros(len(r)), where=gap != 0.0)
-        tau = np.where(m == 0, self.tau[0],
-                       self.tau[hi - 1] + frac * (self.tau[hi] - self.tau[hi - 1]))
-        tau = np.where(detected, tau, self.tau[-1])
-
-        dens = np.array([np.interp(tau, self.tau, d) for d in self.channel_density])
-        total = dens.sum(axis=0)
-        # where every channel density vanishes, no channel is preferred
-        probs = np.where(total > 0.0, dens / np.where(total > 0.0, total, 1.0),
-                         1.0 / len(self.channels))
-        cdf = np.cumsum(probs, axis=0)
-        cdf /= cdf[-1]
-        k = np.where(detected, np.count_nonzero(cdf <= u, axis=0), -1)
+        detected = r < self.p_inf
+        m = np.searchsorted(absorbed, r[detected], side="right")
+        frac = (r[detected] - absorbed[m - 1]) / (absorbed[m] - absorbed[m - 1])
+        tau = np.full(len(r), self.tau[-1])
+        tau[detected] = self.tau[m - 1] + frac * (self.tau[m] - self.tau[m - 1])
+        cdf = np.cumsum(self.channel_absorbed[:, m] - self.channel_absorbed[:, m - 1], axis=0)
+        k = np.full(len(r), -1)
+        k[detected] = np.count_nonzero(cdf / cdf[-1] <= u[detected], axis=0)
         t_start = np.array([ch.t_start for ch in self.channels])
         position = np.array([ch.spec.position for ch in self.channels])
         return DetectionRecords(
@@ -285,9 +275,18 @@ class JumpProcess:
         """n trajectories as columns: trajectory i takes row i (r_i, u_i) of
         Generator(Philox(key=seed)).random((n, 2)) for its jump time and its
         channel.  A Philox block holds two rows, so a shard that starts at an
-        even row i reproduces it from Philox(key=seed).advance(i // 2)."""
+        even row i reproduces it from Philox(key=seed).advance(i // 2).  The
+        rows are drawn and inverted SAMPLE_BLOCK at a time, into columns
+        allocated once: consecutive draws continue the stream bit for bit."""
         check_sampling_request(n, seed)
-        return self._outcomes(*np.random.Generator(np.random.Philox(key=seed)).random((n, 2)).T)
+        stream = np.random.Generator(np.random.Philox(key=seed))
+        out = DetectionRecords(np.empty(n, dtype=bool), np.empty(n), np.empty(n, dtype=np.intp),
+                               np.empty(n), np.empty(n))
+        for start in range(0, n, SAMPLE_BLOCK):
+            block = self._outcomes(*stream.random((min(SAMPLE_BLOCK, n - start), 2)).T)
+            for column, values in zip(vars(out).values(), vars(block).values()):
+                column[start:start + len(values)] = values
+        return out
 
     def events_for(self, record: DetectionRecord) -> list[EventRecord]:
         ev = [EventRecord(tau=0.0, point=self.preparation, label=0)]

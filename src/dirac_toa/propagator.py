@@ -36,7 +36,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -126,27 +126,31 @@ class EvolutionRecord:
     """Samples of one run at every site step, tau_samples = dtau * arange(
     n_steps + 1): detection density d(tau) = <Psi|Lambda Psi>, survival
     S(tau) = <Psi|Psi>, and cumulative wall leakage.  channel_density splits
-    d(tau) into one row per detection channel.
+    d(tau) into one row per detection channel.  channel_absorbed is the norm
+    each channel has absorbed by each row: the absorber half-stages' losses
+    dx sum_s (1 - A_s^2) |u_s|^2, split at each window site s by the
+    channel's share Lambda_c / Lambda of the rate, so no increment is
+    negative and S[0] - S - sum_c channel_absorbed_c - leakage is roundoff.
 
     In a strided run (see integrate) the leakage between the ends of an
-    outer step is that of the strip zeroed at the last end.  Against a weak
-    absorber the run computes S at the ends of its outer steps only; d(tau)
-    between the ends is the density of M^j A psi, and there the absorbed
-    norm 1 - S - leakage rises from its value at the start of the outer
-    step to its value at the end in proportion to the trapezoid of d(tau),
-    so its increments match the trapezoid to within the outer step's
-    absorber splitting (the budget (1 - S) - int d - leakage reads 3.4e-8
-    at most on the fig4-desk lattice).  Against a strong absorber S is
-    exact at every row (the one-site run's, but for the wall strip).
-    Either way 1 - S - leakage is the norm the detectors have absorbed at
-    each row, the curve that JumpProcess._outcomes inverts."""
+    outer step is that of the strip zeroed at the last end.  Against a
+    strong absorber every row is exact (the one-site run's, but for the
+    wall strip).  A weak one acts once per outer step; inside it each
+    channel's absorbed norm follows its trapezoid share, and S follows them."""
 
     tau_samples: np.ndarray
     detection_density: np.ndarray
     survival: np.ndarray
     boundary_leakage: np.ndarray
     final_state: PlaneState
-    channel_density: Optional[np.ndarray] = None
+    channel_density: np.ndarray
+    channel_absorbed: np.ndarray
+
+    @property
+    def absorbed_residual(self) -> float:
+        """max |S[0] - S - sum_c channel_absorbed_c - leakage| over the rows."""
+        gap = self.survival[0] - self.survival - self.channel_absorbed.sum(axis=0)
+        return float(np.abs(gap - self.boundary_leakage).max())
 
     @property
     def tail_ratio(self) -> float:
@@ -321,14 +325,15 @@ def integrate(
 
     - a weak absorber (max(summed rate) * STRIDE * dtau <= WEAK_ABSORBER)
       acts once per outer step of STRIDE site steps, as half-stages of length
-      s*dtau; the reads give the record rows inside the outer step, and S
-      there follows their trapezoid between its end values (EvolutionRecord);
+      s*dtau; the reads give the record rows inside the outer step, and the
+      absorbed norm and S there follow each channel's trapezoid share of the
+      half-stages' loss (EvolutionRecord);
     - a strong absorber on a window of at most NARROW_WINDOW sites acts at
       every site step, as the one-site run does, with half-stages of length
       dtau.  Between transforms it multiplies the window's upper entries
       u_j by A^2 = 1 + c at each site step j < s and touches nothing else,
       so the reads fed back through _feedback's K are the one-site run's
-      u_j, which give its rows and its S exactly, and the free step's
+      u_j, which give its rows, its absorbed norm and its S exactly, and the free step's
       amplitudes M^s f gain sum_j M^(s-j) (c u_j) transformed from the
       window (_power_sum).
 
@@ -349,14 +354,16 @@ def integrate(
     sites = np.r_[0:n_steps:s, n_steps]  # site steps reached at each outer step
     lengths = np.diff(sites)
     rotation = _rotation(grid.n, dx, cfg.dtau, CHI)
-    # per outer-step length: the free-step matrix, and the absorber
-    # half-stage's amplitude factor exp(-Lambda dtau_k / 4) on the window (the
-    # norm decays at rate Lambda); a strong absorber takes the one-site
-    # half-stage at every site step
-    stages = {k: (_step_matrix(*rotation, k),
-                  np.exp(-(k if weak else 1) * cfg.dtau * rate[window] / 4.0))
-              for k in set(lengths.tolist())}
     window_rows = rows[:, window]
+    shares = np.divide(window_rows, rate[window], out=np.zeros_like(window_rows),
+                       where=rate[window] > 0.0)  # Lambda_c / Lambda
+    # per outer-step length: the free-step matrix, the absorber half-stage's
+    # amplitude factor A = exp(-Lambda dtau_k / 4) on the window (the norm decays
+    # at rate Lambda; a strong absorber takes the one-site half-stage at every
+    # site step) and the norm dx (1 - A^2) Lambda_c / Lambda it takes to channel c
+    halves = {k: np.exp(-(k if weak else 1) * cfg.dtau * rate[window] / 4.0)
+              for k in set(lengths.tolist())}
+    stages = {k: (_step_matrix(*rotation, k), a, dx * (1.0 - a**2) * shares) for k, a in halves.items()}
     strips = np.r_[:WALL_SITES, grid.n - WALL_SITES:grid.n]
     # site steps read inside an outer step; a run without a detector reads none
     between = lengths.max(initial=1) - 1 if support.size else 0
@@ -375,6 +382,7 @@ def integrate(
     surv = np.empty(n_steps + 1)
     leak = np.zeros(n_steps + 1)
     chan_dens = np.zeros((len(rates), n_steps + 1))
+    absorbed = np.zeros((len(rates), n_steps + 1))
     seen = np.zeros(w)  # upper-entry density on the window at the last record
 
     def record(r):
@@ -384,7 +392,7 @@ def integrate(
         surv[r] = np.vdot(stack, stack).real * dx
         chan_dens[:, r] = window_rows @ seen * dx
 
-    def read_between(f, r, k):
+    def read_between(f, r, k, take):
         # rows r + 1 .. r + k - 1 from the amplitudes f of A psi; for a strong
         # absorber, returns what it adds to the amplitudes after the free step
         inside = slice(r + 1, r + k)
@@ -400,23 +408,27 @@ def integrate(
         chan_dens[:, inside] = window_rows @ dens.T * dx
         if weak:
             return None
-        # S falls by (1 - A^2) times the window density at both half-stages
-        taken = np.concatenate([seen[None], dens[:-1]]) + arriving
-        surv[inside] = surv[r] - dx * np.cumsum(taken @ (1.0 - damp))
+        # each row's two half-stages damp the density before and after its free step
+        rise = np.cumsum(take @ (np.concatenate([seen[None], dens[:-1]]) + arriving).T, axis=1)
+        absorbed[:, inside] = absorbed[:, r, None] + rise
+        surv[inside] = surv[r] - rise.sum(axis=0)
+        seen[:] = dens[-1]
         # sum_j M^(k-j) (e_j, 0), e_j the DFT of (A^2 - 1) u_j from the window
         e = (((damp - 1.0) * u)[..., None, :] * to_outer).reshape(-1, w) @ to_inner
         return _power_sum(one_site, e.reshape(len(f), k - 1, grid.n))
 
     record(0)
     for r, k in zip(sites[:-1].tolist(), lengths.tolist()):
-        free, half = stages[k]
+        free, half, take = stages[k]
         stack[:, 0, window] *= half  # the detectors damp the upper entries
         f = np.fft.fft(stack, axis=-1)
-        fed = read_between(f, r, k) if between and k > 1 else None
+        fed = read_between(f, r, k, take) if between and k > 1 else None
         f = _mix(f, free)
         if fed is not None:
             f += fed
         stack = np.fft.ifft(f, axis=-1)
+        # what the last row's half-stages take (the whole outer step's, if weak)
+        step = take @ (seen + np.sum(np.abs(stack[:, 0, window]) ** 2, axis=0))
         stack[:, 0, window] *= half
         lost = np.sum(np.abs(stack[..., strips]) ** 2) * dx
         leak[r + 1:r + k] = leak[r]  # the strip is zeroed at the outer step's end
@@ -424,13 +436,14 @@ def integrate(
         if lost:
             stack[..., strips] = 0.0
         record(r + k)
-        if weak and k > 1:
-            # S inside: the norm the absorber took in the outer step, split
-            # over its site steps as the trapezoid of the recorded density
-            d = chan_dens[:, r:r + k + 1].sum(axis=0)
-            cum = np.cumsum(d[1:] + d[:-1])
-            share = cum[:-1] / cum[-1] if cum[-1] > 0.0 else 0.0
-            surv[r + 1:r + k] = surv[r] - (surv[r] - surv[r + k] - lost) * share
+        if weak:
+            # the rows inside follow each channel's trapezoid share
+            cum = np.cumsum(chan_dens[:, r + 1:r + k + 1] + chan_dens[:, r:r + k], axis=1)
+            rise = step[:, None] * (cum / np.maximum(cum[:, -1:], np.finfo(float).tiny))
+            absorbed[:, r + 1:r + k + 1] = absorbed[:, r, None] + rise
+            surv[r + 1:r + k] = surv[r] - rise[:, :-1].sum(axis=0)
+        else:
+            absorbed[:, r + k] = absorbed[:, r + k - 1] + step
 
         if leak[r + k] > LEAKAGE_REJECT:
             raise DomainTooSmallError(
@@ -443,7 +456,7 @@ def integrate(
 
     final = PlaneState(initial.x_min, initial.dx, _from_pairs(stack, live))
     return EvolutionRecord(cfg.dtau * np.arange(n_steps + 1), chan_dens.sum(axis=0), surv, leak,
-                           final, channel_density=chan_dens)
+                           final, chan_dens, absorbed)
 
 
 def check_run_inputs(initial: PlaneState, detectors: Sequence[WindowDetector],

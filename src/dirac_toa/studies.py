@@ -218,9 +218,10 @@ def pdp_study(
     n_trajectories: int,
     seed: int,
 ) -> PdpStudyResult:
-    """Sample trajectories and compare conditional arrival times against the
-    deterministic proper-time density via the Kolmogorov-Smirnov statistic.
-    A bad sampling request is rejected before the deterministic integration."""
+    """Sample trajectories and test the detected jump times against the
+    CDF they are drawn from, the absorbed norm over P_inf (JumpProcess),
+    by the Kolmogorov-Smirnov statistic.  A bad sampling request is
+    rejected before the deterministic integration."""
     pdp.check_sampling_request(n_trajectories, seed)
     channel = pdp.DetectorChannel.at_rest(det, spec.preparation)
     initial = prepare_omega(spec, cfg, det.position)
@@ -228,10 +229,8 @@ def pdp_study(
     records = process.sample_many(n_trajectories, seed)
 
     taus = records.tau_detect[records.detected]
-    dens = process.detection_density
-    cum = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2 * np.diff(process.tau))])
-    cum /= cum[-1]
-    ks = _ks_statistic(taus, lambda x: np.interp(x, process.tau, cum))
+    cdf = process.absorbed / process.p_inf
+    ks = _ks_statistic(taus, lambda x: np.interp(x, process.tau, cdf))
     return PdpStudyResult(
         n_trajectories=n_trajectories,
         detected=int(taus.size),

@@ -265,11 +265,10 @@ def test_strong_detector_strides_and_matches_the_one_site_run(monkeypatch):
 def test_absorbed_norm_never_falls(preset, p0):
     """The absorbed norm that _outcomes inverts with searchsorted is sorted,
     on pdp-desk and on the benchmark's weak lattice (lattice-density: W =
-    1e-5).  Before the packet reaches the detector, S carries
-    the transforms' roundoff while the detector absorbs far less per row, so
-    1 - (S + leakage) can fall between rows (with the step matrix built as a
-    product of substeps: 18 rows down to -2.4e-14 on pdp-desk, 367 and 457
-    rows at p0 = 0.75 and 2 on the weak lattice)."""
+    1e-5), where the detector absorbs less per row than the transforms'
+    roundoff in S (about 1e-16) before the packet arrives: it is the sum of
+    the channels' absorbed norms, which integrate builds from non-negative
+    increments, and it closes the budget."""
     if preset == "pdp-desk":
         preset = PRESETS["pdp-desk"]
         det, lattice = WindowDetector(**preset["detector"]), preset["lattice"]
@@ -281,8 +280,10 @@ def test_absorbed_norm_never_falls(preset, p0):
     prep = TwoVector(spec.t0, spec.x0)
     proc = JumpProcess(prepare_omega(spec, cfg, det.position),
                        [DetectorChannel.at_rest(det, prep)], cfg, preparation=prep)
+    assert np.all(np.diff(proc.channel_absorbed, axis=1) >= 0.0)
     assert np.all(np.diff(proc.absorbed) >= 0.0)
     assert proc.p_inf == proc.absorbed[-1] > 0.0
+    assert proc.absorbed_residual <= 1e-13
 
 
 def test_colocated_channels_split_evenly():
@@ -297,9 +298,10 @@ def test_colocated_channels_split_evenly():
 
 
 def test_detector_choice_probabilities():
-    """_outcomes picks the channel by the relative channel densities at the
-    jump time: a channel the packet never reaches is never chosen, and a
-    twin of twice the rate on the same support takes the draws u > 1/3."""
+    """_outcomes picks the channel by the channels' shares of the norm
+    absorbed in the jump's step: a channel the packet never reaches is never
+    chosen, and a twin of twice the rate on the same support takes the draws
+    u > 1/3."""
     spec, det, cfg, prep, channel, initial = _pdp_setup()
     n = 300
     u = (np.arange(n) + 0.5) / n  # no draw lies on 1/3
@@ -307,7 +309,7 @@ def test_detector_choice_probabilities():
     far = DetectorChannel.at_rest(WindowDetector(height=0.3, width=0.02, edge=0.008,
                                                  position=1.5), prep)
     proc = JumpProcess(initial, [channel, far], cfg, preparation=prep)
-    assert proc.channel_density[1].max() < 1e-6 * proc.channel_density[0].max()
+    assert proc.channel_absorbed[1, -1] < 1e-6 * proc.channel_absorbed[0, -1]
     recs = proc._outcomes(proc.p_inf * u, u[::-1])
     assert recs.detected.all()
     np.testing.assert_array_equal(recs.detector_index, 0)
@@ -379,34 +381,32 @@ def test_sample_many_reads_rows_of_one_philox_stream():
 
 def _reference_sample(proc, r, u):
     """Per-trajectory sampler: scalar inversion of the absorbed norm at r,
-    and the channel that u picks from the relative channel densities by
-    Generator.choice's rule."""
+    and the channel that u picks from the channels' shares of the norm
+    absorbed in the bracketing step by Generator.choice's rule."""
     absorbed = proc.absorbed
-    if r > absorbed[-1]:
+    if r >= absorbed[-1]:
         return DetectionRecord(False, -1, float(proc.tau[-1]), None)
-    m = int(np.searchsorted(absorbed, r))
-    if m == 0:
-        tau = float(proc.tau[0])
-    else:
-        a0, a1 = absorbed[m - 1], absorbed[m]
-        frac = 0.0 if a1 == a0 else (r - a0) / (a1 - a0)
-        tau = float(proc.tau[m - 1] + frac * (proc.tau[m] - proc.tau[m - 1]))
-    dens = np.array([np.interp(tau, proc.tau, d) for d in proc.channel_density])
-    probs = dens / dens.sum() if dens.sum() > 0.0 else np.full(len(dens), 1.0 / len(dens))
-    cdf = np.cumsum(probs)
+    m = next(i for i, a in enumerate(absorbed) if a > r)
+    a0, a1 = absorbed[m - 1], absorbed[m]
+    tau = float(proc.tau[m - 1] + (r - a0) / (a1 - a0) * (proc.tau[m] - proc.tau[m - 1]))
+    step = proc.channel_absorbed[:, m] - proc.channel_absorbed[:, m - 1]
+    cdf = np.cumsum(step)
     cdf /= cdf[-1]
     k = int(np.searchsorted(cdf, u, side="right"))
     return DetectionRecord(True, k, tau, proc.channels[k].point_at(tau))
 
 
-@pytest.mark.parametrize("heights", [(0.3,), (0.3, 0.3), (0.1, 0.3)],
-                         ids=["one", "colocated", "twin-1:3"])
-def test_sample_many_is_per_trajectory_sample(heights):
+@pytest.mark.parametrize("heights, positions", [((0.3,), (0.0,)), ((0.3, 0.3), (0.0, 0.0)),
+                                                ((0.1, 0.3), (0.0, 0.0)), ((0.1, 0.3), (0.0, 0.3))],
+                         ids=["one", "colocated", "twin-1:3", "apart"])
+def test_sample_many_is_per_trajectory_sample(heights, positions):
     """Trajectory i of the columnar batch is the per-trajectory reference
-    sampler on row i of the stream, field for field."""
+    sampler on row i of the stream, field for field; apart, the two
+    channels' shares change from step to step."""
     spec, _, cfg, prep, _, initial = _pdp_setup()
-    channels = [DetectorChannel.at_rest(WindowDetector(height=h, width=0.02, edge=0.008), prep)
-                for h in heights]
+    channels = [DetectorChannel.at_rest(WindowDetector(height=h, width=0.02, edge=0.008,
+                                                       position=x), prep)
+                for h, x in zip(heights, positions)]
     proc = JumpProcess(initial, channels, cfg, preparation=prep)
     n, seed = 1500, 2024
     batch = proc.sample_many(n, seed)
@@ -418,6 +418,22 @@ def test_sample_many_is_per_trajectory_sample(heights):
     assert batch[-1] == batch[n - 1]
     with pytest.raises(IndexError):
         batch[n]
+
+
+def test_sample_many_in_blocks_is_the_one_shot_sample():
+    """sample_many draws and inverts SAMPLE_BLOCK rows at a time; on both
+    sides of a block boundary, and across several, its columns are those of
+    _outcomes on the whole table drawn at once, field for field."""
+    _, _, cfg, prep, channel, initial = _pdp_setup()
+    twin = DetectorChannel.at_rest(WindowDetector(height=0.6, width=0.02, edge=0.008), prep)
+    proc = JumpProcess(initial, [channel, twin], cfg, preparation=prep)
+    block = pdp.SAMPLE_BLOCK
+    for n in (block - 1, block, block + 1, 2 * block + 3):
+        whole = proc._outcomes(*_rows(11, n).T)
+        assert set(whole.detector_index[whole.detected]) == {0, 1}
+        for a, b in zip(_columns(proc.sample_many(n, 11)), _columns(whole)):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
 
 
 def test_sample_many_empty_and_rejects_bad_streams():

@@ -111,9 +111,10 @@ def _four_row_reference(initial: PlaneState, rates, cfg: EvolutionConfig, n_step
     site steps, the record row of site step j < k is the density of the
     j-site free step (its own _step_matrix, a transform pair over all four
     rows) of the state after the first half-stage; the leakage there is
-    that of the last zeroing, and S + leakage falls from its value at the
-    outer step's start by the norm taken in the whole outer step times the
-    share of the trapezoid of the recorded density reached at site step j.
+    that of the last zeroing, and S falls from its value at the outer
+    step's start by what each channel's share Lambda_c / Lambda of the two
+    half-stages' loss took, times the share of the trapezoid of that
+    channel's recorded density reached at site step j.
 
     per_site: the one-site run instead, a step and a record row with
     its own S at every site step, with the wall strips zeroed only at the
@@ -138,7 +139,9 @@ def _four_row_reference(initial: PlaneState, rates, cfg: EvolutionConfig, n_step
         out[[3, 2]] = m[1, 0] * upper + m[1, 1] * lower
         return np.fft.ifft(out, axis=1)
 
-    surv, chan, leak = [], [], [0.0]
+    surv, chan, leak, taken = [], [], [0.0], []
+    total = np.sum(rates, axis=0)
+    shares = [np.divide(r, total, out=np.zeros_like(r), where=total > 0.0) for r in rates]
     record(v)
     lengths = [stride] * (n_steps // stride) + [n_steps % stride] * (n_steps % stride > 0)
     for k in lengths:
@@ -152,11 +155,15 @@ def _four_row_reference(initial: PlaneState, rates, cfg: EvolutionConfig, n_step
             v = pointwise(free(f, 1), half_absorb)
         else:
             half_absorb = np.exp(-k * cfg.dtau * np.sum(rates, axis=0) / 4.0)
+            loss = (1.0 - half_absorb**2) * np.sum(np.abs(v[:2]) ** 2, axis=0)
             f = np.fft.fft(pointwise(v, half_absorb), axis=1)
             for j in range(1, k):
                 dens = np.abs(free(f, j)) ** 2
                 chan.append([np.sum(r * (dens[0] + dens[1])) * dx for r in rates])
-            v = pointwise(free(f, k), half_absorb)
+            v = free(f, k)
+            loss += (1.0 - half_absorb**2) * np.sum(np.abs(v[:2]) ** 2, axis=0)
+            taken.append([np.sum(share * loss) * dx for share in shares])
+            v = pointwise(v, half_absorb)
         dens = np.abs(v) ** 2
         leak.append(leak[-1] + (dens[:, :w].sum() + dens[:, -w:].sum()) * dx)
         v[:, :w] = v[:, -w:] = 0.0
@@ -165,15 +172,12 @@ def _four_row_reference(initial: PlaneState, rates, cfg: EvolutionConfig, n_step
     if per_site:
         return np.array(surv), chan, np.array(leak), v
     ends = np.cumsum([0] + lengths)
-    d = chan.sum(axis=0)
     every_surv, every_leak = np.empty(n_steps + 1), np.empty(n_steps + 1)
     every_surv[ends], every_leak[ends] = surv, leak
-    for lo, hi in zip(ends[:-1], ends[1:]):
-        kept_lo, kept_hi = every_surv[lo] + every_leak[lo], every_surv[hi] + every_leak[hi]
-        cum = np.cumsum(d[lo + 1:hi + 1] + d[lo:hi])
-        share = cum[:-1] / cum[-1] if cum[-1] > 0.0 else 0.0
+    for lo, hi, step in zip(ends[:-1], ends[1:], taken):
+        cum = np.cumsum(chan[:, lo + 1:hi + 1] + chan[:, lo:hi], axis=1)
         every_leak[lo + 1:hi] = every_leak[lo]
-        every_surv[lo + 1:hi] = kept_lo - (kept_lo - kept_hi) * share - every_leak[lo]
+        every_surv[lo + 1:hi] = every_surv[lo] - np.dot(step, cum[:, :-1] / cum[:, -1:])
     return every_surv, chan, every_leak, v
 
 
@@ -427,6 +431,49 @@ def test_strong_stride_survival_is_the_stepped_norm(populated, n, outer, j, seed
     assert abs(kept[r] - stepped.final_state.norm_sq() - stepped.boundary_leakage[-1]) < 1e-12
     assert np.abs(kept[:r + 1] - stepped.survival - stepped.boundary_leakage).max() < 1e-12
     assert np.abs(rec.channel_density[:, :r + 1] - stepped.channel_density).max() < 1e-12
+
+
+# per absorber path: (peak rate range, channel width range in sites)
+ABSORBERS = {"weak": ((1e-4, 3e-3), (1.0, 8.0)), "strong": ((1.0, 40.0), (1.0, 2.0)),
+             "strong-wide": ((1.0, 40.0), (6.0, 9.0))}
+
+
+@settings(max_examples=40, deadline=None)
+@given(absorber=st.sampled_from(sorted(ABSORBERS)), channels=st.integers(1, 2),
+       populated=st.sampled_from([(0, 1, 2, 3), PAIRS[0]]), n=st.integers(128, 300),
+       n_steps=st.integers(1, 3 * STRIDE + 5), seed=st.integers(0, 2**32 - 1))
+def test_absorbed_norm_closes_the_budget(absorber, channels, populated, n, n_steps, seed):
+    """Every row's channel_absorbed closes the budget: S[0] - S - sum_c
+    channel_absorbed_c - leakage is at most 1e-13, and no channel's absorbed
+    norm falls between rows, on the weak path (once per outer step), the
+    strided strong path (a window of at most NARROW_WINDOW sites) and the
+    one-site strong path (a wider one), with one channel and with two
+    channels whose shares of the rate vary across the window."""
+    rng = np.random.default_rng(seed)
+    dx = 0.01
+    grid = UniformGrid(-n * dx / 2, dx, n)
+    x = grid.positions
+    cfg = EvolutionConfig(dtau=dx, x_lo=x[0], x_hi=x[-1], tau_max=1.0)
+    vals = np.zeros((4, n), dtype=complex)
+    amp = rng.normal(size=(len(populated), 1)) + 1j * rng.normal(size=(len(populated), 1))
+    q = rng.uniform(-50.0, 50.0, size=(len(populated), 1))
+    vals[list(populated)] = amp * np.exp(1j * q * x - (x / (n * dx / 12)) ** 2)
+    vals /= np.sqrt(np.sum(np.abs(vals) ** 2) * dx)
+    (lo, hi), (w_lo, w_hi) = ABSORBERS[absorber]
+    rates = [rng.uniform(lo, hi) * np.exp(-((x - c) / (rng.uniform(w_lo, w_hi) * dx)) ** 2)
+             for c in rng.uniform(-0.02, 0.02, channels)]
+    rates = [np.where(r > 1e-3 * r.max(), r, 0.0) for r in rates]
+    rate = np.sum(rates, axis=0)
+    support = np.flatnonzero(rate)
+    weak = rate.max() * STRIDE * cfg.dtau <= propagator.WEAK_ABSORBER
+    narrow = support[-1] - support[0] < propagator.NARROW_WINDOW
+    assert absorber == ("weak" if weak else "strong" if narrow else "strong-wide")
+
+    rec = integrate(PlaneState(grid.x_min, dx, vals), rates, cfg, n_steps)
+    assert rec.channel_absorbed.shape == (channels, n_steps + 1)
+    assert np.all(np.diff(rec.channel_absorbed, axis=1) >= 0.0)
+    assert rec.channel_absorbed[:, -1].sum() > 0.0
+    assert rec.absorbed_residual <= 1e-13
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Production-resolution studies (dx = edge/2 = 0.001 A for every momentum,
-walls at -6/+4 A), printing each study's wall time and the total.  All of
-them take 4.8-5.9 s single-threaded on a 2-vCPU host: the fig2 momentum scan
-3.2-3.9 s, fig4 1.0-1.2 s and fig10 0.3-0.5 s; --threads runs the scan's
-momenta in parallel.
+each run on the smallest domain that holds its packet), printing each
+study's wall time and the total.  All of them take about 4.1 s
+single-threaded on a 2-vCPU host: the fig2 momentum scan 2.6 s, fig4 0.9 s
+and fig10 0.3 s; --threads runs the scan's momenta in parallel.
 """
 
 import argparse

@@ -19,7 +19,8 @@ from .detector import WindowDetector, check_resolution
 from .point_analytic import arrival_density_point
 from .presets import PRESETS
 from .propagator import DomainTooSmallError, EvolutionConfig
-from .studies import arrival_run, check_keys, config_from_lattice, finite, momentum_scan, pdp_study
+from .studies import (arrival_run, check_keys, config_from_lattice, finite, lattice_report,
+                      momentum_scan, pdp_study)
 from .wavepacket import PacketSpec, evaluate_spacetime
 
 log = logging.getLogger("dirac_toa")
@@ -207,12 +208,12 @@ def cmd_density(inputs: Inputs, out_dir: Path) -> int:
         run = arrival_run(spec, inputs.detector, run_cfg)
         rec, p0 = run.record, spec.p0
         tag = f"p{p0:g}"
-        tail = {"tail_ok": int(rec.tail_ok), "tail_ratio": rec.tail_ratio}
+        report = lattice_report(run_cfg, rec)
         write_csv(
             out_dir / f"density_{tag}.csv",
             {"t": run.lab.t, "p": run.lab.p},
             metadata={"p0": p0, "T": run.T, "P_inf": run.P_inf,
-                      "neg_mass": run.neg_mass} | tail,
+                      "neg_mass": run.neg_mass} | report,
         )
         write_csv(
             out_dir / f"proper_time_density_{tag}.csv",
@@ -223,7 +224,7 @@ def cmd_density(inputs: Inputs, out_dir: Path) -> int:
             out_dir / f"evolution_{tag}.csv",
             {"tau": rec.tau_samples, "d": rec.detection_density, "S": rec.survival,
              "leakage": rec.boundary_leakage},
-            metadata={"p0": p0} | tail,
+            metadata={"p0": p0} | report,
         )
     return 0
 

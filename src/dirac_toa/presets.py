@@ -1,6 +1,8 @@
 """Named parameter presets for the standard studies.  Without a [lattice]
-dtau a preset steps at half its detector edge; the *-desk variants use a
-coarser edge and step and shorter runs sized for CI machines."""
+dtau a preset steps at half its detector edge, and without x_lo and x_hi
+each run takes the smallest domain that holds its packet
+(studies.config_from_lattice); the *-desk variants use a coarser edge and
+step, a fixed domain and shorter runs sized for CI machines."""
 
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ PRESETS: dict[str, dict] = {
         "command": "arrival-scan",
         "packet": {},
         "detector": {"height": 1e-5, "width": 0.01, "edge": 0.002},
-        "lattice": {"x_lo": -6.0, "x_hi": 4.0},
+        "lattice": {},
         "scan": {"p0_values": [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]},
     },
     "fig2-desk": {
@@ -38,7 +40,7 @@ PRESETS: dict[str, dict] = {
         "command": "density",
         "packet": {},
         "detector": {"height": 1e-5, "width": 0.01, "edge": 0.002},
-        "lattice": {"x_lo": -6.0, "x_hi": 4.0},
+        "lattice": {},
         "scan": {"p0_values": [0.75, 1.5, 2.0]},
     },
     "fig4-desk": {
@@ -53,7 +55,7 @@ PRESETS: dict[str, dict] = {
         "command": "frames",
         "packet": {"p0": 2.0},
         "detector": {"height": 1e-5, "width": 0.01, "edge": 0.002},
-        "lattice": {"x_lo": -6.0, "x_hi": 4.0},
+        "lattice": {},
         "scan": {"v_values": [0.0, 0.5, 0.9]},
     },
     "fig10-desk": {

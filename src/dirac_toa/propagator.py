@@ -5,21 +5,17 @@ The lattice is light-cone locked: dx = dtau.  The free step is exact: the
 mass term is uniform in x, so free evolution is diagonal in k, and on the
 Fourier amplitudes of the component pairs (1, 4) and (2, 3) a step of
 length tau is exp(-i tau (k sigma_x + chi sigma_z)), a rotation per mode
-cached as its angle and axis.  The free step of j site steps is the
-rotation by j times that angle, in closed form, so integrate() takes outer
-steps of several site steps, one transform pair each, against any absorber
-but a strong one on a wide window.  An outer step is STRIDE site steps.  A
-weak absorber acts once per outer step.  A strong one on a narrow window
-still acts at every site step, exactly as in the one-site run: between
-transforms it touches only the few sites of its window, so its effect there
-is a small linear system and, on the amplitudes, one correction from those
-sites.  The wall strip, WALL_SITES sites beyond each edge of the configured
-domain, is zeroed once per outer step.  The record has one row per site
-step: between transforms, the state on the absorber window at site step j
-is read straight from the outer step's Fourier amplitudes, as the upper
-entries of M^j applied to them (M the one-site free-step matrix of each
-mode) transformed back on the window's sites only; every power of M inside
-an outer step comes from its recurrence (_upper_powers).
+cached as its angle and axis; j site steps are the rotation by j times
+that angle.  So integrate() takes outer steps of STRIDE site steps, one
+transform pair each, while the absorber still acts at every site step as
+in the one-site run: between transforms it touches only the few sites of
+its window (at most NARROW_WINDOW), so its effect there is a small linear
+system and, on the amplitudes, one correction from those sites.  The
+record has one row per site step, read on the window straight from the
+outer step's Fourier amplitudes; every power of the one-site free step M
+inside an outer step comes from its recurrence (_power_rows).  The wall
+strip, WALL_SITES sites beyond each edge of the configured domain, is
+zeroed once per outer step.
 
 The transforms are numpy.fft's (pocketfft).  No factor of the step mixes
 the two pairs (the absorber damps components 1 and 2, the upper entries),
@@ -33,7 +29,6 @@ evolve() and the jump sampler in pdp both run through it.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -48,34 +43,21 @@ log = logging.getLogger(__name__)
 LEAKAGE_WARN = 1e-6
 LEAKAGE_REJECT = 1e-3
 TAIL_MAX = 1e-6  # contract on d(tau_max) / max d
+STRIDE = 32  # site steps per outer step, against an absorber on a narrow window
 # Sites of the absorbing strip beyond each edge of the configured domain
-# (EvolutionConfig.grid), zeroed at the end of every outer step.
-WALL_SITES = 16
-STRIDE = 16  # site steps per outer step, against any absorber but a strong wide one
-# max(summed rate) * STRIDE * dtau at or below which an absorber is weak and
-# acts once per outer step, as a half-stage of STRIDE * dtau at each end.
-# Measured on the fig4-desk lattice against the one-site step (p0 = 0.5 to 2;
-# T and P_inf worst at p0 = 2): at the desk detector W = 1e-5 T moves
-# <= 3.4e-8, P_inf <= 1.8e-8 and neg_mass <= 1.5e-6 relative; at 0.95 of this
-# value T <= 2.0e-7, P_inf <= 1.2e-7 and neg_mass <= 8.5e-6.  The shifts are
-# the absorber splitting and grow linearly with the rate: at 8.3e-3, T moves
-# 1.7e-6 (p0 = 2) and P_inf 7.3e-6 (p0 = 1.5).  A stronger absorber acts at
-# every site step, and strides exactly (integrate) on a window of at most
-# NARROW_WINDOW sites.
-WEAK_ABSORBER = 1e-3
-# The widest absorber window (sites) on which a strong run strides.  Its cost
-# per outer step grows as J w n + (J w)^2 (J = STRIDE - 1 site steps read,
-# w window sites, n lattice sites) against STRIDE transform pairs of the
-# one-site run.  Measured per 200 site steps at rate 20, one BLAS thread on
-# a 2-vCPU host (median of 9 interleaved runs; one-site / strided ms):
-# n = 3000: w = 5 58.9 / 23.5, w = 16 60.0 / 38.4, w = 20 59.3 / 45.8,
-# w = 24 58.1 / 60.4, w = 32 63.8 / 104.2; n = 12000: w = 5 158 / 68,
-# w = 16 201 / 115, w = 24 155 / 122, w = 32 144 / 153.
+# (EvolutionConfig.grid), zeroed at the end of every outer step, in which light
+# crosses up to STRIDE sites: a narrower strip would let norm cross the
+# periodic seam unzeroed.
+WALL_SITES = STRIDE
+# The widest absorber window (sites) on which a run strides.  Its cost per
+# outer step grows as 2 J w n + (J w)^2 (J = STRIDE - 1 site steps read, w
+# window sites, n lattice sites), and _feedback's inverse costs (J w)^3 once,
+# against STRIDE transform pairs per outer step of the one-site run.  Measured
+# at rate 20, one BLAS thread on a 2-vCPU host (one-site / strided ms, medians
+# of 3): 320 site steps at n = 3000, w = 10 106 / 63, w = 16 66 / 85; 2400
+# at n = 3000, w = 16 441 / 214, w = 24 459 / 406, w = 32 479 / 682, and at
+# n = 12000, w = 24 1604 / 1179, w = 32 1568 / 1672.
 NARROW_WINDOW = 16
-# The strip is zeroed once per outer step, in which light crosses up to STRIDE
-# sites; a strip narrower than that would let norm cross the periodic seam
-# unzeroed.
-assert STRIDE <= WALL_SITES
 PAIRS = ((0, 3), (1, 2))  # the (upper, lower) component pairs that alpha couples
 
 
@@ -88,7 +70,7 @@ class EvolutionConfig:
     """Lattice and run parameters.  dx equals dtau (light-cone lattice); the
     lattice (grid) holds the domain [x_lo, x_hi] and a wall strip beyond
     each edge.  A run of n_steps site steps takes outer steps of STRIDE site
-    steps, or of 1 against a strong absorber on a wide window (integrate)."""
+    steps, or of 1 against an absorber on a wide window (integrate)."""
 
     dtau: float
     x_lo: float
@@ -132,11 +114,9 @@ class EvolutionRecord:
     channel's share Lambda_c / Lambda of the rate, so no increment is
     negative and S[0] - S - sum_c channel_absorbed_c - leakage is roundoff.
 
-    In a strided run (see integrate) the leakage between the ends of an
-    outer step is that of the strip zeroed at the last end.  Against a
-    strong absorber every row is exact (the one-site run's, but for the
-    wall strip).  A weak one acts once per outer step; inside it each
-    channel's absorbed norm follows its trapezoid share, and S follows them."""
+    Every row is the one-site run's, but for the wall strip: in a strided
+    run (see integrate) the leakage between the ends of an outer step is
+    that of the strip zeroed at the last end."""
 
     tau_samples: np.ndarray
     detection_density: np.ndarray
@@ -198,70 +178,79 @@ def _from_pairs(stack: np.ndarray, pairs: Sequence[tuple[int, int]]) -> np.ndarr
     return values
 
 
-def _upper_powers(m: np.ndarray, upper: np.ndarray, lower: np.ndarray,
-                  out: np.ndarray) -> np.ndarray:
-    """Upper entries of M^j (upper, lower) for j = 1 .. len(out), into out
-    ((J, ..., n)), for a one-site free-step matrix M from _step_matrix and
-    the Fourier amplitudes (upper, lower) ((..., n)) of one or more pairs.
-    M is a rotation, of unit determinant, so M^(j+1) = tr(M) M^j - M^(j-1)
-    (Cayley-Hamilton): each row follows from the two before it."""
-    np.multiply(m[0, 0], upper, out=out[0])
-    out[0] += m[0, 1] * lower
-    trace = m[0, 0] + m[1, 1]
-    for j in range(1, len(out)):
-        np.multiply(trace, out[j - 1], out=out[j])
-        out[j] -= out[j - 2] if j > 1 else upper
-    return out
+def _power_rows(m: np.ndarray, count: int) -> np.ndarray:
+    """c_(j-1) for j = 0 .. count ((count + 1, n // 2 + 1)) per mode of a
+    one-site free-step matrix M from _step_matrix, from c_(-1) = 0, c_0 = 1
+    and c_j = tr(M) c_(j-1) - c_(j-2).  M is a rotation, of unit
+    determinant, so M^j = c_(j-1) M - c_(j-2) I (Cayley-Hamilton).  tr(M)
+    is even in the wavenumber: the row of mode k serves mode n - k too."""
+    trace = (m[0, 0] + m[1, 1])[:m.shape[-1] // 2 + 1]
+    rows = np.empty((count + 1, trace.size), dtype=complex)
+    rows[0], rows[1:] = 0.0, 1.0
+    for j in range(2, count + 1):
+        np.multiply(trace, rows[j - 1], out=rows[j])
+        rows[j] -= rows[j - 2]
+    return rows
 
 
-def _window_phases(n: int, window: slice):
-    """The inverse DFT on the window sites, in two stages: (inner, outer)
-    with inner (q, w) and outer (p, w) for n = p * q, p the largest divisor
-    of n up to sqrt(n).  With k = k2 + q k1, the inverse transform (as
-    numpy.fft.ifft) of amplitudes g at window site s is
-
-        sum_k1 outer[k1, s] sum_k2 g[k2 + q k1] inner[k2, s],
-
-    inner[k2, s] = e^{2 pi i k2 s / n} / n and outer[k1, s] = e^{2 pi i k1 s / p}:
-    one product of g reshaped to (p, q) with inner, and w (p + q) phases
-    instead of the w n of the direct sum."""
-    p = next(d for d in range(math.isqrt(n), 0, -1) if n % d == 0)
-    q = n // p
+def _window_phases(n: int, window: slice) -> np.ndarray:
+    """e^{2 pi i k s / n} ((w, n)) for the window sites s and the modes k:
+    the inverse DFT (as numpy.fft.ifft) of amplitudes g at window site s is
+    phases[s] @ g / n, and the DFT of values v on the window is v @ phases.conj()."""
     sites = np.arange(window.start, window.stop)
-    inner = np.exp((2j * np.pi / n) * (np.arange(q)[:, None] * sites % n)) / n
-    outer = np.exp((2j * np.pi / p) * (np.arange(p)[:, None] * sites % p))
-    return inner, outer
+    return np.exp((2j * np.pi / n) * (sites[:, None] * np.arange(n) % n))
 
 
-def _power_sum(m: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """sum_j M^(J - j) (e_j, 0) over j < J ((P, 2, n)) for a one-site free-step
-    matrix M from _step_matrix and e ((P, J, n)), as Clenshaw's sum on the
-    recurrence of _upper_powers, in place of e: b_j = e_j + tr(M) b_(j-1) -
-    b_(j-2) from b_(-1) = b_(-2) = 0, and the sum is M (b_(J-1), 0) - (b_(J-2), 0)."""
-    trace = m[0, 0] + m[1, 1]
-    for j in range(1, e.shape[1]):
-        e[:, j] += trace * e[:, j - 1]
-        e[:, j] -= e[:, j - 2] if j > 1 else 0.0
-    fed = m[:, 0] * e[:, -1, None]
-    fed[:, 0] -= e[:, -2] if e.shape[1] > 1 else 0.0
+def _upper_powers(m: np.ndarray, rows: np.ndarray, f: np.ndarray,
+                  to_window: np.ndarray) -> np.ndarray:
+    """The upper entries of M^j f on the window sites for j = 1 .. J
+    ((P, J, w)), for a one-site free-step matrix M, its rows c_(-1) ..
+    c_(J-1) from _power_rows and the Fourier amplitudes f ((P, 2, n)) of P
+    pairs: c_(j-1) (M f)_0 - c_(j-2) f_0, each term one product of the
+    rows with the amplitudes weighted by to_window (_window_phases / n) and
+    summed over each pair of modes k and n - k."""
+    upper = np.stack([m[0, 0] * f[:, 0] + m[0, 1] * f[:, 1], f[:, 0]], axis=1)
+    a, (n, h) = upper[:, :, None] * to_window, (f.shape[-1], rows.shape[1])
+    a[..., 1:(n + 1) // 2] += a[..., :n // 2:-1]
+    x = (a[..., :h].reshape(-1, h) @ rows.T).reshape(len(f), 2, -1, len(rows))
+    return (x[:, 0, :, 1:] - x[:, 1, :, :-1]).swapaxes(1, 2)
+
+
+def _power_sum(m: np.ndarray, rows: np.ndarray, g: np.ndarray,
+               from_window: np.ndarray) -> np.ndarray:
+    """sum_j M^(J - j) (e_j, 0) over j < J ((P, 2, n)) for e_j the DFT of
+    the window values g_j ((P, J, w); from_window is _window_phases.conj()),
+    a one-site free-step matrix M and its rows c_(-1) .. c_(J-1) from
+    _power_rows.  With M^i = c_(i-1) M - c_(i-2) I the sum is
+    M (b_1, 0) - (b_2, 0), b_1 = sum_j c_(J-1-j) e_j and b_2 = sum_j c_(J-2-j) e_j,
+    each one product of the rows with g before the DFT from the window."""
+    (count, w), n = g.shape[1:], from_window.shape[-1]
+    weights = np.zeros((len(g), 2, count + 1, w), dtype=complex)
+    weights[:, 0, 1:] = weights[:, 1, :-1] = g[:, ::-1]
+    b = (weights.swapaxes(2, 3).reshape(-1, count + 1) @ rows).reshape(len(g), 2, w, -1)
+    b = np.einsum("pbsn,sn->pbn", b[..., np.minimum(np.arange(n), n - np.arange(n))], from_window)
+    fed = m[:, 0] * b[:, 0, None]
+    fed[:, 0] -= b[:, 1]
     return fed
 
 
-def _feedback(m: np.ndarray, n_inner: int, c: np.ndarray) -> np.ndarray:
-    """K for outer steps of up to n_inner + 1 site steps against the
-    one-site absorber on a window of w sites, for the one-site free-step
-    matrix M from _step_matrix.
+def _feedback(m: np.ndarray, rows: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """K for outer steps of up to J + 1 site steps against the one-site
+    absorber on a window of w sites, for the one-site free-step matrix M
+    from _step_matrix and its rows c_(-1) .. c_(J-1) from _power_rows.
 
     Between site steps the absorber multiplies the upper entries u_j on the
     window by 1 + c, so u_j = u0_j + sum_(i<j) G_(j-i) (c u_i), with u0_j
-    the free read and G_j[s, t] = ifft((M^j)_00)[(s - t) mod n] (by
-    _upper_powers) the j-site free step from window site t to window site s.
-    K = (I - L)^-1 for the block lower-triangular L of those terms
-    ((n_inner w, n_inner w)) maps the stacked free reads to u; its leading
+    the free read and G_j[s, t] = G_j(s - t) the j-site free step from
+    window site t to window site s: the upper entry at site s - t of M^j
+    applied to a unit upper entry at site 0 (_upper_powers on the sites
+    1 - w .. w - 1).  K = (I - L)^-1 for the block lower-triangular L of
+    those terms ((J w, J w)) maps the stacked free reads to u; its leading
     j w rows and columns serve an outer step of j + 1 site steps."""
-    n, w = m.shape[-1], c.size
-    columns = _upper_powers(m, np.ones(n), np.zeros(n), np.empty((n_inner, n), dtype=complex))
-    kernels = np.fft.ifft(columns, axis=-1)[:, np.subtract.outer(range(w), range(w)) % n]
+    n, w, n_inner = m.shape[-1], c.size, len(rows) - 1
+    unit = np.array([[np.ones(n), np.zeros(n)]], dtype=complex)  # a unit upper entry at site 0
+    kernels = _upper_powers(m, rows, unit, _window_phases(n, slice(1 - w, w)) / n)[0]
+    kernels = kernels[:, np.subtract.outer(range(w), range(w)) + w - 1]
     lower = np.zeros((n_inner, w, n_inner, w), dtype=complex)
     j, i = np.tril_indices(n_inner, -1)
     lower[j, :, i] = kernels[j - i - 1] * c
@@ -314,28 +303,16 @@ def integrate(
     the removed norm is accounted as boundary leakage.  Rejects the run if
     leakage exceeds LEAKAGE_REJECT.
 
-    An outer step is s site steps with one transform pair: absorber
-    half-stage A, free step of length s*dtau in Fourier space, absorber
-    half-stage.  When s does not divide n_steps the run ends with one
-    shorter outer step, so it ends at n_steps*dtau.  Inside an outer step
-    the upper entries of the state on the absorber window at site step j are
-    read from the Fourier amplitudes f of A psi, as the upper entries of
-    M^j f (_upper_powers, every pair at once) transformed to the window.
-    s is STRIDE in two cases, and 1 otherwise:
-
-    - a weak absorber (max(summed rate) * STRIDE * dtau <= WEAK_ABSORBER)
-      acts once per outer step of STRIDE site steps, as half-stages of length
-      s*dtau; the reads give the record rows inside the outer step, and the
-      absorbed norm and S there follow each channel's trapezoid share of the
-      half-stages' loss (EvolutionRecord);
-    - a strong absorber on a window of at most NARROW_WINDOW sites acts at
-      every site step, as the one-site run does, with half-stages of length
-      dtau.  Between transforms it multiplies the window's upper entries
-      u_j by A^2 = 1 + c at each site step j < s and touches nothing else,
-      so the reads fed back through _feedback's K are the one-site run's
-      u_j, which give its rows, its absorbed norm and its S exactly, and the free step's
-      amplitudes M^s f gain sum_j M^(s-j) (c u_j) transformed from the
-      window (_power_sum).
+    Every site step is the one-site run's: absorber half-stage A =
+    exp(-Lambda dtau / 4) on the window, free step, half-stage.  An outer
+    step takes s of them with one transform pair, s = STRIDE, or 1 against a
+    window wider than NARROW_WINDOW sites (a shorter last one ends the run
+    at n_steps*dtau).  Inside it the absorber multiplies the window's upper
+    entries u_j by A^2 = 1 + c at each site step j < s: the free reads
+    (_upper_powers) of the amplitudes f of A psi, fed back through
+    _feedback's K, are the one-site run's u_j, which give its rows, its
+    absorbed norm and its S exactly, and the free step's amplitudes M^s f
+    gain sum_j M^(s-j) (c u_j) transformed from the window (_power_sum).
 
     The state is stepped as a stack of the PAIRS that carry norm at the
     start.  Every factor of the step maps a pair into itself, so a pair that
@@ -349,21 +326,18 @@ def integrate(
     support = np.flatnonzero(rate)
     window = slice(support[0], support[-1] + 1) if support.size else slice(0, 0)
     w = window.stop - window.start
-    weak = rate.max(initial=0.0) * STRIDE * cfg.dtau <= WEAK_ABSORBER
-    s = STRIDE if weak or w <= NARROW_WINDOW else 1
-    sites = np.r_[0:n_steps:s, n_steps]  # site steps reached at each outer step
+    sites = np.r_[0:n_steps:STRIDE if w <= NARROW_WINDOW else 1, n_steps]  # site steps reached
     lengths = np.diff(sites)
     rotation = _rotation(grid.n, dx, cfg.dtau, CHI)
+    frees = {k: _step_matrix(*rotation, k) for k in set(lengths.tolist())}
     window_rows = rows[:, window]
     shares = np.divide(window_rows, rate[window], out=np.zeros_like(window_rows),
                        where=rate[window] > 0.0)  # Lambda_c / Lambda
-    # per outer-step length: the free-step matrix, the absorber half-stage's
-    # amplitude factor A = exp(-Lambda dtau_k / 4) on the window (the norm decays
-    # at rate Lambda; a strong absorber takes the one-site half-stage at every
-    # site step) and the norm dx (1 - A^2) Lambda_c / Lambda it takes to channel c
-    halves = {k: np.exp(-(k if weak else 1) * cfg.dtau * rate[window] / 4.0)
-              for k in set(lengths.tolist())}
-    stages = {k: (_step_matrix(*rotation, k), a, dx * (1.0 - a**2) * shares) for k, a in halves.items()}
+    # the half-stage's amplitude factor A on the window (the norm decays at
+    # rate Lambda), A^2 and the norm dx (1 - A^2) Lambda_c / Lambda it takes to channel c
+    half = np.exp(-cfg.dtau * rate[window] / 4.0)
+    damp = half**2
+    take = dx * (1.0 - damp) * shares
     strips = np.r_[:WALL_SITES, grid.n - WALL_SITES:grid.n]
     # site steps read inside an outer step; a run without a detector reads none
     between = lengths.max(initial=1) - 1 if support.size else 0
@@ -371,13 +345,10 @@ def integrate(
     stack = _to_pairs(initial.values, live)
     if between:
         one_site = _step_matrix(*rotation)
-        inner, outer = _window_phases(grid.n, window)
-        powers = np.empty((len(live), between, grid.n), dtype=complex)
-        if not weak:
-            damp = np.exp(-cfg.dtau * rate[window] / 4.0) ** 2  # A^2 on the window
-            feedback = _feedback(one_site, between, damp - 1.0)
-            # the forward DFT from the window sites, split as _window_phases'
-            to_outer, to_inner = outer.conj(), grid.n * inner.conj().T
+        powers = _power_rows(one_site, between)
+        from_window = _window_phases(grid.n, window).conj()
+        to_window = from_window.conj() / grid.n
+        feedback = _feedback(one_site, powers, damp - 1.0)
 
     surv = np.empty(n_steps + 1)
     leak = np.zeros(n_steps + 1)
@@ -392,43 +363,38 @@ def integrate(
         surv[r] = np.vdot(stack, stack).real * dx
         chan_dens[:, r] = window_rows @ seen * dx
 
-    def read_between(f, r, k, take):
-        # rows r + 1 .. r + k - 1 from the amplitudes f of A psi; for a strong
-        # absorber, returns what it adds to the amplitudes after the free step
+    def read_between(f, r, k):
+        # rows r + 1 .. r + k - 1 from the amplitudes f of A psi; returns what
+        # the absorber adds to the amplitudes after the free step
         inside = slice(r + 1, r + k)
-        moved = powers[:, :k - 1]  # upper entries of M^j f, per pair
-        _upper_powers(one_site, f[:, 0], f[:, 1], moved.swapaxes(0, 1))
-        v = (moved.reshape(-1, inner.shape[0]) @ inner).reshape(*moved.shape[:2], *outer.shape)
-        u = np.sum(v * outer, axis=2)  # the inverse DFT on the window
-        if not weak:
-            n_in = (k - 1) * w
-            u = (u.reshape(len(f), n_in) @ feedback[:n_in, :n_in].T).reshape(u.shape)
+        u = _upper_powers(one_site, powers[:k], f, to_window)  # the free reads, per pair
+        n_in = (k - 1) * w
+        u = (u.reshape(len(f), n_in) @ feedback[:n_in, :n_in].T).reshape(u.shape)
         arriving = np.sum(u.real**2 + u.imag**2, axis=0)
-        dens = arriving if weak else damp * arriving
+        dens = damp * arriving
         chan_dens[:, inside] = window_rows @ dens.T * dx
-        if weak:
-            return None
         # each row's two half-stages damp the density before and after its free step
         rise = np.cumsum(take @ (np.concatenate([seen[None], dens[:-1]]) + arriving).T, axis=1)
         absorbed[:, inside] = absorbed[:, r, None] + rise
         surv[inside] = surv[r] - rise.sum(axis=0)
         seen[:] = dens[-1]
         # sum_j M^(k-j) (e_j, 0), e_j the DFT of (A^2 - 1) u_j from the window
-        e = (((damp - 1.0) * u)[..., None, :] * to_outer).reshape(-1, w) @ to_inner
-        return _power_sum(one_site, e.reshape(len(f), k - 1, grid.n))
+        return _power_sum(one_site, powers[:k], (damp - 1.0) * u, from_window)
 
     record(0)
     for r, k in zip(sites[:-1].tolist(), lengths.tolist()):
-        free, half, take = stages[k]
         stack[:, 0, window] *= half  # the detectors damp the upper entries
         f = np.fft.fft(stack, axis=-1)
-        fed = read_between(f, r, k, take) if between and k > 1 else None
-        f = _mix(f, free)
+        fed = read_between(f, r, k) if between and k > 1 else None
+        f = _mix(f, frees[k])
         if fed is not None:
             f += fed
+        else:
+            surv[r + 1:r + k] = surv[r]  # a run without a detector keeps its norm
         stack = np.fft.ifft(f, axis=-1)
-        # what the last row's half-stages take (the whole outer step's, if weak)
-        step = take @ (seen + np.sum(np.abs(stack[:, 0, window]) ** 2, axis=0))
+        # what the last row's two half-stages take
+        absorbed[:, r + k] = absorbed[:, r + k - 1] + take @ (
+            seen + np.sum(np.abs(stack[:, 0, window]) ** 2, axis=0))
         stack[:, 0, window] *= half
         lost = np.sum(np.abs(stack[..., strips]) ** 2) * dx
         leak[r + 1:r + k] = leak[r]  # the strip is zeroed at the outer step's end
@@ -436,14 +402,6 @@ def integrate(
         if lost:
             stack[..., strips] = 0.0
         record(r + k)
-        if weak:
-            # the rows inside follow each channel's trapezoid share
-            cum = np.cumsum(chan_dens[:, r + 1:r + k + 1] + chan_dens[:, r:r + k], axis=1)
-            rise = step[:, None] * (cum / np.maximum(cum[:, -1:], np.finfo(float).tiny))
-            absorbed[:, r + 1:r + k + 1] = absorbed[:, r, None] + rise
-            surv[r + 1:r + k] = surv[r] - rise[:, :-1].sum(axis=0)
-        else:
-            absorbed[:, r + k] = absorbed[:, r + k - 1] + step
 
         if leak[r + k] > LEAKAGE_REJECT:
             raise DomainTooSmallError(

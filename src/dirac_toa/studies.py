@@ -97,9 +97,17 @@ def free_arrival(spec: PacketSpec, det: WindowDetector, cfg: EvolutionConfig,
     return arrival.expected_time(density), density.P_inf, neg_mass0
 
 
+def lattice_report(cfg: EvolutionConfig, rec: EvolutionRecord) -> dict:
+    """The lattice a run stepped (grid x_lo and x_hi, wall strips included,
+    and n sites), its tail contract and its absorbed norm's budget residual."""
+    grid = cfg.grid()
+    return {"x_lo": grid.x_lo, "x_hi": grid.x_hi, "n": grid.n, "tail_ok": int(rec.tail_ok),
+            "tail_ratio": rec.tail_ratio, "absorbed_residual": rec.absorbed_residual}
+
+
 def _scan_one(args):
     """One scan row: one lattice run, with error = |T - T0| against the
-    free-packet oracle on the run's own record times.
+    free-packet oracle on the run's own record times, and its lattice_report.
 
     T0 is first order in W, so the error is the run's distance to the
     weak-detector limit.  The free step is exact, so that distance is the
@@ -120,7 +128,7 @@ def _scan_one(args):
         "P_inf0": p_inf0,
         "neg_mass": run.neg_mass,
         "neg_mass0": neg_mass0,
-    }
+    } | lattice_report(cfg, run.record)
 
 
 def momentum_scan(
@@ -153,6 +161,34 @@ def finite(where: str, value) -> float:
     return number
 
 
+DOMAIN_TAIL = 1e-12  # free-packet norm a derived domain leaves outside (_packet_domain)
+
+
+def _packet_domain(spec: PacketSpec, det: WindowDetector, dx: float,
+                   tau_max: float) -> tuple[float, float]:
+    """The smallest domain [x_lo, x_hi] of lattice sites x_d + (m + 1/2) dx
+    that holds the detector's support and leaves at most DOMAIN_TAIL / 2 of
+    the free packet's norm beyond each edge, at the lab times the run starts
+    and ends and at t0, where the packet is prepared.  The norm is summed
+    over the sites within the light cone of those times plus 12 eta of x0,
+    outside which the Gaussian packet holds no norm above roundoff."""
+    t_start = clock_start(det.position, spec.preparation)
+    times = (t_start, spec.t0, t_start + tau_max)
+    reach = max(abs(t - spec.t0) for t in times) + 12 * spec.eta
+    m = np.arange(math.floor((spec.x0 - reach - det.position) / dx),
+                  math.ceil((spec.x0 + reach - det.position) / dx))
+    x = det.position + (m + 0.5) * dx
+    outside_lo, outside_hi = len(m), len(m)  # sites left out below and above
+    for t in times:
+        dens = np.sum(np.abs(lab_components(spec, t, x)) ** 2, axis=0) * dx
+        outside_lo = min(outside_lo, int(np.searchsorted(np.cumsum(dens), DOMAIN_TAIL / 2)))
+        outside_hi = min(outside_hi, int(np.searchsorted(np.cumsum(dens[::-1]), DOMAIN_TAIL / 2)))
+    support = det.width / 2 + dx / 2  # the detector's half width, and half a site against rounding
+    lo = min(m[outside_lo], math.floor(-support / dx))
+    hi = max(m[-1 - outside_hi] + 1, math.ceil(support / dx))
+    return det.position + lo * dx, det.position + hi * dx
+
+
 def config_from_lattice(
     lattice: Mapping[str, object],
     p0: float,  # unread: ROADMAP item 1 drops it from the benchmark's call, then here
@@ -160,10 +196,11 @@ def config_from_lattice(
     det: WindowDetector = WindowDetector(),
 ) -> EvolutionConfig:
     """The EvolutionConfig of a [lattice] section, given as numbers or as
-    manifest strings.  The domain defaults to [-6, 4] A, dtau to half the
-    detector edge and tau_max to auto_tau_max.  The packet's momentum band
-    must lie below the lattice's Nyquist wavenumber pi/dx, and the run may
-    not end before the classical arrival (classical_arrival_tau)."""
+    manifest strings.  dtau defaults to half the detector edge, tau_max to
+    auto_tau_max and each edge of the domain to _packet_domain's.  The
+    packet's momentum band must lie below the lattice's Nyquist wavenumber
+    pi/dx, and the run may not end before the classical arrival
+    (classical_arrival_tau)."""
     kw = dict(lattice)
     # Transitional: the benchmark's configs still set n_substeps, which the
     # exact free step no longer has.  ROADMAP item 1's benchmark change drops
@@ -174,12 +211,14 @@ def config_from_lattice(
             raise ValueError(f"[lattice] n_substeps = {substeps} must be an integer >= 1")
         log.info("[lattice] n_substeps = %s is ignored: the free step is exact", substeps)
     check_keys("[lattice] key", kw, ("dtau", "x_lo", "x_hi", "tau_max"))
-    kw = {"x_lo": -6.0, "x_hi": 4.0, "dtau": det.edge / 2} | {
-        k: finite(f"[lattice] {k}", v) for k, v in kw.items()}
+    kw = {"dtau": det.edge / 2} | {k: finite(f"[lattice] {k}", v) for k, v in kw.items()}
     band = abs(spec.p0) + BAND_SIGMAS * spec.sigma_p()  # as every quadrature integrates it
     if CHI * band * kw["dtau"] >= math.pi:
         raise ValueError(f"dtau = {kw['dtau']:g} aliases the packet's momenta up to {band:g} mc")
     kw.setdefault("tau_max", auto_tau_max(spec, det.position))
+    if {"x_lo", "x_hi"} - kw.keys():
+        EvolutionConfig(kw["dtau"], 0.0, 1.0, kw["tau_max"])  # checks dtau and tau_max first
+        kw = dict(zip(("x_lo", "x_hi"), _packet_domain(spec, det, kw["dtau"], kw["tau_max"]))) | kw
     cfg = EvolutionConfig(**kw)
     if cfg.tau_max < (arrival_tau := classical_arrival_tau(spec, det.position)):
         raise ValueError(f"tau_max = {cfg.tau_max:g} ends the run before the packet arrives "

@@ -12,7 +12,7 @@ from dirac_toa.csvio import read_csv, read_manifest, write_manifest
 from dirac_toa.detector import WindowDetector
 from dirac_toa import studies
 from dirac_toa.presets import PRESETS
-from dirac_toa.propagator import WALL_SITES, evolve
+from dirac_toa.propagator import TAIL_MAX, WALL_SITES, evolve
 from dirac_toa.studies import config_from_lattice
 from dirac_toa.wavepacket import PacketSpec
 
@@ -54,7 +54,8 @@ def test_arrival_scan_and_manifest_reproducibility(tmp_path):
     assert main(["arrival-scan", "--config", str(cfg), "--out", str(out1)]) == 0
     meta, cols = read_csv(out1 / "arrival_scan.csv")
     assert set(cols) == {"p0", "T", "error", "T0", "t_rm", "P_inf", "P_inf0", "neg_mass",
-                         "neg_mass0"}
+                         "neg_mass0", "x_lo", "x_hi", "n", "tail_ok", "tail_ratio",
+                         "absorbed_residual"}
     assert np.all(cols["error"] >= 0.0)
     assert cols["T"][0] == pytest.approx(cols["t_rm"][0], rel=0.05)
 
@@ -81,6 +82,31 @@ def test_density_command(tmp_path):
     _, evo = read_csv(out / "evolution_p0.75.csv")
     assert set(evo) == {"tau", "d", "S", "leakage"}
     assert evo["S"][0] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_lattice_outputs_report_the_lattice_they_ran(tmp_path):
+    """density's metadata, evolution_*.csv's metadata and each arrival_scan.csv
+    row name the lattice the run stepped (grid x_lo and x_hi, wall strips
+    included, and n sites), its tail contract and its absorbed-norm budget
+    residual; on a [lattice] without a domain that is the derived one."""
+    sections = {"packet": {}, "detector": {"height": 1e-4, "width": 0.02, "edge": 0.008},
+                "lattice": {"dtau": 0.004}, "scan": {"p0_values": "0.75"}}
+    cfg = tmp_path / "run.cfg"
+    grid = config_from_lattice(sections["lattice"], 0.75, PacketSpec(p0=0.75),
+                               WindowDetector(**sections["detector"])).grid()
+    metas = []
+    for command in ("density", "arrival-scan"):
+        write_manifest(cfg, {"run": {"command": command}} | sections)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+    for name in ("density_p0.75.csv", "evolution_p0.75.csv"):
+        metas.append({k: float(v) for k, v in read_csv(tmp_path / "density" / name)[0].items()})
+    metas.append({k: v[0] for k, v in read_csv(tmp_path / "arrival-scan" / "arrival_scan.csv")[1].items()})
+    for meta in metas:
+        assert (meta["x_lo"], meta["x_hi"], meta["n"]) == (grid.x_lo, grid.x_hi, grid.n)
+        assert meta["tail_ok"] == (meta["tail_ratio"] < TAIL_MAX)
+        assert 0.0 <= meta["absorbed_residual"] < 1e-12
+    assert metas[0] == metas[1] | {k: metas[0][k] for k in ("T", "P_inf", "neg_mass")}
+    assert all(metas[2][k] == v for k, v in metas[0].items())
 
 
 def test_frames_command_v0_matches_lab(tmp_path):
@@ -537,8 +563,8 @@ def _resolved(argv):
 def test_preset_inputs_survive_their_manifest(name, tmp_path):
     """A preset and the manifest written from it build the same packet,
     detector and per-momentum lattice configs as the preset dict does.  A
-    preset that sets no dtau steps at half its detector edge, on one lattice
-    for all its momenta."""
+    preset that sets no dtau steps at half its detector edge for all its
+    momenta."""
     preset = PRESETS[name]
     command = preset["command"]
     cfg = _resolved([command, "--preset", name])
@@ -560,8 +586,7 @@ def test_preset_inputs_survive_their_manifest(name, tmp_path):
         spec_p0 = PacketSpec(**(preset["packet"] | {"p0": p0}))
         assert spec == spec_p0
         assert run_cfg == config_from_lattice(preset["lattice"], p0, spec_p0, det)
-    assert "dtau" in preset["lattice"] or {(c.dtau, c.grid()) for _, c in inputs.runs} == {
-        (det.edge / 2, inputs.runs[0][1].grid())}
+    assert "dtau" in preset["lattice"] or {c.dtau for _, c in inputs.runs} == {det.edge / 2}
 
 
 @pytest.mark.parametrize("name", sorted(n for n, p in PRESETS.items() if "lattice" in p))
@@ -579,7 +604,10 @@ def test_scan_momenta_default_to_the_packet_momentum():
     inputs = parse_inputs(cfg)
     (spec, run_cfg), = inputs.runs
     assert spec.p0 == 2.0
-    assert run_cfg.dtau == inputs.detector.edge / 2 and (run_cfg.x_lo, run_cfg.x_hi) == (-6.0, 4.0)
+    assert run_cfg.dtau == inputs.detector.edge / 2
+    # the domain is sized from the packet: it holds the preparation point and
+    # the detector, inside the light cone of the run's end
+    assert -6.0 < run_cfg.x_lo < spec.x0 and inputs.detector.position < run_cfg.x_hi < 4.0
 
 
 @pytest.mark.parametrize("command, section, key, named", [

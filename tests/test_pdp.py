@@ -190,17 +190,15 @@ def test_conditional_arrival_times_match_density():
 
 
 def test_weak_detector_run_strides_and_the_sampler_reads_its_record():
-    """A detector weak enough to stride (max rate * STRIDE dtau = 3.6e-4) on
-    a step count STRIDE does not divide: the record has a row per site step
-    and ends at n_steps dtau; inside each outer step the leakage is that of
-    the last strip zeroing and S + leakage falls from its start value in
-    proportion to the trapezoid of the recorded density, reaching the end
-    value; the absorbed norm never falls, each jump time inverts it, the
-    jump times follow the density (KS), and the record row at the end of
-    outer step k holds the norm of the state integrate reaches in k outer
-    steps."""
+    """A weak detector (W = 1e-3, a window of 4 sites) strides on a step
+    count STRIDE does not divide: the record has a row per site step and
+    ends at n_steps dtau; inside each outer step the leakage is that of the
+    last strip zeroing; the absorbed norm closes the budget at every row and
+    never falls, each jump time inverts it, the jump times follow it (KS),
+    and the record row at the end of outer step k, and one inside the next
+    outer step, hold the norm of the state integrate reaches there."""
     spec = PacketSpec(p0=0.75)
-    det = WindowDetector(height=1.1e-5, width=1.0, edge=0.05)
+    det = WindowDetector(height=1e-3, width=0.02, edge=0.008)
     cfg = EvolutionConfig(dtau=0.004, x_lo=-4.0, x_hi=2.0, tau_max=4.004)
     n, seed = 200000, 5
     result = pdp_study(spec, det, cfg, n, seed)
@@ -208,13 +206,10 @@ def test_weak_detector_run_strides_and_the_sampler_reads_its_record():
     assert cfg.n_steps % STRIDE != 0
     np.testing.assert_array_equal(proc.tau, cfg.dtau * np.arange(cfg.n_steps + 1))
     ends = np.r_[0:cfg.n_steps:STRIDE, cfg.n_steps]
-    d, leak = proc.detection_density, proc.boundary_leakage
-    kept = proc.survival + leak
+    leak = proc.boundary_leakage
     for lo, hi in zip(ends[:-1], ends[1:]):
-        trapezoid = np.cumsum(d[lo + 1:hi + 1] + d[lo:hi])
-        share = trapezoid[:-1] / trapezoid[-1]
-        assert np.abs(kept[lo + 1:hi] - (kept[lo] - (kept[lo] - kept[hi]) * share)).max() < 1e-15
         assert np.all(leak[lo + 1:hi] == leak[lo])
+    assert proc.absorbed_residual <= 1e-13
     assert np.all(np.diff(proc.absorbed) >= 0.0)
 
     r = _rows(seed, n)[:, 0]
@@ -226,10 +221,11 @@ def test_weak_detector_run_strides_and_the_sampler_reads_its_record():
 
     k = int(np.argmax(proc.detection_density)) // STRIDE
     initial = prepare_omega(spec, cfg, detector_position=det.position)
-    ref = integrate(initial, [lambda_field(det, initial.grid)], cfg, k * STRIDE)
-    assert ref.tau_samples[-1] == pytest.approx(proc.tau[k * STRIDE], rel=1e-12)
-    assert ref.final_state.norm_sq() == pytest.approx(proc.survival[k * STRIDE], abs=1e-12)
-    np.testing.assert_array_equal(ref.survival, proc.survival[:k * STRIDE + 1])
+    for row in (k * STRIDE, k * STRIDE + STRIDE // 2):
+        ref = integrate(initial, [lambda_field(det, initial.grid)], cfg, row)
+        assert ref.tau_samples[-1] == pytest.approx(proc.tau[row], rel=1e-12)
+        assert ref.final_state.norm_sq() == pytest.approx(proc.survival[row], abs=1e-12)
+    np.testing.assert_array_equal(ref.survival[:k * STRIDE + 1], proc.survival[:k * STRIDE + 1])
 
 
 def test_strong_detector_strides_and_matches_the_one_site_run(monkeypatch):
@@ -237,8 +233,8 @@ def test_strong_detector_strides_and_matches_the_one_site_run(monkeypatch):
     per STRIDE site steps with the one-site absorber at every site
     step, so only the wall strip's cadence differs from the run stepped one
     site at a time: survival agrees to 1e-9, and with seed 7 every detected flag and
-    channel is the same and the jump times agree to 1e-7 (measured 3.4e-10
-    and 6.5e-11)."""
+    channel is the same and the jump times agree to 1e-7 (measured 5.0e-10
+    and 1.5e-10)."""
     preset = PRESETS["pdp-desk"]
     spec = PacketSpec(**preset["packet"])
     det = WindowDetector(**preset["detector"])

@@ -2,17 +2,23 @@ import concurrent.futures
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 
 from dirac_toa import studies
+from dirac_toa.core import clock_start
 from dirac_toa.detector import WindowDetector
-from dirac_toa.propagator import evolve
+from dirac_toa.propagator import WALL_SITES, evolve
 from dirac_toa.studies import (
+    DOMAIN_TAIL,
+    arrival_run,
     auto_tau_max,
     config_from_lattice,
     free_arrival,
     momentum_scan,
 )
-from dirac_toa.wavepacket import PacketSpec
+from dirac_toa.wavepacket import PacketSpec, lab_components
 
 from conftest import DESK_DETECTOR, DESK_LATTICE, desk_run
 
@@ -111,3 +117,57 @@ def test_scan_pool_is_no_larger_than_the_scan(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     momentum_scan(WindowDetector(), [(PacketSpec(), None)] * 3, workers=100000)
     assert sizes == [3]
+
+
+def _norm_outside(spec: PacketSpec, t: float, x_lo: float, x_hi: float) -> float:
+    """The free packet's norm at lab time t below x_lo and above x_hi, out to
+    its light cone plus 12 eta, by the midpoint rule at 2.5e-4 A."""
+    reach = abs(t - spec.t0) + 12 * spec.eta
+    total = 0.0
+    for lo, hi in ((spec.x0 - reach, x_lo), (x_hi, spec.x0 + reach)):
+        if hi > lo:
+            n = int(np.ceil((hi - lo) / 2.5e-4))
+            x = lo + (hi - lo) / n * (np.arange(n) + 0.5)
+            total += np.sum(np.abs(lab_components(spec, t, x)) ** 2) * (hi - lo) / n
+    return float(total)
+
+
+@settings(max_examples=25, deadline=None)
+@given(p0=st.floats(0.25, 2.5), eta=st.floats(0.05, 0.2), x0=st.floats(-1.5, -0.5),
+       x_d=st.floats(-0.3, 0.3))
+def test_derived_domain_holds_the_packet_and_the_detector(p0, eta, x0, x_d):
+    """A [lattice] without x_lo and x_hi gets the smallest domain that holds
+    the packet: its lattice has the 11-smooth site count of the domain and
+    its wall strips, holds the detector's support, and leaves under
+    DOMAIN_TAIL = 1e-12 of the free packet's norm outside at the run's start
+    and end and at t0, where the packet is prepared."""
+    spec = PacketSpec(p0=p0, eta=eta, x0=x0)
+    det = WindowDetector(height=1e-5, width=0.01, edge=0.004, position=x_d)
+    cfg = config_from_lattice({"dtau": 0.002}, p0, spec, det)
+    sites = int(round((cfg.x_hi - cfg.x_lo) / cfg.dx))
+    assert cfg.grid().n == next_fast_len(sites + 2 * WALL_SITES, real=False)
+    assert cfg.x_lo <= x_d - det.width / 2 and x_d + det.width / 2 <= cfg.x_hi
+    t_start = clock_start(x_d, spec.preparation)
+    for t in (t_start, spec.t0, t_start + cfg.tau_max):
+        assert _norm_outside(spec, t, cfg.x_lo, cfg.x_hi) < DOMAIN_TAIL
+
+
+def test_derived_domain_runs_as_the_light_cone_box():
+    """fig2-desk's detector and step at p0 = 0.75: the run on the derived
+    domain, less than half the sites of the light-cone box [-6, 4], gives
+    that box's T and P_inf to 1e-10 relative."""
+    spec = PacketSpec(p0=0.75)
+    det = WindowDetector(height=1e-5, width=0.01, edge=0.004)
+    derived = config_from_lattice({"dtau": 0.002}, spec.p0, spec, det)
+    box = config_from_lattice({"dtau": 0.002, "x_lo": -6.0, "x_hi": 4.0}, spec.p0, spec, det)
+    assert 2 * derived.grid().n < box.grid().n
+    small, large = arrival_run(spec, det, derived), arrival_run(spec, det, box)
+    assert abs(small.T - large.T) / large.T <= 1e-10
+    assert abs(small.P_inf - large.P_inf) / large.P_inf <= 1e-10
+
+
+def test_pooled_scan_rows_are_the_serial_rows():
+    """momentum_scan with two worker processes writes, bit for bit, the rows
+    of the serial scan: fig2-desk's lattice at two momenta."""
+    runs = [(PacketSpec(p0=p0), _desk_config(p0)) for p0 in (0.75, 1.0)]
+    assert momentum_scan(DESK_DETECTOR, runs, workers=2) == momentum_scan(DESK_DETECTOR, runs)

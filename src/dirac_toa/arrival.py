@@ -1,6 +1,7 @@
 """Arrival-time observables: proper-time density P(tau), lab density over the
-detection times t_start + tau (core.clock_start) and its expectation, boosts
-and the mechanics reference.  A lattice record and the free-packet oracle
+detection times t_start + tau (core.clock_start) and its expectation, boosts,
+the mechanics reference and the tail contract of a density that ends with its
+run (tail_report), which lattice and point densities share.  A lattice record and the free-packet oracle
 (studies.free_arrival) are reduced alike here, so only their densities differ."""
 
 from __future__ import annotations
@@ -8,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+TAIL_MAX = 1e-6  # contract on a density's last sample over its peak
 
 
 class NoDetectionError(RuntimeError):
@@ -59,6 +62,15 @@ def normalize_density(tau: np.ndarray, d: np.ndarray, t_start: float) -> Arrival
     if p_inf <= 0.0:
         raise NoDetectionError("total detection probability is zero")
     return ArrivalDensity(tau, d / p_inf, p_inf, t_start)
+
+
+def tail_report(density: np.ndarray) -> dict:
+    """The tail contract of a density sampled to the end of its run:
+    tail_ratio, its last sample over its peak (0 if it never rises), and
+    tail_ok, 1 if that is below TAIL_MAX."""
+    peak = density.max()
+    ratio = float(density[-1] / peak) if peak > 0 else 0.0
+    return {"tail_ok": int(ratio < TAIL_MAX), "tail_ratio": ratio}
 
 
 def lab_density(density: ArrivalDensity) -> LabDensity:

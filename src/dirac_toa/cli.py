@@ -232,14 +232,14 @@ def cmd_density(inputs: Inputs, out_dir: Path) -> int:
 def cmd_frames(inputs: Inputs, out_dir: Path) -> int:
     (spec, run_cfg), = inputs.runs
     run = arrival_run(spec, inputs.detector, run_cfg)
-    x_d = inputs.detector.position
+    x_d, report = inputs.detector.position, lattice_report(run_cfg, run.record)
     for v in inputs.params["v_values"]:
         boosted = arrival.boost_density(run.lab, v, x_d)
         write_csv(
             out_dir / f"frames_v{v:g}.csv",
             {"t": boosted.t, "p": boosted.p},
             metadata={"p0": spec.p0, "v": v,
-                      "T": arrival.boost_expectation(run.T, v, x_d)},
+                      "T": arrival.boost_expectation(run.T, v, x_d)} | report,
         )
     return 0
 
@@ -256,7 +256,7 @@ def cmd_point(inputs: Inputs, out_dir: Path) -> int:
             out_dir / f"point_p{p0:g}_kappa{kappa:g}.csv",
             {"tau": dens.tau, "P": dens.P},
             metadata={"p0": p0, "kappa": kappa,
-                      "T": arrival.expected_time(dens)},
+                      "T": arrival.expected_time(dens)} | arrival.tail_report(dens.P),
         )
     return 0
 
@@ -266,7 +266,7 @@ def cmd_pdp(inputs: Inputs, out_dir: Path) -> int:
     seed, n = inputs.seed, inputs.params["n_trajectories"]
     result = pdp_study(spec, inputs.detector, run_cfg, n, seed)
 
-    recs, proc = result.records, result.process
+    recs = result.records
     write_csv(
         out_dir / "pdp_trajectories.csv",
         {
@@ -287,8 +287,7 @@ def cmd_pdp(inputs: Inputs, out_dir: Path) -> int:
             "P_inf": np.array([result.p_inf]),
             "ks_statistic": np.array([result.ks_statistic]),
         },
-        metadata={"p0": spec.p0, "seed": seed, "tail_ok": int(proc.tail_ok),
-                  "tail_ratio": proc.tail_ratio, "absorbed_residual": proc.absorbed_residual},
+        metadata={"p0": spec.p0, "seed": seed} | lattice_report(run_cfg, result.process.record),
     )
     return 0
 

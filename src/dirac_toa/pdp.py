@@ -207,9 +207,8 @@ class JumpProcess:
     by the seed: trajectory i takes row i of random((n, 2)), which the
     stream fills in counter order, so trajectory i depends on the seed and i
     alone, not on n or on the other trajectories.  It returns the outcomes
-    as columns (DetectionRecords).  The record's tail_ratio (d(tau_max) /
-    max d), tail_ok and absorbed_residual are kept for the callers to
-    report: integrate, unlike evolve, does not check the tail.
+    as columns (DetectionRecords).  The run's EvolutionRecord is kept as
+    record, which the callers report (studies.lattice_report).
     """
 
     def __init__(
@@ -233,14 +232,9 @@ class JumpProcess:
         self.preparation = preparation
         rates = [lambda_field(ch.spec, initial.grid) for ch in self.channels]
         check_run_inputs(initial, [ch.spec for ch in self.channels], cfg)
-        rec = integrate(initial, rates, cfg, cfg.n_steps)
-        self.tau = rec.tau_samples
-        self.survival = rec.survival
-        self.boundary_leakage = rec.boundary_leakage
-        self.detection_density = rec.detection_density
+        self.record = rec = integrate(initial, rates, cfg, cfg.n_steps)
+        self.tau, self.detection_density = rec.tau_samples, rec.detection_density
         self.channel_absorbed = rec.channel_absorbed
-        self.tail_ratio, self.tail_ok = rec.tail_ratio, rec.tail_ok
-        self.absorbed_residual = rec.absorbed_residual
         self.absorbed = rec.channel_absorbed.sum(axis=0) / rec.survival[0]
         self.p_inf = float(self.absorbed[-1])
 

@@ -5,17 +5,13 @@ resulting arrival densities (finite in the kappa -> 0 limit)."""
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arrival import ArrivalDensity
 from .core import clock_start
-from .propagator import TAIL_MAX
 from .wavepacket import MIN_NODES, PacketSpec, energy, lab_components
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -153,14 +149,13 @@ def arrival_density_point(
     The kappa factor cancels in the normalization, so the kappa -> 0 limit
     stays finite (kappa = 0 gives the undisturbed transit density).  P_inf is
     kappa times the integral of |Omega_1|^2, which ArrivalDensity rejects
-    when it exceeds one."""
+    when it exceeds one.  Whether P has decayed by the grid's end is
+    arrival.tail_report(P), which the point command writes next to it."""
     tau_grid = np.asarray(tau_grid, dtype=float)
     amp = transmitted_amplitude(spec, kappa, tau_grid, n_nodes=n_nodes)
     raw = np.abs(amp) ** 2
     total = np.trapezoid(raw, tau_grid)
     if total <= 0.0:
         raise ValueError("transit density vanishes on this tau grid")
-    if raw[-1] > TAIL_MAX * raw.max():
-        log.warning("point-detector density tail has not decayed at the grid end")
     return ArrivalDensity(tau=tau_grid, P=raw / total, P_inf=kappa * float(total),
                           t_start=clock_start(0.0, spec.preparation))

@@ -28,21 +28,17 @@ evolve() and the jump sampler in pdp both run through it.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
+from .arrival import tail_report
 from .core import ALPHA, CHI, GAMMA0, PlaneState, UniformGrid
 from .detector import WindowDetector, lambda_field
 
-log = logging.getLogger(__name__)
-
-LEAKAGE_WARN = 1e-6
 LEAKAGE_REJECT = 1e-3
-TAIL_MAX = 1e-6  # contract on d(tau_max) / max d
 STRIDE = 32  # site steps per outer step, against an absorber on a narrow window
 # Sites of the absorbing strip beyond each edge of the configured domain
 # (EvolutionConfig.grid), zeroed at the end of every outer step, in which light
@@ -116,7 +112,9 @@ class EvolutionRecord:
 
     Every row is the one-site run's, but for the wall strip: in a strided
     run (see integrate) the leakage between the ends of an outer step is
-    that of the strip zeroed at the last end."""
+    that of the strip zeroed at the last end.  tail_ok, absorbed_residual
+    and the last leakage are the invariants studies.lattice_report writes
+    into every output of the run."""
 
     tau_samples: np.ndarray
     detection_density: np.ndarray
@@ -133,15 +131,9 @@ class EvolutionRecord:
         return float(np.abs(gap - self.boundary_leakage).max())
 
     @property
-    def tail_ratio(self) -> float:
-        """d(tau_max) / max d: how far the detection density has decayed."""
-        peak = self.detection_density.max()
-        return float(self.detection_density[-1] / peak) if peak > 0 else 0.0
-
-    @property
     def tail_ok(self) -> bool:
-        """Whether the detection density has decayed below TAIL_MAX of its peak."""
-        return self.tail_ratio < TAIL_MAX
+        """Whether d(tau) has decayed below TAIL_MAX of its peak (arrival.tail_report)."""
+        return bool(tail_report(self.detection_density)["tail_ok"])
 
 
 @lru_cache(maxsize=16)
@@ -300,8 +292,9 @@ def integrate(
     channel, and detection_density is their sum.  Walls absorb: a strip of
     WALL_SITES sites at each end of the lattice (beyond the configured
     domain, on EvolutionConfig.grid) is zeroed after every outer step and
-    the removed norm is accounted as boundary leakage.  Rejects the run if
-    leakage exceeds LEAKAGE_REJECT.
+    the removed norm is accounted as boundary leakage.  Raises
+    DomainTooSmallError once leakage exceeds LEAKAGE_REJECT; below that the
+    record carries it, and studies.lattice_report writes its last value.
 
     Every site step is the one-site run's: absorber half-stage A =
     exp(-Lambda dtau / 4) on the window, free step, half-stage.  An outer
@@ -409,9 +402,6 @@ def integrate(
                 f"exceeds {LEAKAGE_REJECT}"
             )
 
-    if leak[-1] > LEAKAGE_WARN:
-        log.warning("boundary leakage %.3e exceeds %.0e", leak[-1], LEAKAGE_WARN)
-
     final = PlaneState(initial.x_min, initial.dx, _from_pairs(stack, live))
     return EvolutionRecord(cfg.dtau * np.arange(n_steps + 1), chan_dens.sum(axis=0), surv, leak,
                            final, chan_dens, absorbed)
@@ -438,8 +428,9 @@ def evolve(
     cfg: EvolutionConfig,
 ) -> EvolutionRecord:
     """Integrate to tau_max recording d(tau) and S(tau) at every site step
-    (see integrate for the stride and the wall treatment), then check that
-    d(tau) has decayed.
+    (see integrate for the stride and the wall treatment).  Whether d(tau)
+    has decayed is the record's tail_ok, which the outputs carry through
+    studies.lattice_report.
     det None or of zero height is a free run."""
     detectors = []
     if det is not None and det.height != 0.0:
@@ -447,10 +438,4 @@ def evolve(
     rates = [lambda_field(d, initial.grid) for d in detectors]
     check_run_inputs(initial, detectors, cfg)
 
-    rec = integrate(initial, rates, cfg, cfg.n_steps)
-    if not rec.tail_ok:
-        log.warning(
-            "detection density tail d(tau_max)/max d = %.2e has not decayed below %.0e",
-            rec.tail_ratio, TAIL_MAX,
-        )
-    return rec
+    return integrate(initial, rates, cfg, cfg.n_steps)

@@ -98,11 +98,15 @@ def free_arrival(spec: PacketSpec, det: WindowDetector, cfg: EvolutionConfig,
 
 
 def lattice_report(cfg: EvolutionConfig, rec: EvolutionRecord) -> dict:
-    """The lattice a run stepped (grid x_lo and x_hi, wall strips included,
-    and n sites), its tail contract and its absorbed norm's budget residual."""
+    """The one report of a lattice run, written into every output of it: the
+    lattice it stepped (grid x_lo and x_hi, wall strips included, and n
+    sites), its tail contract (arrival.tail_report of d), its absorbed
+    norm's budget residual and the norm its walls took (leakage)."""
     grid = cfg.grid()
-    return {"x_lo": grid.x_lo, "x_hi": grid.x_hi, "n": grid.n, "tail_ok": int(rec.tail_ok),
-            "tail_ratio": rec.tail_ratio, "absorbed_residual": rec.absorbed_residual}
+    return ({"x_lo": grid.x_lo, "x_hi": grid.x_hi, "n": grid.n}
+            | arrival.tail_report(rec.detection_density)
+            | {"absorbed_residual": rec.absorbed_residual,
+               "leakage": float(rec.boundary_leakage[-1])})
 
 
 def _scan_one(args):

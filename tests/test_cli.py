@@ -11,8 +11,9 @@ from dirac_toa.cli import build_parser, main, parse_inputs, resolve_config
 from dirac_toa.csvio import read_csv, read_manifest, write_manifest
 from dirac_toa.detector import WindowDetector
 from dirac_toa import studies
+from dirac_toa.arrival import TAIL_MAX
 from dirac_toa.presets import PRESETS
-from dirac_toa.propagator import TAIL_MAX, WALL_SITES, evolve
+from dirac_toa.propagator import WALL_SITES, evolve
 from dirac_toa.studies import config_from_lattice
 from dirac_toa.wavepacket import PacketSpec
 
@@ -55,7 +56,7 @@ def test_arrival_scan_and_manifest_reproducibility(tmp_path):
     meta, cols = read_csv(out1 / "arrival_scan.csv")
     assert set(cols) == {"p0", "T", "error", "T0", "t_rm", "P_inf", "P_inf0", "neg_mass",
                          "neg_mass0", "x_lo", "x_hi", "n", "tail_ok", "tail_ratio",
-                         "absorbed_residual"}
+                         "absorbed_residual", "leakage"}
     assert np.all(cols["error"] >= 0.0)
     assert cols["T"][0] == pytest.approx(cols["t_rm"][0], rel=0.05)
 
@@ -85,28 +86,41 @@ def test_density_command(tmp_path):
 
 
 def test_lattice_outputs_report_the_lattice_they_ran(tmp_path):
-    """density's metadata, evolution_*.csv's metadata and each arrival_scan.csv
-    row name the lattice the run stepped (grid x_lo and x_hi, wall strips
-    included, and n sites), its tail contract and its absorbed-norm budget
-    residual; on a [lattice] without a domain that is the derived one."""
-    sections = {"packet": {}, "detector": {"height": 1e-4, "width": 0.02, "edge": 0.008},
-                "lattice": {"dtau": 0.004}, "scan": {"p0_values": "0.75"}}
+    """Every lattice output carries the run's lattice_report: density's and
+    evolution_*.csv's metadata, each arrival_scan.csv row, each frames_*.csv's
+    metadata and pdp_summary.csv's.  It names the lattice the run stepped
+    (grid x_lo and x_hi, wall strips included, and n sites; on a [lattice]
+    without a domain the derived one), its tail contract, its absorbed-norm
+    budget residual and the wall leakage at the record's end.  The four
+    commands step the same run, so they report alike."""
+    detector, lattice = {"height": 1e-4, "width": 0.02, "edge": 0.008}, {"dtau": 0.004}
+    scans = {"density": {"p0_values": "0.75"}, "arrival-scan": {"p0_values": "0.75"},
+             "frames": {"v_values": "0 0.5"}, "pdp": {"n_trajectories": 50}}
     cfg = tmp_path / "run.cfg"
-    grid = config_from_lattice(sections["lattice"], 0.75, PacketSpec(p0=0.75),
-                               WindowDetector(**sections["detector"])).grid()
-    metas = []
-    for command in ("density", "arrival-scan"):
-        write_manifest(cfg, {"run": {"command": command}} | sections)
+    grid = config_from_lattice(lattice, 0.75, PacketSpec(p0=0.75),
+                               WindowDetector(**detector)).grid()
+    for command, scan in scans.items():
+        packet = {} if "p0_values" in scan else {"p0": 0.75}
+        write_manifest(cfg, {"run": {"command": command}, "packet": packet, "detector": detector,
+                             "lattice": lattice, "scan": scan})
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
-    for name in ("density_p0.75.csv", "evolution_p0.75.csv"):
-        metas.append({k: float(v) for k, v in read_csv(tmp_path / "density" / name)[0].items()})
-    metas.append({k: v[0] for k, v in read_csv(tmp_path / "arrival-scan" / "arrival_scan.csv")[1].items()})
-    for meta in metas:
-        assert (meta["x_lo"], meta["x_hi"], meta["n"]) == (grid.x_lo, grid.x_hi, grid.n)
-        assert meta["tail_ok"] == (meta["tail_ratio"] < TAIL_MAX)
-        assert 0.0 <= meta["absorbed_residual"] < 1e-12
+    metas = [{k: float(v) for k, v in read_csv(tmp_path / path)[0].items()}
+             for path in ("density/density_p0.75.csv", "density/evolution_p0.75.csv",
+                          "frames/frames_v0.csv", "frames/frames_v0.5.csv",
+                          "pdp/pdp_summary.csv")]
+    _, row = read_csv(tmp_path / "arrival-scan" / "arrival_scan.csv")
+    metas.append({k: v[0] for k, v in row.items()})
+    keys = ("x_lo", "x_hi", "n", "tail_ok", "tail_ratio", "absorbed_residual", "leakage")
+    reports = [{k: meta[k] for k in keys} for meta in metas]
+    report = reports[0]
+    assert (report["x_lo"], report["x_hi"], report["n"]) == (grid.x_lo, grid.x_hi, grid.n)
+    assert report["tail_ok"] == (report["tail_ratio"] < TAIL_MAX)
+    assert 0.0 <= report["absorbed_residual"] < 1e-12
+    _, evo = read_csv(tmp_path / "density" / "evolution_p0.75.csv")
+    assert report["leakage"] == evo["leakage"][-1] < 1e-10
+    assert all(r == report for r in reports)
     assert metas[0] == metas[1] | {k: metas[0][k] for k in ("T", "P_inf", "neg_mass")}
-    assert all(metas[2][k] == v for k, v in metas[0].items())
+    assert all(metas[-1][k] == v for k, v in metas[0].items())
 
 
 def test_frames_command_v0_matches_lab(tmp_path):
@@ -178,12 +192,21 @@ def test_outputs_are_covariant_under_a_shift_of_the_preparation_time(command, pr
 
 
 def test_point_command(tmp_path):
-    out = tmp_path / "res"
+    """Each point density is normalized and carries its tail contract:
+    tail_ratio = P[-1] / max P, and tail_ok = 1 below TAIL_MAX.  On a grid
+    cut at tau = 3 the p0 = 0.75 densities have not decayed."""
+    out, short, cfg = tmp_path / "res", tmp_path / "short", tmp_path / "short.cfg"
     assert main(["point", "--preset", "fig5-desk", "--out", str(out)]) == 0
+    write_manifest(cfg, {"run": {"command": "point"}, "scan": {"tau_hi": 3.0}})
+    assert main(["point", "--preset", "fig5-desk", "--config", str(cfg), "--out", str(short)]) == 0
     for p0 in ("0.75", "2"):
         for kappa in ("0", "1"):
-            meta, cols = read_csv(out / f"point_p{p0}_kappa{kappa}.csv")
-            assert np.trapezoid(cols["P"], cols["tau"]) == pytest.approx(1.0, abs=1e-6)
+            for run, decayed in ((out, True), (short, p0 == "2")):
+                meta, cols = read_csv(run / f"point_p{p0}_kappa{kappa}.csv")
+                assert np.trapezoid(cols["P"], cols["tau"]) == pytest.approx(1.0, abs=1e-6)
+                ratio = cols["P"][-1] / cols["P"].max()
+                assert (float(meta["tail_ratio"]), int(meta["tail_ok"])) == (ratio, decayed)
+                assert decayed == (ratio < TAIL_MAX)
     m0, _ = read_csv(out / "point_p2_kappa0.csv")
     m1, _ = read_csv(out / "point_p2_kappa1.csv")
     assert float(m1["T"]) < float(m0["T"])

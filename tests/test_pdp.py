@@ -142,12 +142,12 @@ def test_jump_process_shares_evolve_loop_and_wall_accounting():
     initial.values /= np.sqrt(initial.norm_sq())
     proc = JumpProcess(initial, [DetectorChannel.at_rest(det, prep)], cfg, preparation=prep)
     rec = evolve(initial, det, cfg)
-    np.testing.assert_array_equal(proc.survival, rec.survival)
+    np.testing.assert_array_equal(proc.record.survival, rec.survival)
     np.testing.assert_array_equal(proc.detection_density, rec.detection_density)
-    np.testing.assert_array_equal(proc.boundary_leakage, rec.boundary_leakage)
-    leak = proc.boundary_leakage[-1]
+    np.testing.assert_array_equal(proc.record.boundary_leakage, rec.boundary_leakage)
+    leak = proc.record.boundary_leakage[-1]
     assert leak > 1e-6
-    assert proc.p_inf + leak == pytest.approx(1.0 - proc.survival[-1], abs=1e-12)
+    assert proc.p_inf + leak == pytest.approx(1.0 - proc.record.survival[-1], abs=1e-12)
 
 
 def test_channel_light_cone_start():
@@ -206,10 +206,10 @@ def test_weak_detector_run_strides_and_the_sampler_reads_its_record():
     assert cfg.n_steps % STRIDE != 0
     np.testing.assert_array_equal(proc.tau, cfg.dtau * np.arange(cfg.n_steps + 1))
     ends = np.r_[0:cfg.n_steps:STRIDE, cfg.n_steps]
-    leak = proc.boundary_leakage
+    leak = proc.record.boundary_leakage
     for lo, hi in zip(ends[:-1], ends[1:]):
         assert np.all(leak[lo + 1:hi] == leak[lo])
-    assert proc.absorbed_residual <= 1e-13
+    assert proc.record.absorbed_residual <= 1e-13
     assert np.all(np.diff(proc.absorbed) >= 0.0)
 
     r = _rows(seed, n)[:, 0]
@@ -224,8 +224,9 @@ def test_weak_detector_run_strides_and_the_sampler_reads_its_record():
     for row in (k * STRIDE, k * STRIDE + STRIDE // 2):
         ref = integrate(initial, [lambda_field(det, initial.grid)], cfg, row)
         assert ref.tau_samples[-1] == pytest.approx(proc.tau[row], rel=1e-12)
-        assert ref.final_state.norm_sq() == pytest.approx(proc.survival[row], abs=1e-12)
-    np.testing.assert_array_equal(ref.survival[:k * STRIDE + 1], proc.survival[:k * STRIDE + 1])
+        assert ref.final_state.norm_sq() == pytest.approx(proc.record.survival[row], abs=1e-12)
+    np.testing.assert_array_equal(ref.survival[:k * STRIDE + 1],
+                                  proc.record.survival[:k * STRIDE + 1])
 
 
 def test_strong_detector_strides_and_matches_the_one_site_run(monkeypatch):
@@ -250,7 +251,7 @@ def test_strong_detector_strides_and_matches_the_one_site_run(monkeypatch):
     single = pdp_study(spec, det, cfg, n, 7)
     assert len(outer_steps) == strided_steps + cfg.n_steps
 
-    assert np.abs(strided.process.survival - single.process.survival).max() < 1e-9
+    assert np.abs(strided.process.record.survival - single.process.record.survival).max() < 1e-9
     a, b = strided.records, single.records
     np.testing.assert_array_equal(a.detected, b.detected)
     np.testing.assert_array_equal(a.detector_index, b.detector_index)
@@ -279,7 +280,7 @@ def test_absorbed_norm_never_falls(preset, p0):
     assert np.all(np.diff(proc.channel_absorbed, axis=1) >= 0.0)
     assert np.all(np.diff(proc.absorbed) >= 0.0)
     assert proc.p_inf == proc.absorbed[-1] > 0.0
-    assert proc.absorbed_residual <= 1e-13
+    assert proc.record.absorbed_residual <= 1e-13
 
 
 def test_colocated_channels_split_evenly():

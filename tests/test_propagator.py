@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirac_toa import propagator
+from dirac_toa.arrival import TAIL_MAX, tail_report
 from dirac_toa.core import CHI, PlaneState, UniformGrid
 from dirac_toa.detector import WindowDetector, lambda_field
 from dirac_toa.propagator import (
     PAIRS,
     STRIDE,
-    TAIL_MAX,
     WALL_SITES,
     DomainTooSmallError,
     EvolutionConfig,
@@ -653,6 +653,6 @@ def test_tail_ok_reads_the_record_it_belongs_to():
     assert rec.detection_density[-1] == rec.detection_density.max() > 0.0
     assert not rec.tail_ok
     full = integrate(st, [lambda_field(det, st.grid)], cfg, int(round(3.0 / cfg.dtau)))
-    assert full.tail_ratio < TAIL_MAX
+    assert tail_report(full.detection_density)["tail_ratio"] < TAIL_MAX
     assert full.tail_ok
 

@@ -63,8 +63,9 @@ def check_resolution(spec: WindowDetector, dx: float) -> None:
 def lambda_field(spec: WindowDetector, grid: UniformGrid) -> np.ndarray:
     """Per-site absorption rate Lambda(x) = 2 W chi envelope(x)^2 in 1/(A/c),
     shape (n,).  The rate acts on components 1 and 2 only (the particle
-    projector); the stepping kernel and pdp apply it there.  The point
-    detector has a closed-form treatment in point_analytic instead.
+    projector); the stepping kernel, which steps the pair (1, 4), applies
+    it to component 1.  The point detector has a closed-form treatment in
+    point_analytic instead.
     """
     check_resolution(spec, grid.dx)
     env = window_envelope(spec, grid.positions)

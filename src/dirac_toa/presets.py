@@ -2,7 +2,10 @@
 dtau a preset steps at half its detector edge, and without x_lo and x_hi
 each run takes the smallest domain that holds its packet
 (studies.config_from_lattice); the *-desk variants use a coarser edge and
-step, a fixed domain and shorter runs sized for CI machines."""
+step and shorter runs sized for CI machines.  fig2-desk derives its domain
+like the full presets; fig4-desk and fig10-desk keep the fixed [-4, 2] of
+the benchmark's lattice, and pdp and pdp-desk keep it because their strong
+detector also reflects norm, which the packet-sized domain does not hold."""
 
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ PRESETS: dict[str, dict] = {
         "command": "arrival-scan",
         "packet": {},
         "detector": {"height": 1e-5, "width": 0.01, "edge": 0.004},
-        "lattice": {"dtau": 0.002, "x_lo": -3.0, "x_hi": 2.0},
+        "lattice": {"dtau": 0.002},
         "scan": {"p0_values": [0.5, 0.75, 1.0]},
     },
     # lab-frame arrival densities for several momenta

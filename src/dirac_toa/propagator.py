@@ -3,27 +3,28 @@ rotation + absorptive detector coupling, plus a spectral free-flight oracle.
 
 The lattice is light-cone locked: dx = dtau.  The free step is exact: the
 mass term is uniform in x, so free evolution is diagonal in k, and on the
-Fourier amplitudes of the component pairs (1, 4) and (2, 3) a step of
-length tau is exp(-i tau (k sigma_x + chi sigma_z)), a rotation per mode
-cached as its angle and axis; j site steps are the rotation by j times
-that angle.  So integrate() takes outer steps of STRIDE site steps, one
-transform pair each, while the absorber still acts at every site step as
-in the one-site run: between transforms it touches only the few sites of
-its window (at most NARROW_WINDOW), so its effect there is a small linear
-system and, on the amplitudes, one correction from those sites.  The
-record has one row per site step, read on the window straight from the
-outer step's Fourier amplitudes; every power of the one-site free step M
-inside an outer step comes from its recurrence (_power_rows).  The wall
-strip, WALL_SITES sites beyond each edge of the configured domain, is
-zeroed once per outer step.
+Fourier amplitudes of the component pair (1, 4) a step of length tau is
+exp(-i tau (k sigma_x + chi sigma_z)), a rotation per mode cached as its
+angle and axis; j site steps are the rotation by j times that angle.  So
+integrate() takes outer steps of STRIDE site steps, one transform pair
+each, while the absorber still acts at every site step as in the one-site
+run: between transforms it touches only the few sites of its window (at
+most NARROW_WINDOW), so its effect there is a small linear system and, on
+the amplitudes, one correction from those sites.  The record has one row
+per site step, read on the window straight from the outer step's Fourier
+amplitudes; every power of the one-site free step M inside an outer step
+comes from its recurrence (_power_rows).  The wall strip, WALL_SITES sites
+beyond each edge of the configured domain, is zeroed once per outer step.
 
-The transforms are numpy.fft's (pocketfft).  No factor of the step mixes
-the two pairs (the absorber damps components 1 and 2, the upper entries),
-so the state is stepped as a (pairs, 2, n) stack and a pair without norm is
-left out: an outer step costs one transform pair per pair that carries
-norm, whatever the stride.  Packets prepared by wavepacket have components
-2 and 3 zero, so they cost one.  integrate() is the one stepping loop;
-evolve() and the jump sampler in pdp both run through it.
+The transforms are numpy.fft's (pocketfft): an outer step costs one
+transform pair, whatever the stride.  The state is stepped as the one
+(2, n) array of components (1, 4), the (upper, lower) pair that alpha
+couples.  The pair (2, 3) obeys the same equations (alpha couples 2 and 3
+as it couples 1 and 4, and the absorber damps the upper entries 1 and 2
+alike), and no factor of the step mixes the two pairs; packets prepared by
+wavepacket fill (1, 4) only, so integrate() rejects norm in components 2
+or 3, which a caller runs relabeled as (1, 4).  integrate() is the one
+stepping loop; evolve() and the jump sampler in pdp both run through it.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ WALL_SITES = STRIDE
 # at n = 3000, w = 16 441 / 214, w = 24 459 / 406, w = 32 479 / 682, and at
 # n = 12000, w = 24 1604 / 1179, w = 32 1568 / 1672.
 NARROW_WINDOW = 16
-PAIRS = ((0, 3), (1, 2))  # the (upper, lower) component pairs that alpha couples
 
 
 class DomainTooSmallError(RuntimeError):
@@ -139,10 +139,10 @@ class EvolutionRecord:
 @lru_cache(maxsize=16)
 def _rotation(n: int, dx: float, dtau: float, chi: float):
     """(angle, axis) of the one-site free step M(k) = exp(-i dtau (k sigma_x
-    + chi sigma_z)) per mode, acting on the Fourier amplitudes of an (upper,
-    lower) component pair: the rotation by angle = dtau omega about
-    axis = (k, chi)/omega, omega = sqrt(k^2 + chi^2) > 0.  Shapes (n,) and
-    (2, n), both read-only."""
+    + chi sigma_z)) per mode, acting on the Fourier amplitudes of the
+    (upper, lower) component pair (1, 4): the rotation by angle = dtau omega
+    about axis = (k, chi)/omega, omega = sqrt(k^2 + chi^2) > 0.  Shapes (n,)
+    and (2, n), both read-only."""
     k = 2 * np.pi * np.fft.fftfreq(n, d=dx)
     omega = np.hypot(k, chi)
     angle, axis = dtau * omega, np.array([k, np.full(n, chi)]) / omega
@@ -156,18 +156,6 @@ def _step_matrix(angle: np.ndarray, axis: np.ndarray, j: int = 1) -> np.ndarray:
     cos, sin = np.cos(j * angle), np.sin(j * angle)
     return np.array([[cos - 1j * sin * axis[1], -1j * sin * axis[0]],
                      [-1j * sin * axis[0], cos + 1j * sin * axis[1]]])
-
-
-def _to_pairs(values: np.ndarray, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-    """The (P, 2, n) stack of the given (upper, lower) component pairs (a copy)."""
-    return values[np.array(pairs, dtype=int).reshape(-1, 2)]
-
-
-def _from_pairs(stack: np.ndarray, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-    """The (4, n) component array of a pair stack; absent pairs are zero."""
-    values = np.zeros((4, stack.shape[-1]), dtype=complex)
-    values[np.array(pairs, dtype=int).reshape(-1, 2)] = stack
-    return values
 
 
 def _power_rows(m: np.ndarray, count: int) -> np.ndarray:
@@ -196,33 +184,33 @@ def _window_phases(n: int, window: slice) -> np.ndarray:
 def _upper_powers(m: np.ndarray, rows: np.ndarray, f: np.ndarray,
                   to_window: np.ndarray) -> np.ndarray:
     """The upper entries of M^j f on the window sites for j = 1 .. J
-    ((P, J, w)), for a one-site free-step matrix M, its rows c_(-1) ..
-    c_(J-1) from _power_rows and the Fourier amplitudes f ((P, 2, n)) of P
-    pairs: c_(j-1) (M f)_0 - c_(j-2) f_0, each term one product of the
+    ((J, w)), for a one-site free-step matrix M, its rows c_(-1) .. c_(J-1)
+    from _power_rows and the Fourier amplitudes f ((2, n)) of the pair
+    (1, 4): c_(j-1) (M f)_0 - c_(j-2) f_0, each term one product of the
     rows with the amplitudes weighted by to_window (_window_phases / n) and
     summed over each pair of modes k and n - k."""
-    upper = np.stack([m[0, 0] * f[:, 0] + m[0, 1] * f[:, 1], f[:, 0]], axis=1)
-    a, (n, h) = upper[:, :, None] * to_window, (f.shape[-1], rows.shape[1])
+    upper = np.stack([m[0, 0] * f[0] + m[0, 1] * f[1], f[0]])
+    a, (n, h) = upper[:, None] * to_window, (f.shape[-1], rows.shape[1])
     a[..., 1:(n + 1) // 2] += a[..., :n // 2:-1]
-    x = (a[..., :h].reshape(-1, h) @ rows.T).reshape(len(f), 2, -1, len(rows))
-    return (x[:, 0, :, 1:] - x[:, 1, :, :-1]).swapaxes(1, 2)
+    x = (a[..., :h].reshape(-1, h) @ rows.T).reshape(2, -1, len(rows))
+    return (x[0, :, 1:] - x[1, :, :-1]).T
 
 
 def _power_sum(m: np.ndarray, rows: np.ndarray, g: np.ndarray,
                from_window: np.ndarray) -> np.ndarray:
-    """sum_j M^(J - j) (e_j, 0) over j < J ((P, 2, n)) for e_j the DFT of
-    the window values g_j ((P, J, w); from_window is _window_phases.conj()),
+    """sum_j M^(J - j) (e_j, 0) over j < J ((2, n)) for e_j the DFT of the
+    window values g_j ((J, w); from_window is _window_phases.conj()),
     a one-site free-step matrix M and its rows c_(-1) .. c_(J-1) from
     _power_rows.  With M^i = c_(i-1) M - c_(i-2) I the sum is
     M (b_1, 0) - (b_2, 0), b_1 = sum_j c_(J-1-j) e_j and b_2 = sum_j c_(J-2-j) e_j,
     each one product of the rows with g before the DFT from the window."""
-    (count, w), n = g.shape[1:], from_window.shape[-1]
-    weights = np.zeros((len(g), 2, count + 1, w), dtype=complex)
-    weights[:, 0, 1:] = weights[:, 1, :-1] = g[:, ::-1]
-    b = (weights.swapaxes(2, 3).reshape(-1, count + 1) @ rows).reshape(len(g), 2, w, -1)
-    b = np.einsum("pbsn,sn->pbn", b[..., np.minimum(np.arange(n), n - np.arange(n))], from_window)
-    fed = m[:, 0] * b[:, 0, None]
-    fed[:, 0] -= b[:, 1]
+    (count, w), n = g.shape, from_window.shape[-1]
+    weights = np.zeros((2, count + 1, w), dtype=complex)
+    weights[0, 1:] = weights[1, :-1] = g[::-1]
+    b = (weights.swapaxes(1, 2).reshape(-1, count + 1) @ rows).reshape(2, w, -1)
+    b = np.einsum("bsn,sn->bn", b[..., np.minimum(np.arange(n), n - np.arange(n))], from_window)
+    fed = m[:, 0] * b[0]
+    fed[0] -= b[1]
     return fed
 
 
@@ -240,8 +228,8 @@ def _feedback(m: np.ndarray, rows: np.ndarray, c: np.ndarray) -> np.ndarray:
     those terms ((J w, J w)) maps the stacked free reads to u; its leading
     j w rows and columns serve an outer step of j + 1 site steps."""
     n, w, n_inner = m.shape[-1], c.size, len(rows) - 1
-    unit = np.array([[np.ones(n), np.zeros(n)]], dtype=complex)  # a unit upper entry at site 0
-    kernels = _upper_powers(m, rows, unit, _window_phases(n, slice(1 - w, w)) / n)[0]
+    unit = np.array([np.ones(n), np.zeros(n)], dtype=complex)  # a unit upper entry at site 0
+    kernels = _upper_powers(m, rows, unit, _window_phases(n, slice(1 - w, w)) / n)
     kernels = kernels[:, np.subtract.outer(range(w), range(w)) + w - 1]
     lower = np.zeros((n_inner, w, n_inner, w), dtype=complex)
     j, i = np.tril_indices(n_inner, -1)
@@ -251,10 +239,10 @@ def _feedback(m: np.ndarray, rows: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def _mix(f: np.ndarray, m: np.ndarray) -> np.ndarray:
     """The per-mode step matrix m from _step_matrix, in place on the Fourier
-    amplitudes of a (P, 2, n) pair stack."""
-    upper, lower = f[:, 0].copy(), f[:, 1]
-    f[:, 0] = m[0, 0] * upper + m[0, 1] * lower
-    f[:, 1] = m[1, 0] * upper + m[1, 1] * lower
+    amplitudes f ((2, n)) of the pair (1, 4)."""
+    upper, lower = f[0].copy(), f[1]
+    f[0] = m[0, 0] * upper + m[0, 1] * lower
+    f[1] = m[1, 0] * upper + m[1, 1] * lower
     return f
 
 
@@ -307,11 +295,14 @@ def integrate(
     absorbed norm and its S exactly, and the free step's amplitudes M^s f
     gain sum_j M^(s-j) (c u_j) transformed from the window (_power_sum).
 
-    The state is stepped as a stack of the PAIRS that carry norm at the
-    start.  Every factor of the step maps a pair into itself, so a pair that
-    starts at zero stays exactly zero; it is skipped, and written back as
-    zeros in final_state.
+    The state is stepped as the (2, n) array of components (1, 4), and
+    final_state has components 2 and 3 zero.  Raises ValueError on an
+    initial state with norm in component 2 or 3: that pair obeys the same
+    equations, so a caller runs it relabeled as (1, 4).
     """
+    if np.any(initial.values[1:3]):
+        raise ValueError("integrate steps components 1 and 4 only; components 2 and 3 "
+                         "carry norm (run that pair relabeled as 1 and 4)")
     grid = initial.grid
     dx = grid.dx
     rows = np.reshape(rates, (-1, grid.n))
@@ -334,8 +325,7 @@ def integrate(
     strips = np.r_[:WALL_SITES, grid.n - WALL_SITES:grid.n]
     # site steps read inside an outer step; a run without a detector reads none
     between = lengths.max(initial=1) - 1 if support.size else 0
-    live = [pair for pair in PAIRS if np.any(initial.values[list(pair)])]
-    stack = _to_pairs(initial.values, live)
+    state = initial.values[[0, 3]]  # the (upper, lower) pair (1, 4), a copy
     if between:
         one_site = _step_matrix(*rotation)
         powers = _power_rows(one_site, between)
@@ -351,19 +341,19 @@ def integrate(
 
     def record(r):
         # the detectors see only the upper entries, on the absorber window
-        upper = stack[:, 0, window]
-        seen[:] = np.sum(upper.real**2 + upper.imag**2, axis=0)
-        surv[r] = np.vdot(stack, stack).real * dx
+        upper = state[0, window]
+        seen[:] = upper.real**2 + upper.imag**2
+        surv[r] = np.vdot(state, state).real * dx
         chan_dens[:, r] = window_rows @ seen * dx
 
     def read_between(f, r, k):
         # rows r + 1 .. r + k - 1 from the amplitudes f of A psi; returns what
         # the absorber adds to the amplitudes after the free step
         inside = slice(r + 1, r + k)
-        u = _upper_powers(one_site, powers[:k], f, to_window)  # the free reads, per pair
+        u = _upper_powers(one_site, powers[:k], f, to_window)  # the free reads
         n_in = (k - 1) * w
-        u = (u.reshape(len(f), n_in) @ feedback[:n_in, :n_in].T).reshape(u.shape)
-        arriving = np.sum(u.real**2 + u.imag**2, axis=0)
+        u = (u.ravel() @ feedback[:n_in, :n_in].T).reshape(u.shape)
+        arriving = u.real**2 + u.imag**2
         dens = damp * arriving
         chan_dens[:, inside] = window_rows @ dens.T * dx
         # each row's two half-stages damp the density before and after its free step
@@ -376,24 +366,24 @@ def integrate(
 
     record(0)
     for r, k in zip(sites[:-1].tolist(), lengths.tolist()):
-        stack[:, 0, window] *= half  # the detectors damp the upper entries
-        f = np.fft.fft(stack, axis=-1)
+        state[0, window] *= half  # the detectors damp the upper entry
+        f = np.fft.fft(state, axis=-1)
         fed = read_between(f, r, k) if between and k > 1 else None
         f = _mix(f, frees[k])
         if fed is not None:
             f += fed
         else:
             surv[r + 1:r + k] = surv[r]  # a run without a detector keeps its norm
-        stack = np.fft.ifft(f, axis=-1)
+        state = np.fft.ifft(f, axis=-1)
         # what the last row's two half-stages take
         absorbed[:, r + k] = absorbed[:, r + k - 1] + take @ (
-            seen + np.sum(np.abs(stack[:, 0, window]) ** 2, axis=0))
-        stack[:, 0, window] *= half
-        lost = np.sum(np.abs(stack[..., strips]) ** 2) * dx
+            seen + np.abs(state[0, window]) ** 2)
+        state[0, window] *= half
+        lost = np.sum(np.abs(state[:, strips]) ** 2) * dx
         leak[r + 1:r + k] = leak[r]  # the strip is zeroed at the outer step's end
         leak[r + k] = leak[r] + lost
         if lost:
-            stack[..., strips] = 0.0
+            state[:, strips] = 0.0
         record(r + k)
 
         if leak[r + k] > LEAKAGE_REJECT:
@@ -402,7 +392,9 @@ def integrate(
                 f"exceeds {LEAKAGE_REJECT}"
             )
 
-    final = PlaneState(initial.x_min, initial.dx, _from_pairs(stack, live))
+    values = np.zeros((4, grid.n), dtype=complex)
+    values[[0, 3]] = state
+    final = PlaneState(initial.x_min, initial.dx, values)
     return EvolutionRecord(cfg.dtau * np.arange(n_steps + 1), chan_dens.sum(axis=0), surv, leak,
                            final, chan_dens, absorbed)
 
@@ -428,10 +420,10 @@ def evolve(
     cfg: EvolutionConfig,
 ) -> EvolutionRecord:
     """Integrate to tau_max recording d(tau) and S(tau) at every site step
-    (see integrate for the stride and the wall treatment).  Whether d(tau)
-    has decayed is the record's tail_ok, which the outputs carry through
-    studies.lattice_report.
-    det None or of zero height is a free run."""
+    of the pair (1, 4) (see integrate for the stride, the wall treatment and
+    the ValueError on norm in components 2 and 3).  Whether d(tau) has
+    decayed is the record's tail_ok, which the outputs carry through
+    studies.lattice_report.  det None or of zero height is a free run."""
     detectors = []
     if det is not None and det.height != 0.0:
         detectors.append(det)

@@ -8,18 +8,15 @@ from dirac_toa.arrival import TAIL_MAX, tail_report
 from dirac_toa.core import CHI, PlaneState, UniformGrid
 from dirac_toa.detector import WindowDetector, lambda_field
 from dirac_toa.propagator import (
-    PAIRS,
     STRIDE,
     WALL_SITES,
     DomainTooSmallError,
     EvolutionConfig,
-    _from_pairs,
     _mix,
     _power_rows,
     _power_sum,
     _rotation,
     _step_matrix,
-    _to_pairs,
     _upper_powers,
     _window_phases,
     evolve,
@@ -39,38 +36,47 @@ def _chiral_right_mover(grid: UniformGrid, site: int) -> PlaneState:
     return PlaneState(grid.x_min, grid.dx, vals)
 
 
-def _free_step(stack: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """integrate's free step on a (P, 2, n) pair stack: one transform pair
-    around the per-mode step matrix m from _step_matrix."""
-    return np.fft.ifft(_mix(np.fft.fft(stack, axis=-1), m), axis=-1)
+def _free_step(pair: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """integrate's free step on an (upper, lower) component pair ((2, n)):
+    one transform pair around the per-mode step matrix m from _step_matrix."""
+    return np.fft.ifft(_mix(np.fft.fft(pair, axis=-1), m), axis=-1)
 
 
 def _periodic_step(state: PlaneState, cfg: EvolutionConfig, rate=0.0) -> PlaneState:
-    """One step of integrate's kernel on all four rows, with no wall strip:
-    absorber half-stage at a uniform or (n,) rate, free step, half-stage."""
+    """One step of integrate's kernel on the pair (1, 4) of a state whose
+    components 2 and 3 are zero, with no wall strip: absorber half-stage at
+    a uniform or (n,) rate, free step, half-stage."""
     n = state.grid.n
+    assert not np.any(state.values[1:3])
     half = np.exp(-cfg.dtau * np.broadcast_to(rate, (n,)) / 4.0)
     free = _step_matrix(*_rotation(n, cfg.dx, cfg.dtau, CHI))
-    stack = _to_pairs(state.values, PAIRS)
-    stack[:, 0] *= half
-    stack = _free_step(stack, free)
-    stack[:, 0] *= half
-    return PlaneState(state.x_min, state.dx, _from_pairs(stack, PAIRS))
+    pair = state.values[[0, 3]]
+    pair[0] *= half
+    pair = _free_step(pair, free)
+    pair[0] *= half
+    values = np.zeros_like(state.values)
+    values[[0, 3]] = pair
+    return PlaneState(state.x_min, state.dx, values)
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(8, 200), j=st.integers(1, STRIDE), seed=st.integers(0, 2**32 - 1))
 def test_free_step_matches_spectral_oracle(n, j, seed):
     """The free step of j site steps (_step_matrix's M^j, one transform pair
-    on the pair stack) is the exact free evolution of spectral_free_evolve,
-    which diagonalises the Dirac Hamiltonian per mode, for any state on any
-    lattice, to roundoff."""
+    around _mix), applied to each of the component pairs (1, 4) and (2, 3),
+    is the exact free evolution of spectral_free_evolve, which diagonalises
+    the Dirac Hamiltonian per mode, for any state on any lattice, to
+    roundoff: on all four rows, both pairs obey the one step integrate
+    takes."""
     rng = np.random.default_rng(seed)
     vals = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
     dx = 0.002
-    moved = _free_step(_to_pairs(vals, PAIRS), _step_matrix(*_rotation(n, dx, dx, CHI), j))
+    m = _step_matrix(*_rotation(n, dx, dx, CHI), j)
+    moved = np.empty_like(vals)
+    for pair in ([0, 3], [1, 2]):  # alpha couples 1 with 4 and 2 with 3
+        moved[pair] = _free_step(vals[pair], m)
     ref = spectral_free_evolve(PlaneState(0.0, dx, vals), j * dx)
-    assert np.abs(_from_pairs(moved, PAIRS) - ref.values).max() < 1e-12 * np.abs(vals).max()
+    assert np.abs(moved - ref.values).max() < 1e-12 * np.abs(vals).max()
 
 
 @pytest.mark.parametrize("n, dx", [(3072, 0.002), (26730, 0.000375)])
@@ -153,30 +159,27 @@ def _four_row_reference(initial: PlaneState, rates, cfg: EvolutionConfig, n_step
 
 
 @settings(max_examples=60, deadline=None)
-@given(populated=st.sampled_from([(0, 1, 2, 3), PAIRS[0], PAIRS[1]]),
-       n=st.integers(256, 320), n_steps=st.integers(1, 45),
+@given(n=st.integers(256, 320), n_steps=st.integers(1, 45),
        absorber=st.sampled_from(["weak", "strong", "narrow"]), seed=st.integers(0, 2**32 - 1))
-def test_pair_stack_matches_four_row_loop(populated, n, n_steps, absorber, seed):
-    """integrate() steps only the pairs that carry norm, STRIDE site steps at
-    a time against a weak or a strong absorber on a narrow window and one
-    site step at a time against a wide one, ending at n_steps site steps,
-    and records every site step; survival, channel densities, leakage,
-    sample times and the final state match the four-row one-site run with
-    the strips zeroed at the same site steps, and a pair that starts at
-    zero ends exactly zero."""
+def test_pair_stack_matches_four_row_loop(n, n_steps, absorber, seed):
+    """integrate() steps the pair (1, 4), STRIDE site steps at a time against
+    a weak or a strong absorber on a narrow window and one site step at a
+    time against a wide one, ending at n_steps site steps, and records every
+    site step; survival, channel densities, leakage, sample times and the
+    final state match the four-row one-site run with the strips zeroed at
+    the same site steps, and components 2 and 3 end exactly zero."""
     rng = np.random.default_rng(seed)
     dx = 0.01
     grid = UniformGrid(-n * dx / 2, dx, n)
     x = grid.positions
     cfg = EvolutionConfig(dtau=dx, x_lo=x[0], x_hi=x[-1], tau_max=1.0)
     vals = np.zeros((4, n), dtype=complex)
-    rows = len(populated)
-    amp = rng.normal(size=(rows, 1)) + 1j * rng.normal(size=(rows, 1))
-    q = rng.uniform(-50.0, 50.0, size=(rows, 1))
+    amp = rng.normal(size=(2, 1)) + 1j * rng.normal(size=(2, 1))
+    q = rng.uniform(-50.0, 50.0, size=(2, 1))
     # narrow enough that 45 steps at light speed stay under LEAKAGE_REJECT (about
     # 3e-28 at most over 60 draws), while the tails and the FFT round-off still
     # reach the walls
-    vals[list(populated)] = amp * np.exp(1j * q * x - (x / (n * dx / 16)) ** 2)
+    vals[[0, 3]] = amp * np.exp(1j * q * x - (x / (n * dx / 16)) ** 2)
     vals /= np.sqrt(np.sum(np.abs(vals) ** 2) * dx)
     # two channels, each of peak rate 1e-4 to 1e-2 (weak) or 1 to 40, cut to
     # a window of at most NARROW_WINDOW sites (weak and narrow, strides) or
@@ -202,23 +205,58 @@ def test_pair_stack_matches_four_row_loop(populated, n, n_steps, absorber, seed)
     assert np.abs(rec.boundary_leakage - leak).max() < 1e-12
     assert leak[-1] > 0.0
     assert np.abs(rec.final_state.values - final).max() < 1e-12
-    for pair in PAIRS:
-        if not set(pair) & set(populated):
-            assert np.all(rec.final_state.values[list(pair)] == 0.0)
+    assert np.all(rec.final_state.values[1:3] == 0.0)
     # the strips are zeroed at the ends of outer steps only
     every = np.arange(n_steps + 1)
     last = np.where(every == n_steps, every, every // stride * stride)
     np.testing.assert_array_equal(rec.boundary_leakage, rec.boundary_leakage[last])
 
 
+@pytest.mark.parametrize("row", [1, 2])
+def test_norm_in_component_2_or_3_is_rejected(row):
+    """integrate steps the pair (1, 4) alone, so integrate and evolve reject
+    a state with any amplitude in component 2 or 3, even 1e-12 at one site,
+    rather than step it with that norm dropped.  The pair (2, 3) obeys the
+    same equations: a state of that pair, run relabeled as (1, 4), gives
+    the four-row one-site run's record and, relabeled back, its final state."""
+    n, dx, n_steps = 256, 0.01, 2 * STRIDE + 3
+    grid = UniformGrid(-n * dx / 2, dx, n)
+    x = grid.positions
+    cfg = EvolutionConfig(dtau=dx, x_lo=x[0], x_hi=x[-1], tau_max=n_steps * dx)
+    packet = np.exp(20j * x - (x / 0.2) ** 2)
+    vals = np.zeros((4, n), dtype=complex)
+    vals[0], vals[3] = packet, 0.5 * packet
+    vals /= np.sqrt(np.sum(np.abs(vals) ** 2) * dx)
+    state = PlaneState(grid.x_min, dx, vals.copy())
+    state.values[row, n // 2] = 1e-12
+    det = WindowDetector(height=10.0, width=0.06, edge=0.02)
+    for run in (lambda: integrate(state, [], cfg, n_steps), lambda: evolve(state, det, cfg)):
+        with pytest.raises(ValueError, match="components 2 and 3"):
+            run()
+
+    rates = [lambda_field(det, grid)]
+    other = np.zeros_like(vals)
+    other[[1, 2]] = vals[[0, 3]]
+    surv, chan, leak, final = _four_row_reference(PlaneState(grid.x_min, dx, other), rates, cfg,
+                                                  n_steps, STRIDE)
+    rec = integrate(PlaneState(grid.x_min, dx, vals), rates, cfg, n_steps)
+    assert np.abs(rec.survival - surv).max() < 1e-12
+    assert np.abs(rec.channel_density - chan).max() < 1e-12
+    assert np.abs(rec.boundary_leakage - leak).max() < 1e-12
+    assert np.abs(rec.final_state.values[[0, 3]] - final[[1, 2]]).max() < 1e-12
+    assert chan.max() > 0.0
+
+
 @settings(max_examples=15, deadline=None)
 @given(p=st.floats(-1.0, 1.0), width=st.floats(0.03, 0.1), seed=st.integers(0, 2**32 - 1))
 def test_survival_flat_without_detector(p, width, seed):
-    """W = 0: the shared loop keeps the norm of any smooth packet at 1."""
+    """W = 0: the shared loop keeps the norm of any smooth packet of the
+    pair (1, 4), with a random spinor, at 1."""
     rng = np.random.default_rng(seed)
     cfg = EvolutionConfig(dtau=0.004, x_lo=-2.0, x_hi=2.0, tau_max=0.2)
     grid = cfg.grid()
-    spinor = rng.normal(size=4) + 1j * rng.normal(size=4)
+    spinor = np.zeros(4, dtype=complex)
+    spinor[[0, 3]] = rng.normal(size=2) + 1j * rng.normal(size=2)
     envelope = np.exp(-(grid.positions**2) / (4 * width**2) + 1j * CHI * p * grid.positions)
     st0 = PlaneState(grid.x_min, grid.dx, spinor[:, None] * envelope[None, :])
     st0.values /= np.sqrt(st0.norm_sq())
@@ -307,10 +345,9 @@ def test_strided_run_matches_site_step_run(p0, detector, monkeypatch):
 
 
 @settings(max_examples=40, deadline=None)
-@given(populated=st.sampled_from([(0, 1, 2, 3), PAIRS[0], PAIRS[1]]),
-       n=st.integers(256, 400), outer=st.integers(0, 2),
+@given(n=st.integers(256, 400), outer=st.integers(0, 2),
        j=st.integers(1, STRIDE - 1), seed=st.integers(0, 2**32 - 1))
-def test_intermediate_rows_are_exact_reads(populated, n, outer, j, seed):
+def test_intermediate_rows_are_exact_reads(n, outer, j, seed):
     """A strided run's record row at site step outer * STRIDE + j is the
     one-site run's: per channel, the density of j one-site steps (absorber
     half-stage, free step, half-stage) of the state at the outer step's
@@ -323,9 +360,9 @@ def test_intermediate_rows_are_exact_reads(populated, n, outer, j, seed):
     x = grid.positions
     cfg = EvolutionConfig(dtau=dx, x_lo=x[0], x_hi=x[-1], tau_max=1.0)
     vals = np.zeros((4, n), dtype=complex)
-    amp = rng.normal(size=(len(populated), 1)) + 1j * rng.normal(size=(len(populated), 1))
-    q = rng.uniform(-50.0, 50.0, size=(len(populated), 1))
-    vals[list(populated)] = amp * np.exp(1j * q * x - (x / (n * dx / 12)) ** 2)
+    amp = rng.normal(size=(2, 1)) + 1j * rng.normal(size=(2, 1))
+    q = rng.uniform(-50.0, 50.0, size=(2, 1))
+    vals[[0, 3]] = amp * np.exp(1j * q * x - (x / (n * dx / 12)) ** 2)
     vals /= np.sqrt(np.sum(np.abs(vals) ** 2) * dx)
     # peak rates 1e-4 to 40, each cut at 1e-3 of its peak: at most 15 sites in all
     rates = [10 ** rng.uniform(-4.0, np.log10(40.0)) * np.exp(-((x - c) / (rng.uniform(1, 2) * dx)) ** 2)
@@ -350,10 +387,9 @@ def test_intermediate_rows_are_exact_reads(populated, n, outer, j, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(populated=st.sampled_from([(0, 1, 2, 3), PAIRS[0], PAIRS[1]]),
-       n=st.integers(256, 400), outer=st.integers(0, 2),
+@given(n=st.integers(256, 400), outer=st.integers(0, 2),
        j=st.integers(1, STRIDE - 1), seed=st.integers(0, 2**32 - 1))
-def test_strong_stride_survival_is_the_stepped_norm(populated, n, outer, j, seed):
+def test_strong_stride_survival_is_the_stepped_norm(n, outer, j, seed):
     """Against a strong absorber (rate 1 to 40) on a window of a few sites a
     run strides, and its S recurrence is the norm of the stepped state: at
     site step r = outer * STRIDE + j, inside an outer step, S plus the
@@ -369,9 +405,9 @@ def test_strong_stride_survival_is_the_stepped_norm(populated, n, outer, j, seed
     x = grid.positions
     cfg = EvolutionConfig(dtau=dx, x_lo=x[0], x_hi=x[-1], tau_max=1.0)
     vals = np.zeros((4, n), dtype=complex)
-    amp = rng.normal(size=(len(populated), 1)) + 1j * rng.normal(size=(len(populated), 1))
-    q = rng.uniform(-50.0, 50.0, size=(len(populated), 1))
-    vals[list(populated)] = amp * np.exp(1j * q * x - (x / (n * dx / 12)) ** 2)
+    amp = rng.normal(size=(2, 1)) + 1j * rng.normal(size=(2, 1))
+    q = rng.uniform(-50.0, 50.0, size=(2, 1))
+    vals[[0, 3]] = amp * np.exp(1j * q * x - (x / (n * dx / 12)) ** 2)
     vals /= np.sqrt(np.sum(np.abs(vals) ** 2) * dx)
     # each cut at 1e-3 of its peak, 2.63 widths out: at most 15 sites in all,
     # inside NARROW_WINDOW
@@ -405,9 +441,9 @@ ABSORBERS = {"weak": ((1e-4, 3e-3), (1.0, 2.0)), "strong": ((1.0, 40.0), (1.0, 2
 
 @settings(max_examples=40, deadline=None)
 @given(absorber=st.sampled_from(sorted(ABSORBERS)), channels=st.integers(1, 2),
-       populated=st.sampled_from([(0, 1, 2, 3), PAIRS[0]]), n=st.integers(256, 400),
-       n_steps=st.integers(1, 3 * STRIDE + 5), seed=st.integers(0, 2**32 - 1))
-def test_absorbed_norm_closes_the_budget(absorber, channels, populated, n, n_steps, seed):
+       n=st.integers(256, 400), n_steps=st.integers(1, 3 * STRIDE + 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_absorbed_norm_closes_the_budget(absorber, channels, n, n_steps, seed):
     """Every row's channel_absorbed closes the budget: S[0] - S - sum_c
     channel_absorbed_c - leakage is at most 1e-13, and no channel's absorbed
     norm falls between rows, against weak and strong absorbers on windows of
@@ -421,9 +457,9 @@ def test_absorbed_norm_closes_the_budget(absorber, channels, populated, n, n_ste
     x = grid.positions
     cfg = EvolutionConfig(dtau=dx, x_lo=x[0], x_hi=x[-1], tau_max=1.0)
     vals = np.zeros((4, n), dtype=complex)
-    amp = rng.normal(size=(len(populated), 1)) + 1j * rng.normal(size=(len(populated), 1))
-    q = rng.uniform(-50.0, 50.0, size=(len(populated), 1))
-    vals[list(populated)] = amp * np.exp(1j * q * x - (x / (n * dx / 12)) ** 2)
+    amp = rng.normal(size=(2, 1)) + 1j * rng.normal(size=(2, 1))
+    q = rng.uniform(-50.0, 50.0, size=(2, 1))
+    vals[[0, 3]] = amp * np.exp(1j * q * x - (x / (n * dx / 12)) ** 2)
     vals /= np.sqrt(np.sum(np.abs(vals) ** 2) * dx)
     (lo, hi), (w_lo, w_hi) = ABSORBERS[absorber]
     rates = [rng.uniform(lo, hi) * np.exp(-((x - c) / (rng.uniform(w_lo, w_hi) * dx)) ** 2)
@@ -442,15 +478,15 @@ def test_absorbed_norm_closes_the_budget(absorber, channels, populated, n, n_ste
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(8, 400), k=st.integers(2, STRIDE), pairs=st.integers(1, 2),
-       w=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
-def test_feed_sum_is_the_closed_form_sum_of_powers(n, k, pairs, w, seed):
+@given(n=st.integers(8, 400), k=st.integers(2, STRIDE), w=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_feed_sum_is_the_closed_form_sum_of_powers(n, k, w, seed):
     """What a strong absorber feeds into an outer step of k site steps,
     _power_sum's product of window values g_j with the rows of the
     recurrence of the powers of the one-site step M (_power_rows), is
     sum_j M^(k-1-j) (e_j, 0) over j = 0 .. k - 2, e_j the DFT of g_j from a
     window of w sites, with each M^(k-1-j) from _step_matrix in closed form,
-    for one or two pairs, to 1e-12 of its largest entry; and the reads
+    to 1e-12 of its largest entry; and the reads
     _upper_powers takes from the amplitudes f are the window's upper entries
     of M^j f, j = 1 .. k - 1, to 1e-12 of theirs."""
     rng = np.random.default_rng(seed)
@@ -461,29 +497,30 @@ def test_feed_sum_is_the_closed_form_sum_of_powers(n, k, pairs, w, seed):
     m = _step_matrix(*rotation)
     rows = _power_rows(m, k - 1)
     phases = _window_phases(n, window)
-    g = rng.normal(size=(pairs, k - 1, w)) + 1j * rng.normal(size=(pairs, k - 1, w))
-    e = np.zeros((pairs, k - 1, n), dtype=complex)
-    e[..., window] = g
+    g = rng.normal(size=(k - 1, w)) + 1j * rng.normal(size=(k - 1, w))
+    e = np.zeros((k - 1, n), dtype=complex)
+    e[:, window] = g
     e = np.fft.fft(e, axis=-1)
-    want = sum(_step_matrix(*rotation, k - 1 - j)[:, 0] * e[:, j, None] for j in range(k - 1))
+    want = sum(_step_matrix(*rotation, k - 1 - j)[:, 0] * e[j] for j in range(k - 1))
     got = _power_sum(m, rows, g, phases.conj())
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    f = rng.normal(size=(pairs, 2, n)) + 1j * rng.normal(size=(pairs, 2, n))
-    want = np.stack([np.fft.ifft(_mix(f.copy(), _step_matrix(*rotation, j))[:, 0])[:, window]
-                     for j in range(1, k)], axis=1)
+    f = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+    want = np.stack([np.fft.ifft(_mix(f.copy(), _step_matrix(*rotation, j))[0])[window]
+                     for j in range(1, k)])
     got = _upper_powers(m, rows, f, phases / n)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_scan_error_does_not_depend_on_step_parity(monkeypatch):
-    """fig2-desk at p0 = 0.5 has a step count STRIDE does not divide.  A
-    strided run ends at n_steps * dtau like the one-site run and records the
-    same times, and both act with the absorber at every site step, so the
-    scan row's T and its error column, |T - T0| with T0 on the run's own
-    record times, match the one-site scan's but for the wall strip's
-    cadence: both move 3.4e-15 of T.  The error bound is relative to T,
-    since the error column itself is only 1.8e-7."""
+    """fig2-desk's detector on the desk lattice [-3, 2] at p0 = 0.5 has a
+    step count STRIDE does not divide.  A strided run ends at n_steps * dtau
+    like the one-site run and records the same times, and both act with the
+    absorber at every site step, so the scan row's T and its error column,
+    |T - T0| with T0 on the run's own record times, match the one-site
+    scan's but for the wall strip's cadence: both move 3.4e-15 of T.  The
+    error bound is relative to T, since the error column itself is only
+    1.8e-7."""
     spec = PacketSpec(p0=0.5)
     det = WindowDetector(height=1e-5, width=0.01, edge=0.004)
     lattice = {"dtau": 0.002, "x_lo": -3.0, "x_hi": 2.0}

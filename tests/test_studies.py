@@ -39,8 +39,8 @@ def _desk_config(p0):
 
 @pytest.mark.parametrize("p0", [0.5, 0.75, 1.0, 2.0])
 def test_scan_error_measures_the_lattice_error_richardson_did(p0):
-    """fig2-desk: the scan's error |T - T0| is the run's own distance to the
-    weak-detector limit.  With the exact free step there is no step error
+    """fig2-desk's detector on the desk lattice [-3, 2]: the scan's error
+    |T - T0| is the run's own distance to the weak-detector limit.  With the exact free step there is no step error
     left for a step-refinement (Richardson) estimate to read: what is left
     is the finite-W shift, so the error is below 1e-6 of T (measured 1.0e-8
     to 3.5e-7) and a detector ten times weaker reads a tenth of it, to 1 %
@@ -54,9 +54,10 @@ def test_scan_error_measures_the_lattice_error_richardson_did(p0):
 
 @pytest.mark.parametrize("p0", [0.5, 0.75, 1.0, 2.0])
 def test_free_arrival_matches_the_weak_detector_run(p0):
-    """fig2-desk at W = 1e-5: the run strides, yet its record has a row per
-    site step, so the oracle reads the same times as a one-site run's record;
-    its detection probability is the lattice's to 1e-4 relative."""
+    """fig2-desk's detector (W = 1e-5) on the desk lattice [-3, 2]: the run
+    strides, yet its record has a row per site step, so the oracle reads the
+    same times as a one-site run's record; its detection probability is the
+    lattice's to 1e-4 relative."""
     spec, cfg = PacketSpec(p0=p0), _desk_config(p0)
     run = desk_run(p0)
     np.testing.assert_array_equal(run.record.tau_samples, cfg.dtau * np.arange(cfg.n_steps + 1))
@@ -168,6 +169,6 @@ def test_derived_domain_runs_as_the_light_cone_box():
 
 def test_pooled_scan_rows_are_the_serial_rows():
     """momentum_scan with two worker processes writes, bit for bit, the rows
-    of the serial scan: fig2-desk's lattice at two momenta."""
+    of the serial scan: the desk lattice [-3, 2] at two momenta."""
     runs = [(PacketSpec(p0=p0), _desk_config(p0)) for p0 in (0.75, 1.0)]
     assert momentum_scan(DESK_DETECTOR, runs, workers=2) == momentum_scan(DESK_DETECTOR, runs)

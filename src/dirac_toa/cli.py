@@ -171,128 +171,123 @@ def parse_inputs(cfg: dict) -> Inputs:
     return Inputs(int(cfg["run"]["seed"]), packet, params, det, runs)
 
 
-def cmd_initial_state(inputs: Inputs, out_dir: Path) -> int:
+def cmd_initial_state(inputs: Inputs) -> dict:
     spec, g = inputs.packet, inputs.params
     ts = np.arange(g["t_lo"], g["t_hi"] + 1e-12, g["t_step"])
     xs = np.arange(g["x_lo"], g["x_hi"] + 1e-12, g["x_step"])
     psi = evaluate_spacetime(spec, ts[:, None], xs[None, :])
     tt, xx = np.meshgrid(ts, xs, indexing="ij")
     meta = {"p0": spec.p0, "eta": spec.eta, "x0": spec.x0, "t0": spec.t0}
+    outputs = {}
     for comp, name in ((0, "component1"), (3, "component4")):
         dens = np.abs(psi[comp]) ** 2
-        write_csv(
-            out_dir / f"initial_state_{name}.csv",
+        outputs[f"initial_state_{name}.csv"] = (
             {
                 "t": tt.reshape(-1),
                 "x": xx.reshape(-1),
                 "density": dens.reshape(-1),
             },
-            metadata=meta | {"component": comp + 1},
+            meta | {"component": comp + 1},
         )
-    return 0
+    return outputs
 
 
-def cmd_arrival_scan(inputs: Inputs, out_dir: Path, workers: int) -> int:
+def cmd_arrival_scan(inputs: Inputs, workers: int) -> dict:
     det = inputs.detector
     rows = momentum_scan(det, inputs.runs, workers=workers)
-    write_csv(
-        out_dir / "arrival_scan.csv",
+    return {"arrival_scan.csv": (
         {key: np.array([r[key] for r in rows]) for key in rows[0]},
-        metadata={"detector_height": det.height, "detector_width": det.width},
-    )
-    return 0
+        {"detector_height": det.height, "detector_width": det.width},
+    )}
 
 
-def cmd_density(inputs: Inputs, out_dir: Path) -> int:
+def cmd_density(inputs: Inputs) -> dict:
+    outputs = {}
     for spec, run_cfg in inputs.runs:
         run = arrival_run(spec, inputs.detector, run_cfg)
         rec, p0 = run.record, spec.p0
         tag = f"p{p0:g}"
         report = lattice_report(run_cfg, rec)
-        write_csv(
-            out_dir / f"density_{tag}.csv",
+        outputs[f"density_{tag}.csv"] = (
             {"t": run.lab.t, "p": run.lab.p},
-            metadata={"p0": p0, "T": run.T, "P_inf": run.P_inf,
-                      "neg_mass": run.neg_mass} | report,
+            {"p0": p0, "T": run.T, "P_inf": run.P_inf,
+             "neg_mass": run.neg_mass} | report,
         )
-        write_csv(
-            out_dir / f"proper_time_density_{tag}.csv",
+        outputs[f"proper_time_density_{tag}.csv"] = (
             {"tau": run.density.tau, "P": run.density.P},
-            metadata={"p0": p0, "P_inf": run.P_inf},
+            {"p0": p0, "P_inf": run.P_inf},
         )
-        write_csv(
-            out_dir / f"evolution_{tag}.csv",
+        outputs[f"evolution_{tag}.csv"] = (
             {"tau": rec.tau_samples, "d": rec.detection_density, "S": rec.survival,
              "leakage": rec.boundary_leakage},
-            metadata={"p0": p0} | report,
+            {"p0": p0} | report,
         )
-    return 0
+    return outputs
 
 
-def cmd_frames(inputs: Inputs, out_dir: Path) -> int:
+def cmd_frames(inputs: Inputs) -> dict:
     (spec, run_cfg), = inputs.runs
     run = arrival_run(spec, inputs.detector, run_cfg)
     x_d, report = inputs.detector.position, lattice_report(run_cfg, run.record)
+    outputs = {}
     for v in inputs.params["v_values"]:
         boosted = arrival.boost_density(run.lab, v, x_d)
-        write_csv(
-            out_dir / f"frames_v{v:g}.csv",
+        outputs[f"frames_v{v:g}.csv"] = (
             {"t": boosted.t, "p": boosted.p},
-            metadata={"p0": spec.p0, "v": v,
-                      "T": arrival.boost_expectation(run.T, v, x_d)} | report,
+            {"p0": spec.p0, "v": v,
+             "T": arrival.boost_expectation(run.T, v, x_d)} | report,
         )
-    return 0
+    return outputs
 
 
-def cmd_point(inputs: Inputs, out_dir: Path) -> int:
+def cmd_point(inputs: Inputs) -> dict:
     scan = inputs.params
     taus = np.arange(scan["tau_lo"], scan["tau_hi"] + 1e-12, scan["tau_step"])
-    # every pair is computed before any file is written, so a rejected pair
-    # leaves no output directory
-    densities = [(p0, kappa, arrival_density_point(replace(inputs.packet, p0=p0), kappa, taus))
-                 for p0 in scan["p0_values"] for kappa in scan["kappa_values"]]
-    for p0, kappa, dens in densities:
-        write_csv(
-            out_dir / f"point_p{p0:g}_kappa{kappa:g}.csv",
-            {"tau": dens.tau, "P": dens.P},
-            metadata={"p0": p0, "kappa": kappa,
-                      "T": arrival.expected_time(dens)} | arrival.tail_report(dens.P),
-        )
-    return 0
+    outputs = {}
+    for p0 in scan["p0_values"]:
+        for kappa in scan["kappa_values"]:
+            dens = arrival_density_point(replace(inputs.packet, p0=p0), kappa, taus)
+            outputs[f"point_p{p0:g}_kappa{kappa:g}.csv"] = (
+                {"tau": dens.tau, "P": dens.P},
+                {"p0": p0, "kappa": kappa,
+                 "T": arrival.expected_time(dens)} | arrival.tail_report(dens.P),
+            )
+    return outputs
 
 
-def cmd_pdp(inputs: Inputs, out_dir: Path) -> int:
+def cmd_pdp(inputs: Inputs) -> dict:
     (spec, run_cfg), = inputs.runs
     seed, n = inputs.seed, inputs.params["n_trajectories"]
     result = pdp_study(spec, inputs.detector, run_cfg, n, seed)
 
     recs = result.records
-    write_csv(
-        out_dir / "pdp_trajectories.csv",
-        {
-            "index": np.arange(len(recs)),
-            "detected": recs.detected.astype(int),
-            "tau": recs.tau_detect,
-            "t": recs.t,
-            "x": recs.x,
-            "channel": recs.detector_index,
-        },
-        metadata={"p0": spec.p0, "n": n, "seed": seed},
-    )
-    write_csv(
-        out_dir / "pdp_summary.csv",
-        {
-            "n": np.array([n]),
-            "detected": np.array([result.detected]),
-            "P_inf": np.array([result.p_inf]),
-            "ks_statistic": np.array([result.ks_statistic]),
-        },
-        metadata={"p0": spec.p0, "seed": seed} | lattice_report(run_cfg, result.process.record),
-    )
-    return 0
+    return {
+        "pdp_trajectories.csv": (
+            {
+                "index": np.arange(len(recs)),
+                "detected": recs.detected.astype(int),
+                "tau": recs.tau_detect,
+                "t": recs.t,
+                "x": recs.x,
+                "channel": recs.detector_index,
+            },
+            {"p0": spec.p0, "n": n, "seed": seed},
+        ),
+        "pdp_summary.csv": (
+            {
+                "n": np.array([n]),
+                "detected": np.array([result.detected]),
+                "P_inf": np.array([result.process.p_inf]),
+                "ks_statistic": np.array([result.ks_statistic]),
+            },
+            {"p0": spec.p0, "seed": seed} | lattice_report(run_cfg, result.process.record),
+        ),
+    }
 
 
-# fn(inputs, out_dir) -> exit code; arrival-scan also takes its --threads pool.
+# fn(inputs) -> every output of the run, {file name: (columns, metadata)};
+# arrival-scan also takes its --threads pool as workers.  main writes the
+# outputs only once the command has returned.
 COMMANDS = {
     "initial-state": cmd_initial_state,
     "arrival-scan": cmd_arrival_scan,
@@ -327,16 +322,19 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         inputs = parse_inputs(cfg)
-        # the first file written creates out_dir, so a rejected config leaves none
         pool = {"workers": args.threads} if "threads" in args else {}
         if pool and args.threads < 1:
             raise ValueError(f"--threads {args.threads} must be at least 1")
-        rc = COMMANDS[args.command](inputs, out_dir, **pool)
+        outputs = COMMANDS[args.command](inputs, **pool)
     except (DomainTooSmallError, arrival.NoDetectionError, ValueError) as exc:
         log.error("run rejected: %s", exc)
         return 2
+    # every output exists before the first is written, so a rejected config
+    # or run leaves no out_dir
+    for name, (columns, metadata) in outputs.items():
+        write_csv(out_dir / name, columns, metadata=metadata)
     write_manifest(out_dir / "manifest.cfg", {"meta": {"version": __version__}} | cfg)
-    return rc
+    return 0
 
 
 if __name__ == "__main__":

@@ -30,8 +30,6 @@ GAMMA1 = np.array(
 )
 # alpha = gamma0 @ gamma1 swaps components (1<->4) and (2<->3).
 ALPHA = GAMMA0 @ GAMMA1
-# Upper (particle) projector: detectors couple to components 1, 2 only.
-PROJECTOR_UP = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
 
 
 @dataclass(frozen=True)

@@ -103,12 +103,12 @@ class EvolutionConfig:
 class EvolutionRecord:
     """Samples of one run at every site step, tau_samples = dtau * arange(
     n_steps + 1): detection density d(tau) = <Psi|Lambda Psi>, survival
-    S(tau) = <Psi|Psi>, and cumulative wall leakage.  channel_density splits
-    d(tau) into one row per detection channel.  channel_absorbed is the norm
-    each channel has absorbed by each row: the absorber half-stages' losses
-    dx sum_s (1 - A_s^2) |u_s|^2, split at each window site s by the
-    channel's share Lambda_c / Lambda of the rate, so no increment is
-    negative and S[0] - S - sum_c channel_absorbed_c - leakage is roundoff.
+    S(tau) = <Psi|Psi>, and cumulative wall leakage.  channel_absorbed is
+    the norm each detection channel has absorbed by each row: the absorber
+    half-stages' losses dx sum_s (1 - A_s^2) |u_s|^2, split at each window
+    site s by the channel's share Lambda_c / Lambda of the rate, so no
+    increment is negative and S[0] - S - sum_c channel_absorbed_c - leakage
+    is roundoff.
 
     Every row is the one-site run's, but for the wall strip: in a strided
     run (see integrate) the leakage between the ends of an outer step is
@@ -121,7 +121,6 @@ class EvolutionRecord:
     survival: np.ndarray
     boundary_leakage: np.ndarray
     final_state: PlaneState
-    channel_density: np.ndarray
     channel_absorbed: np.ndarray
 
     @property
@@ -276,13 +275,14 @@ def integrate(
     symmetrically by the summed absorber, recorded at every site step.
 
     rates holds one (n,) field from lambda_field per detection channel;
-    the record's channel_density has one row of <Psi|Lambda_c Psi> per
-    channel, and detection_density is their sum.  Walls absorb: a strip of
-    WALL_SITES sites at each end of the lattice (beyond the configured
-    domain, on EvolutionConfig.grid) is zeroed after every outer step and
-    the removed norm is accounted as boundary leakage.  Raises
-    DomainTooSmallError once leakage exceeds LEAKAGE_REJECT; below that the
-    record carries it, and studies.lattice_report writes its last value.
+    the record's detection_density is <Psi|Lambda Psi> for their sum
+    Lambda, and its channel_absorbed splits the absorbed norm by channel.
+    Walls absorb: a strip of WALL_SITES sites at each end of the lattice
+    (beyond the configured domain, on EvolutionConfig.grid) is zeroed after
+    every outer step and the removed norm is accounted as boundary leakage.
+    Raises DomainTooSmallError once leakage exceeds LEAKAGE_REJECT; below
+    that the record carries it, and studies.lattice_report writes its last
+    value.
 
     Every site step is the one-site run's: absorber half-stage A =
     exp(-Lambda dtau / 4) on the window, free step, half-stage.  An outer
@@ -314,7 +314,7 @@ def integrate(
     lengths = np.diff(sites)
     rotation = _rotation(grid.n, dx, cfg.dtau, CHI)
     frees = {k: _step_matrix(*rotation, k) for k in set(lengths.tolist())}
-    window_rows = rows[:, window]
+    window_rows, window_rate = rows[:, window], rate[None, window]
     shares = np.divide(window_rows, rate[window], out=np.zeros_like(window_rows),
                        where=rate[window] > 0.0)  # Lambda_c / Lambda
     # the half-stage's amplitude factor A on the window (the norm decays at
@@ -335,7 +335,7 @@ def integrate(
 
     surv = np.empty(n_steps + 1)
     leak = np.zeros(n_steps + 1)
-    chan_dens = np.zeros((len(rates), n_steps + 1))
+    density = np.zeros((1, n_steps + 1))
     absorbed = np.zeros((len(rates), n_steps + 1))
     seen = np.zeros(w)  # upper-entry density on the window at the last record
 
@@ -344,7 +344,7 @@ def integrate(
         upper = state[0, window]
         seen[:] = upper.real**2 + upper.imag**2
         surv[r] = np.vdot(state, state).real * dx
-        chan_dens[:, r] = window_rows @ seen * dx
+        density[:, r] = window_rate @ seen * dx
 
     def read_between(f, r, k):
         # rows r + 1 .. r + k - 1 from the amplitudes f of A psi; returns what
@@ -355,7 +355,7 @@ def integrate(
         u = (u.ravel() @ feedback[:n_in, :n_in].T).reshape(u.shape)
         arriving = u.real**2 + u.imag**2
         dens = damp * arriving
-        chan_dens[:, inside] = window_rows @ dens.T * dx
+        density[:, inside] = window_rate @ dens.T * dx
         # each row's two half-stages damp the density before and after its free step
         rise = np.cumsum(take @ (np.concatenate([seen[None], dens[:-1]]) + arriving).T, axis=1)
         absorbed[:, inside] = absorbed[:, r, None] + rise
@@ -395,8 +395,8 @@ def integrate(
     values = np.zeros((4, grid.n), dtype=complex)
     values[[0, 3]] = state
     final = PlaneState(initial.x_min, initial.dx, values)
-    return EvolutionRecord(cfg.dtau * np.arange(n_steps + 1), chan_dens.sum(axis=0), surv, leak,
-                           final, chan_dens, absorbed)
+    return EvolutionRecord(cfg.dtau * np.arange(n_steps + 1), density[0], surv, leak, final,
+                           absorbed)
 
 
 def check_run_inputs(initial: PlaneState, detectors: Sequence[WindowDetector],

@@ -232,9 +232,7 @@ def config_from_lattice(
 
 @dataclass
 class PdpStudyResult:
-    n_trajectories: int
     detected: int
-    p_inf: float
     ks_statistic: float
     records: pdp.DetectionRecords
     process: pdp.JumpProcess
@@ -275,9 +273,7 @@ def pdp_study(
     cdf = process.absorbed / process.p_inf
     ks = _ks_statistic(taus, lambda x: np.interp(x, process.tau, cdf))
     return PdpStudyResult(
-        n_trajectories=n_trajectories,
         detected=int(taus.size),
-        p_inf=process.p_inf,
         ks_statistic=ks,
         records=records,
         process=process,

@@ -304,6 +304,28 @@ def test_rejected_run_exits_nonzero(tmp_path):
     assert main(["density", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
 
 
+def test_run_rejected_at_a_later_momentum_writes_nothing(tmp_path, caplog):
+    """On [-2.8, 2] the run at p0 = 0.75 closes its budget, but at p0 = 2 the
+    negative-energy branch drifts into the left wall and the run is rejected
+    as it steps.  No output of the first momentum is left behind: every
+    output is computed before main writes the first one."""
+    cfg = tmp_path / "later.cfg"
+    write_manifest(cfg, {
+        "run": {"command": "density"},
+        "detector": {"height": 1e-4, "width": 0.02, "edge": 0.008},
+        "lattice": {"dtau": 0.004, "x_lo": -2.8, "x_hi": 2.0},
+        "scan": {"p0_values": "0.75 2"},
+    })
+    out = tmp_path / "out"
+    assert main(["density", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "run rejected: boundary leakage" in caplog.text
+    assert not out.exists()
+    # the first momentum alone runs and writes its outputs
+    write_manifest(cfg, read_manifest(cfg) | {"scan": {"p0_values": "0.75"}})
+    assert main(["density", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "density_p0.75.csv").is_file()
+
+
 def _density_config(path, **lattice):
     write_manifest(path, {
         "run": {"command": "density"},
@@ -506,7 +528,7 @@ def test_unknown_preset_and_wrong_command(tmp_path, caplog):
         out = tmp_path / "out"
         assert main([*args, "--out", str(out)]) == 2
         assert message in caplog.text
-        assert not (out / "manifest.cfg").exists()
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command, scan", [
@@ -534,7 +556,7 @@ def test_pdp_rejects_seed_and_count_out_of_range(tmp_path):
     for seed in ("-1", str(2**64)):
         out = tmp_path / f"seed{seed}"
         assert main(["pdp", "--config", str(cfg), "--out", str(out), "--seed", seed]) == 2
-        assert not (out / "manifest.cfg").exists()
+        assert not out.exists()
     negative = tmp_path / "negative.cfg"
     write_manifest(negative, read_manifest(cfg) | {"scan": {"n_trajectories": -1}})
     assert main(["pdp", "--config", str(negative), "--out", str(tmp_path / "n"),
@@ -703,4 +725,4 @@ def test_pdp_rejects_detector_on_the_wall_strip(tmp_path, caplog):
     out = tmp_path / "out"
     assert main(["pdp", "--preset", "pdp-desk", "--config", str(cfg), "--out", str(out)]) == 2
     assert "walls" in caplog.text
-    assert not (out / "manifest.cfg").exists()
+    assert not out.exists()

@@ -10,7 +10,6 @@ from dirac_toa.core import (
     ELECTRON_REDUCED_COMPTON_A,
     GAMMA0,
     GAMMA1,
-    PROJECTOR_UP,
     PlaneState,
     TwoVector,
     UniformGrid,
@@ -28,7 +27,6 @@ def test_gamma_algebra():
     np.testing.assert_allclose(GAMMA0 @ GAMMA0, np.eye(4), atol=0)
     np.testing.assert_allclose(GAMMA1 @ GAMMA1, -np.eye(4), atol=0)
     np.testing.assert_allclose(GAMMA0 @ GAMMA1 + GAMMA1 @ GAMMA0, np.zeros((4, 4)), atol=0)
-    np.testing.assert_allclose(PROJECTOR_UP, np.diag([1, 1, 0, 0]))
 
 
 def test_electron_units_from_constants():

@@ -165,7 +165,7 @@ def test_pair_stack_matches_four_row_loop(n, n_steps, absorber, seed):
     """integrate() steps the pair (1, 4), STRIDE site steps at a time against
     a weak or a strong absorber on a narrow window and one site step at a
     time against a wide one, ending at n_steps site steps, and records every
-    site step; survival, channel densities, leakage, sample times and the
+    site step; survival, detection density, leakage, sample times and the
     final state match the four-row one-site run with the strips zeroed at
     the same site steps, and components 2 and 3 end exactly zero."""
     rng = np.random.default_rng(seed)
@@ -201,7 +201,7 @@ def test_pair_stack_matches_four_row_loop(n, n_steps, absorber, seed):
                                                   n_steps, stride)
     np.testing.assert_array_equal(rec.tau_samples, dx * np.arange(n_steps + 1))
     assert np.abs(rec.survival - surv).max() < 1e-12
-    assert np.abs(rec.channel_density - chan).max() < 1e-12
+    assert np.abs(rec.detection_density - chan.sum(axis=0)).max() < 1e-12
     assert np.abs(rec.boundary_leakage - leak).max() < 1e-12
     assert leak[-1] > 0.0
     assert np.abs(rec.final_state.values - final).max() < 1e-12
@@ -241,7 +241,7 @@ def test_norm_in_component_2_or_3_is_rejected(row):
                                                   n_steps, STRIDE)
     rec = integrate(PlaneState(grid.x_min, dx, vals), rates, cfg, n_steps)
     assert np.abs(rec.survival - surv).max() < 1e-12
-    assert np.abs(rec.channel_density - chan).max() < 1e-12
+    assert np.abs(rec.detection_density - chan.sum(axis=0)).max() < 1e-12
     assert np.abs(rec.boundary_leakage - leak).max() < 1e-12
     assert np.abs(rec.final_state.values[[0, 3]] - final[[1, 2]]).max() < 1e-12
     assert chan.max() > 0.0
@@ -349,7 +349,7 @@ def test_strided_run_matches_site_step_run(p0, detector, monkeypatch):
        j=st.integers(1, STRIDE - 1), seed=st.integers(0, 2**32 - 1))
 def test_intermediate_rows_are_exact_reads(n, outer, j, seed):
     """A strided run's record row at site step outer * STRIDE + j is the
-    one-site run's: per channel, the density of j one-site steps (absorber
+    one-site run's: the detection density of j one-site steps (absorber
     half-stage, free step, half-stage) of the state at the outer step's
     start, to 1e-12, against a weak or a strong absorber on a window of a
     few sites; a run whose step count STRIDE does not divide reads the rows
@@ -383,7 +383,7 @@ def test_intermediate_rows_are_exact_reads(n, outer, j, seed):
         state = _periodic_step(state, cfg, np.sum(rates, axis=0))
     upper = np.sum(np.abs(state.values[:2]) ** 2, axis=0)
     want = [np.sum(r * upper) * dx for r in rates]
-    assert np.abs(rec.channel_density[:, outer * STRIDE + j] - want).max() < 1e-12
+    assert abs(rec.detection_density[outer * STRIDE + j] - sum(want)) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -393,7 +393,7 @@ def test_strong_stride_survival_is_the_stepped_norm(n, outer, j, seed):
     """Against a strong absorber (rate 1 to 40) on a window of a few sites a
     run strides, and its S recurrence is the norm of the stepped state: at
     site step r = outer * STRIDE + j, inside an outer step, S plus the
-    leakage and the channel densities equal those at the end of the run that
+    leakage and the detection density equal those at the end of the run that
     stops at r (vdot of its final state, after its last wall strip), and so
     does every row before r, to 1e-12.  (S alone differs by the norm that
     run's last strip removes: the absorber's sharp edges reach the walls
@@ -429,7 +429,7 @@ def test_strong_stride_survival_is_the_stepped_norm(n, outer, j, seed):
     kept = rec.survival + rec.boundary_leakage
     assert abs(kept[r] - stepped.final_state.norm_sq() - stepped.boundary_leakage[-1]) < 1e-12
     assert np.abs(kept[:r + 1] - stepped.survival - stepped.boundary_leakage).max() < 1e-12
-    assert np.abs(rec.channel_density[:, :r + 1] - stepped.channel_density).max() < 1e-12
+    assert np.abs(rec.detection_density[:r + 1] - stepped.detection_density).max() < 1e-12
 
 
 # per absorber: (peak rate range, channel width range in sites); a channel

@@ -1,9 +1,15 @@
 #!/usr/bin/env python3
-"""Production-resolution studies (dx = edge/2 = 0.001 A for every momentum,
-each run on the smallest domain that holds its packet), printing each
-study's wall time and the total.  All of them take about 4.1 s
-single-threaded on a 2-vCPU host: the fig2 momentum scan 2.6 s, fig4 0.9 s
-and fig10 0.3 s; --threads runs the scan's momenta in parallel.
+"""Run every study preset of one set into OUT/<preset> and print each
+study's wall time and the total.
+
+    python scripts/run_studies.py desk OUT   # desk scale: seconds on a laptop
+    python scripts/run_studies.py full OUT --threads 2
+
+The full set runs at production resolution (dx = edge/2 = 0.001 A for every
+momentum, each run on the smallest domain that holds its packet): about
+4.1 s single-threaded on a 2-vCPU host, the fig2 momentum scan 2.6 s of it,
+fig4 0.9 s and fig10 0.3 s.  --threads runs the scan's momenta in parallel.
+A desk preset is the full preset's name with -desk appended.
 """
 
 import argparse
@@ -24,15 +30,14 @@ STUDIES = [
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser()
-    ap.add_argument("--out", default="results-full")
+    ap.add_argument("set", choices=["desk", "full"])
+    ap.add_argument("out", type=Path)
     ap.add_argument("--threads", type=int, default=1)
-    ap.add_argument("--only", default=None, help="run a single preset by name")
     args = ap.parse_args()
     total = 0.0
-    for command, preset in STUDIES:
-        if args.only and preset != args.only:
-            continue
-        out = Path(args.out) / preset
+    for command, name in STUDIES:
+        preset = f"{name}-desk" if args.set == "desk" else name
+        out = args.out / preset
         print(f"== {command} --preset {preset} -> {out}", flush=True)
         start = time.perf_counter()
         pool = ["--threads", str(args.threads)] if command == "arrival-scan" else []

@@ -19,8 +19,7 @@ from .detector import WindowDetector, check_resolution
 from .point_analytic import arrival_density_point
 from .presets import PRESETS
 from .propagator import DomainTooSmallError, EvolutionConfig
-from .studies import (arrival_run, check_keys, config_from_lattice, finite, lattice_report,
-                      momentum_scan, pdp_study)
+from .studies import arrival_run, check_keys, config_from_lattice, finite, momentum_scan, pdp_study
 from .wavepacket import PacketSpec, evaluate_spacetime
 
 log = logging.getLogger("dirac_toa")
@@ -205,9 +204,8 @@ def cmd_density(inputs: Inputs) -> dict:
     outputs = {}
     for spec, run_cfg in inputs.runs:
         run = arrival_run(spec, inputs.detector, run_cfg)
-        rec, p0 = run.record, spec.p0
+        rec, p0, report = run.record, spec.p0, run.record.report
         tag = f"p{p0:g}"
-        report = lattice_report(run_cfg, rec)
         outputs[f"density_{tag}.csv"] = (
             {"t": run.lab.t, "p": run.lab.p},
             {"p0": p0, "T": run.T, "P_inf": run.P_inf,
@@ -228,7 +226,7 @@ def cmd_density(inputs: Inputs) -> dict:
 def cmd_frames(inputs: Inputs) -> dict:
     (spec, run_cfg), = inputs.runs
     run = arrival_run(spec, inputs.detector, run_cfg)
-    x_d, report = inputs.detector.position, lattice_report(run_cfg, run.record)
+    x_d, report = inputs.detector.position, run.record.report
     outputs = {}
     for v in inputs.params["v_values"]:
         boosted = arrival.boost_density(run.lab, v, x_d)
@@ -280,7 +278,7 @@ def cmd_pdp(inputs: Inputs) -> dict:
                 "P_inf": np.array([result.process.p_inf]),
                 "ks_statistic": np.array([result.ks_statistic]),
             },
-            {"p0": spec.p0, "seed": seed} | lattice_report(run_cfg, result.process.record),
+            {"p0": spec.p0, "seed": seed} | result.process.record.report,
         ),
     }
 

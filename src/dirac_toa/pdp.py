@@ -12,8 +12,8 @@ from typing import Optional
 import numpy as np
 
 from .core import PlaneState, TwoVector, clock_start, inner_product, minkowski_norm_sq
-from .detector import WindowDetector, lambda_field
-from .propagator import EvolutionConfig, check_run_inputs, integrate
+from .detector import WindowDetector
+from .propagator import EvolutionConfig, evolve
 
 ORTHO_TOL = 1e-10
 SAMPLE_BLOCK = 4096  # trajectories JumpProcess.sample_many draws and inverts at a time
@@ -191,24 +191,25 @@ class JumpProcess:
     """Continuous-detection sampler.
 
     The non-Hermitian evolution is the same for every trajectory, so it is
-    integrated once, by propagator.integrate, with a record row at every
-    site step.  The record's channel_absorbed is the norm each channel has
-    taken by every row; their sum relative to S[0], absorbed, is the jump
-    time's CDF, sorted by construction, and p_inf its last value.  Each
-    trajectory draws r uniform in [0, 1), inverts absorbed at r (linear
-    interpolation inside the bracketing site step), picks the detecting
-    channel by that step's per-channel absorbed norm, and terminates.  Norm
-    lost at the domain walls is not absorbed: trajectories with r >= p_inf
-    survive to the end of the record or are lost there, and end undetected.
-    Against a strong detector the absorbed norm is exact at every row, the
-    one-site run's but for the wall strip's cadence (EvolutionRecord).
+    run once, by propagator.evolve against the channels' detectors, with a
+    record row at every site step.  The record's channel_absorbed is the
+    norm each channel has taken by every row; their sum relative to S[0],
+    absorbed, is the jump time's CDF, sorted by construction, and p_inf its
+    last value.  Each trajectory draws r uniform in [0, 1), inverts absorbed
+    at r (linear interpolation inside the bracketing site step), picks the
+    detecting channel by that step's per-channel absorbed norm, and
+    terminates.  Norm lost at the domain walls is not absorbed: trajectories
+    with r >= p_inf survive to the end of the record or are lost there, and
+    end undetected.  Against a strong detector the absorbed norm is exact at
+    every row, the one-site run's but for the wall strip's cadence
+    (EvolutionRecord).
 
     sample_many(n, seed) draws every trajectory from one Philox stream keyed
     by the seed: trajectory i takes row i of random((n, 2)), which the
     stream fills in counter order, so trajectory i depends on the seed and i
     alone, not on n or on the other trajectories.  It returns the outcomes
     as columns (DetectionRecords).  The run's EvolutionRecord is kept as
-    record, which the callers report (studies.lattice_report).
+    record, whose report the callers write.
     """
 
     def __init__(
@@ -230,9 +231,7 @@ class JumpProcess:
                 )
         self.channels = list(channels)
         self.preparation = preparation
-        rates = [lambda_field(ch.spec, initial.grid) for ch in self.channels]
-        check_run_inputs(initial, [ch.spec for ch in self.channels], cfg)
-        self.record = rec = integrate(initial, rates, cfg, cfg.n_steps)
+        self.record = rec = evolve(initial, [ch.spec for ch in self.channels], cfg)
         self.tau, self.detection_density = rec.tau_samples, rec.detection_density
         self.channel_absorbed = rec.channel_absorbed
         self.absorbed = rec.channel_absorbed.sum(axis=0) / rec.survival[0]

@@ -4,7 +4,7 @@ rotation + absorptive detector coupling, plus a spectral free-flight oracle.
 The lattice is light-cone locked: dx = dtau.  The free step is exact: the
 mass term is uniform in x, so free evolution is diagonal in k, and on the
 Fourier amplitudes of the component pair (1, 4) a step of length tau is
-exp(-i tau (k sigma_x + chi sigma_z)), a rotation per mode cached as its
+exp(-i tau (k sigma_x + chi sigma_z)), a rotation per mode held as its
 angle and axis; j site steps are the rotation by j times that angle.  So
 integrate() takes outer steps of STRIDE site steps, one transform pair
 each, while the absorber still acts at every site step as in the one-site
@@ -24,13 +24,13 @@ as it couples 1 and 4, and the absorber damps the upper entries 1 and 2
 alike), and no factor of the step mixes the two pairs; packets prepared by
 wavepacket fill (1, 4) only, so integrate() rejects norm in components 2
 or 3, which a caller runs relabeled as (1, 4).  integrate() is the one
-stepping loop; evolve() and the jump sampler in pdp both run through it.
+stepping loop and evolve() the one way into it: every lattice run, the jump
+sampler's in pdp included, is evolve(initial, detectors, cfg).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -112,9 +112,9 @@ class EvolutionRecord:
 
     Every row is the one-site run's, but for the wall strip: in a strided
     run (see integrate) the leakage between the ends of an outer step is
-    that of the strip zeroed at the last end.  tail_ok, absorbed_residual
-    and the last leakage are the invariants studies.lattice_report writes
-    into every output of the run."""
+    that of the strip zeroed at the last end.  report holds the invariants
+    every output of the run writes: tail_ok, absorbed_residual and the last
+    leakage."""
 
     tau_samples: np.ndarray
     detection_density: np.ndarray
@@ -134,19 +134,28 @@ class EvolutionRecord:
         """Whether d(tau) has decayed below TAIL_MAX of its peak (arrival.tail_report)."""
         return bool(tail_report(self.detection_density)["tail_ok"])
 
+    @property
+    def report(self) -> dict:
+        """The one report of the run, written into every output of it: the
+        lattice it stepped (final_state's grid: x_lo and x_hi, wall strips
+        included, and n sites), its tail contract (arrival.tail_report of
+        d), absorbed_residual and the norm its walls took (leakage)."""
+        grid = self.final_state.grid
+        return ({"x_lo": grid.x_lo, "x_hi": grid.x_hi, "n": grid.n}
+                | tail_report(self.detection_density)
+                | {"absorbed_residual": self.absorbed_residual,
+                   "leakage": float(self.boundary_leakage[-1])})
 
-@lru_cache(maxsize=16)
-def _rotation(n: int, dx: float, dtau: float, chi: float):
-    """(angle, axis) of the one-site free step M(k) = exp(-i dtau (k sigma_x
-    + chi sigma_z)) per mode, acting on the Fourier amplitudes of the
-    (upper, lower) component pair (1, 4): the rotation by angle = dtau omega
-    about axis = (k, chi)/omega, omega = sqrt(k^2 + chi^2) > 0.  Shapes (n,)
-    and (2, n), both read-only."""
+
+def _rotation(n: int, dx: float):
+    """(angle, axis) of the one-site free step M(k) = exp(-i dx (k sigma_x
+    + chi sigma_z)), chi = CHI, per mode of n sites dx apart, acting on the
+    Fourier amplitudes of the (upper, lower) component pair (1, 4): the
+    rotation by angle = dx omega about axis = (k, chi)/omega, omega =
+    sqrt(k^2 + chi^2) > 0.  Shapes (n,) and (2, n)."""
     k = 2 * np.pi * np.fft.fftfreq(n, d=dx)
-    omega = np.hypot(k, chi)
-    angle, axis = dtau * omega, np.array([k, np.full(n, chi)]) / omega
-    angle.flags.writeable = axis.flags.writeable = False  # cached: shared by every caller
-    return angle, axis
+    omega = np.hypot(k, CHI)
+    return dx * omega, np.array([k, np.full(n, CHI)]) / omega
 
 
 def _step_matrix(angle: np.ndarray, axis: np.ndarray, j: int = 1) -> np.ndarray:
@@ -265,13 +274,9 @@ def spectral_free_evolve(state: PlaneState, tau: float) -> PlaneState:
     return PlaneState(state.x_min, state.dx, vals)
 
 
-def integrate(
-    initial: PlaneState,
-    rates: Sequence[np.ndarray],
-    cfg: EvolutionConfig,
-    n_steps: int,
-) -> EvolutionRecord:
-    """The stepping loop: n_steps site steps, the exact free step split
+def integrate(initial: PlaneState, rates: Sequence[np.ndarray], n_steps: int) -> EvolutionRecord:
+    """The stepping loop: n_steps site steps of dtau = the state's own dx
+    (the lattice is light-cone locked), the exact free step split
     symmetrically by the summed absorber, recorded at every site step.
 
     rates holds one (n,) field from lambda_field per detection channel;
@@ -281,8 +286,7 @@ def integrate(
     (beyond the configured domain, on EvolutionConfig.grid) is zeroed after
     every outer step and the removed norm is accounted as boundary leakage.
     Raises DomainTooSmallError once leakage exceeds LEAKAGE_REJECT; below
-    that the record carries it, and studies.lattice_report writes its last
-    value.
+    that the record carries it, and its report holds the last value.
 
     Every site step is the one-site run's: absorber half-stage A =
     exp(-Lambda dtau / 4) on the window, free step, half-stage.  An outer
@@ -312,14 +316,14 @@ def integrate(
     w = window.stop - window.start
     sites = np.r_[0:n_steps:STRIDE if w <= NARROW_WINDOW else 1, n_steps]  # site steps reached
     lengths = np.diff(sites)
-    rotation = _rotation(grid.n, dx, cfg.dtau, CHI)
+    rotation = _rotation(grid.n, dx)
     frees = {k: _step_matrix(*rotation, k) for k in set(lengths.tolist())}
     window_rows, window_rate = rows[:, window], rate[None, window]
     shares = np.divide(window_rows, rate[window], out=np.zeros_like(window_rows),
                        where=rate[window] > 0.0)  # Lambda_c / Lambda
     # the half-stage's amplitude factor A on the window (the norm decays at
     # rate Lambda), A^2 and the norm dx (1 - A^2) Lambda_c / Lambda it takes to channel c
-    half = np.exp(-cfg.dtau * rate[window] / 4.0)
+    half = np.exp(-dx * rate[window] / 4.0)
     damp = half**2
     take = dx * (1.0 - damp) * shares
     strips = np.r_[:WALL_SITES, grid.n - WALL_SITES:grid.n]
@@ -388,22 +392,35 @@ def integrate(
 
         if leak[r + k] > LEAKAGE_REJECT:
             raise DomainTooSmallError(
-                f"boundary leakage {leak[r + k]:.3e} at tau={cfg.dtau * (r + k):.3f} "
+                f"boundary leakage {leak[r + k]:.3e} at tau={dx * (r + k):.3f} "
                 f"exceeds {LEAKAGE_REJECT}"
             )
 
     values = np.zeros((4, grid.n), dtype=complex)
     values[[0, 3]] = state
     final = PlaneState(initial.x_min, initial.dx, values)
-    return EvolutionRecord(cfg.dtau * np.arange(n_steps + 1), density[0], surv, leak, final,
-                           absorbed)
+    return EvolutionRecord(dx * np.arange(n_steps + 1), density[0], surv, leak, final, absorbed)
 
 
-def check_run_inputs(initial: PlaneState, detectors: Sequence[WindowDetector],
-                     cfg: EvolutionConfig) -> None:
-    """Reject a run integrate cannot account for: an initial state whose
-    norm^2 is not 1, or a window detector whose support leaves the configured
-    domain [x_lo, x_hi] or reaches a wall strip of the state's lattice."""
+def evolve(
+    initial: PlaneState,
+    detectors: Sequence[WindowDetector],
+    cfg: EvolutionConfig,
+) -> EvolutionRecord:
+    """The one way into a lattice run: integrate to tau_max against the
+    window detectors, one detection channel each (none is a free run),
+    recording d(tau), S(tau) and each channel's absorbed norm at every site
+    step of the pair (1, 4) (see integrate for the stride, the wall
+    treatment and the ValueError on norm in components 2 and 3).  Whether
+    d(tau) has decayed is the record's tail_ok; its report holds that and
+    the other invariants every output of the run writes.
+
+    Rejects a run integrate cannot account for: a state off the config's
+    lattice step, an initial norm^2 that is not 1, or a detector whose
+    support leaves the configured domain [x_lo, x_hi] or reaches a wall
+    strip of the state's lattice."""
+    if initial.dx != cfg.dx:
+        raise ValueError(f"state's dx = {initial.dx} is not the config's dtau = {cfg.dtau}")
     norm = initial.norm_sq()
     if abs(norm - 1.0) > 1e-6:
         raise ValueError(f"initial state norm^2 = {norm}, expected 1")
@@ -412,22 +429,4 @@ def check_run_inputs(initial: PlaneState, detectors: Sequence[WindowDetector],
     for det in detectors:
         if det.position - det.width / 2 < lo or det.position + det.width / 2 > hi:
             raise ValueError("detector support must lie inside the domain walls")
-
-
-def evolve(
-    initial: PlaneState,
-    det: WindowDetector | None,
-    cfg: EvolutionConfig,
-) -> EvolutionRecord:
-    """Integrate to tau_max recording d(tau) and S(tau) at every site step
-    of the pair (1, 4) (see integrate for the stride, the wall treatment and
-    the ValueError on norm in components 2 and 3).  Whether d(tau) has
-    decayed is the record's tail_ok, which the outputs carry through
-    studies.lattice_report.  det None or of zero height is a free run."""
-    detectors = []
-    if det is not None and det.height != 0.0:
-        detectors.append(det)
-    rates = [lambda_field(d, initial.grid) for d in detectors]
-    check_run_inputs(initial, detectors, cfg)
-
-    return integrate(initial, rates, cfg, cfg.n_steps)
+    return integrate(initial, [lambda_field(d, initial.grid) for d in detectors], cfg.n_steps)

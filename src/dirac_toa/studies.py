@@ -21,7 +21,8 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class ArrivalRunResult:
-    p0: float
+    """One lattice run's record and its reduction (reduce_density)."""
+
     record: EvolutionRecord
     density: arrival.ArrivalDensity
     lab: arrival.LabDensity
@@ -36,22 +37,21 @@ def prepare_omega(spec: PacketSpec, cfg: EvolutionConfig, detector_position: flo
     return sample_packet(spec, cfg.grid(), clock_start(detector_position, spec.preparation))
 
 
+def reduce_density(spec: PacketSpec, det: WindowDetector, tau: np.ndarray, d: np.ndarray):
+    """(density, lab, T, P_inf, neg_mass): the arrival-time observables of a
+    detection density d on the proper times tau of a detector at rest at
+    det.position, which the lattice run and the free-packet oracle share."""
+    dens = arrival.normalize_density(tau, d, clock_start(det.position, spec.preparation))
+    lab = arrival.lab_density(dens)
+    neg_mass = arrival.negative_time_mass(lab, spec.t0)
+    return dens, lab, arrival.expected_time(dens), dens.P_inf, neg_mass
+
+
 def arrival_run(spec: PacketSpec, det: WindowDetector, cfg: EvolutionConfig) -> ArrivalRunResult:
     """Evolve the prepared packet against one window detector and reduce the
     detection record to arrival-time observables."""
-    rec = evolve(prepare_omega(spec, cfg, det.position), det, cfg)
-    dens = arrival.normalize_density(rec.tau_samples, rec.detection_density,
-                                     clock_start(det.position, spec.preparation))
-    lab = arrival.lab_density(dens)
-    return ArrivalRunResult(
-        p0=spec.p0,
-        record=rec,
-        density=dens,
-        lab=lab,
-        T=arrival.expected_time(dens),
-        P_inf=dens.P_inf,
-        neg_mass=arrival.negative_time_mass(lab, spec.t0),
-    )
+    rec = evolve(prepare_omega(spec, cfg, det.position), [det], cfg)
+    return ArrivalRunResult(rec, *reduce_density(spec, det, rec.tau_samples, rec.detection_density))
 
 
 TAIL_MARGIN = 0.75  # proper time run past the classical arrival (A/c)
@@ -84,34 +84,22 @@ def free_arrival(spec: PacketSpec, det: WindowDetector, cfg: EvolutionConfig,
     """(T0, P_inf0, neg_mass0): the free packet's arrival time, detection
     probability and negative-time mass to first order in W, on the record
     times tau, from d0(tau) = sum_window Lambda(x) |psi_1|^2 (tau + t_start, x) dx
-    with the exact free field, reduced as arrival_run reduces d(tau).  Lambda
-    also weighs |psi_2|^2, but packets from ``wavepacket`` have components 2
-    and 3 zero."""
+    with the exact free field, reduced by reduce_density as the run's d(tau)
+    is.  Lambda also weighs |psi_2|^2, but packets from ``wavepacket`` have
+    components 2 and 3 zero."""
     grid = cfg.grid()
     rate = lambda_field(det, grid)
     window = np.flatnonzero(rate)
     t_start = clock_start(det.position, spec.preparation)
     psi1 = lab_components(spec, (tau + t_start)[:, None], grid.positions[window][None, :])[0]
-    density = arrival.normalize_density(tau, np.abs(psi1) ** 2 @ rate[window] * grid.dx, t_start)
-    neg_mass0 = arrival.negative_time_mass(arrival.lab_density(density), spec.t0)
-    return arrival.expected_time(density), density.P_inf, neg_mass0
-
-
-def lattice_report(cfg: EvolutionConfig, rec: EvolutionRecord) -> dict:
-    """The one report of a lattice run, written into every output of it: the
-    lattice it stepped (grid x_lo and x_hi, wall strips included, and n
-    sites), its tail contract (arrival.tail_report of d), its absorbed
-    norm's budget residual and the norm its walls took (leakage)."""
-    grid = cfg.grid()
-    return ({"x_lo": grid.x_lo, "x_hi": grid.x_hi, "n": grid.n}
-            | arrival.tail_report(rec.detection_density)
-            | {"absorbed_residual": rec.absorbed_residual,
-               "leakage": float(rec.boundary_leakage[-1])})
+    _, _, t0, p_inf0, neg_mass0 = reduce_density(spec, det, tau,
+                                                 np.abs(psi1) ** 2 @ rate[window] * grid.dx)
+    return t0, p_inf0, neg_mass0
 
 
 def _scan_one(args):
     """One scan row: one lattice run, with error = |T - T0| against the
-    free-packet oracle on the run's own record times, and its lattice_report.
+    free-packet oracle on the run's own record times, and the run's report.
 
     T0 is first order in W, so the error is the run's distance to the
     weak-detector limit.  The free step is exact, so that distance is the
@@ -132,7 +120,7 @@ def _scan_one(args):
         "P_inf0": p_inf0,
         "neg_mass": run.neg_mass,
         "neg_mass0": neg_mass0,
-    } | lattice_report(cfg, run.record)
+    } | run.record.report
 
 
 def momentum_scan(
@@ -195,7 +183,7 @@ def _packet_domain(spec: PacketSpec, det: WindowDetector, dx: float,
 
 def config_from_lattice(
     lattice: Mapping[str, object],
-    p0: float,  # unread: ROADMAP item 1 drops it from the benchmark's call, then here
+    p0: float,  # unread: ROADMAP item 3 drops it from the benchmark's call, then here
     spec: PacketSpec,
     det: WindowDetector = WindowDetector(),
 ) -> EvolutionConfig:
@@ -207,7 +195,7 @@ def config_from_lattice(
     (classical_arrival_tau)."""
     kw = dict(lattice)
     # Transitional: the benchmark's configs still set n_substeps, which the
-    # exact free step no longer has.  ROADMAP item 1's benchmark change drops
+    # exact free step no longer has.  ROADMAP item 3's benchmark change drops
     # the key there, and with it this block.
     if "n_substeps" in kw:
         substeps = str(kw.pop("n_substeps"))

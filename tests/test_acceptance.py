@@ -86,7 +86,7 @@ def test_criterion_03_unitarity_and_probability_budget(run_p075):
     spec = PacketSpec(p0=0.75)
     cfg = EvolutionConfig(dtau=0.002, x_lo=-4.0, x_hi=2.0,
                           tau_max=auto_tau_max(spec))
-    rec_free = evolve(prepare_omega(spec, cfg), WindowDetector(height=0.0), cfg)
+    rec_free = evolve(prepare_omega(spec, cfg), [], cfg)
     unit_dev = np.abs(rec_free.survival - 1.0).max()
     assert unit_dev < 1e-9
 
@@ -109,7 +109,7 @@ def test_criterion_04_free_evolution_matches_spectral_oracle():
         cfg = EvolutionConfig(dtau=dx, x_lo=-3.25, x_hi=0.75, tau_max=1.0)
         grid = cfg.grid()
         st = initial_packet(spec, grid)
-        rec = evolve(st, None, cfg)
+        rec = evolve(st, [], cfg)
         oracle = spectral_free_evolve(st, 1.0)
         errs[dx] = float(np.sqrt(np.sum(np.abs(rec.final_state.values - oracle.values) ** 2) * dx))
     assert max(errs.values()) < 1e-12

@@ -86,7 +86,7 @@ def test_density_command(tmp_path):
 
 
 def test_lattice_outputs_report_the_lattice_they_ran(tmp_path):
-    """Every lattice output carries the run's lattice_report: density's and
+    """Every lattice output carries the run's report: density's and
     evolution_*.csv's metadata, each arrival_scan.csv row, each frames_*.csv's
     metadata and pdp_summary.csv's.  It names the lattice the run stepped
     (grid x_lo and x_hi, wall strips included, and n sites; on a [lattice]

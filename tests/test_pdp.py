@@ -141,13 +141,31 @@ def test_jump_process_shares_evolve_loop_and_wall_accounting():
     initial = prepare_omega(spec, cfg, detector_position=det.position)
     initial.values /= np.sqrt(initial.norm_sq())
     proc = JumpProcess(initial, [DetectorChannel.at_rest(det, prep)], cfg, preparation=prep)
-    rec = evolve(initial, det, cfg)
+    rec = evolve(initial, [det], cfg)
     np.testing.assert_array_equal(proc.record.survival, rec.survival)
     np.testing.assert_array_equal(proc.detection_density, rec.detection_density)
     np.testing.assert_array_equal(proc.record.boundary_leakage, rec.boundary_leakage)
     leak = proc.record.boundary_leakage[-1]
     assert leak > 1e-6
     assert proc.p_inf + leak == pytest.approx(1.0 - proc.record.survival[-1], abs=1e-12)
+
+
+def test_jump_process_record_is_evolve_against_its_channels_detectors():
+    """Two channels: the sampler's record is evolve's against the channels'
+    detectors in channel order, bit for bit: survival, detection density,
+    leakage and one channel_absorbed row per detector, in that order.  The
+    detectors differ in height and position, so their rows differ."""
+    spec, det, cfg, prep, channel, initial = _pdp_setup()
+    other = WindowDetector(height=0.1, width=0.02, edge=0.008, position=0.3)
+    channels = [channel, DetectorChannel.at_rest(other, prep)]
+    proc = JumpProcess(initial, channels, cfg, preparation=prep)
+    rec = evolve(initial, [det, other], cfg)
+    np.testing.assert_array_equal(proc.record.survival, rec.survival)
+    np.testing.assert_array_equal(proc.detection_density, rec.detection_density)
+    np.testing.assert_array_equal(proc.record.boundary_leakage, rec.boundary_leakage)
+    assert rec.channel_absorbed.shape == (2, cfg.n_steps + 1)
+    np.testing.assert_array_equal(proc.channel_absorbed, rec.channel_absorbed)
+    assert rec.channel_absorbed[0, -1] > rec.channel_absorbed[1, -1] > 0.0
 
 
 def test_channel_light_cone_start():
@@ -222,7 +240,7 @@ def test_weak_detector_run_strides_and_the_sampler_reads_its_record():
     k = int(np.argmax(proc.detection_density)) // STRIDE
     initial = prepare_omega(spec, cfg, detector_position=det.position)
     for row in (k * STRIDE, k * STRIDE + STRIDE // 2):
-        ref = integrate(initial, [lambda_field(det, initial.grid)], cfg, row)
+        ref = integrate(initial, [lambda_field(det, initial.grid)], row)
         assert ref.tau_samples[-1] == pytest.approx(proc.tau[row], rel=1e-12)
         assert ref.final_state.norm_sq() == pytest.approx(proc.record.survival[row], abs=1e-12)
     np.testing.assert_array_equal(ref.survival[:k * STRIDE + 1],
@@ -447,10 +465,10 @@ def test_sample_many_empty_and_rejects_bad_streams():
 
 
 def test_pdp_study_rejects_bad_request_before_integrating(monkeypatch):
-    def integrate(*args, **kwargs):
+    def evolve(*args, **kwargs):
         raise AssertionError("the deterministic integration ran before the request was checked")
 
-    monkeypatch.setattr(pdp, "integrate", integrate)
+    monkeypatch.setattr(pdp, "evolve", evolve)
     spec, det, cfg, _, _, _ = _pdp_setup()
     for n, seed in ((3, -1), (3, 2**64), (-1, 5)):
         with pytest.raises(ValueError):
@@ -487,7 +505,7 @@ def test_jump_process_rejects_detector_on_the_wall_strip():
     prep = TwoVector(spec.t0, spec.x0)
     initial = prepare_omega(spec, cfg, detector_position=det.position)
     with pytest.raises(ValueError, match="walls"):
-        evolve(initial, det, cfg)
+        evolve(initial, [det], cfg)
     with pytest.raises(ValueError, match="walls"):
         JumpProcess(initial, [DetectorChannel.at_rest(det, prep)], cfg, preparation=prep)
     # inside [x_lo, x_hi], but on the strip of a state on the unpadded lattice
@@ -499,6 +517,6 @@ def test_jump_process_rejects_detector_on_the_wall_strip():
     values /= np.sqrt(np.sum(np.abs(values) ** 2) * bare.dx)
     state = PlaneState(bare.x_min, bare.dx, values)
     with pytest.raises(ValueError, match="walls"):
-        evolve(state, inside, cfg)
+        evolve(state, [inside], cfg)
     with pytest.raises(ValueError, match="walls"):
         JumpProcess(state, [DetectorChannel.at_rest(inside, prep)], cfg, preparation=prep)

@@ -49,7 +49,7 @@ def _periodic_step(state: PlaneState, cfg: EvolutionConfig, rate=0.0) -> PlaneSt
     n = state.grid.n
     assert not np.any(state.values[1:3])
     half = np.exp(-cfg.dtau * np.broadcast_to(rate, (n,)) / 4.0)
-    free = _step_matrix(*_rotation(n, cfg.dx, cfg.dtau, CHI))
+    free = _step_matrix(*_rotation(n, cfg.dx))
     pair = state.values[[0, 3]]
     pair[0] *= half
     pair = _free_step(pair, free)
@@ -71,7 +71,7 @@ def test_free_step_matches_spectral_oracle(n, j, seed):
     rng = np.random.default_rng(seed)
     vals = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
     dx = 0.002
-    m = _step_matrix(*_rotation(n, dx, dx, CHI), j)
+    m = _step_matrix(*_rotation(n, dx), j)
     moved = np.empty_like(vals)
     for pair in ([0, 3], [1, 2]):  # alpha couples 1 with 4 and 2 with 3
         moved[pair] = _free_step(vals[pair], m)
@@ -88,7 +88,7 @@ def test_outer_step_matrices_are_unitary(j, n, dx):
     lattice-density lattice (3072 sites) and on a 26 730-site lattice at
     dx = 0.000375, is unitary to roundoff: both column norms and the
     determinant are 1 to 2e-15 (measured 4.4e-16)."""
-    m = _step_matrix(*_rotation(n, dx, dx, CHI), j)
+    m = _step_matrix(*_rotation(n, dx), j)
     for col in (m[:, 0], m[:, 1]):
         assert np.abs(np.sqrt(np.sum(np.abs(col) ** 2, axis=0)) - 1.0).max() <= 2e-15
     assert np.abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] - 1.0).max() <= 2e-15
@@ -108,7 +108,7 @@ def test_free_run_keeps_the_norm_budget(p0, n_substeps):
     assert cfg == config_from_lattice(lattice, p0, spec)
     initial = prepare_omega(spec, cfg)
     initial.values /= np.sqrt(initial.norm_sq())
-    rec = integrate(initial, [], cfg, cfg.n_steps)
+    rec = integrate(initial, [], cfg.n_steps)
     assert np.abs(rec.survival + rec.boundary_leakage - 1.0).max() <= 1e-14
     assert rec.boundary_leakage[-1] < 1e-12
 
@@ -134,7 +134,7 @@ def _four_row_reference(initial: PlaneState, rates, cfg: EvolutionConfig, n_step
         chan.append([np.sum(r * (dens[0] + dens[1])) * dx for r in rates])
 
     def free(f):
-        m = _step_matrix(*_rotation(f.shape[1], dx, cfg.dtau, CHI))
+        m = _step_matrix(*_rotation(f.shape[1], dx))
         upper, lower = f[:2], f[[3, 2]]
         out = np.empty_like(f)
         out[:2] = m[0, 0] * upper + m[0, 1] * lower
@@ -196,7 +196,7 @@ def test_pair_stack_matches_four_row_loop(n, n_steps, absorber, seed):
     assert (support[-1] - support[0] < propagator.NARROW_WINDOW) == (absorber != "strong")
     stride = 1 if absorber == "strong" else STRIDE
 
-    rec = integrate(PlaneState(grid.x_min, dx, vals), rates, cfg, n_steps)
+    rec = integrate(PlaneState(grid.x_min, dx, vals), rates, n_steps)
     surv, chan, leak, final = _four_row_reference(PlaneState(grid.x_min, dx, vals), rates, cfg,
                                                   n_steps, stride)
     np.testing.assert_array_equal(rec.tau_samples, dx * np.arange(n_steps + 1))
@@ -230,7 +230,7 @@ def test_norm_in_component_2_or_3_is_rejected(row):
     state = PlaneState(grid.x_min, dx, vals.copy())
     state.values[row, n // 2] = 1e-12
     det = WindowDetector(height=10.0, width=0.06, edge=0.02)
-    for run in (lambda: integrate(state, [], cfg, n_steps), lambda: evolve(state, det, cfg)):
+    for run in (lambda: integrate(state, [], n_steps), lambda: evolve(state, [det], cfg)):
         with pytest.raises(ValueError, match="components 2 and 3"):
             run()
 
@@ -239,7 +239,7 @@ def test_norm_in_component_2_or_3_is_rejected(row):
     other[[1, 2]] = vals[[0, 3]]
     surv, chan, leak, final = _four_row_reference(PlaneState(grid.x_min, dx, other), rates, cfg,
                                                   n_steps, STRIDE)
-    rec = integrate(PlaneState(grid.x_min, dx, vals), rates, cfg, n_steps)
+    rec = integrate(PlaneState(grid.x_min, dx, vals), rates, n_steps)
     assert np.abs(rec.survival - surv).max() < 1e-12
     assert np.abs(rec.detection_density - chan.sum(axis=0)).max() < 1e-12
     assert np.abs(rec.boundary_leakage - leak).max() < 1e-12
@@ -260,7 +260,7 @@ def test_survival_flat_without_detector(p, width, seed):
     envelope = np.exp(-(grid.positions**2) / (4 * width**2) + 1j * CHI * p * grid.positions)
     st0 = PlaneState(grid.x_min, grid.dx, spinor[:, None] * envelope[None, :])
     st0.values /= np.sqrt(st0.norm_sq())
-    rec = evolve(st0, WindowDetector(height=0.0), cfg)
+    rec = evolve(st0, [], cfg)
     assert np.abs(rec.survival - 1.0).max() < 1e-9
 
 
@@ -294,15 +294,15 @@ def test_massless_step_is_exact_shift(monkeypatch):
         expect[0, start + sites] = expect[3, start + sites] = 1 / np.sqrt(2)
         return expect
 
-    rec = integrate(st, [], cfg, STRIDE)
+    rec = integrate(st, [], STRIDE)
     np.testing.assert_array_equal(rec.tau_samples, cfg.dtau * np.arange(STRIDE + 1))
     assert np.abs(rec.final_state.values - shifted(STRIDE)).max() < 1e-12
     # one site step is one site step: a run ends where it was asked to
-    one = integrate(st, [], cfg, 1)
+    one = integrate(st, [], 1)
     np.testing.assert_array_equal(one.tau_samples, [0.0, cfg.dtau])
     assert np.abs(one.final_state.values - shifted(1)).max() < 1e-12
     # 2 STRIDE + 1 site steps: two outer steps and a one-site step, norm exact
-    rec = integrate(st, [], cfg, 2 * STRIDE + 1)
+    rec = integrate(st, [], 2 * STRIDE + 1)
     np.testing.assert_array_equal(rec.tau_samples, cfg.dtau * np.arange(2 * STRIDE + 2))
     assert np.abs(rec.final_state.values - shifted(2 * STRIDE + 1)).max() < 1e-12
     assert rec.final_state.norm_sq() == pytest.approx(st.norm_sq(), abs=1e-12)
@@ -374,11 +374,11 @@ def test_intermediate_rows_are_exact_reads(n, outer, j, seed):
 
     # site step outer * STRIDE + j lies strictly inside an outer step
     n_steps = outer * STRIDE + j + int(rng.integers(1, STRIDE - j + 1))
-    rec = integrate(initial, rates, cfg, n_steps)
+    rec = integrate(initial, rates, n_steps)
     np.testing.assert_array_equal(rec.tau_samples, cfg.dtau * np.arange(n_steps + 1))
     assert rec.tau_samples[-1] == n_steps * cfg.dtau
 
-    state = integrate(initial, rates, cfg, outer * STRIDE).final_state
+    state = integrate(initial, rates, outer * STRIDE).final_state
     for _ in range(j):
         state = _periodic_step(state, cfg, np.sum(rates, axis=0))
     upper = np.sum(np.abs(state.values[:2]) ** 2, axis=0)
@@ -421,11 +421,11 @@ def test_strong_stride_survival_is_the_stepped_norm(n, outer, j, seed):
     r = outer * STRIDE + j
     n_steps = r + int(rng.integers(1, STRIDE))
     n_steps += n_steps % STRIDE == 0
-    rec = integrate(initial, rates, cfg, n_steps)
+    rec = integrate(initial, rates, n_steps)
     np.testing.assert_array_equal(rec.tau_samples, cfg.dtau * np.arange(n_steps + 1))
     assert rec.tau_samples[-1] == n_steps * cfg.dtau
 
-    stepped = integrate(initial, rates, cfg, r)
+    stepped = integrate(initial, rates, r)
     kept = rec.survival + rec.boundary_leakage
     assert abs(kept[r] - stepped.final_state.norm_sq() - stepped.boundary_leakage[-1]) < 1e-12
     assert np.abs(kept[:r + 1] - stepped.survival - stepped.boundary_leakage).max() < 1e-12
@@ -470,7 +470,7 @@ def test_absorbed_norm_closes_the_budget(absorber, channels, n, n_steps, seed):
     narrow = support[-1] - support[0] < propagator.NARROW_WINDOW
     assert narrow == (not absorber.endswith("-wide"))
 
-    rec = integrate(PlaneState(grid.x_min, dx, vals), rates, cfg, n_steps)
+    rec = integrate(PlaneState(grid.x_min, dx, vals), rates, n_steps)
     assert rec.channel_absorbed.shape == (channels, n_steps + 1)
     assert np.all(np.diff(rec.channel_absorbed, axis=1) >= 0.0)
     assert rec.channel_absorbed[:, -1].sum() > 0.0
@@ -493,7 +493,7 @@ def test_feed_sum_is_the_closed_form_sum_of_powers(n, k, w, seed):
     w = min(w, n)
     start = int(rng.integers(0, n - w + 1))
     window = slice(start, start + w)
-    rotation = _rotation(n, 0.002, 0.002, CHI)
+    rotation = _rotation(n, 0.002)
     m = _step_matrix(*rotation)
     rows = _power_rows(m, k - 1)
     phases = _window_phases(n, window)
@@ -576,7 +576,7 @@ def test_free_evolution_matches_oracle_second_order():
     for dx in (0.002, 0.001):
         cfg = EvolutionConfig(dtau=dx, x_lo=-2.6, x_hi=0.4, tau_max=0.2)
         st = initial_packet(spec, cfg.grid())
-        lat = integrate(st, [], cfg, cfg.n_steps).final_state
+        lat = integrate(st, [], cfg.n_steps).final_state
         oracle = spectral_free_evolve(st, 0.2)
         errs[dx] = np.sqrt(np.sum(np.abs(lat.values - oracle.values) ** 2) * dx)
     assert max(errs.values()) < 1e-12
@@ -638,18 +638,28 @@ def test_evolve_rejects_unnormalized_and_leaking_runs():
     bad = PlaneState(st.x_min, st.dx, 2.0 * st.values)
     cfg = EvolutionConfig(dtau=0.004, x_lo=-2.0, x_hi=0.0, tau_max=0.5)
     with pytest.raises(ValueError):
-        evolve(bad, None, cfg)
+        evolve(bad, [], cfg)
     # packet slams into the right wall: leakage rejection
     cfg_long = EvolutionConfig(dtau=0.004, x_lo=-2.0, x_hi=0.0, tau_max=3.0)
     with pytest.raises(DomainTooSmallError):
-        evolve(st, None, cfg_long)
+        evolve(st, [], cfg_long)
+
+
+def test_evolve_rejects_a_state_off_the_config_lattice():
+    """integrate steps at the state's own dx, so evolve rejects a state
+    whose dx is not the config's dtau rather than run it for the config's
+    step count at another step."""
+    cfg = EvolutionConfig(dtau=0.002, x_lo=-3.0, x_hi=1.0, tau_max=0.6)
+    st = initial_packet(PacketSpec(), UniformGrid.from_domain(-3.0, 1.0, 0.004))
+    with pytest.raises(ValueError, match="dx"):
+        evolve(st, [], cfg)
 
 
 def test_evolve_free_survival_flat():
     spec = PacketSpec()
     cfg = EvolutionConfig(dtau=0.004, x_lo=-3.0, x_hi=1.0, tau_max=0.6)
     st = initial_packet(spec, cfg.grid())
-    rec = evolve(st, WindowDetector(height=0.0), cfg)
+    rec = evolve(st, [], cfg)
     assert np.abs(rec.survival - 1.0).max() < 1e-9
     assert np.all(rec.detection_density == 0.0)
 
@@ -686,10 +696,10 @@ def test_tail_ok_reads_the_record_it_belongs_to():
     det = WindowDetector(height=1e-4, width=0.02, edge=0.008)
     cfg = EvolutionConfig(dtau=0.004, x_lo=-5.0, x_hi=2.0, tau_max=1.2)
     st = initial_packet(PacketSpec(), cfg.grid())
-    rec = integrate(st, [lambda_field(det, st.grid)], cfg, cfg.n_steps)
+    rec = integrate(st, [lambda_field(det, st.grid)], cfg.n_steps)
     assert rec.detection_density[-1] == rec.detection_density.max() > 0.0
     assert not rec.tail_ok
-    full = integrate(st, [lambda_field(det, st.grid)], cfg, int(round(3.0 / cfg.dtau)))
+    full = integrate(st, [lambda_field(det, st.grid)], int(round(3.0 / cfg.dtau)))
     assert tail_report(full.detection_density)["tail_ratio"] < TAIL_MAX
     assert full.tail_ok
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
 from dirac_toa import studies
+from dirac_toa.arrival import tail_report
 from dirac_toa.core import clock_start
 from dirac_toa.detector import WindowDetector
 from dirac_toa.propagator import WALL_SITES, evolve
@@ -75,6 +76,27 @@ def test_free_arrival_negative_time_mass_matches_the_run(p0):
     run = desk_run(p0, x_lo=-4.0)
     _, _, neg_mass0 = free_arrival(spec, DESK_DETECTOR, cfg, run.record.tau_samples)
     assert abs(run.neg_mass - neg_mass0) / neg_mass0 <= 1e-4
+
+
+@pytest.mark.parametrize("lattice", [{"dtau": 0.004}, {"dtau": 0.004, "x_lo": -4.0, "x_hi": 2.0}])
+def test_record_report_names_the_configured_lattice(lattice):
+    """The report every output of a run writes names the lattice
+    EvolutionConfig.grid lays out, bit for bit, from the grid of the run's
+    final state: on a derived domain and on the configured [-4, 2].  Its
+    other keys are the record's tail_report, absorbed_residual and last
+    leakage, in that order."""
+    spec = PacketSpec(p0=0.75)
+    det = WindowDetector(height=1e-4, width=0.02, edge=0.008)
+    cfg = config_from_lattice(lattice, spec.p0, spec, det)
+    assert (cfg.x_lo == -4.0) == ("x_lo" in lattice)
+    rec = arrival_run(spec, det, cfg).record
+    grid = cfg.grid()
+    assert rec.report == ({"x_lo": grid.x_lo, "x_hi": grid.x_hi, "n": grid.n}
+                          | tail_report(rec.detection_density)
+                          | {"absorbed_residual": rec.absorbed_residual,
+                             "leakage": float(rec.boundary_leakage[-1])})
+    assert list(rec.report) == ["x_lo", "x_hi", "n", "tail_ok", "tail_ratio",
+                                "absorbed_residual", "leakage"]
 
 
 def test_momentum_scan_runs_one_lattice_per_momentum(monkeypatch):

@@ -7,9 +7,10 @@ study's wall time and the total.
 
 The full set runs at production resolution (dx = edge/2 = 0.001 A for every
 momentum, each run on the smallest domain that holds its packet): about
-4.1 s single-threaded on a 2-vCPU host, the fig2 momentum scan 2.6 s of it,
-fig4 0.9 s and fig10 0.3 s.  --threads runs the scan's momenta in parallel.
-A desk preset is the full preset's name with -desk appended.
+2.8 s single-threaded on a 2-vCPU host, the fig2 momentum scan 1.8 s of it,
+fig4 0.6 s and fig10 0.2 s.  --threads runs the scan's momenta in parallel.
+The studies are the presets that have a desk twin, named with -desk
+appended, in PRESETS order; each runs its preset's own command.
 """
 
 import argparse
@@ -18,15 +19,7 @@ import time
 from pathlib import Path
 
 from dirac_toa.cli import main
-
-STUDIES = [
-    ("initial-state", "fig1"),
-    ("arrival-scan", "fig2"),
-    ("density", "fig4"),
-    ("frames", "fig10"),
-    ("point", "fig5"),
-    ("pdp", "pdp"),
-]
+from dirac_toa.presets import PRESETS
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser()
@@ -35,8 +28,9 @@ if __name__ == "__main__":
     ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
     total = 0.0
-    for command, name in STUDIES:
+    for name in [name for name in PRESETS if f"{name}-desk" in PRESETS]:
         preset = f"{name}-desk" if args.set == "desk" else name
+        command = PRESETS[preset]["command"]
         out = args.out / preset
         print(f"== {command} --preset {preset} -> {out}", flush=True)
         start = time.perf_counter()

@@ -274,7 +274,7 @@ def cmd_pdp(inputs: Inputs) -> dict:
         "pdp_summary.csv": (
             {
                 "n": np.array([n]),
-                "detected": np.array([result.detected]),
+                "detected": np.array([int(recs.detected.sum())]),
                 "P_inf": np.array([result.process.p_inf]),
                 "ks_statistic": np.array([result.ks_statistic]),
             },

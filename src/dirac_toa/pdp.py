@@ -108,23 +108,6 @@ class DetectionRecords(Sequence):
         )
 
 
-@dataclass(frozen=True)
-class DetectorChannel:
-    """One detection channel: a detector profile on a trajectory
-    z(tau) = (tau + t_start, x) that starts on the backward light cone of
-    the preparation event."""
-
-    spec: WindowDetector
-    t_start: float
-
-    @classmethod
-    def at_rest(cls, spec: WindowDetector, preparation: TwoVector) -> "DetectorChannel":
-        return cls(spec=spec, t_start=clock_start(spec.position, preparation))
-
-    def point_at(self, tau: float) -> TwoVector:
-        return TwoVector(t=tau + self.t_start, x=self.spec.position)
-
-
 def validate_event_order(events: Sequence[EventRecord]) -> Optional[tuple]:
     """Check the causal-order rule on every pair: an event later in proper
     time must either be timelike-separated and later in coordinate time, or
@@ -191,18 +174,20 @@ class JumpProcess:
     """Continuous-detection sampler.
 
     The non-Hermitian evolution is the same for every trajectory, so it is
-    run once, by propagator.evolve against the channels' detectors, with a
-    record row at every site step.  The record's channel_absorbed is the
-    norm each channel has taken by every row; their sum relative to S[0],
-    absorbed, is the jump time's CDF, sorted by construction, and p_inf its
-    last value.  Each trajectory draws r uniform in [0, 1), inverts absorbed
-    at r (linear interpolation inside the bracketing site step), picks the
-    detecting channel by that step's per-channel absorbed norm, and
-    terminates.  Norm lost at the domain walls is not absorbed: trajectories
-    with r >= p_inf survive to the end of the record or are lost there, and
-    end undetected.  Against a strong detector the absorbed norm is exact at
-    every row, the one-site run's but for the wall strip's cadence
-    (EvolutionRecord).
+    run once, by propagator.evolve against the detectors, one channel each,
+    with a record row at every site step.  The record's channel_absorbed is
+    the norm each detector has taken by every row; their sum relative to
+    S[0], absorbed, is the jump time's CDF, sorted by construction, and p_inf
+    its last value.  Each trajectory draws r uniform in [0, 1), inverts
+    absorbed at r (linear interpolation inside the bracketing site step),
+    picks the detector by that step's per-channel absorbed norm, and
+    terminates.  A detection at proper time tau by the detector at x is the
+    event (tau + clock_start(x, preparation), x): its clock starts on the
+    backward light cone of the preparation event.  Norm lost at the domain
+    walls is not absorbed: trajectories with r >= p_inf survive to the end
+    of the record or are lost there, and end undetected.  Against a strong
+    detector the absorbed norm is exact at every row, the one-site run's but
+    for the wall strip's cadence (EvolutionRecord).
 
     sample_many(n, seed) draws every trajectory from one Philox stream keyed
     by the seed: trajectory i takes row i of random((n, 2)), which the
@@ -215,35 +200,26 @@ class JumpProcess:
     def __init__(
         self,
         initial: PlaneState,
-        channels: Sequence[DetectorChannel],
+        detectors: Sequence[WindowDetector],
         cfg: EvolutionConfig,
         preparation: TwoVector,
     ):
-        if not channels:
+        if not detectors:
             raise ValueError("need at least one channel")
-        for ch in channels:
-            start = ch.point_at(0.0)
-            sep = TwoVector(preparation.t - start.t, preparation.x - start.x)
-            if abs(minkowski_norm_sq(sep)) > 1e-9 or start.t > preparation.t + 1e-12:
-                raise ValueError(
-                    "channel trajectory must start on the backward light cone "
-                    "of the preparation event"
-                )
-        self.channels = list(channels)
+        self.detectors = list(detectors)
         self.preparation = preparation
-        self.record = rec = evolve(initial, [ch.spec for ch in self.channels], cfg)
+        self.record = rec = evolve(initial, self.detectors, cfg)
         self.tau, self.detection_density = rec.tau_samples, rec.detection_density
-        self.channel_absorbed = rec.channel_absorbed
         self.absorbed = rec.channel_absorbed.sum(axis=0) / rec.survival[0]
         self.p_inf = float(self.absorbed[-1])
 
     def _outcomes(self, r: np.ndarray, u: np.ndarray) -> DetectionRecords:
-        """Trajectories for uniform draws r (jump time) and u (channel).
+        """Trajectories for uniform draws r (jump time) and u (detector).
 
         r below p_inf is detected.  Its jump time inverts absorbed at r,
         linearly inside the bracketing step m, absorbed[m - 1] <= r <
-        absorbed[m], where absorbed rises.  Its channel is the one that u
-        selects from the channels' shares of the norm absorbed in step m, as
+        absorbed[m], where absorbed rises.  Its detector is the one that u
+        selects from the detectors' shares of the norm absorbed in step m, as
         Generator.choice selects with those probabilities; u of an
         undetected trajectory is not read.
         """
@@ -253,11 +229,12 @@ class JumpProcess:
         frac = (r[detected] - absorbed[m - 1]) / (absorbed[m] - absorbed[m - 1])
         tau = np.full(len(r), self.tau[-1])
         tau[detected] = self.tau[m - 1] + frac * (self.tau[m] - self.tau[m - 1])
-        cdf = np.cumsum(self.channel_absorbed[:, m] - self.channel_absorbed[:, m - 1], axis=0)
+        channel_absorbed = self.record.channel_absorbed
+        cdf = np.cumsum(channel_absorbed[:, m] - channel_absorbed[:, m - 1], axis=0)
         k = np.full(len(r), -1)
         k[detected] = np.count_nonzero(cdf / cdf[-1] <= u[detected], axis=0)
-        t_start = np.array([ch.t_start for ch in self.channels])
-        position = np.array([ch.spec.position for ch in self.channels])
+        t_start = np.array([clock_start(det.position, self.preparation) for det in self.detectors])
+        position = np.array([det.position for det in self.detectors])
         return DetectionRecords(
             detected=detected, tau_detect=tau, detector_index=k,
             t=np.where(detected, tau + t_start[k], np.nan),
@@ -267,7 +244,7 @@ class JumpProcess:
     def sample_many(self, n: int, seed: int) -> DetectionRecords:
         """n trajectories as columns: trajectory i takes row i (r_i, u_i) of
         Generator(Philox(key=seed)).random((n, 2)) for its jump time and its
-        channel.  A Philox block holds two rows, so a shard that starts at an
+        detector.  A Philox block holds two rows, so a shard that starts at an
         even row i reproduces it from Philox(key=seed).advance(i // 2).  The
         rows are drawn and inverted SAMPLE_BLOCK at a time, into columns
         allocated once: consecutive draws continue the stream bit for bit."""

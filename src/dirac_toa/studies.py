@@ -220,7 +220,6 @@ def config_from_lattice(
 
 @dataclass
 class PdpStudyResult:
-    detected: int
     ks_statistic: float
     records: pdp.DetectionRecords
     process: pdp.JumpProcess
@@ -252,17 +251,11 @@ def pdp_study(
     by the Kolmogorov-Smirnov statistic.  A bad sampling request is
     rejected before the deterministic integration."""
     pdp.check_sampling_request(n_trajectories, seed)
-    channel = pdp.DetectorChannel.at_rest(det, spec.preparation)
     initial = prepare_omega(spec, cfg, det.position)
-    process = pdp.JumpProcess(initial, [channel], cfg, preparation=spec.preparation)
+    process = pdp.JumpProcess(initial, [det], cfg, preparation=spec.preparation)
     records = process.sample_many(n_trajectories, seed)
 
     taus = records.tau_detect[records.detected]
     cdf = process.absorbed / process.p_inf
     ks = _ks_statistic(taus, lambda x: np.interp(x, process.tau, cdf))
-    return PdpStudyResult(
-        detected=int(taus.size),
-        ks_statistic=ks,
-        records=records,
-        process=process,
-    )
+    return PdpStudyResult(ks_statistic=ks, records=records, process=process)

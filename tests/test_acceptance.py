@@ -28,7 +28,6 @@ from dirac_toa.core import (
 from dirac_toa.csvio import read_csv, write_csv
 from dirac_toa.detector import WindowDetector
 from dirac_toa.pdp import (
-    DetectorChannel,
     EventRecord,
     JumpProcess,
     Observable,
@@ -209,9 +208,8 @@ def pdp_process():
     cfg = EvolutionConfig(dtau=0.002, x_lo=-4.0, x_hi=2.0,
                           tau_max=auto_tau_max(spec) + 0.6)
     prep = TwoVector(spec.t0, spec.x0)
-    channel = DetectorChannel.at_rest(det, prep)
     initial = prepare_omega(spec, cfg, detector_position=det.position)
-    return JumpProcess(initial, [channel], cfg, preparation=prep)
+    return JumpProcess(initial, [det], cfg, preparation=prep)
 
 
 def test_criterion_10_pdp_statistics(pdp_process):
@@ -268,9 +266,8 @@ def test_criterion_11_event_ordering():
     cfg = EvolutionConfig(dtau=0.002, x_lo=-4.0, x_hi=2.0,
                           tau_max=auto_tau_max(spec))
     prep = TwoVector(spec.t0, spec.x0)
-    channel = DetectorChannel.at_rest(det, prep)
     proc = JumpProcess(prepare_omega(spec, cfg, detector_position=det.position),
-                       [channel], cfg, preparation=prep)
+                       [det], cfg, preparation=prep)
     records = proc.sample_many(2000, SEED)
     detected = [r for r in records if r.detected]
     negative = [r for r in detected if r.point.t < 0.0]

@@ -14,6 +14,7 @@ from dirac_toa.core import (
     TwoVector,
     UniformGrid,
     boost_matrix,
+    clock_start,
     fft_size,
     inner_product,
     minkowski_norm_sq,
@@ -38,6 +39,16 @@ def test_minkowski_examples():
     assert minkowski_norm_sq(TwoVector(1.0, 0.0)) == 1.0
     assert minkowski_norm_sq(TwoVector(1.0, 1.0)) == 0.0
     assert minkowski_norm_sq(TwoVector(0.5, 1.0)) == pytest.approx(-0.75)
+
+
+@given(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
+def test_clock_start_is_on_the_backward_light_cone(t0, x0, x_d):
+    """A detector at rest at x_d starts its clock at (t_start, x_d) on the
+    backward light cone of the preparation event (t0, x0):
+    (t0 - t_start)^2 - (x0 - x_d)^2 = 0 with t_start <= t0."""
+    t_start = clock_start(x_d, TwoVector(t0, x0))
+    assert t_start <= t0
+    assert (t0 - t_start) ** 2 - (x0 - x_d) ** 2 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_boost_matrix_examples():

@@ -4,11 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirac_toa import pdp, propagator
-from dirac_toa.core import PlaneState, TwoVector, UniformGrid
+from dirac_toa.core import PlaneState, TwoVector, UniformGrid, clock_start
 from dirac_toa.detector import WindowDetector, lambda_field
 from dirac_toa.pdp import (
     DetectionRecord,
-    DetectorChannel,
     EventRecord,
     JumpProcess,
     Observable,
@@ -124,13 +123,12 @@ def _pdp_setup():
     det = WindowDetector(height=0.3, width=0.02, edge=0.008)
     cfg = EvolutionConfig(dtau=0.004, x_lo=-4.0, x_hi=2.0, tau_max=4.0)
     prep = TwoVector(spec.t0, spec.x0)
-    channel = DetectorChannel.at_rest(det, prep)
     initial = prepare_omega(spec, cfg, detector_position=det.position)
-    return spec, det, cfg, prep, channel, initial
+    return spec, det, cfg, prep, initial
 
 
 def test_jump_process_shares_evolve_loop_and_wall_accounting():
-    """One channel: the sampler's deterministic record is evolve's, bit for
+    """One detector: the sampler's deterministic record is evolve's, bit for
     bit, and norm lost at the walls is not detected.  The left wall sits
     close enough for the negative-energy branch to reach it (leakage 5.5e-6;
     7.1e-8 with the wall at -3)."""
@@ -140,7 +138,7 @@ def test_jump_process_shares_evolve_loop_and_wall_accounting():
     prep = TwoVector(spec.t0, spec.x0)
     initial = prepare_omega(spec, cfg, detector_position=det.position)
     initial.values /= np.sqrt(initial.norm_sq())
-    proc = JumpProcess(initial, [DetectorChannel.at_rest(det, prep)], cfg, preparation=prep)
+    proc = JumpProcess(initial, [det], cfg, preparation=prep)
     rec = evolve(initial, [det], cfg)
     np.testing.assert_array_equal(proc.record.survival, rec.survival)
     np.testing.assert_array_equal(proc.detection_density, rec.detection_density)
@@ -151,36 +149,46 @@ def test_jump_process_shares_evolve_loop_and_wall_accounting():
 
 
 def test_jump_process_record_is_evolve_against_its_channels_detectors():
-    """Two channels: the sampler's record is evolve's against the channels'
-    detectors in channel order, bit for bit: survival, detection density,
-    leakage and one channel_absorbed row per detector, in that order.  The
-    detectors differ in height and position, so their rows differ."""
-    spec, det, cfg, prep, channel, initial = _pdp_setup()
+    """Two detectors: the sampler's record is evolve's against them in their
+    order, bit for bit: survival, detection density, leakage and one
+    channel_absorbed row per detector, in that order.  The detectors differ
+    in height and position, so their rows differ."""
+    _, det, cfg, prep, initial = _pdp_setup()
     other = WindowDetector(height=0.1, width=0.02, edge=0.008, position=0.3)
-    channels = [channel, DetectorChannel.at_rest(other, prep)]
-    proc = JumpProcess(initial, channels, cfg, preparation=prep)
+    proc = JumpProcess(initial, [det, other], cfg, preparation=prep)
     rec = evolve(initial, [det, other], cfg)
     np.testing.assert_array_equal(proc.record.survival, rec.survival)
     np.testing.assert_array_equal(proc.detection_density, rec.detection_density)
     np.testing.assert_array_equal(proc.record.boundary_leakage, rec.boundary_leakage)
     assert rec.channel_absorbed.shape == (2, cfg.n_steps + 1)
-    np.testing.assert_array_equal(proc.channel_absorbed, rec.channel_absorbed)
+    np.testing.assert_array_equal(proc.record.channel_absorbed, rec.channel_absorbed)
     assert rec.channel_absorbed[0, -1] > rec.channel_absorbed[1, -1] > 0.0
 
 
-def test_channel_light_cone_start():
-    _, det, cfg, prep, channel, initial = _pdp_setup()
-    assert channel.t_start == pytest.approx(-1.0)
-    start = channel.point_at(0.0)
-    assert (prep.t - start.t) ** 2 - (prep.x - start.x) ** 2 == pytest.approx(0.0)
-    bad = DetectorChannel(det, t_start=0.0)  # starts off the light cone
-    with pytest.raises(ValueError):
-        JumpProcess(initial, [bad], cfg, preparation=prep)
+def test_detection_events_are_on_their_detectors_clocks():
+    """Prepared at t0 = 0.5, two detectors at different positions start their
+    clocks at different lab times: every detected trajectory's event is
+    (tau_detect + clock_start(x_d, prep), x_d) of the detector that took it."""
+    spec = PacketSpec(p0=0.75, t0=0.5)
+    near = WindowDetector(height=0.1, width=0.02, edge=0.008)
+    far = WindowDetector(height=0.3, width=0.02, edge=0.008, position=0.3)
+    cfg = EvolutionConfig(dtau=0.004, x_lo=-4.0, x_hi=2.0, tau_max=4.0)
+    prep = spec.preparation
+    initial = prepare_omega(spec, cfg, detector_position=near.position)
+    recs = JumpProcess(initial, [near, far], cfg, preparation=prep).sample_many(2000, seed=17)
+    hit = recs.detected
+    k = recs.detector_index[hit]
+    assert set(k) == {0, 1}
+    x_d = np.array([near.position, far.position])[k]
+    t_start = np.array([clock_start(x, prep) for x in x_d])
+    np.testing.assert_array_equal(recs.t[hit], recs.tau_detect[hit] + t_start)
+    np.testing.assert_array_equal(recs.x[hit], x_d)
+    assert np.isnan(recs.t[~hit]).all() and np.isnan(recs.x[~hit]).all()
 
 
 def test_detected_fraction_matches_total_probability():
-    _, _, cfg, prep, channel, initial = _pdp_setup()
-    proc = JumpProcess(initial, [channel], cfg, preparation=prep)
+    _, det, cfg, prep, initial = _pdp_setup()
+    proc = JumpProcess(initial, [det], cfg, preparation=prep)
     n = 4000
     recs = proc.sample_many(n, seed=13)
     frac = sum(r.detected for r in recs) / n
@@ -189,15 +197,15 @@ def test_detected_fraction_matches_total_probability():
     # undetected records terminate where the record ends
     undet = [r for r in recs if not r.detected]
     assert all(r.tau_detect == proc.tau[-1] for r in undet)
-    det = [r for r in recs if r.detected]
-    assert all(0.0 <= r.tau_detect <= proc.tau[-1] for r in det)
+    hits = [r for r in recs if r.detected]
+    assert all(0.0 <= r.tau_detect <= proc.tau[-1] for r in hits)
 
 
 def test_conditional_arrival_times_match_density():
     from scipy import stats
 
-    _, _, cfg, prep, channel, initial = _pdp_setup()
-    proc = JumpProcess(initial, [channel], cfg, preparation=prep)
+    _, det, cfg, prep, initial = _pdp_setup()
+    proc = JumpProcess(initial, [det], cfg, preparation=prep)
     recs = proc.sample_many(4000, seed=99)
     taus = np.array([r.tau_detect for r in recs if r.detected])
     d = proc.detection_density
@@ -234,8 +242,8 @@ def test_weak_detector_run_strides_and_the_sampler_reads_its_record():
     hit = recs.detected
     inverted = np.interp(recs.tau_detect[hit], proc.tau, proc.absorbed)
     assert np.abs(inverted - r[hit]).max() < 1e-12
-    assert result.detected > 1000
-    assert result.ks_statistic < 1.95 / np.sqrt(result.detected)  # 99.9 % level
+    assert hit.sum() > 1000
+    assert result.ks_statistic < 1.95 / np.sqrt(hit.sum())  # 99.9 % level
 
     k = int(np.argmax(proc.detection_density)) // STRIDE
     initial = prepare_omega(spec, cfg, detector_position=det.position)
@@ -294,17 +302,16 @@ def test_absorbed_norm_never_falls(preset, p0):
     cfg = config_from_lattice(lattice, p0, spec, det)
     prep = TwoVector(spec.t0, spec.x0)
     proc = JumpProcess(prepare_omega(spec, cfg, det.position),
-                       [DetectorChannel.at_rest(det, prep)], cfg, preparation=prep)
-    assert np.all(np.diff(proc.channel_absorbed, axis=1) >= 0.0)
+                       [det], cfg, preparation=prep)
+    assert np.all(np.diff(proc.record.channel_absorbed, axis=1) >= 0.0)
     assert np.all(np.diff(proc.absorbed) >= 0.0)
     assert proc.p_inf == proc.absorbed[-1] > 0.0
     assert proc.record.absorbed_residual <= 1e-13
 
 
 def test_colocated_channels_split_evenly():
-    spec, det, cfg, prep, _, initial = _pdp_setup()
-    ch = DetectorChannel.at_rest(det, prep)
-    proc = JumpProcess(initial, [ch, ch], cfg, preparation=prep)
+    _, det, cfg, prep, initial = _pdp_setup()
+    proc = JumpProcess(initial, [det, det], cfg, preparation=prep)
     n = 3000
     recs = [r for r in proc.sample_many(n, seed=7) if r.detected]
     frac = np.mean([r.detector_index for r in recs])
@@ -313,24 +320,24 @@ def test_colocated_channels_split_evenly():
 
 
 def test_detector_choice_probabilities():
-    """_outcomes picks the channel by the channels' shares of the norm
-    absorbed in the jump's step: a channel the packet never reaches is never
+    """_outcomes picks the detector by the detectors' shares of the norm
+    absorbed in the jump's step: a detector the packet never reaches is never
     chosen, and a twin of twice the rate on the same support takes the draws
     u > 1/3."""
-    spec, det, cfg, prep, channel, initial = _pdp_setup()
+    _, det, cfg, prep, initial = _pdp_setup()
     n = 300
     u = (np.arange(n) + 0.5) / n  # no draw lies on 1/3
 
-    far = DetectorChannel.at_rest(WindowDetector(height=0.3, width=0.02, edge=0.008,
-                                                 position=1.5), prep)
-    proc = JumpProcess(initial, [channel, far], cfg, preparation=prep)
-    assert proc.channel_absorbed[1, -1] < 1e-6 * proc.channel_absorbed[0, -1]
+    far = WindowDetector(height=0.3, width=0.02, edge=0.008, position=1.5)
+    proc = JumpProcess(initial, [det, far], cfg, preparation=prep)
+    absorbed = proc.record.channel_absorbed
+    assert absorbed[1, -1] < 1e-6 * absorbed[0, -1]
     recs = proc._outcomes(proc.p_inf * u, u[::-1])
     assert recs.detected.all()
     np.testing.assert_array_equal(recs.detector_index, 0)
 
-    twin = DetectorChannel.at_rest(WindowDetector(height=0.6, width=0.02, edge=0.008), prep)
-    proc = JumpProcess(initial, [channel, twin], cfg, preparation=prep)
+    twin = WindowDetector(height=0.6, width=0.02, edge=0.008)
+    proc = JumpProcess(initial, [det, twin], cfg, preparation=prep)
     recs = proc._outcomes(proc.p_inf * u, u)
     np.testing.assert_array_equal(recs.detector_index, (u > 1.0 / 3.0).astype(int))
 
@@ -339,8 +346,8 @@ def test_trajectory_streams_are_reproducible():
     """Trajectory i depends on the seed and i alone: the first 8 of a large
     batch are a batch of 8, field for field, and another seed draws other
     jump times."""
-    _, _, cfg, prep, channel, initial = _pdp_setup()
-    proc = JumpProcess(initial, [channel], cfg, preparation=prep)
+    _, det, cfg, prep, initial = _pdp_setup()
+    proc = JumpProcess(initial, [det], cfg, preparation=prep)
     small, large = proc.sample_many(8, seed=123), proc.sample_many(3000, seed=123)
     assert list(small) == [large[i] for i in range(8)]
     other = proc.sample_many(8, seed=124)
@@ -349,8 +356,8 @@ def test_trajectory_streams_are_reproducible():
 
 
 def test_emitted_events_pass_ordering():
-    _, _, cfg, prep, channel, initial = _pdp_setup()
-    proc = JumpProcess(initial, [channel], cfg, preparation=prep)
+    _, det, cfg, prep, initial = _pdp_setup()
+    proc = JumpProcess(initial, [det], cfg, preparation=prep)
     recs = proc.sample_many(300, seed=3)
     for r in recs:
         assert validate_event_order(proc.events_for(r)) is None
@@ -378,8 +385,8 @@ def test_sample_many_reads_rows_of_one_philox_stream():
     the seed range: the first 1000 of 100 000 trajectories are a batch of
     1000, and a shard that starts at an even row i is that stream advanced
     by i // 2 blocks."""
-    _, _, cfg, prep, channel, initial = _pdp_setup()
-    proc = JumpProcess(initial, [channel], cfg, preparation=prep)
+    _, det, cfg, prep, initial = _pdp_setup()
+    proc = JumpProcess(initial, [det], cfg, preparation=prep)
     n, i = 100_000, 61_000
     for seed in (0, U64_MAX):
         rows = _rows(seed, n)
@@ -396,7 +403,7 @@ def test_sample_many_reads_rows_of_one_philox_stream():
 
 def _reference_sample(proc, r, u):
     """Per-trajectory sampler: scalar inversion of the absorbed norm at r,
-    and the channel that u picks from the channels' shares of the norm
+    and the detector that u picks from the detectors' shares of the norm
     absorbed in the bracketing step by Generator.choice's rule."""
     absorbed = proc.absorbed
     if r >= absorbed[-1]:
@@ -404,11 +411,12 @@ def _reference_sample(proc, r, u):
     m = next(i for i, a in enumerate(absorbed) if a > r)
     a0, a1 = absorbed[m - 1], absorbed[m]
     tau = float(proc.tau[m - 1] + (r - a0) / (a1 - a0) * (proc.tau[m] - proc.tau[m - 1]))
-    step = proc.channel_absorbed[:, m] - proc.channel_absorbed[:, m - 1]
+    step = proc.record.channel_absorbed[:, m] - proc.record.channel_absorbed[:, m - 1]
     cdf = np.cumsum(step)
     cdf /= cdf[-1]
     k = int(np.searchsorted(cdf, u, side="right"))
-    return DetectionRecord(True, k, tau, proc.channels[k].point_at(tau))
+    x_d = proc.detectors[k].position
+    return DetectionRecord(True, k, tau, TwoVector(tau + clock_start(x_d, proc.preparation), x_d))
 
 
 @pytest.mark.parametrize("heights, positions", [((0.3,), (0.0,)), ((0.3, 0.3), (0.0, 0.0)),
@@ -417,19 +425,18 @@ def _reference_sample(proc, r, u):
 def test_sample_many_is_per_trajectory_sample(heights, positions):
     """Trajectory i of the columnar batch is the per-trajectory reference
     sampler on row i of the stream, field for field; apart, the two
-    channels' shares change from step to step."""
-    spec, _, cfg, prep, _, initial = _pdp_setup()
-    channels = [DetectorChannel.at_rest(WindowDetector(height=h, width=0.02, edge=0.008,
-                                                       position=x), prep)
-                for h, x in zip(heights, positions)]
-    proc = JumpProcess(initial, channels, cfg, preparation=prep)
+    detectors' shares change from step to step."""
+    _, _, cfg, prep, initial = _pdp_setup()
+    detectors = [WindowDetector(height=h, width=0.02, edge=0.008, position=x)
+                 for h, x in zip(heights, positions)]
+    proc = JumpProcess(initial, detectors, cfg, preparation=prep)
     n, seed = 1500, 2024
     batch = proc.sample_many(n, seed)
     assert len(batch) == n
     for i, (r, u) in enumerate(_rows(seed, n)):
         assert batch[i] == _reference_sample(proc, r, u)
     assert 0 < batch.detected.sum() < n
-    assert set(batch.detector_index[batch.detected]) == set(range(len(channels)))
+    assert set(batch.detector_index[batch.detected]) == set(range(len(detectors)))
     assert batch[-1] == batch[n - 1]
     with pytest.raises(IndexError):
         batch[n]
@@ -439,9 +446,9 @@ def test_sample_many_in_blocks_is_the_one_shot_sample():
     """sample_many draws and inverts SAMPLE_BLOCK rows at a time; on both
     sides of a block boundary, and across several, its columns are those of
     _outcomes on the whole table drawn at once, field for field."""
-    _, _, cfg, prep, channel, initial = _pdp_setup()
-    twin = DetectorChannel.at_rest(WindowDetector(height=0.6, width=0.02, edge=0.008), prep)
-    proc = JumpProcess(initial, [channel, twin], cfg, preparation=prep)
+    _, det, cfg, prep, initial = _pdp_setup()
+    twin = WindowDetector(height=0.6, width=0.02, edge=0.008)
+    proc = JumpProcess(initial, [det, twin], cfg, preparation=prep)
     block = pdp.SAMPLE_BLOCK
     for n in (block - 1, block, block + 1, 2 * block + 3):
         whole = proc._outcomes(*_rows(11, n).T)
@@ -452,8 +459,8 @@ def test_sample_many_in_blocks_is_the_one_shot_sample():
 
 
 def test_sample_many_empty_and_rejects_bad_streams():
-    _, _, cfg, prep, channel, initial = _pdp_setup()
-    proc = JumpProcess(initial, [channel], cfg, preparation=prep)
+    _, det, cfg, prep, initial = _pdp_setup()
+    proc = JumpProcess(initial, [det], cfg, preparation=prep)
     empty = proc.sample_many(0, seed=5)
     assert len(empty) == 0 and list(empty) == []
     for col in (empty.detected, empty.tau_detect, empty.detector_index, empty.t, empty.x):
@@ -469,7 +476,7 @@ def test_pdp_study_rejects_bad_request_before_integrating(monkeypatch):
         raise AssertionError("the deterministic integration ran before the request was checked")
 
     monkeypatch.setattr(pdp, "evolve", evolve)
-    spec, det, cfg, _, _, _ = _pdp_setup()
+    spec, det, cfg, _, _ = _pdp_setup()
     for n, seed in ((3, -1), (3, 2**64), (-1, 5)):
         with pytest.raises(ValueError):
             pdp_study(spec, det, cfg, n, seed)
@@ -507,7 +514,7 @@ def test_jump_process_rejects_detector_on_the_wall_strip():
     with pytest.raises(ValueError, match="walls"):
         evolve(initial, [det], cfg)
     with pytest.raises(ValueError, match="walls"):
-        JumpProcess(initial, [DetectorChannel.at_rest(det, prep)], cfg, preparation=prep)
+        JumpProcess(initial, [det], cfg, preparation=prep)
     # inside [x_lo, x_hi], but on the strip of a state on the unpadded lattice
     inside = WindowDetector(height=0.2, width=0.01, edge=0.004, position=1.985)
     bare = UniformGrid.from_domain(cfg.x_lo, cfg.x_hi, cfg.dx)
@@ -519,4 +526,4 @@ def test_jump_process_rejects_detector_on_the_wall_strip():
     with pytest.raises(ValueError, match="walls"):
         evolve(state, [inside], cfg)
     with pytest.raises(ValueError, match="walls"):
-        JumpProcess(state, [DetectorChannel.at_rest(inside, prep)], cfg, preparation=prep)
+        JumpProcess(state, [inside], cfg, preparation=prep)

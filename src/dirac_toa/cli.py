@@ -19,7 +19,8 @@ from .detector import WindowDetector, check_resolution
 from .point_analytic import arrival_density_point
 from .presets import PRESETS
 from .propagator import DomainTooSmallError, EvolutionConfig
-from .studies import arrival_run, check_keys, config_from_lattice, finite, momentum_scan, pdp_study
+from .studies import (arrival_run, check_keys, classical_arrival_tau, config_from_lattice, finite,
+                      momentum_scan, pdp_study)
 from .wavepacket import PacketSpec, evaluate_spacetime
 
 log = logging.getLogger("dirac_toa")
@@ -157,6 +158,12 @@ def parse_inputs(cfg: dict) -> Inputs:
     if "p0" in cfg.get("packet", {}) and (params.get("p0_values") or command == "point"):
         raise ValueError(f"[packet] p0 is ignored: {command} runs the [{name}] p0_values list")
     packet = _build(PacketSpec, cfg, "packet")
+    if command == "point":  # its detector sits at x = 0
+        for p0 in params["p0_values"]:
+            if params["tau_hi"] < (arrival_tau := classical_arrival_tau(replace(packet, p0=p0))):
+                raise ValueError(f"[scan] tau_hi = {params['tau_hi']:g} ends the scan before the "
+                                 f"packet arrives (classical arrival at tau = {arrival_tau:.4g} "
+                                 f"for p0 = {p0:g})")
     det, runs = None, []
     if lattice:
         det = _build(WindowDetector, cfg, "detector")

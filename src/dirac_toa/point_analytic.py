@@ -1,7 +1,9 @@
 """Closed-form treatment of the delta-function detector: jump conditions at
 the detector site, scattering coefficients, the transmitted amplitude (the
 free packet's lab-frame momentum sum with transmission weights), and the
-resulting arrival densities (finite in the kappa -> 0 limit)."""
+resulting arrival densities (finite in the kappa -> 0 limit).  The
+transmission law of both plane-wave families is written once, in
+_transmission; the coefficients and the amplitude's weights read it."""
 
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ import numpy as np
 
 from .arrival import ArrivalDensity
 from .core import clock_start
-from .wavepacket import MIN_NODES, PacketSpec, energy, lab_components
+from .wavepacket import MIN_NODES, PacketSpec, lab_components
 
 
 @dataclass(frozen=True)
@@ -20,8 +22,6 @@ class ScatterCoeffs:
     for the particle (components 1/4) and anti-particle (components 4/1)
     plane-wave families."""
 
-    p: float
-    kappa: float
     t_particle: float
     r_particle: float
     t_anti: float
@@ -47,29 +47,17 @@ def jump_residual(state_left, state_right, at_origin, kappa: float) -> np.ndarra
     )
 
 
-def _solve_particle(p, kappa):
-    """Particle family u+(p) = (1, 0, 0, a): incident + r*u+(-p) on the left,
-    t*u+(p) on the right.  Continuity of component 1 and the component-4 jump
-    give a 2x2 linear system in (t, r)."""
-    e = np.sqrt(p * p + 1.0)
-    a = p / (e + 1.0)
-    half = kappa / 2.0
-    # t - r = 1 ;  (a + half) t + a r = a
-    t = 2 * a / (2 * a + half)
-    r = t - 1.0
-    return t, r
-
-
-def _solve_anti(p, kappa):
-    """Anti-particle family w+(p) = (a, 0, 0, 1) with spatial factor
-    e^{-ipx}: same matching conditions, mirrored spinor structure."""
-    e = np.sqrt(p * p + 1.0)
-    a = p / (e + 1.0)
-    half = kappa / 2.0
-    # t + r = 1 ;  (1 + half*a) t - r = 1
-    t = 2.0 / (2.0 + half * a)
-    r = 1.0 - t
-    return t, r
+def _transmission(p, kappa):
+    """a = p/(E+1) and the transmission denominators of the two plane-wave
+    families, the one place their law is written.  The particle family u+(p)
+    = (1, 0, 0, a) has incident + r u+(-p) on the left and t u+(p) on the
+    right: continuity of component 1 and the component-4 jump read t - r = 1
+    and (a + kappa/2) t + a r = a, so t_particle = 2a / (2a + kappa/2).  The
+    anti-particle family w+(p) = (a, 0, 0, 1) with spatial factor e^{-ipx}
+    mirrors it: t + r = 1 and (1 + kappa a/2) t - r = 1, so t_anti = 2 /
+    (2 + kappa a/2).  Returns (a, 2a + kappa/2, 2 + kappa a/2)."""
+    a = p / (np.sqrt(p * p + 1.0) + 1.0)
+    return a, 2 * a + kappa / 2, 2 + kappa * a / 2
 
 
 def scatter_coefficients(p: float, kappa: float) -> ScatterCoeffs:
@@ -79,19 +67,16 @@ def scatter_coefficients(p: float, kappa: float) -> ScatterCoeffs:
         raise ValueError("p = 0 is degenerate (no transport)")
     if kappa < 0.0:
         raise ValueError("kappa must be >= 0")
-    tp, rp = _solve_particle(p, kappa)
-    ta, ra = _solve_anti(p, kappa)
-    return ScatterCoeffs(
-        p=p, kappa=kappa, t_particle=float(tp), r_particle=float(rp),
-        t_anti=float(ta), r_anti=float(ra),
-    )
+    a, den_particle, den_anti = _transmission(p, kappa)
+    t_particle, t_anti = 2 * a / den_particle, 2.0 / den_anti
+    return ScatterCoeffs(t_particle=float(t_particle), r_particle=float(t_particle - 1.0),
+                         t_anti=float(t_anti), r_anti=float(1.0 - t_anti))
 
 
 def assemble_plane_wave(p: float, kappa: float, branch: str = "particle"):
     """Build (left_state, right_state, at_origin) for a scattering solution,
     suitable for jump_residual."""
-    e = energy(p)
-    a = p / (e + 1.0)
+    a = _transmission(p, kappa)[0]
     c = scatter_coefficients(p, kappa)
     if branch == "particle":
         u_in = np.array([1, 0, 0, a], dtype=complex)
@@ -117,25 +102,22 @@ def transmitted_amplitude(
     """First component of the transmitted field at the detector site,
     Omega_1(tau, 0): the free packet's component 1 at the lab point
     (core.clock_start(0, (t0, x0)) + tau, 0), each momentum weighted by its
-    transmission amplitude, t_particle on branch A and t_anti on branch B.
-    Raises ValueError where a family's transmission denominator is <= 0 on
-    its own nodes (on branch A only at kappa > 0: t_particle = 1 at kappa = 0)."""
+    transmission amplitude from _transmission, t_particle on branch A and
+    t_anti on branch B, at the array tau.  Raises ValueError where a family's
+    transmission denominator is <= 0 on its own nodes (on branch A only at
+    kappa > 0: t_particle = 1 at kappa = 0)."""
 
     def transmission(p, sign):
-        plus = sign > 0
-        a = p / (np.sqrt(p * p + 1.0) + 1.0)
-        den = np.where(plus, 2 * a + kappa / 2, 2 + kappa * a / 2)  # of t_particle, t_anti
+        plus = sign > 0  # each family's law on its own nodes
+        a, den_particle, den_anti = _transmission(p, kappa)
+        den = np.where(plus, den_particle, den_anti)
         if np.any(den[~plus] <= 0) or (kappa > 0 and np.any(den[plus] <= 0)):
             raise ValueError(f"kappa = {kappa:g} reaches a pole of the transmission amplitude "
                              f"in the momentum band of p0 = {spec.p0:g}")
-        t = np.empty(p.size)  # each family solved on its own nodes
-        t[plus] = _solve_particle(p[plus], kappa)[0]
-        t[~plus] = _solve_anti(p[~plus], kappa)[0]
-        return t
+        return np.where(plus, 2 * a, 2.0) / den
 
     t = clock_start(0.0, spec.preparation) + np.asarray(tau, dtype=float)
-    amp = lab_components(spec, t, 0.0, n_nodes=n_nodes, momentum_filter=transmission)[0]
-    return complex(amp) if amp.ndim == 0 else amp
+    return lab_components(spec, t, 0.0, n_nodes=n_nodes, momentum_filter=transmission)[0]
 
 
 def arrival_density_point(

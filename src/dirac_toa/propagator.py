@@ -318,12 +318,12 @@ def integrate(initial: PlaneState, rates: Sequence[np.ndarray], n_steps: int) ->
     lengths = np.diff(sites)
     rotation = _rotation(grid.n, dx)
     frees = {k: _step_matrix(*rotation, k) for k in set(lengths.tolist())}
-    window_rows, window_rate = rows[:, window], rate[None, window]
-    shares = np.divide(window_rows, rate[window], out=np.zeros_like(window_rows),
-                       where=rate[window] > 0.0)  # Lambda_c / Lambda
+    window_rows, window_rate = rows[:, window], rate[window]
+    shares = np.divide(window_rows, window_rate, out=np.zeros_like(window_rows),
+                       where=window_rate > 0.0)  # Lambda_c / Lambda
     # the half-stage's amplitude factor A on the window (the norm decays at
     # rate Lambda), A^2 and the norm dx (1 - A^2) Lambda_c / Lambda it takes to channel c
-    half = np.exp(-dx * rate[window] / 4.0)
+    half = np.exp(-dx * window_rate / 4.0)
     damp = half**2
     take = dx * (1.0 - damp) * shares
     strips = np.r_[:WALL_SITES, grid.n - WALL_SITES:grid.n]
@@ -339,7 +339,7 @@ def integrate(initial: PlaneState, rates: Sequence[np.ndarray], n_steps: int) ->
 
     surv = np.empty(n_steps + 1)
     leak = np.zeros(n_steps + 1)
-    density = np.zeros((1, n_steps + 1))
+    density = np.zeros(n_steps + 1)
     absorbed = np.zeros((len(rates), n_steps + 1))
     seen = np.zeros(w)  # upper-entry density on the window at the last record
 
@@ -348,7 +348,7 @@ def integrate(initial: PlaneState, rates: Sequence[np.ndarray], n_steps: int) ->
         upper = state[0, window]
         seen[:] = upper.real**2 + upper.imag**2
         surv[r] = np.vdot(state, state).real * dx
-        density[:, r] = window_rate @ seen * dx
+        density[r] = window_rate @ seen * dx
 
     def read_between(f, r, k):
         # rows r + 1 .. r + k - 1 from the amplitudes f of A psi; returns what
@@ -359,7 +359,7 @@ def integrate(initial: PlaneState, rates: Sequence[np.ndarray], n_steps: int) ->
         u = (u.ravel() @ feedback[:n_in, :n_in].T).reshape(u.shape)
         arriving = u.real**2 + u.imag**2
         dens = damp * arriving
-        density[:, inside] = window_rate @ dens.T * dx
+        density[inside] = dens @ window_rate * dx
         # each row's two half-stages damp the density before and after its free step
         rise = np.cumsum(take @ (np.concatenate([seen[None], dens[:-1]]) + arriving).T, axis=1)
         absorbed[:, inside] = absorbed[:, r, None] + rise
@@ -399,7 +399,7 @@ def integrate(initial: PlaneState, rates: Sequence[np.ndarray], n_steps: int) ->
     values = np.zeros((4, grid.n), dtype=complex)
     values[[0, 3]] = state
     final = PlaneState(initial.x_min, initial.dx, values)
-    return EvolutionRecord(dx * np.arange(n_steps + 1), density[0], surv, leak, final, absorbed)
+    return EvolutionRecord(dx * np.arange(n_steps + 1), density, surv, leak, final, absorbed)
 
 
 def evolve(

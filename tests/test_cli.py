@@ -696,6 +696,8 @@ def test_unknown_key_or_section_is_rejected(command, section, key, named, tmp_pa
     ("frames", "scan", {"v_values": "-1"}, "v_values"),
     # entries that would write one output file, named by their :g tag
     ("point", "scan", {"p0_values": "0.75 0.7500001"}, "p0_values"),
+    # a point scan that ends before the p0 = 0.75 packet arrives (tau = 2.667)
+    ("point", "scan", {"tau_hi": 2.5}, "tau_hi"),
 ])
 def test_values_no_run_can_use_are_rejected_before_anything_runs(command, section, values, key,
                                                                  tmp_path, caplog):

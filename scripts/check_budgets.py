@@ -10,8 +10,8 @@ probability budget, and exit 1 if any does not:
 - every wall leakage it writes (metadata, arrival_scan.csv column or
   evolution record, whose largest row is its last), at most 1e-8.  The pdp
   presets' configured domain [-4, 2] lets 2.41e-9 through, the most of any
-  study; every derived domain (fig2, fig2-desk, fig4, fig10) lets through
-  at most 1e-12, and fig4-desk and fig10-desk 1e-15.
+  study; every derived domain (fig2, fig2-desk, fig4) lets through at
+  most 1e-12, and fig4-desk 1e-15.
 
 Usage: check_budgets.py DIR [DIR ...]
 """

@@ -6,9 +6,10 @@ study's wall time and the total.
     python scripts/run_studies.py full OUT --threads 2
 
 The full set runs at production resolution (dx = edge/2 = 0.001 A for every
-momentum, each run on the smallest domain that holds its packet): about
-2.8 s single-threaded on a 2-vCPU host, the fig2 momentum scan 1.8 s of it,
-fig4 0.6 s and fig10 0.2 s.  --threads runs the scan's momenta in parallel.
+momentum, each run on the smallest domain that holds its packet): 2.8-3.1 s
+single-threaded on a 2-vCPU host with one BLAS thread, the fig2 momentum
+scan 1.9-2.1 s of it and fig4 0.7 s; 2.1-2.7 s with --threads 2, which runs
+the scan's momenta in parallel.  The desk set takes about 0.4 s.
 The studies are the presets that have a desk twin, named with -desk
 appended, in PRESETS order; each runs its preset's own command.
 """

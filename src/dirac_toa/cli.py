@@ -63,25 +63,26 @@ def resolve_config(args) -> dict:
 # Each command's [grid] or [scan] section with its defaults; a value is
 # converted as its default is typed.  The lattice commands also read
 # [detector] and [lattice], and run at the [packet] momentum when p0_values
-# is empty.  A list with a non-empty default is one the command loops over,
+# is empty.  density boosts each run's lab density into every frame of
+# v_values.  A list with a non-empty default is one the command loops over,
 # and may not be empty.
 PARAMS = {
     "initial-state": ("grid", {"t_lo": -1.0, "t_hi": 2.0, "t_step": 0.05,
                                "x_lo": -3.0, "x_hi": 1.0, "x_step": 0.02}),
     "arrival-scan": ("scan", {"p0_values": []}),
-    "density": ("scan", {"p0_values": []}),
-    "frames": ("scan", {"v_values": [0.0, 0.5, 0.9]}),
+    "density": ("scan", {"p0_values": [], "v_values": []}),
     "point": ("scan", {"p0_values": [0.75, 2.0], "kappa_values": [0.0, 1.0],
                        "tau_lo": 0.0, "tau_hi": 5.0, "tau_step": 0.002}),
     "pdp": ("scan", {"n_trajectories": 10000}),
 }
-LATTICE_COMMANDS = ("arrival-scan", "density", "frames", "pdp")
+LATTICE_COMMANDS = ("arrival-scan", "density", "pdp")
 # What a [grid] or [scan] value (each entry of a list) must satisfy; a *_hi
 # may not lie below its *_lo either.
 BOUNDS = {
     "t_step": ("> 0", lambda v: v > 0),
     "x_step": ("> 0", lambda v: v > 0),
     "tau_step": ("> 0", lambda v: v > 0),
+    "p0_values": ("> 0", lambda v: v > 0),
     "kappa_values": (">= 0", lambda v: v >= 0),
     "v_values": ("in (-1, 1)", lambda v: abs(v) < 1),
 }
@@ -208,7 +209,7 @@ def cmd_arrival_scan(inputs: Inputs, workers: int) -> dict:
 
 
 def cmd_density(inputs: Inputs) -> dict:
-    outputs = {}
+    x_d, outputs = inputs.detector.position, {}
     for spec, run_cfg in inputs.runs:
         run = arrival_run(spec, inputs.detector, run_cfg)
         rec, p0, report = run.record, spec.p0, run.record.report
@@ -227,21 +228,12 @@ def cmd_density(inputs: Inputs) -> dict:
              "leakage": rec.boundary_leakage},
             {"p0": p0} | report,
         )
-    return outputs
-
-
-def cmd_frames(inputs: Inputs) -> dict:
-    (spec, run_cfg), = inputs.runs
-    run = arrival_run(spec, inputs.detector, run_cfg)
-    x_d, report = inputs.detector.position, run.record.report
-    outputs = {}
-    for v in inputs.params["v_values"]:
-        boosted = arrival.boost_density(run.lab, v, x_d)
-        outputs[f"frames_v{v:g}.csv"] = (
-            {"t": boosted.t, "p": boosted.p},
-            {"p0": spec.p0, "v": v,
-             "T": arrival.boost_expectation(run.T, v, x_d)} | report,
-        )
+        for v in inputs.params["v_values"]:
+            boosted = arrival.boost_density(run.lab, v, x_d)
+            outputs[f"frames_{tag}_v{v:g}.csv"] = (
+                {"t": boosted.t, "p": boosted.p},
+                {"p0": p0, "v": v, "T": arrival.boost_expectation(run.T, v, x_d)} | report,
+            )
     return outputs
 
 
@@ -297,7 +289,6 @@ COMMANDS = {
     "initial-state": cmd_initial_state,
     "arrival-scan": cmd_arrival_scan,
     "density": cmd_density,
-    "frames": cmd_frames,
     "point": cmd_point,
     "pdp": cmd_pdp,
 }

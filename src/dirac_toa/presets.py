@@ -3,8 +3,8 @@ dtau a preset steps at half its detector edge, and without x_lo and x_hi
 each run takes the smallest domain that holds its packet
 (studies.config_from_lattice); the *-desk variants use a coarser edge and
 step and shorter runs sized for CI machines.  fig2-desk derives its domain
-like the full presets; fig4-desk and fig10-desk keep the fixed [-4, 2] of
-the benchmark's lattice, and pdp and pdp-desk keep it because their strong
+like the full presets; fig4-desk keeps the fixed [-4, 2] of the
+benchmark's lattice, and pdp and pdp-desk keep it because their strong
 detector also reflects norm, which the packet-sized domain does not hold."""
 
 from __future__ import annotations
@@ -38,35 +38,21 @@ PRESETS: dict[str, dict] = {
         "lattice": {"dtau": 0.002},
         "scan": {"p0_values": [0.5, 0.75, 1.0]},
     },
-    # lab-frame arrival densities for several momenta
+    # lab-frame arrival densities for several momenta, and each boosted into
+    # moving frames (fig. 10 at p0 = 2)
     "fig4": {
         "command": "density",
         "packet": {},
         "detector": {"height": 1e-5, "width": 0.01, "edge": 0.002},
         "lattice": {},
-        "scan": {"p0_values": [0.75, 1.5, 2.0]},
+        "scan": {"p0_values": [0.75, 1.5, 2.0], "v_values": [0.0, 0.5, 0.9]},
     },
     "fig4-desk": {
         "command": "density",
         "packet": {},
         "detector": {"height": 1e-5, "width": 0.01, "edge": 0.004},
         "lattice": {"dtau": 0.002, "x_lo": -4.0, "x_hi": 2.0},
-        "scan": {"p0_values": [0.75, 2.0]},
-    },
-    # arrival density of the p0 = 2 packet in moving frames
-    "fig10": {
-        "command": "frames",
-        "packet": {"p0": 2.0},
-        "detector": {"height": 1e-5, "width": 0.01, "edge": 0.002},
-        "lattice": {},
-        "scan": {"v_values": [0.0, 0.5, 0.9]},
-    },
-    "fig10-desk": {
-        "command": "frames",
-        "packet": {"p0": 2.0},
-        "detector": {"height": 1e-5, "width": 0.01, "edge": 0.004},
-        "lattice": {"dtau": 0.002, "x_lo": -4.0, "x_hi": 2.0},
-        "scan": {"v_values": [0.0, 0.5, 0.9]},
+        "scan": {"p0_values": [0.75, 2.0], "v_values": [0.0, 0.5, 0.9]},
     },
     # point-detector densities
     "fig5": {

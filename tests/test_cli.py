@@ -11,7 +11,7 @@ from dirac_toa.cli import build_parser, main, parse_inputs, resolve_config
 from dirac_toa.csvio import read_csv, read_manifest, write_manifest
 from dirac_toa.detector import WindowDetector
 from dirac_toa import studies
-from dirac_toa.arrival import TAIL_MAX
+from dirac_toa.arrival import TAIL_MAX, boost_expectation
 from dirac_toa.presets import PRESETS
 from dirac_toa.propagator import WALL_SITES, evolve
 from dirac_toa.studies import config_from_lattice
@@ -85,17 +85,45 @@ def test_density_command(tmp_path):
     assert evo["S"][0] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_density_writes_its_frames_from_the_runs_it_holds(tmp_path):
+    """Without v_values density writes its three files per momentum, the
+    ones the benchmark reads; with them it also writes each run's lab
+    density boosted to every v, from the same run: frames_p*_v0 holds the
+    density_p* rows, and each T is the boost of the lab event (T_lab, x_d).
+    The three files per momentum keep their bytes."""
+    cfg, lab, boosted = tmp_path / "lab.cfg", tmp_path / "lab", tmp_path / "boosted"
+    write_manifest(cfg, {"run": {"command": "density"}, "scan": {"v_values": ""}})
+    assert main(["density", "--preset", "fig4-desk", "--config", str(cfg), "--out", str(lab)]) == 0
+    assert main(["density", "--preset", "fig4-desk", "--out", str(boosted)]) == 0
+    runs = [f"{kind}_p{p0}.csv" for p0 in ("0.75", "2")
+            for kind in ("density", "proper_time_density", "evolution")]
+    frames = [f"frames_p{p0}_v{v}.csv" for p0 in ("0.75", "2") for v in ("0", "0.5", "0.9")]
+    assert sorted(p.name for p in lab.glob("*.csv")) == sorted(runs)
+    assert sorted(p.name for p in boosted.glob("*.csv")) == sorted(runs + frames)
+    for name in runs:
+        assert (boosted / name).read_bytes() == (lab / name).read_bytes()
+    x_d = WindowDetector().position
+    for p0 in ("0.75", "2"):
+        meta_lab, cols_lab = read_csv(lab / f"density_p{p0}.csv")
+        _, cols_v0 = read_csv(boosted / f"frames_p{p0}_v0.csv")
+        assert cols_v0.keys() == cols_lab.keys()
+        assert all(np.array_equal(cols_v0[k], cols_lab[k]) for k in cols_lab)
+        for v in (0.0, 0.5, 0.9):
+            meta, _ = read_csv(boosted / f"frames_p{p0}_v{v:g}.csv")
+            assert float(meta["T"]) == boost_expectation(float(meta_lab["T"]), v, x_d)
+
+
 def test_lattice_outputs_report_the_lattice_they_ran(tmp_path):
     """Every lattice output carries the run's report: density's and
     evolution_*.csv's metadata, each arrival_scan.csv row, each frames_*.csv's
     metadata and pdp_summary.csv's.  It names the lattice the run stepped
     (grid x_lo and x_hi, wall strips included, and n sites; on a [lattice]
     without a domain the derived one), its tail contract, its absorbed-norm
-    budget residual and the wall leakage at the record's end.  The four
+    budget residual and the wall leakage at the record's end.  The three
     commands step the same run, so they report alike."""
     detector, lattice = {"height": 1e-4, "width": 0.02, "edge": 0.008}, {"dtau": 0.004}
-    scans = {"density": {"p0_values": "0.75"}, "arrival-scan": {"p0_values": "0.75"},
-             "frames": {"v_values": "0 0.5"}, "pdp": {"n_trajectories": 50}}
+    scans = {"density": {"p0_values": "0.75", "v_values": "0 0.5"},
+             "arrival-scan": {"p0_values": "0.75"}, "pdp": {"n_trajectories": 50}}
     cfg = tmp_path / "run.cfg"
     grid = config_from_lattice(lattice, 0.75, PacketSpec(p0=0.75),
                                WindowDetector(**detector)).grid()
@@ -106,7 +134,7 @@ def test_lattice_outputs_report_the_lattice_they_ran(tmp_path):
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
     metas = [{k: float(v) for k, v in read_csv(tmp_path / path)[0].items()}
              for path in ("density/density_p0.75.csv", "density/evolution_p0.75.csv",
-                          "frames/frames_v0.csv", "frames/frames_v0.5.csv",
+                          "density/frames_p0.75_v0.csv", "density/frames_p0.75_v0.5.csv",
                           "pdp/pdp_summary.csv")]
     _, row = read_csv(tmp_path / "arrival-scan" / "arrival_scan.csv")
     metas.append({k: v[0] for k, v in row.items()})
@@ -124,20 +152,16 @@ def test_lattice_outputs_report_the_lattice_they_ran(tmp_path):
 
 
 def test_frames_command_v0_matches_lab(tmp_path):
+    """density's frames of its p0 = 2 run: v = 0 is the lab density, and
+    the boosted curves conserve mass."""
     cfg = tmp_path / "frames.cfg"
-    write_manifest(cfg, {
-        "run": {"command": "frames"},
-        "packet": {"p0": 2.0},
-        "detector": {"height": 1e-4, "width": 0.02, "edge": 0.008},
-        "lattice": {"dtau": 0.004, "x_lo": -4.0, "x_hi": 2.0},
-        "scan": {"v_values": "0.0 0.5 0.9"},
-    })
+    write_manifest(cfg, {"run": {"command": "density"},
+                         "scan": {"p0_values": "2", "v_values": "0.0 0.5 0.9"}})
     out = tmp_path / "res"
-    assert main(["frames", "--config", str(cfg), "--out", str(out)]) == 0
-    _, lab = read_csv(out / "frames_v0.csv")
-    _, b5 = read_csv(out / "frames_v0.5.csv")
-    _, b9 = read_csv(out / "frames_v0.9.csv")
-    # v = 0 is the lab density; boosted curves conserve mass
+    assert main(["density", "--preset", "fig4-desk", "--config", str(cfg), "--out", str(out)]) == 0
+    _, lab = read_csv(out / "frames_p2_v0.csv")
+    _, b5 = read_csv(out / "frames_p2_v0.5.csv")
+    _, b9 = read_csv(out / "frames_p2_v0.9.csv")
     for cols in (lab, b5, b9):
         assert np.trapezoid(cols["p"], cols["t"]) == pytest.approx(1.0, abs=1e-9)
     np.testing.assert_allclose(b5["t"], lab["t"] / np.sqrt(0.75))
@@ -145,18 +169,19 @@ def test_frames_command_v0_matches_lab(tmp_path):
 
 @pytest.mark.parametrize("v", [0.5, 0.9])
 def test_frames_boost_the_detection_event_at_the_detector(v, tmp_path):
-    """frames boosts the lab event (T, x_d) of a detector at x_d: the written
-    T is gamma (T_lab - v x_d), and it is the mean of the boosted density
-    written with it (criterion 07's identity).  With the detector at x_d =
-    0.3 the command boosted (T, 0) and wrote T = 1.6401 at v = 0.5, where
-    gamma (T_lab - v x_d) = 1.4669."""
+    """density's frames boost the lab event (T, x_d) of a detector at x_d:
+    the written T is gamma (T_lab - v x_d), and it is the mean of the boosted
+    density written with it (criterion 07's identity).  With the detector at
+    x_d = 0.3 the frames used to boost (T, 0) and write T = 1.6401 at v =
+    0.5, where gamma (T_lab - v x_d) = 1.4669."""
     cfg = tmp_path / "frames.cfg"
-    write_manifest(cfg, {"run": {"command": "frames"}, "detector": {"position": 0.3},
-                         "lattice": {"x_hi": 2.5}, "scan": {"v_values": f"0 {v}"}})
+    write_manifest(cfg, {"run": {"command": "density"}, "detector": {"position": 0.3},
+                         "lattice": {"x_hi": 2.5},
+                         "scan": {"p0_values": "2", "v_values": f"0 {v}"}})
     out = tmp_path / "res"
-    assert main(["frames", "--preset", "fig10-desk", "--config", str(cfg), "--out", str(out)]) == 0
-    t_lab = float(read_csv(out / "frames_v0.csv")[0]["T"])
-    meta, cols = read_csv(out / f"frames_v{v:g}.csv")
+    assert main(["density", "--preset", "fig4-desk", "--config", str(cfg), "--out", str(out)]) == 0
+    t_lab = float(read_csv(out / "frames_p2_v0.csv")[0]["T"])
+    meta, cols = read_csv(out / f"frames_p2_v{v:g}.csv")
     t_boosted = float(meta["T"])
     assert t_boosted == pytest.approx((t_lab - v * 0.3) / np.sqrt(1 - v * v), rel=1e-12)
     mean = np.trapezoid(cols["t"] * cols["p"], cols["t"]) / np.trapezoid(cols["p"], cols["t"])
@@ -167,7 +192,7 @@ def test_frames_boost_the_detection_event_at_the_detector(v, tmp_path):
     ("density", "fig4-desk", {"p0_values": "2"}, "density_p2.csv", ["T"], ["P_inf", "neg_mass"]),
     ("arrival-scan", "fig2-desk", {"p0_values": "1"}, "arrival_scan.csv", ["T", "T0", "t_rm"],
      ["P_inf", "P_inf0", "neg_mass", "neg_mass0"]),
-    ("frames", "fig10-desk", {"v_values": "0"}, "frames_v0.csv", ["T"], []),
+    ("density", "fig4-desk", {"p0_values": "2", "v_values": "0"}, "frames_p2_v0.csv", ["T"], []),
     ("point", "fig5-desk", {"p0_values": "2", "kappa_values": "1"}, "point_p2_kappa1.csv",
      ["T"], []),
 ], ids=["density", "arrival-scan", "frames", "point"])
@@ -284,7 +309,7 @@ def test_scan_worker_pool_matches_serial(tmp_path):
     assert (out1 / "arrival_scan.csv").read_bytes() == (out2 / "arrival_scan.csv").read_bytes()
 
 
-@pytest.mark.parametrize("command", ["initial-state", "density", "frames", "point", "pdp"])
+@pytest.mark.parametrize("command", ["initial-state", "density", "point", "pdp"])
 def test_only_the_scan_takes_a_worker_pool(command):
     """--threads sizes arrival-scan's worker pool; no other command has one."""
     with pytest.raises(SystemExit):
@@ -441,12 +466,12 @@ def test_packet_band_past_the_nyquist_momentum_is_rejected(tmp_path, caplog):
 
 
 @pytest.mark.parametrize("command, preset, section, key, value", [
-    ("frames", "fig10-desk", "lattice", "tau_max", "inf"),
-    ("frames", "fig10-desk", "lattice", "x_hi", "inf"),
-    ("frames", "fig10-desk", "packet", "eta", "inf"),
-    ("frames", "fig10-desk", "packet", "p0", "nan"),
-    ("frames", "fig10-desk", "detector", "position", "nan"),
-    ("frames", "fig10-desk", "detector", "height", "nan"),
+    ("density", "fig4-desk", "lattice", "tau_max", "inf"),
+    ("density", "fig4-desk", "lattice", "x_hi", "inf"),
+    ("density", "fig4-desk", "packet", "eta", "inf"),
+    ("pdp", "pdp-desk", "packet", "p0", "nan"),  # density runs its p0_values
+    ("density", "fig4-desk", "detector", "position", "nan"),
+    ("density", "fig4-desk", "detector", "height", "nan"),
     ("pdp", "pdp-desk", "scan", "n_trajectories", "inf"),
 ])
 def test_non_finite_config_numbers_are_rejected(command, preset, section, key, value, tmp_path,
@@ -501,12 +526,11 @@ def test_packet_narrower_than_the_momentum_rule_resolves_is_rejected(command, pr
 
 @pytest.mark.parametrize("command, preset", [
     ("density", "fig4-desk"), ("pdp", "pdp-desk"), ("arrival-scan", "fig2-desk"),
-    ("frames", "fig10-desk"),
 ])
 def test_zero_height_detector_is_rejected_before_anything_runs(command, preset, tmp_path,
                                                                caplog):
     """A detector of height 0 detects nothing: a run would have no density to
-    normalize (density, arrival-scan, frames) or a KS reference of 0/0 (pdp)."""
+    normalize (density, arrival-scan) or a KS reference of 0/0 (pdp)."""
     cfg = tmp_path / "zero.cfg"
     write_manifest(cfg, {"run": {"command": command}, "detector": {"height": 0}})
     out = tmp_path / "out"
@@ -681,7 +705,9 @@ def test_unknown_key_or_section_is_rejected(command, section, key, named, tmp_pa
     # lists the command loops over, left empty
     ("point", "scan", {"p0_values": ""}, "p0_values"),
     ("point", "scan", {"kappa_values": ""}, "kappa_values"),
-    ("frames", "scan", {"v_values": ""}, "v_values"),
+    # a momentum no packet has; it used to be rejected as "p0 must be
+    # positive", naming no key
+    ("density", "scan", {"p0_values": "-0.75"}, "p0_values"),
     # grid steps and ranges that select nothing
     ("initial-state", "grid", {"x_step": 0}, "x_step"),
     ("initial-state", "grid", {"t_step": -0.05}, "t_step"),
@@ -692,12 +718,14 @@ def test_unknown_key_or_section_is_rejected(command, section, key, named, tmp_pa
     ("density", "lattice", {"x_hi": -7.0}, "x_hi"),
     # values a later entry of a list, or the second run, would fail on
     ("point", "scan", {"kappa_values": "1 -0.5"}, "kappa_values"),
-    ("frames", "scan", {"v_values": "0 1.2"}, "v_values"),
-    ("frames", "scan", {"v_values": "-1"}, "v_values"),
+    ("density", "scan", {"v_values": "0 1.2"}, "v_values"),
+    ("density", "scan", {"v_values": "-1"}, "v_values"),
     # entries that would write one output file, named by their :g tag
     ("point", "scan", {"p0_values": "0.75 0.7500001"}, "p0_values"),
     # a point scan that ends before the p0 = 0.75 packet arrives (tau = 2.667)
     ("point", "scan", {"tau_hi": 2.5}, "tau_hi"),
+    # a momentum no packet has, at a later entry of point's list
+    ("point", "scan", {"p0_values": "0.75 -0.75"}, "p0_values"),
 ])
 def test_values_no_run_can_use_are_rejected_before_anything_runs(command, section, values, key,
                                                                  tmp_path, caplog):
@@ -705,7 +733,7 @@ def test_values_no_run_can_use_are_rejected_before_anything_runs(command, sectio
     write_manifest(cfg, {"run": {"command": command}, section: values})
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
-    assert key in caplog.text
+    assert key in caplog.text and "unknown" not in caplog.text
     assert not out.exists()
 
 

@@ -3,13 +3,13 @@
 study's wall time and the total.
 
     python scripts/run_studies.py desk OUT   # desk scale: seconds on a laptop
-    python scripts/run_studies.py full OUT --threads 2
+    python scripts/run_studies.py full OUT
 
 The full set runs at production resolution (dx = edge/2 = 0.001 A for every
-momentum, each run on the smallest domain that holds its packet): 2.8-3.1 s
-single-threaded on a 2-vCPU host with one BLAS thread, the fig2 momentum
-scan 1.9-2.1 s of it and fig4 0.7 s; 2.1-2.7 s with --threads 2, which runs
-the scan's momenta in parallel.  The desk set takes about 0.4 s.
+momentum, each run on the smallest domain that holds its packet), one run
+after another: 3.5-5.5 s on a 2-vCPU host with one BLAS thread, the fig2
+momentum scan 2.1-3.7 s of it and fig4 0.8 s.  The desk set takes about
+0.4 s.
 The studies are the presets that have a desk twin, named with -desk
 appended, in PRESETS order; each runs its preset's own command.
 """
@@ -26,7 +26,6 @@ if __name__ == "__main__":
     ap = argparse.ArgumentParser()
     ap.add_argument("set", choices=["desk", "full"])
     ap.add_argument("out", type=Path)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
     total = 0.0
     for name in [name for name in PRESETS if f"{name}-desk" in PRESETS]:
@@ -35,8 +34,7 @@ if __name__ == "__main__":
         out = args.out / preset
         print(f"== {command} --preset {preset} -> {out}", flush=True)
         start = time.perf_counter()
-        pool = ["--threads", str(args.threads)] if command == "arrival-scan" else []
-        rc = main([command, "--preset", preset, "--out", str(out), *pool])
+        rc = main([command, "--preset", preset, "--out", str(out)])
         wall = time.perf_counter() - start
         total += wall
         print(f"   {preset}: {wall:.2f} s wall", flush=True)

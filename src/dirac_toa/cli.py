@@ -20,7 +20,7 @@ from .point_analytic import arrival_density_point
 from .presets import PRESETS
 from .propagator import DomainTooSmallError, EvolutionConfig
 from .studies import (arrival_run, check_keys, classical_arrival_tau, config_from_lattice, finite,
-                      momentum_scan, pdp_study)
+                      pdp_study, scan_row)
 from .wavepacket import PacketSpec, evaluate_spacetime
 
 log = logging.getLogger("dirac_toa")
@@ -167,6 +167,8 @@ def parse_inputs(cfg: dict) -> Inputs:
                                  f"for p0 = {p0:g})")
     det, runs = None, []
     if lattice:
+        if not params.get("p0_values") and not packet.p0 > 0:  # the runs take the packet's p0
+            raise ValueError(f"[packet] p0 must be > 0, got {packet.p0:g}")
         det = _build(WindowDetector, cfg, "detector")
         if det.height == 0.0:
             raise ValueError(f"[detector] height = 0 detects nothing: {command} needs height > 0")
@@ -199,9 +201,9 @@ def cmd_initial_state(inputs: Inputs) -> dict:
     return outputs
 
 
-def cmd_arrival_scan(inputs: Inputs, workers: int) -> dict:
+def cmd_arrival_scan(inputs: Inputs) -> dict:
     det = inputs.detector
-    rows = momentum_scan(det, inputs.runs, workers=workers)
+    rows = [scan_row(spec, det, run_cfg) for spec, run_cfg in inputs.runs]
     return {"arrival_scan.csv": (
         {key: np.array([r[key] for r in rows]) for key in rows[0]},
         {"detector_height": det.height, "detector_width": det.width},
@@ -283,8 +285,7 @@ def cmd_pdp(inputs: Inputs) -> dict:
 
 
 # fn(inputs) -> every output of the run, {file name: (columns, metadata)};
-# arrival-scan also takes its --threads pool as workers.  main writes the
-# outputs only once the command has returned.
+# main writes the outputs only once the command has returned.
 COMMANDS = {
     "initial-state": cmd_initial_state,
     "arrival-scan": cmd_arrival_scan,
@@ -306,8 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="key=value config file (overrides preset)")
         p.add_argument("--out", default="results", help="output directory")
         p.add_argument("--seed", type=int, default=None)
-    sub.choices["arrival-scan"].add_argument("--threads", type=int, default=1,
-                                             help="worker pool size for the momentum scan")
     return ap
 
 
@@ -318,10 +317,7 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         inputs = parse_inputs(cfg)
-        pool = {"workers": args.threads} if "threads" in args else {}
-        if pool and args.threads < 1:
-            raise ValueError(f"--threads {args.threads} must be at least 1")
-        outputs = COMMANDS[args.command](inputs, **pool)
+        outputs = COMMANDS[args.command](inputs)
     except (DomainTooSmallError, arrival.NoDetectionError, ValueError) as exc:
         log.error("run rejected: %s", exc)
         return 2

@@ -6,7 +6,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping
 
 import numpy as np
 
@@ -97,8 +97,8 @@ def free_arrival(spec: PacketSpec, det: WindowDetector, cfg: EvolutionConfig,
     return t0, p_inf0, neg_mass0
 
 
-def _scan_one(args):
-    """One scan row: one lattice run, with error = |T - T0| against the
+def scan_row(spec: PacketSpec, det: WindowDetector, cfg: EvolutionConfig) -> dict:
+    """One arrival-scan row: one lattice run, with error = |T - T0| against the
     free-packet oracle on the run's own record times, and the run's report.
 
     T0 is first order in W, so the error is the run's distance to the
@@ -107,7 +107,6 @@ def _scan_one(args):
     is 8.1e-8 / 2.1e-8 / 1.0e-8 of T at p0 = 0.5 / 0.75 / 1 and 3.5e-7 at
     p0 = 2, and a detector ten times weaker reads a tenth of it.
     """
-    spec, det, cfg = args
     run = arrival_run(spec, det, cfg)
     t0, p_inf0, neg_mass0 = free_arrival(spec, det, cfg, run.record.tau_samples)
     return {
@@ -121,21 +120,6 @@ def _scan_one(args):
         "neg_mass": run.neg_mass,
         "neg_mass0": neg_mass0,
     } | run.record.report
-
-
-def momentum_scan(
-    det: WindowDetector,
-    runs: Sequence[tuple[PacketSpec, EvolutionConfig]],
-    workers: int = 1,
-) -> list[dict]:
-    """One scan row (_scan_one) per (packet, config) pair."""
-    jobs = [(spec, det, cfg) for spec, cfg in runs]
-    if workers > 1:
-        import concurrent.futures as cf
-
-        with cf.ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            return list(pool.map(_scan_one, jobs))
-    return [_scan_one(j) for j in jobs]
 
 
 def check_keys(where: str, given: Iterable[str], known: Collection[str]) -> None:

@@ -180,6 +180,9 @@ def _branch_tables(p0: float, eta: float, x0: float, chi: float, n_nodes: int, h
 
 
 def _tables(spec: PacketSpec, n_nodes: int):
+    band = abs(spec.p0) + BAND_SIGMAS * spec.sigma_p()
+    if not math.isfinite(band * band):  # the nodes' energies sqrt(p^2 + 1) would overflow
+        raise ValueError(f"p0 = {spec.p0:g} is too large: p^2 overflows a float at p = {band:g} mc")
     return _branch_tables(spec.p0, spec.eta, spec.x0, CHI, n_nodes, BAND_SIGMAS)
 
 

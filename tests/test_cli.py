@@ -294,24 +294,10 @@ def test_pdp_reports_its_detection_density_tail(tmp_path):
     assert float(meta["tail_ratio"]) == pytest.approx(6.56e-5, rel=1e-3)
 
 
-def test_scan_worker_pool_matches_serial(tmp_path):
-    cfg = tmp_path / "scan2.cfg"
-    write_manifest(cfg, {
-        "run": {"command": "arrival-scan"},
-        "detector": {"height": 1e-4, "width": 0.02, "edge": 0.008},
-        "lattice": {"dtau": 0.004, "x_lo": -3.0, "x_hi": 2.0},
-        "scan": {"p0_values": "0.5 0.75"},
-    })
-    out1, out2 = tmp_path / "serial", tmp_path / "pool"
-    assert main(["arrival-scan", "--config", str(cfg), "--out", str(out1)]) == 0
-    assert main(["arrival-scan", "--config", str(cfg), "--out", str(out2),
-                 "--threads", "2"]) == 0
-    assert (out1 / "arrival_scan.csv").read_bytes() == (out2 / "arrival_scan.csv").read_bytes()
-
-
-@pytest.mark.parametrize("command", ["initial-state", "density", "point", "pdp"])
+@pytest.mark.parametrize("command", ["initial-state", "arrival-scan", "density", "point", "pdp"])
 def test_only_the_scan_takes_a_worker_pool(command):
-    """--threads sizes arrival-scan's worker pool; no other command has one."""
+    """No command has a worker pool: arrival-scan runs its momenta one after
+    another, and every command rejects --threads as an unknown argument."""
     with pytest.raises(SystemExit):
         build_parser().parse_args([command, "--threads", "2"])
 
@@ -545,9 +531,6 @@ def test_unknown_preset_and_wrong_command(tmp_path, caplog):
         (["density", "--preset", "nope"], "unknown preset 'nope'"),
         (["density", "--preset", "fig2-desk"], "belongs to command 'arrival-scan'"),
         (["density", "--config", str(cfg)], "config file is for command 'arrival-scan'"),
-        # a pool below one worker used to run serially and exit 0
-        (["arrival-scan", "--config", str(cfg), "--threads", "-3"], "--threads -3 must be at least 1"),
-        (["arrival-scan", "--config", str(cfg), "--threads", "0"], "--threads 0 must be at least 1"),
     ]:
         out = tmp_path / "out"
         assert main([*args, "--out", str(out)]) == 2
@@ -726,6 +709,11 @@ def test_unknown_key_or_section_is_rejected(command, section, key, named, tmp_pa
     ("point", "scan", {"tau_hi": 2.5}, "tau_hi"),
     # a momentum no packet has, at a later entry of point's list
     ("point", "scan", {"p0_values": "0.75 -0.75"}, "p0_values"),
+    # the packet momentum a lattice run takes when p0_values is empty; it used
+    # to be rejected as "p0 must be positive", naming no key
+    ("pdp", "packet", {"p0": -0.75}, "[packet] p0 must be > 0"),
+    ("density", "packet", {"p0": 0}, "[packet] p0 must be > 0"),
+    ("arrival-scan", "packet", {"p0": -0.75}, "[packet] p0 must be > 0"),
 ])
 def test_values_no_run_can_use_are_rejected_before_anything_runs(command, section, values, key,
                                                                  tmp_path, caplog):
@@ -734,6 +722,37 @@ def test_values_no_run_can_use_are_rejected_before_anything_runs(command, sectio
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert key in caplog.text and "unknown" not in caplog.text
+    assert not out.exists()
+
+
+def test_initial_state_takes_a_negative_packet_momentum(tmp_path):
+    """Only a lattice run needs p0 > 0: initial-state writes the packet
+    moving left, its component-1 density the mirror image of p0's about x0."""
+    cfg = tmp_path / "left.cfg"
+    write_manifest(cfg, {"run": {"command": "initial-state"}, "packet": {"p0": -0.75},
+                         "grid": {"t_lo": 0.0, "t_hi": 0.0, "x_lo": -1.5, "x_hi": -0.5}})
+    assert main(["initial-state", "--config", str(cfg), "--out", str(tmp_path / "left")]) == 0
+    write_manifest(cfg, read_manifest(cfg) | {"packet": {"p0": 0.75}})
+    assert main(["initial-state", "--config", str(cfg), "--out", str(tmp_path / "right")]) == 0
+    left = read_csv(tmp_path / "left" / "initial_state_component1.csv")[1]["density"]
+    right = read_csv(tmp_path / "right" / "initial_state_component1.csv")[1]["density"]
+    np.testing.assert_allclose(left, right[::-1], rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("command, preset, values", [
+    ("initial-state", "fig1-desk", {"packet": {"p0": 1e200}}),
+    ("point", "fig5-desk", {"scan": {"p0_values": 1e200}}),
+])
+def test_momentum_whose_energy_overflows_is_rejected(command, preset, values, tmp_path, caplog):
+    """At p0 = 1e200 the momentum nodes' p^2 overflows a float.  The
+    quadrature's sum came out non-finite and the run ended in a
+    FloatingPointError traceback (exit 1); the run is rejected before the
+    sum, and nothing is written."""
+    cfg = tmp_path / "huge.cfg"
+    write_manifest(cfg, {"run": {"command": command}} | values)
+    out = tmp_path / "out"
+    assert main([command, "--preset", preset, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "run rejected: p0 = 1e+200 is too large" in caplog.text
     assert not out.exists()
 
 

@@ -23,7 +23,7 @@ from dirac_toa.propagator import (
     integrate,
     spectral_free_evolve,
 )
-from dirac_toa.studies import _scan_one, arrival_run, config_from_lattice, prepare_omega
+from dirac_toa.studies import arrival_run, config_from_lattice, prepare_omega, scan_row
 from dirac_toa.wavepacket import PacketSpec, group_velocity, initial_packet
 
 MASSLESS_CHI = 1e-12  # stand-in for m = 0
@@ -526,9 +526,9 @@ def test_scan_error_does_not_depend_on_step_parity(monkeypatch):
     lattice = {"dtau": 0.002, "x_lo": -3.0, "x_hi": 2.0}
     cfg = config_from_lattice(lattice, spec.p0, spec)
     assert cfg.n_steps % STRIDE != 0
-    strided = _scan_one((spec, det, cfg))
+    strided = scan_row(spec, det, cfg)
     monkeypatch.setattr(propagator, "STRIDE", 1)
-    single = _scan_one((spec, det, cfg))
+    single = scan_row(spec, det, cfg)
     assert strided["T0"] == single["T0"]
     assert abs(strided["T"] - single["T"]) / single["T"] <= 1e-8
     assert abs(strided["error"] - single["error"]) / single["T"] <= 1e-9

@@ -1,5 +1,3 @@
-import concurrent.futures
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +6,7 @@ from scipy.fft import next_fast_len
 
 from dirac_toa import studies
 from dirac_toa.arrival import tail_report
+from dirac_toa.cli import cmd_arrival_scan, parse_inputs
 from dirac_toa.core import clock_start
 from dirac_toa.detector import WindowDetector
 from dirac_toa.propagator import WALL_SITES, evolve
@@ -17,7 +16,6 @@ from dirac_toa.studies import (
     auto_tau_max,
     config_from_lattice,
     free_arrival,
-    momentum_scan,
 )
 from dirac_toa.wavepacket import PacketSpec, lab_components
 
@@ -100,6 +98,8 @@ def test_record_report_names_the_configured_lattice(lattice):
 
 
 def test_momentum_scan_runs_one_lattice_per_momentum(monkeypatch):
+    """arrival-scan runs one lattice (scan_row) per momentum, serially, and
+    writes error = |T - T0| against the free-packet oracle."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -107,39 +107,16 @@ def test_momentum_scan_runs_one_lattice_per_momentum(monkeypatch):
         return evolve(*args, **kwargs)
 
     monkeypatch.setattr(studies, "evolve", counting)
-    det = WindowDetector(height=1e-4, width=0.02, edge=0.008)
-    lattice = {"dtau": 0.004, "x_lo": -3.0, "x_hi": 2.0}
-    runs = [(PacketSpec(p0=p0), config_from_lattice(lattice, p0, PacketSpec(p0=p0)))
-            for p0 in (0.75, 1.0)]
-    rows = momentum_scan(det, runs)
-    assert len(calls) == len(runs)
-    assert [row["p0"] for row in rows] == [0.75, 1.0]
-    assert all(row["error"] == abs(row["T"] - row["T0"]) for row in rows)
-
-
-def test_scan_pool_is_no_larger_than_the_scan(monkeypatch):
-    """Under the fork start method (Linux's default) a ProcessPoolExecutor
-    starts all of its max_workers processes at once, so a --threads far
-    above a scan's momenta would start that many idle processes.  The
-    pool holds at most one worker per run."""
-    sizes = []
-
-    class Pool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return []
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-    momentum_scan(WindowDetector(), [(PacketSpec(), None)] * 3, workers=100000)
-    assert sizes == [3]
+    inputs = parse_inputs({
+        "run": {"command": "arrival-scan", "seed": 1},
+        "detector": {"height": 1e-4, "width": 0.02, "edge": 0.008},
+        "lattice": {"dtau": 0.004, "x_lo": -3.0, "x_hi": 2.0},
+        "scan": {"p0_values": "0.75 1"},
+    })
+    (columns, _), = cmd_arrival_scan(inputs).values()
+    assert len(calls) == len(inputs.runs) == 2
+    assert list(columns["p0"]) == [0.75, 1.0]
+    assert np.array_equal(columns["error"], np.abs(columns["T"] - columns["T0"]))
 
 
 def _norm_outside(spec: PacketSpec, t: float, x_lo: float, x_hi: float) -> float:
@@ -187,10 +164,3 @@ def test_derived_domain_runs_as_the_light_cone_box():
     small, large = arrival_run(spec, det, derived), arrival_run(spec, det, box)
     assert abs(small.T - large.T) / large.T <= 1e-10
     assert abs(small.P_inf - large.P_inf) / large.P_inf <= 1e-10
-
-
-def test_pooled_scan_rows_are_the_serial_rows():
-    """momentum_scan with two worker processes writes, bit for bit, the rows
-    of the serial scan: the desk lattice [-3, 2] at two momenta."""
-    runs = [(PacketSpec(p0=p0), _desk_config(p0)) for p0 in (0.75, 1.0)]
-    assert momentum_scan(DESK_DETECTOR, runs, workers=2) == momentum_scan(DESK_DETECTOR, runs)
